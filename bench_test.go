@@ -350,6 +350,10 @@ func BenchmarkAllExperiments(b *testing.B) {
 // --- checker micro-benchmarks (the consistency checker is the hot path of
 // every experiment) ---
 
+// syntheticHistory records reads of one growing chain by four processes.
+// Every read gets its own Clone()d chain, so no two chains share memory:
+// the checker benches measure the element-by-element path that histories
+// not recorded through ReadIDs take.
 func syntheticHistory(reads, chainLen int) *history.History {
 	rec := history.NewRecorder()
 	chain := make(history.Chain, 1, chainLen+1)

@@ -2,6 +2,7 @@ package blocktree
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -55,5 +56,47 @@ func TestSelectorAllocs(t *testing.T) {
 		if allocs > 1 {
 			t.Fatalf("%s allocated %.1f objects per Select, want ≤ 1 (the chain)", sel.Name(), allocs)
 		}
+	}
+}
+
+// TestReadIDsAllocs pins the shared read path on a 600-block chain: a
+// read with no new block allocates nothing, and a read after each new
+// block allocates well under one object amortized — only the id buffer's
+// doubling growth. A per-read chain copy allocates one object on every
+// read and fails both bounds.
+func TestReadIDsAllocs(t *testing.T) {
+	const n = 600
+	s := NewSeqCap(LongestChain{}, AcceptAll, 2*n)
+	parent := GenesisID
+	for i := 0; i < n; i++ {
+		id := BlockID(fmt.Sprintf("b%04d", i))
+		if !s.Update(parent, Block{ID: id, Work: 1}) {
+			t.Fatalf("update %s failed", id)
+		}
+		parent = id
+	}
+	s.ReadIDs()
+	if allocs := testing.AllocsPerRun(100, func() { s.ReadIDs() }); allocs != 0 {
+		t.Fatalf("ReadIDs with no new block allocated %.1f objects, want 0", allocs)
+	}
+
+	ids := make([]BlockID, n)
+	for i := range ids {
+		ids[i] = BlockID(fmt.Sprintf("c%04d", i))
+	}
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for _, id := range ids {
+		if !s.Update(parent, Block{ID: id, Work: 1}) {
+			t.Fatalf("update %s failed", id)
+		}
+		parent = id
+		runtime.ReadMemStats(&before)
+		s.ReadIDs()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	if per := float64(mallocs) / n; per > 0.1 {
+		t.Fatalf("ReadIDs after one new block averaged %.3f allocs, want ≤ 0.1", per)
 	}
 }

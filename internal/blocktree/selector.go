@@ -135,13 +135,18 @@ func (GHOST) SelectTip(t *Tree) Block {
 	return t.nodes[ghostTipLocked(t)].block
 }
 
-// ghostTipLocked runs the GHOST descent and returns the tip's slab index.
-// Caller holds the lock.
+// ghostTipLocked returns the GHOST tip's slab index: the memoized one if
+// no block was inserted since the last selection, else the result of a
+// fresh descent, which it memoizes. Caller holds the lock.
 func ghostTipLocked(t *Tree) int32 {
+	if m := t.ghostTip.Load(); m > 0 {
+		return m - 1
+	}
 	cur := int32(0)
 	for {
 		kids := t.nodes[cur].children
 		if len(kids) == 0 {
+			t.ghostTip.Store(cur + 1)
 			return cur
 		}
 		best, bestW := kids[0], t.nodes[kids[0]].subtree

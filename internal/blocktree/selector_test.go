@@ -225,3 +225,31 @@ func TestProperty_GHOSTPrefixStability(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProperty_GHOSTMemoMatchesDescent: with a GHOST selection between
+// every two inserts, the memoized tip always equals a fresh descent on a
+// clone (which starts with no memo), so Insert invalidates the memo
+// whenever the selection could move.
+func TestProperty_GHOSTMemoMatchesDescent(t *testing.T) {
+	var g GHOST
+	f := func(seed uint64, n uint8) bool {
+		src := prng.New(seed)
+		tr := New()
+		ids := []BlockID{GenesisID}
+		for i := 0; i < int(n%30)+1; i++ {
+			parent := ids[src.Intn(len(ids))]
+			id := BlockID("m" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)))
+			if tr.Insert(Block{ID: id, Parent: parent, Work: 1 + src.Intn(3)}) == nil {
+				ids = append(ids, id)
+			}
+			memo := g.SelectTip(tr).ID
+			if g.SelectTip(tr).ID != memo || g.SelectTip(tr.Clone()).ID != memo {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

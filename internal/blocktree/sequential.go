@@ -126,10 +126,9 @@ type SeqBlockTree struct {
 	tree *Tree
 	f    Selector
 	p    Predicate
-	// lastRead remembers the chain the previous ReadIDs returned, so the
-	// next read only walks the blocks appended since. The slice is shared
-	// with the recorded history and never mutated.
-	lastRead history.Chain
+	// ids is the append-only id buffer ReadIDs returns views of; its
+	// contents are the chain the previous ReadIDs returned.
+	ids history.Chain
 }
 
 // NewSeq returns a sequential BT-ADT with parameters f and P.
@@ -184,13 +183,18 @@ func (s *SeqBlockTree) Read() Chain { return s.f.Select(s.tree) }
 // ReadIDs is read() returning only the block ids of {b0}⌢f(bt) — the view
 // a read response is recorded with. Callers that drive reads for the
 // history and discard the chain use it to skip the []Block materialization.
+//
+// The result is a capped view ids[:n:n] of an id buffer the SeqBlockTree
+// owns. A read that repeats or extends the previous one appends only the
+// new ids, so it costs the blocks added since the last read, not the
+// chain's height; consecutive reads then share their prefix in memory. A
+// reorg, or a read of an ancestor tip, starts a fresh buffer from a copy
+// of the common prefix. The buffer is never written below its length, so
+// every returned chain is immutable, and since cap == len an append by the
+// caller reallocates instead of writing into the buffer.
 func (s *SeqBlockTree) ReadIDs() history.Chain {
-	ids, ok := s.tree.ChainIDsFrom(SelectTip(s.f, s.tree).ID, s.lastRead)
-	if !ok {
-		return history.Chain{GenesisID}
-	}
-	s.lastRead = ids
-	return ids
+	s.ids = s.tree.appendRootPathIDs(s.ids, SelectTip(s.f, s.tree).ID)
+	return s.ids[:len(s.ids):len(s.ids)]
 }
 
 // Tree exposes the underlying tree for inspection.

@@ -1,6 +1,7 @@
 package blocktree
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -185,5 +186,82 @@ func TestChainHelpers(t *testing.T) {
 	ids := c.IDs()
 	if len(ids) != 2 || ids[1] != "a" {
 		t.Fatalf("ids = %v", ids)
+	}
+}
+
+// pinned selects the chain ending at *target when it is set and the
+// longest chain otherwise. It has no TipSelector fast path, so it also
+// drives ReadIDs through SelectTip's generic fallback, and it can land a
+// read on an ancestor of the previous tip, which no leaf selector does.
+type pinned struct{ target *BlockID }
+
+func (pinned) Name() string { return "pinned" }
+
+func (p pinned) Select(t *Tree) Chain {
+	if *p.target == "" {
+		return LongestChain{}.Select(t)
+	}
+	c, _ := t.ChainTo(*p.target)
+	return c
+}
+
+// TestReadIDsNeverRewritesReturnedChains drives ReadIDs through growth,
+// repeated reads, a reorg, more growth, a read of an ancestor tip and a
+// new branch grown from it. Every returned chain is copied when it is
+// returned; at the end each must still equal its copy (the shared buffer
+// was never written below its length), equal the selector's chain at its
+// read time, and have cap == len so an append by its holder cannot write
+// into the buffer.
+func TestReadIDsNeverRewritesReturnedChains(t *testing.T) {
+	var target BlockID
+	sel := pinned{&target}
+	s := NewSeq(sel, AcceptAll)
+	type read struct {
+		got, copied, want history.Chain
+	}
+	var reads []read
+	doRead := func() {
+		want := sel.Select(s.Tree()).IDs()
+		got := s.ReadIDs()
+		reads = append(reads, read{got: got, copied: got.Clone(), want: want})
+	}
+	grow := func(parent BlockID, ids ...BlockID) {
+		for _, id := range ids {
+			if !s.Update(parent, Block{ID: id, Work: 1}) {
+				t.Fatalf("update %s under %s failed", id, parent)
+			}
+			parent = id
+		}
+	}
+
+	doRead()
+	grow(GenesisID, "a1", "a2", "a3")
+	doRead()
+	doRead() // repeat: same chain
+	grow("a3", "a4")
+	doRead()
+	grow("a2", "f3", "f4", "f5") // fork below the tip, longer: reorg
+	doRead()
+	grow("f5", "f6", "f7")
+	doRead()
+	target = "f4" // ancestor of the current tip
+	doRead()
+	target = "g5"
+	grow("f4", "g5") // a new branch from the ancestor
+	doRead()
+	target = ""
+	grow("f7", "f8")
+	doRead()
+
+	for i, r := range reads {
+		if !slices.Equal(r.got, r.copied) {
+			t.Errorf("read %d changed after it was returned: now %s, was %s", i, r.got, r.copied)
+		}
+		if !slices.Equal(r.got, r.want) {
+			t.Errorf("read %d = %s, want the selected chain %s", i, r.got, r.want)
+		}
+		if cap(r.got) != len(r.got) {
+			t.Errorf("read %d has cap %d > len %d", i, cap(r.got), len(r.got))
+		}
 	}
 }

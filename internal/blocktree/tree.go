@@ -3,8 +3,10 @@ package blocktree
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"blockadt/internal/history"
 )
@@ -38,8 +40,10 @@ type node struct {
 // slices stay sorted, the leaf set and fork census are updated in place,
 // and each block's cumulative chain work and subtree work are carried
 // forward — Insert pays O(k + depth), reads pay no sorting at all. The
-// only hash lookups are the id→index translations at the API boundary;
-// everything below it runs on slab indexes.
+// GHOST tip is memoized between inserts, so a GHOST selection on an
+// unchanged tree is O(1) instead of a descent from genesis. The only hash
+// lookups are the id→index translations at the API boundary; everything
+// below it runs on slab indexes.
 type Tree struct {
 	mu    sync.RWMutex
 	nodes []node
@@ -52,6 +56,11 @@ type Tree struct {
 	forkCount int
 	maxFanout int
 	maxHeight int
+	// ghostTip memoizes the GHOST selection: the tip's slab index plus
+	// one, 0 when not yet computed. Insert clears it; selectors hold only
+	// the read lock, so concurrent readers may both compute and store the
+	// same value — hence the atomic.
+	ghostTip atomic.Int32
 }
 
 // Errors returned by Tree operations.
@@ -111,6 +120,7 @@ func (t *Tree) Insert(b Block) error {
 		chainW:  t.nodes[pi].chainW + w,
 	})
 	t.index[b.ID] = idx
+	t.ghostTip.Store(0)
 	if b.Height > t.maxHeight {
 		t.maxHeight = b.Height
 	}
@@ -229,48 +239,39 @@ func (t *Tree) chainToLocked(idx int32) Chain {
 	return chain
 }
 
-// ChainIDsTo returns the ids of the path {b0}⌢…⌢{id} without copying the
-// blocks themselves — the id-only view read responses are recorded with.
-// For the provided selectors, the selected chain is exactly the root path
-// of the selected tip, so ChainIDsTo(SelectTip(f, t).ID) equals
-// f.Select(t).IDs() at a fraction of the copying.
-func (t *Tree) ChainIDsTo(id BlockID) (history.Chain, bool) {
+// appendRootPathIDs returns buf extended to the ids of the root path
+// {b0}⌢…⌢{id}, the id-only view read responses are recorded with. The
+// walk stops at the highest block buf already holds at its height — the
+// tree is append-only, so a block's root path never changes — and only
+// the ids above it are written. Positions below len(buf) are never
+// written: when the path leaves buf before its end (a reorg, or a tip
+// that is an ancestor of buf's), the shared prefix is copied into a fresh
+// buffer instead. Views of buf taken earlier therefore never change.
+func (t *Tree) appendRootPathIDs(buf history.Chain, id BlockID) history.Chain {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	i, ok := t.index[id]
+	tip, ok := t.index[id]
 	if !ok {
-		return nil, false
+		return history.Chain{GenesisID}
 	}
-	out := make(history.Chain, t.nodes[i].block.Height+1)
-	for ; i >= 0; i = t.nodes[i].parent {
-		out[t.nodes[i].block.Height] = t.nodes[i].block.ID
-	}
-	return out, true
-}
-
-// ChainIDsFrom is ChainIDsTo accelerated by a previously returned chain of
-// the same tree: the walk stops as soon as it reaches a height where prev
-// names the same block — the tree is append-only, so a block's root path
-// never changes and the rest of prev can be copied instead of re-walked.
-// Periodic readers advance by a few blocks between reads, which turns the
-// O(height) parent walk into O(lag). prev is only read, never retained.
-func (t *Tree) ChainIDsFrom(id BlockID, prev history.Chain) (history.Chain, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i, ok := t.index[id]
-	if !ok {
-		return nil, false
-	}
-	out := make(history.Chain, t.nodes[i].block.Height+1)
-	for ; i >= 0; i = t.nodes[i].parent {
-		h := t.nodes[i].block.Height
-		if h < len(prev) && prev[h] == t.nodes[i].block.ID {
-			copy(out[:h+1], prev[:h+1])
+	keep := 0
+	for i := tip; i >= 0; i = t.nodes[i].parent {
+		if h := t.nodes[i].block.Height; h < len(buf) && buf[h] == t.nodes[i].block.ID {
+			keep = h + 1
 			break
 		}
-		out[h] = t.nodes[i].block.ID
 	}
-	return out, true
+	n := t.nodes[tip].block.Height + 1
+	if keep < len(buf) {
+		fresh := make(history.Chain, keep, max(cap(buf), n))
+		copy(fresh, buf)
+		buf = fresh
+	}
+	buf = slices.Grow(buf, n-len(buf))[:n]
+	for i := tip; i >= 0 && t.nodes[i].block.Height >= keep; i = t.nodes[i].parent {
+		buf[t.nodes[i].block.Height] = t.nodes[i].block.ID
+	}
+	return buf
 }
 
 // Leaves returns the ids of the blocks with no children, sorted

@@ -160,12 +160,16 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 				}
 				tr.Leaves()
 				tr.MaxFanout()
+				GHOST{}.SelectTip(tr) // concurrent readers share the memo
 			}
 		}(w)
 	}
 	wg.Wait()
 	if tr.Size() != 1+4*50 {
 		t.Fatalf("size = %d, want %d", tr.Size(), 1+4*50)
+	}
+	if memo, fresh := (GHOST{}).SelectTip(tr).ID, (GHOST{}).SelectTip(tr.Clone()).ID; memo != fresh {
+		t.Fatalf("memoized GHOST tip %s, fresh descent %s", memo, fresh)
 	}
 }
 

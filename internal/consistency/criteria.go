@@ -38,13 +38,40 @@ func BlockValidity(h *history.History, opts Options) Verdict {
 		}
 	}
 
+	// last[p] is process p's previous read. When a read's chain starts at
+	// the same element in memory as that read's (ReadIDs shares the
+	// prefix), is at least as long, and the previous read was clean, its
+	// first len(prev) blocks are already proven: their earliest insertion
+	// is at most rsp(prev) ≤ rsp(r). Only the new suffix is checked; the
+	// skipped blocks still count toward Checked. Process ids outside
+	// [0, len(reads)) are not tracked and always take the full check.
+	type procRead struct {
+		chain   history.Chain
+		rsp     int64
+		checked int
+		clean   bool
+	}
+	reads := h.Reads()
+	var last []procRead
 	checked := 0
-	for _, r := range h.Reads() {
-		for _, b := range r.Chain {
+	for _, r := range reads {
+		var prev *procRead
+		if p := int(r.Op.Proc); p >= 0 && p < len(reads) {
+			if p >= len(last) {
+				last = append(last, make([]procRead, p+1-len(last))...)
+			}
+			prev = &last[p]
+		}
+		from, n, before := 0, 0, sink.total
+		if prev != nil && prev.clean && len(prev.chain) > 0 && len(r.Chain) >= len(prev.chain) &&
+			&r.Chain[0] == &prev.chain[0] && prev.rsp <= r.Op.RspTime {
+			from, n = len(prev.chain), prev.checked
+		}
+		for _, b := range r.Chain[from:] {
 			if b == blocktree.GenesisID {
 				continue
 			}
-			checked++
+			n++
 			t, ok := earliest[b]
 			if !ok {
 				sink.addf("read by p%d returned %s containing %s, never appended", r.Op.Proc, r.Chain, string(b))
@@ -53,6 +80,10 @@ func BlockValidity(h *history.History, opts Options) Verdict {
 			if t > r.Op.RspTime {
 				sink.addf("read by p%d (rsp t=%d) returned %s before its append/update (t=%d)", r.Op.Proc, r.Op.RspTime, string(b), t)
 			}
+		}
+		checked += n
+		if prev != nil {
+			*prev = procRead{chain: r.Chain, rsp: r.Op.RspTime, checked: n, clean: sink.total == before}
 		}
 	}
 	return sink.verdict("BlockValidity", checked)
@@ -182,12 +213,23 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 		}
 		return len(growthTimes) - lo
 	}
+	// sufMin[j] = min(scores[j..n-1]): a read whose score is below every
+	// score past its grace window cannot be matched, so its scan is
+	// skipped. Passing histories then cost O(N) instead of O(N²).
+	sufMin := make([]int, len(reads)+1)
+	sufMin[len(reads)] = int(^uint(0) >> 1)
+	for j := len(reads) - 1; j >= 0; j-- {
+		sufMin[j] = min(scores[j], sufMin[j+1])
+	}
 	checked := 0
 	for i := range reads {
 		if growthAfter(reads[i].Op.RspTime) < w {
 			continue // plateau region of the finite prefix: exempt
 		}
 		checked++
+		if i+w >= len(reads) || sufMin[i+w] > scores[i] {
+			continue
+		}
 		for j := i + w; j < len(reads); j++ {
 			if scores[j] > scores[i] {
 				continue

@@ -16,6 +16,7 @@ package history
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -27,6 +28,13 @@ type BlockRef string
 
 // Chain is a blockchain value as returned by read(): the genesis-rooted
 // sequence of block references {b0}⌢…
+//
+// Chains are values that are shared, never written. The sequential
+// BT-ADT's ReadIDs hands out capped views (cap == len) of an id buffer it
+// owns and keeps appending to, so chains recorded by consecutive reads of
+// one process share their common prefix in memory. No code may write an
+// element of a Chain it did not allocate; appending is safe, since a
+// capped view always reallocates.
 type Chain []BlockRef
 
 // Clone returns an independent copy of the chain.
@@ -36,10 +44,15 @@ func (c Chain) Clone() Chain {
 	return out
 }
 
-// HasPrefix reports whether p is a prefix of c (p ⊑ c).
+// HasPrefix reports whether p is a prefix of c (p ⊑ c). Chains that start
+// at the same element in memory (views of one read buffer) are decided by
+// their lengths alone.
 func (c Chain) HasPrefix(p Chain) bool {
 	if len(p) > len(c) {
 		return false
+	}
+	if len(p) == 0 || &c[0] == &p[0] {
+		return true
 	}
 	for i := range p {
 		if c[i] != p[i] {
@@ -49,11 +62,13 @@ func (c Chain) HasPrefix(p Chain) bool {
 	return true
 }
 
-// CommonPrefix returns the maximal common prefix of c and other.
+// CommonPrefix returns the maximal common prefix of c and other. Chains
+// that start at the same element in memory share their first min(len)
+// elements, so that case costs O(1).
 func (c Chain) CommonPrefix(other Chain) Chain {
-	n := len(c)
-	if len(other) < n {
-		n = len(other)
+	n := min(len(c), len(other))
+	if n == 0 || &c[0] == &other[0] {
+		return c[:n]
 	}
 	i := 0
 	for i < n && c[i] == other[i] {
@@ -64,14 +79,14 @@ func (c Chain) CommonPrefix(other Chain) Chain {
 
 // String renders the chain with the paper's b0⌢b1⌢… concatenation syntax.
 func (c Chain) String() string {
-	s := ""
+	var sb strings.Builder
 	for i, b := range c {
 		if i > 0 {
-			s += "⌢"
+			sb.WriteString("⌢")
 		}
-		s += string(b)
+		sb.WriteString(string(b))
 	}
-	return s
+	return sb.String()
 }
 
 // Kind enumerates the operation kinds that appear in the histories of this
@@ -167,7 +182,7 @@ type Event struct {
 	Type EventType
 	// Proc is the process that produced the event.
 	Proc ProcID
-	// Op identifies the operation this event belongss to.
+	// Op identifies the operation this event belongs to.
 	Op OpID
 	// Label is Λ(e).
 	Label Label

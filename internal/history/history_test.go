@@ -50,6 +50,53 @@ func TestChainCommonPrefix(t *testing.T) {
 	}
 }
 
+func TestChainString(t *testing.T) {
+	if got := chainOf("b0", "b1", "b2").String(); got != "b0⌢b1⌢b2" {
+		t.Fatalf("String() = %q, want %q", got, "b0⌢b1⌢b2")
+	}
+	if got := chainOf().String(); got != "" {
+		t.Fatalf("empty chain String() = %q, want empty", got)
+	}
+}
+
+// TestProperty_PrefixOpsSharedViewsMatchClones: HasPrefix and
+// CommonPrefix give the same answers on views of one buffer (the O(1)
+// same-start case), on views of two buffers with the same contents, and
+// on independent clones.
+func TestProperty_PrefixOpsSharedViewsMatchClones(t *testing.T) {
+	f := func(v []uint8, x, y uint8) bool {
+		buf := make(Chain, len(v))
+		for k, x := range v {
+			buf[k] = BlockRef(string(rune('a' + x%3)))
+		}
+		other := buf.Clone()
+		i, j := int(x)%(len(v)+1), int(y)%(len(v)+1)
+		a, b := buf[:i:i], buf[:j:j]
+		pairs := [][2]Chain{{a, b}, {a, other[:j:j]}, {a.Clone(), b.Clone()}}
+		for _, p := range pairs {
+			if p[0].HasPrefix(p[1]) != (j <= i) || p[1].HasPrefix(p[0]) != (i <= j) {
+				return false
+			}
+			if len(p[0].CommonPrefix(p[1])) != min(i, j) {
+				return false
+			}
+		}
+		// A clone whose contents differ after position 0 breaks the
+		// prefix relation wherever the lengths let it show.
+		if j > 1 && i >= j {
+			d := b.Clone()
+			d[j-1] = "z"
+			if a.HasPrefix(d) || len(a.CommonPrefix(d)) != j-1 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestChainClone(t *testing.T) {
 	a := chainOf("b0", "1")
 	b := a.Clone()
