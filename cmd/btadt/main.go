@@ -69,15 +69,14 @@
 //	    value, like sweep.
 //
 //	btadt serve      [-addr :8423] -store DIR [-parallel 0] [-max-body BYTES]
-//	                 [-max-sweeps N] [-lease-ttl 5m] [-log-level info]
+//	                 [-max-sweeps N] [-drain 30s] [-log-level info]
 //	                 [-log-format text|json] [-debug-addr :6060]
-//	btadt serve      -worker URL -store DIR [-name ID] [-idle-exit] [-poll 2s]
 //	    Run the cache-first sweep service: POST /v1/sweeps streams a
-//	    matrix's results back as NDJSON, identical (even concurrent)
+//	    matrix's results back as NDJSON, and identical (even concurrent)
 //	    resubmissions are served from the shared run store without
-//	    re-simulating, and POST /v1/work fans a matrix out across
-//	    -worker processes that lease deterministic shards and upload
-//	    their content-addressed results. Every request is logged with a
+//	    re-simulating. Serving a union of `sweep -shard i/n -store`
+//	    stores answers a matrix swept across machines without
+//	    simulating (docs/runstore.md). Every request is logged with a
 //	    request ID (echoed as X-Request-Id); /metricsz answers JSON by
 //	    default and Prometheus exposition under `Accept: text/plain`;
 //	    -debug-addr opts into live pprof on a separate listener.
@@ -179,7 +178,7 @@ commands:
                [-shard i/n] [-store DIR] [-resume] for incremental / CI-sharded sweeps
   stats        sweep a matrix with metric collection and print per-config aggregates
   hypothesize  run a statistical A-vs-B experiment and issue a confirmed/refuted verdict
-  serve        run the cache-first sweep service (or, with -worker URL, a shard worker)
+  serve        run the cache-first sweep service over a run store
   diff         compare two sweep (or hypothesize) JSON reports with a per-field tolerance (CI gate)
   version      print the build triple: module version, Go toolchain, engine version`)
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -17,30 +16,21 @@ import (
 	"blockadt/pkg/blockadt/serve"
 )
 
-// cmdServe runs the cache-first sweep service (docs/serve.md). The
-// default mode is the coordinator: an HTTP server that accepts sweep
-// matrices at POST /v1/sweeps, streams results back as NDJSON, serves
-// repeats from the content-addressed run store, and fans sharded jobs
-// (POST /v1/work) out to workers. With -worker URL the same binary is
-// instead a worker: it leases shards from that coordinator, sweeps them
-// against its own -store, and uploads the results.
+// cmdServe runs the cache-first sweep service (docs/serve.md): an HTTP
+// server that accepts sweep matrices at POST /v1/sweeps, streams
+// results back as NDJSON, and serves repeats from the content-addressed
+// run store.
 //
-// Shutdown is signal-aware either way: the first SIGINT/SIGTERM stops
-// accepting connections and drains in-flight requests (workers finish
-// their current shard), bounded by -drain.
+// Shutdown is signal-aware: the first SIGINT/SIGTERM stops accepting
+// connections and drains in-flight requests, bounded by -drain.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", ":8423", "coordinator listen address")
-	storeDir := fs.String("store", "", "content-addressed run store directory (required; the service cache, or the worker's local store)")
+	addr := fs.String("addr", ":8423", "listen address")
+	storeDir := fs.String("store", "", "content-addressed run store directory (required; the service cache)")
 	parallelism := fs.Int("parallel", 0, "per-sweep worker pool size (<1 = NumCPU)")
 	maxBody := fs.Int64("max-body", 1<<20, "maximum matrix submission size in bytes")
 	maxSweeps := fs.Int("max-sweeps", 1024, "maximum sweeps retained for polling before the oldest finished ones are evicted")
-	leaseTTL := fs.Duration("lease-ttl", 5*time.Minute, "how long a worker may hold a leased shard before it is re-offered")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests")
-	workerURL := fs.String("worker", "", "run as a worker against this coordinator URL instead of serving")
-	name := fs.String("name", "", "worker identity reported in leases (default: the hostname)")
-	idleExit := fs.Bool("idle-exit", false, "worker: exit once the coordinator has no work instead of polling")
-	poll := fs.Duration("poll", 2*time.Second, "worker: idle re-poll interval")
 	logLevel := fs.String("log-level", "info", "request-log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "request-log format: text or json")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (off unless set; keep it off the public listener)")
@@ -59,36 +49,11 @@ func cmdServe(ctx context.Context, args []string) error {
 		return err
 	}
 
-	if *workerURL != "" {
-		if *name == "" {
-			if host, err := os.Hostname(); err == nil {
-				*name = host
-			}
-		}
-		w := &serve.Worker{
-			Coordinator: *workerURL,
-			Store:       store,
-			Parallelism: *parallelism,
-			Name:        *name,
-			IdleExit:    *idleExit,
-			Poll:        *poll,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "btadt serve worker: "+format+"\n", args...)
-			},
-		}
-		err := w.Run(ctx)
-		if errors.Is(err, context.Canceled) {
-			return nil // interrupted while idle: a clean worker exit
-		}
-		return err
-	}
-
 	srv, err := serve.New(serve.Config{
 		Store:        store,
 		Parallelism:  *parallelism,
 		MaxBodyBytes: *maxBody,
 		MaxSweeps:    *maxSweeps,
-		LeaseTTL:     *leaseTTL,
 		Logger:       logger,
 	})
 	if err != nil {

@@ -2,14 +2,11 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +14,6 @@ import (
 	"time"
 
 	"blockadt/pkg/blockadt"
-	"blockadt/pkg/blockadt/serve"
 )
 
 // sweepMatrix is the Matrix sweepArgs describes — the store keys behind
@@ -202,64 +198,14 @@ func TestSweepPrintMatrix(t *testing.T) {
 	}
 }
 
-// TestServeCmdWorkerMode drives cmdServe's worker path against an
-// in-process coordinator: enqueue a 2-shard job, run the worker loop
-// with -idle-exit semantics, and watch the job complete.
-func TestServeCmdWorkerMode(t *testing.T) {
-	coordStore, err := blockadt.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(serve.Config{Store: coordStore, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	m := sweepMatrix()
-	body, err := json.Marshal(map[string]any{"matrix": m, "shards": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/work", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var job struct {
-		ID     string `json:"id"`
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	captureStderr(t, func() error {
-		return cmdServe(t.Context(), []string{"-worker", ts.URL, "-store", t.TempDir(),
-			"-parallel", "2", "-name", "cli-test", "-idle-exit", "-poll", "10ms"})
-	})
-
-	resp, err = http.Get(ts.URL + "/v1/work/" + job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if job.Status != "done" {
-		t.Fatalf("job after CLI worker: %+v, want done", job)
-	}
-
-	if err := cmdServe(t.Context(), []string{"-worker", ts.URL}); err == nil || !strings.Contains(err.Error(), "-store") {
-		t.Fatalf("worker without -store: got %v", err)
-	}
-}
-
-// TestServeCmdGracefulShutdown starts the coordinator on an ephemeral
-// port and cancels its context: cmdServe must drain and return nil.
+// TestServeCmdGracefulShutdown starts the service on an ephemeral port
+// and cancels its context: cmdServe must drain and return nil. Without
+// -store it must refuse to start at all.
 func TestServeCmdGracefulShutdown(t *testing.T) {
+	if err := cmdServe(t.Context(), []string{"-addr", "127.0.0.1:0"}); err == nil || !strings.Contains(err.Error(), "-store") {
+		t.Fatalf("serve without -store: got %v", err)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +14,7 @@ import (
 	"testing"
 
 	"blockadt/pkg/blockadt"
+	"blockadt/pkg/blockadt/serve"
 )
 
 // sweepArgs is the small metrics-enabled matrix the store/shard/diff CLI
@@ -138,6 +143,57 @@ func TestSweepShardStoreUnionServesFullMatrix(t *testing.T) {
 	}
 	if served != plain {
 		t.Fatal("union-served sweep is not byte-identical to the unsharded sweep")
+	}
+
+	// The same union behind `btadt serve`: the HTTP sweep simulates
+	// nothing and its report is byte-identical to a plain Run.
+	store, err := blockadt.OpenStore(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Store: store, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	m := sweepMatrix()
+	body, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	lines := strings.Split(strings.TrimSpace(string(stream)), "\n")
+	var last struct {
+		Summary *serve.SweepSummary `json:"summary"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Summary == nil {
+		t.Fatalf("serve stream ended without a summary (err %v): %s", err, stream)
+	}
+	if last.Summary.Simulated != 0 || last.Summary.Total != shardTotal {
+		t.Fatalf("serve over the union: %+v, want %d scenarios and 0 simulated", *last.Summary, shardTotal)
+	}
+	resp, err = http.Get(ts.URL + "/v1/sweeps/" + last.Summary.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	rep, err := blockadt.Run(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rep.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(report, want) {
+		t.Fatalf("report served from the union is not byte-identical to a plain Run (%s)", resp.Status)
 	}
 }
 

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"iter"
+	"sync"
 )
 
 // Stream applies fn to every item using at most workers concurrent
@@ -15,8 +16,9 @@ import (
 // work the yielded sequence is bit-identical to Map's output at any worker
 // count. Cancelling the context or breaking out of the iteration stops
 // new items from being scheduled; items already dispatched finish on
-// their workers (their goroutines exit once done — nothing leaks, and
-// buffered slots mean no worker ever blocks on an abandoned consumer).
+// their workers, and the iteration returns only once every worker has
+// exited, so no fn call outlives it (buffered slots mean no worker ever
+// blocks on an abandoned consumer).
 func Stream[T, R any](ctx context.Context, items []T, workers int, fn func(int, T) R) iter.Seq2[int, R] {
 	return func(yield func(int, R) bool) {
 		if len(items) == 0 {
@@ -51,6 +53,8 @@ func Stream[T, R any](ctx context.Context, items []T, workers int, fn func(int, 
 		gate := make(chan struct{}, window)
 		jobs := make(chan int)
 		done := make(chan struct{})
+		var wg sync.WaitGroup
+		defer wg.Wait() // runs after close(done) has stopped the dispatcher
 		defer close(done)
 
 		go func() {
@@ -68,8 +72,10 @@ func Stream[T, R any](ctx context.Context, items []T, workers int, fn func(int, 
 				}
 			}
 		}()
+		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func() {
+				defer wg.Done()
 				for i := range jobs {
 					slots[i%window] <- fn(i, items[i])
 				}

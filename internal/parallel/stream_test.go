@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -33,23 +34,39 @@ func TestStreamMatchesMap(t *testing.T) {
 	}
 }
 
+// slowCall is a Stream fn that counts the calls in progress, so a test
+// can check that none outlives the iteration.
+func slowCall(active *atomic.Int64) func(int, int) int {
+	return func(i int, _ int) int {
+		active.Add(1)
+		defer active.Add(-1)
+		time.Sleep(time.Millisecond)
+		return i
+	}
+}
+
 // TestStreamEarlyBreak verifies breaking out of the iteration returns
-// promptly (no deadlock on the gate/jobs channels).
+// promptly (no deadlock on the gate/jobs channels) and only after every
+// dispatched call has finished.
 func TestStreamEarlyBreak(t *testing.T) {
 	items := make([]int, 1000)
-	done := make(chan struct{})
+	var active atomic.Int64
+	done := make(chan int64)
 	go func() {
-		defer close(done)
 		n := 0
-		for range Stream(context.Background(), items, 4, func(i int, _ int) int { return i }) {
+		for range Stream(context.Background(), items, 4, slowCall(&active)) {
 			n++
 			if n == 5 {
 				break
 			}
 		}
+		done <- active.Load()
 	}()
 	select {
-	case <-done:
+	case running := <-done:
+		if running != 0 {
+			t.Fatalf("%d calls still running after the early break returned", running)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("early break deadlocked")
 	}
@@ -60,8 +77,9 @@ func TestStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	items := make([]int, 1000)
+	var active atomic.Int64
 	n := 0
-	for range Stream(ctx, items, 4, func(i int, _ int) int { return i }) {
+	for range Stream(ctx, items, 4, slowCall(&active)) {
 		n++
 		if n == 10 {
 			cancel()
@@ -69,6 +87,9 @@ func TestStreamCancellation(t *testing.T) {
 	}
 	if n >= len(items) {
 		t.Fatal("cancellation did not stop the stream")
+	}
+	if running := active.Load(); running != 0 {
+		t.Fatalf("%d calls still running after the cancelled stream returned", running)
 	}
 }
 

@@ -2,6 +2,7 @@ package blockadt
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -20,10 +21,26 @@ func newRegistry[T any](kind string) *registry[T] {
 	return &registry[T]{kind: kind, byKey: map[string]T{}}
 }
 
-func (r *registry[T]) register(name string, v T) {
+// checkName panics on a name no registry accepts: an empty one, or one
+// that would break scenario-key injectivity (checkKeyField).
+func (r *registry[T]) checkName(name string) {
 	if name == "" {
 		panic(fmt.Sprintf("blockadt: cannot register a %s with an empty name", r.kind))
 	}
+	checkKeyField(r.kind, "name", name)
+}
+
+// checkKeyField panics on a registered string containing '|', the
+// separator Scenario.Key joins its fields with: such a string could make
+// two scenarios share one key, one derived seed and one store entry.
+func checkKeyField(kind, field, value string) {
+	if strings.Contains(value, "|") {
+		panic(fmt.Sprintf("blockadt: %s %s %q contains '|', the scenario-key separator", kind, field, value))
+	}
+}
+
+func (r *registry[T]) register(name string, v T) {
+	r.checkName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.byKey[name]; dup {
@@ -52,9 +69,7 @@ func (r *registry[T]) lookup(name string) (T, error) {
 // registration — experiment link variants are derived from their
 // parameters, so same name means same spec.
 func (r *registry[T]) ensure(name string, v T) {
-	if name == "" {
-		panic(fmt.Sprintf("blockadt: cannot register a %s with an empty name", r.kind))
-	}
+	r.checkName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.byKey[name]; ok {
@@ -204,8 +219,11 @@ func RegisterSelector(s SelectorSpec) {
 	selectorRegistry.register(s.Name, s)
 }
 
-// RegisterLink adds a communication model to the registry.
+// RegisterLink adds a communication model to the registry. Like every
+// registry it panics on an empty or duplicate name; a name or Params
+// containing '|' panics too, since both join the scenario key.
 func RegisterLink(l LinkSpec) {
+	checkKeyField("link", "params", l.Params)
 	linkRegistry.register(l.Name, l)
 }
 
@@ -214,8 +232,10 @@ func RegisterAdversary(a AdversarySpec) {
 	adversaryRegistry.register(a.Name, a)
 }
 
-// RegisterTopology adds a dissemination topology to the registry.
+// RegisterTopology adds a dissemination topology to the registry. Its
+// name and Params join the scenario key, so '|' in either panics.
 func RegisterTopology(t TopologySpec) {
+	checkKeyField("topology", "params", t.Params)
 	topologyRegistry.register(t.Name, t)
 }
 

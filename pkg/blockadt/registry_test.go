@@ -151,6 +151,7 @@ func TestUnknownNamesFailLoudly(t *testing.T) {
 		{Adversaries: []string{"gremlin"}},
 		{Adversaries: []string{AdvSelfish}, Alpha: 1.5},
 		{Adversaries: []string{AdvSelfish}, Alpha: -0.1},
+		{Systems: []string{"Bitcoin"}, Ns: []int{4, -1}},
 	} {
 		if _, err := m.Configs(); err == nil {
 			t.Errorf("matrix %+v expanded despite an unregistered dimension", m)
@@ -164,6 +165,7 @@ func TestUnknownNamesFailLoudly(t *testing.T) {
 		"unsupported combo":  {System: "Hyperledger", Link: LinkSync, Adversary: AdvSelfish, Alpha: 0.3, N: 4, Blocks: 5},
 		"degenerate alpha":   {System: "Bitcoin", Link: LinkSync, Adversary: AdvSelfish, Alpha: 0, N: 4, Blocks: 5},
 		"out-of-range alpha": {System: "Bitcoin", Link: LinkSync, Adversary: AdvSelfish, Alpha: 1.5, N: 4, Blocks: 5},
+		"negative n":         {System: "Bitcoin", Link: LinkSync, Adversary: AdvNone, N: -1, Blocks: 5},
 	} {
 		if _, err := RunScenario(cfg); err == nil {
 			t.Errorf("RunScenario accepted a scenario with %s: %+v", name, cfg)
@@ -310,6 +312,34 @@ func TestUserRegistrationExtends(t *testing.T) {
 	}
 	if bitRep.Results[0].Config.Seed == rep.Results[0].Config.Seed {
 		t.Fatal("distinct system names derived the same scenario seed")
+	}
+
+	// A '|' in a name or in link/topology Params would let two
+	// scenarios share one key; registration refuses it, like an empty
+	// name, before touching the registry.
+	for what, register := range map[string]func(){
+		"system name":     func() { RegisterSystem(SystemSpec{Name: "Test|Coin", Run: bitcoin.Run}) },
+		"link name":       func() { RegisterLink(LinkSpec{Name: "test|link"}) },
+		"link params":     func() { RegisterLink(LinkSpec{Name: "test-link-pipe", Params: "p=0.1|x"}) },
+		"topology params": func() { RegisterTopology(TopologySpec{Name: "test-topo-pipe", Params: "k=3|b=1"}) },
+		"ensured name":    func() { linkRegistry.ensure("test|variant", LinkSpec{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a '|' in the %s did not panic", what)
+				}
+			}()
+			register()
+		}()
+	}
+	for _, name := range []string{"test-link-pipe", "test|variant"} {
+		if _, err := LookupLink(name); err == nil {
+			t.Errorf("rejected link %q was registered anyway", name)
+		}
+	}
+	if _, err := LookupTopology("test-topo-pipe"); err == nil {
+		t.Error("rejected topology was registered anyway")
 	}
 
 	defer func() {

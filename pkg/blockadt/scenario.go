@@ -140,6 +140,16 @@ func (m Matrix) Shard(index, count int) (Matrix, error) {
 	return m, nil
 }
 
+// checkN rejects a negative process count, which no simulator can
+// build a network for. Zero keeps its documented meaning: the
+// simulators' default of 8 processes.
+func checkN(n int) error {
+	if n < 0 {
+		return fmt.Errorf("blockadt: process count n must be >= 0 (0 selects the default), got %d", n)
+	}
+	return nil
+}
+
 // shard reports which of count partitions the scenario belongs to: a
 // hash of the canonical key, deliberately domain-separated from the
 // seed-derivation hash so shard membership and prng streams stay
@@ -186,7 +196,8 @@ func (m Matrix) withDefaults() Matrix {
 // deterministic (systems → links → adversaries → topologies → ns →
 // seeds) order, pruning combinations no registered simulator implements.
 // It errors on unregistered systems, links, adversaries or topologies so
-// a typo fails loudly instead of silently sweeping nothing.
+// a typo fails loudly instead of silently sweeping nothing, and on a
+// negative process count.
 func (m Matrix) Configs() ([]Scenario, error) {
 	m = m.withDefaults()
 	for _, name := range m.Systems {
@@ -198,6 +209,11 @@ func (m Matrix) Configs() ([]Scenario, error) {
 	// caller input — reject it before it builds degenerate merit tapes.
 	if m.Alpha <= 0 || m.Alpha >= 1 {
 		return nil, fmt.Errorf("blockadt: adversary merit share must be in (0,1), got %v", m.Alpha)
+	}
+	for _, n := range m.Ns {
+		if err := checkN(n); err != nil {
+			return nil, err
+		}
 	}
 	// Metrics do not expand into scenarios, but a typo in the list must
 	// fail here like one in any other dimension.
@@ -389,10 +405,14 @@ func Run(m Matrix, parallelism int, opts ...RunOption) (*Report, error) {
 // RunScenario executes one fully resolved scenario — simulate, classify,
 // measure — dispatching through the system/link/adversary registries. It
 // applies the same validation Matrix.Configs does while expanding: a name
-// no registry knows, a combination no simulator supports, or an
-// out-of-range adversary merit share is an error instead of a silently
-// wrong run. Scenarios expanded by Matrix.Configs are always valid.
+// no registry knows, a combination no simulator supports, a negative
+// process count or an out-of-range adversary merit share is an error
+// instead of a silently wrong run. Scenarios expanded by Matrix.Configs
+// are always valid.
 func RunScenario(cfg Scenario) (Result, error) {
+	if err := checkN(cfg.N); err != nil {
+		return Result{}, err
+	}
 	if _, err := LookupSystem(cfg.System); err != nil {
 		return Result{}, err
 	}

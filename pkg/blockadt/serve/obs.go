@@ -51,7 +51,7 @@ func validRequestID(id string) bool {
 }
 
 // nextRequestID mints a process-unique ID: a random per-process prefix
-// plus a sequence number, so IDs from two coordinators never collide in
+// plus a sequence number, so IDs from two servers never collide in
 // a merged log stream.
 func (s *Server) nextRequestID() string {
 	return s.reqPrefix + "-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
@@ -165,16 +165,16 @@ func writePrometheus(w http.ResponseWriter, snap metricsSnapshot) {
 		obs.Label{Name: "version", Value: bi.Version},
 		obs.Label{Name: "goversion", Value: bi.GoVersion},
 		obs.Label{Name: "engine", Value: bi.Engine})
-	p.Gauge("btadt_uptime_seconds", "Seconds since the coordinator started.", snap.UptimeSeconds)
+	p.Gauge("btadt_uptime_seconds", "Seconds since the server started.", snap.UptimeSeconds)
 
 	p.Counter("btadt_scenario_runs_total",
 		"Process-wide simulator invocations (blockadt.ScenarioRuns); unchanged between scrapes means everything was served from cache.",
 		float64(snap.ScenarioRuns))
 	p.Counter("btadt_scenarios_completed_total",
-		"Results streamed to clients or merged from workers, any provenance.",
+		"Results streamed to clients, any provenance.",
 		float64(snap.ScenariosCompleted))
 	p.Counter("btadt_scenarios_simulated_total",
-		"Scenarios this coordinator actually simulated for requests.",
+		"Scenarios this server actually simulated for requests.",
 		float64(snap.Simulated))
 	p.Counter("btadt_scenarios_cache_hits_total",
 		"Scenarios served from the content-addressed run store.",
@@ -186,17 +186,6 @@ func writePrometheus(w http.ResponseWriter, snap metricsSnapshot) {
 	p.Gauge("btadt_inflight_sweeps", "Sweep submissions currently streaming.", float64(snap.InflightSweeps))
 	p.Gauge("btadt_inflight_scenarios", "Scenario simulations in flight right now.", float64(snap.InflightScenarios))
 	p.Gauge("btadt_sweeps", "Sweeps retained in the polling registry.", float64(snap.Sweeps))
-	p.Gauge("btadt_jobs", "Sharded work jobs known to the coordinator.", float64(snap.Jobs))
-
-	p.Gauge("btadt_work_queue_depth", "Shards a lease call would hand out right now.", float64(snap.QueueDepth))
-	p.Header("btadt_work_shards", "gauge", "Worker-protocol shards by state across all jobs.")
-	p.Sample("btadt_work_shards", []obs.Label{{Name: "state", Value: "pending"}}, float64(snap.WorkShards.Pending))
-	p.Sample("btadt_work_shards", []obs.Label{{Name: "state", Value: "leased"}}, float64(snap.WorkShards.Leased))
-	p.Sample("btadt_work_shards", []obs.Label{{Name: "state", Value: "expired"}}, float64(snap.WorkShards.Expired))
-	p.Sample("btadt_work_shards", []obs.Label{{Name: "state", Value: "done"}}, float64(snap.WorkShards.Done))
-	p.Counter("btadt_lease_expirations_total",
-		"Leased shards whose TTL lapsed and were re-offered to other workers.",
-		float64(snap.LeaseExpirations))
 
 	p.Gauge("btadt_store_entries", "Entries in the content-addressed run store.", float64(snap.StoreEntries))
 	p.Counter("btadt_store_hits_total", "Run-store read hits through this handle.", float64(snap.Store.Hits))

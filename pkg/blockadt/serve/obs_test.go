@@ -71,13 +71,11 @@ func TestMetricszPrometheus(t *testing.T) {
 	samples, body := scrapeProm(t, ts.URL)
 
 	for series, want := range map[string]float64{
-		"btadt_scenarios_simulated_total":    total,
-		"btadt_scenarios_cache_hits_total":   total,
-		"btadt_scenarios_completed_total":    2 * total,
-		"btadt_inflight_sweeps":              0,
-		"btadt_work_queue_depth":             0,
-		`btadt_work_shards{state="pending"}`: 0,
-		"btadt_store_puts_total":             total,
+		"btadt_scenarios_simulated_total":  total,
+		"btadt_scenarios_cache_hits_total": total,
+		"btadt_scenarios_completed_total":  2 * total,
+		"btadt_inflight_sweeps":            0,
+		"btadt_store_puts_total":           total,
 	} {
 		got, ok := samples[series]
 		if !ok {

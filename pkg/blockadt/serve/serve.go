@@ -9,20 +9,16 @@
 //   - across concurrent requests, through a process-wide Singleflight
 //     keyed on the scenario's store key (n identical in-flight
 //     submissions simulate each scenario once, not n times);
-//   - across machines, through the worker protocol (workers lease
-//     deterministic matrix shards, sweep them against a local store, and
-//     upload the resulting envelopes for the coordinator to merge — a
-//     content-addressed file copy in HTTP form).
+//   - across machines, through the run store itself: each machine runs
+//     `btadt sweep -shard i/n -store DIR`, the objects/ trees are copied
+//     into one store, and a server over the union serves the whole
+//     matrix without simulating (docs/runstore.md).
 //
 // Endpoints (all JSON unless noted):
 //
 //	POST /v1/sweeps                       submit a Matrix; streams NDJSON results + summary
 //	GET  /v1/sweeps/{id}                  poll a sweep; ETag/304 once done
 //	GET  /v1/sweeps/{id}/report           canonical sweep report (byte-identical to `btadt sweep -json`)
-//	POST /v1/work                         enqueue a sharded matrix for workers
-//	GET  /v1/work/{id}                    poll shard progress
-//	POST /v1/work/lease                   worker: lease one shard (204 when idle)
-//	POST /v1/work/{id}/shards/{i}/complete worker: upload the shard's store envelopes
 //	GET  /healthz                         liveness (text)
 //	GET  /metricsz                        scenarios/sec, cache counters, gauges
 //
@@ -39,9 +35,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,21 +58,14 @@ type Config struct {
 	// MaxBodyBytes bounds matrix submissions (default 1 MiB). Larger
 	// bodies are rejected with 413.
 	MaxBodyBytes int64
-	// MaxUploadBytes bounds worker shard-result uploads (default 256 MiB).
-	MaxUploadBytes int64
 	// MaxSweeps caps the polling registry; the oldest finished sweeps
 	// are evicted past it (default 1024). Evicted sweeps lose polling
 	// state only — their results stay in the store.
 	MaxSweeps int
-	// LeaseTTL is how long a worker may sit on a leased shard before the
-	// coordinator re-leases it to someone else (default 5 minutes).
-	LeaseTTL time.Duration
 	// Logger receives the structured request log (one line per request,
-	// tagged with the request ID) and operational events like lease
-	// expiries. nil discards — handlers never log through a nil check.
+	// tagged with the request ID). nil discards — handlers never log
+	// through a nil check.
 	Logger *slog.Logger
-	// Now overrides the clock (tests). Defaults to time.Now.
-	Now func() time.Time
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -84,20 +75,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxUploadBytes <= 0 {
-		c.MaxUploadBytes = 256 << 20
-	}
 	if c.MaxSweeps <= 0 {
 		c.MaxSweeps = 1024
 	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 5 * time.Minute
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c, nil
 }
@@ -111,8 +93,8 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// Server is the coordinator: HTTP handlers plus the sweep registry and
-// the shard work queue. Create with New, mount with Handler.
+// Server is the sweep service: HTTP handlers plus the sweep registry.
+// Create with New, mount with Handler.
 type Server struct {
 	cfg    Config
 	flight *blockadt.Singleflight
@@ -128,16 +110,13 @@ type Server struct {
 	mu     sync.Mutex
 	sweeps map[string]*sweepState
 	order  []string // sweep ids, oldest first, for eviction
-	jobs   map[string]*shardJob
-	jobIDs []string // job ids in enqueue order, for FIFO leasing
 
 	started        time.Time
 	inflightSweeps atomic.Int64
-	completed      atomic.Uint64 // results streamed or merged, any provenance
+	completed      atomic.Uint64 // results streamed, any provenance
 	simulated      atomic.Uint64
 	cacheHits      atomic.Uint64
 	coalesced      atomic.Uint64
-	leaseExpired   atomic.Uint64
 }
 
 // sweepState is the O(1) polling record of one submitted sweep.
@@ -195,17 +174,12 @@ func New(cfg Config) (*Server, error) {
 		lat:       blockadt.NewLatencies(),
 		reqPrefix: newRequestPrefix(),
 		sweeps:    map[string]*sweepState{},
-		jobs:      map[string]*shardJob{},
-		started:   cfg.Now(),
+		started:   time.Now(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handlePoll)
 	mux.HandleFunc("GET /v1/sweeps/{id}/report", s.handleReport)
-	mux.HandleFunc("POST /v1/work", s.handleEnqueue)
-	mux.HandleFunc("GET /v1/work/{id}", s.handleJobStatus)
-	mux.HandleFunc("POST /v1/work/lease", s.handleLease)
-	mux.HandleFunc("POST /v1/work/{id}/shards/{index}/complete", s.handleComplete)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	s.mux = mux
@@ -264,7 +238,8 @@ func (s *Server) decodeMatrix(w http.ResponseWriter, r *http.Request, raw json.R
 // readBody drains the request body under limit, translating the
 // over-limit error to 413.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	raw, err := readAllLimited(w, r, limit)
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	raw, err := io.ReadAll(r.Body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -295,7 +270,7 @@ func (s *Server) parallelism(w http.ResponseWriter, r *http.Request) (int, bool)
 // register records a sweep for polling, reusing the slot on resubmission
 // and evicting the oldest finished sweeps past the registry cap.
 func (s *Server) register(id string, m blockadt.Matrix, total int) *sweepState {
-	now := s.cfg.Now()
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.sweeps[id]
@@ -411,7 +386,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) noteProgress(st *sweepState, completed int) {
 	s.mu.Lock()
 	st.Completed = completed
-	st.UpdatedAt = s.cfg.Now()
+	st.UpdatedAt = time.Now()
 	s.mu.Unlock()
 }
 
@@ -428,7 +403,7 @@ func (s *Server) finishSweep(st *sweepState, census *blockadt.Census, completed 
 	st.CacheHits = census.CacheHits()
 	st.Coalesced = census.Coalesced()
 	st.Err = errMsg
-	st.UpdatedAt = s.cfg.Now()
+	st.UpdatedAt = time.Now()
 	s.mu.Unlock()
 }
 
@@ -556,9 +531,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsSnapshot is the /metricsz wire form. Existing fields are
-// stable API; observability additions (build, workShards,
-// leaseExpirations, latencies) only ever append so old decoders keep
-// working.
+// stable API; observability additions (build, latencies) only ever
+// append so old decoders keep working.
 type metricsSnapshot struct {
 	UptimeSeconds      float64                   `json:"uptimeSeconds"`
 	ScenarioRuns       uint64                    `json:"scenarioRuns"`
@@ -569,45 +543,11 @@ type metricsSnapshot struct {
 	Coalesced          uint64                    `json:"coalesced"`
 	InflightSweeps     int64                     `json:"inflightSweeps"`
 	InflightScenarios  int                       `json:"inflightScenarios"`
-	QueueDepth         int                       `json:"queueDepth"`
 	Sweeps             int                       `json:"sweeps"`
-	Jobs               int                       `json:"jobs"`
 	StoreEntries       int                       `json:"storeEntries"`
 	Store              blockadt.StoreStats       `json:"store"`
-	WorkShards         shardCounts               `json:"workShards"`
-	LeaseExpirations   uint64                    `json:"leaseExpirations"`
 	Build              blockadt.BuildInfo        `json:"build"`
 	Latencies          []blockadt.LatencySummary `json:"latencies,omitempty"`
-}
-
-// shardCounts breaks the worker-protocol shards down by state.
-// "expired" is the leased-past-TTL subset — still leased on the books,
-// but a lease call would hand them to someone else.
-type shardCounts struct {
-	Pending int `json:"pending"`
-	Leased  int `json:"leased"`
-	Expired int `json:"expired"`
-	Done    int `json:"done"`
-}
-
-// shardCountsLocked tallies every job's shards by state at `now`.
-func (s *Server) shardCountsLocked(now time.Time) shardCounts {
-	var c shardCounts
-	for _, job := range s.jobs {
-		for _, sh := range job.shards {
-			switch {
-			case sh.status == "pending":
-				c.Pending++
-			case sh.status == "done":
-				c.Done++
-			case now.After(sh.leaseExpiry):
-				c.Expired++
-			default:
-				c.Leased++
-			}
-		}
-	}
-	return c
 }
 
 // handleMetricsz is GET /metricsz: the operational counters a load test
@@ -617,17 +557,14 @@ func (s *Server) shardCountsLocked(now time.Time) shardCounts {
 // JSON; `Accept: text/plain` selects Prometheus exposition v0.0.4 of
 // the same snapshot.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	now := s.cfg.Now()
-	uptime := now.Sub(s.started).Seconds()
+	uptime := time.Since(s.started).Seconds()
 	completed := s.completed.Load()
 	perSecond := 0.0
 	if uptime > 0 {
 		perSecond = float64(completed) / uptime
 	}
 	s.mu.Lock()
-	sweeps, jobs := len(s.sweeps), len(s.jobs)
-	queue := s.queueDepthLocked(now)
-	shards := s.shardCountsLocked(now)
+	sweeps := len(s.sweeps)
 	s.mu.Unlock()
 	snap := metricsSnapshot{
 		UptimeSeconds:      uptime,
@@ -639,13 +576,9 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		Coalesced:          s.coalesced.Load(),
 		InflightSweeps:     s.inflightSweeps.Load(),
 		InflightScenarios:  s.flight.Inflight(),
-		QueueDepth:         queue,
 		Sweeps:             sweeps,
-		Jobs:               jobs,
 		StoreEntries:       s.cfg.Store.Len(),
 		Store:              s.cfg.Store.Stats(),
-		WorkShards:         shards,
-		LeaseExpirations:   s.leaseExpired.Load(),
 		Build:              blockadt.Build(),
 		Latencies:          s.lat.Snapshot(),
 	}
@@ -655,4 +588,17 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(snap)
+}
+
+// splitCSV splits a comma-separated header value, trimming whitespace
+// and dropping empties.
+func splitCSV(s string) []string {
+	parts := strings.Split(s, ",")
+	out := parts[:0]
+	for _, p := range parts {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }

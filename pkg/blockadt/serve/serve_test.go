@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"blockadt/pkg/blockadt"
 )
@@ -158,6 +156,13 @@ func TestSubmitValidation(t *testing.T) {
 	resp, body = post(mustJSON(t, badLink))
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "registered") {
 		t.Fatalf("unknown link: got %s body %s, want 400 listing registered links", resp.Status, body)
+	}
+
+	// A negative process count would panic the simulator on a pool
+	// goroutine and take the whole server down; it must be a 400.
+	resp, body = post([]byte(`{"systems":["Bitcoin"],"ns":[-1,-2,-3,-4],"rootSeed":1}`))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "process count") {
+		t.Fatalf("negative ns: got %s (body %s), want 400", resp.Status, body)
 	}
 
 	resp, body = post([]byte(`{"systems": ["Bitcoin"`))
@@ -362,261 +367,6 @@ func TestPollAndReport(t *testing.T) {
 	}
 }
 
-// TestWorkerShardedSweep runs the whole distributed path in-process: a
-// 2-shard job, two idle-exit workers with their own local stores, and a
-// final report served from the coordinator's merged store — byte-equal
-// to a single-machine run and simulated exactly once across the fleet.
-func TestWorkerShardedSweep(t *testing.T) {
-	ts, srv := newTestServer(t, nil)
-	m := serveTestMatrix(34)
-	total := matrixTotal(t, m)
-
-	resp, err := http.Post(ts.URL+"/v1/work", "application/json",
-		bytes.NewReader(mustJSON(t, enqueueRequest{Matrix: mustJSON(t, m), Shards: 2})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var job jobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("enqueue: got %s, want 201", resp.Status)
-	}
-	if job.Shards != 2 || job.Status != "running" {
-		t.Fatalf("fresh job: %+v", job)
-	}
-
-	// Re-enqueueing is idempotent: same job, 200.
-	resp, err = http.Post(ts.URL+"/v1/work", "application/json",
-		bytes.NewReader(mustJSON(t, enqueueRequest{Matrix: mustJSON(t, m), Shards: 2})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("re-enqueue: got %s, want 200", resp.Status)
-	}
-
-	before := blockadt.ScenarioRuns()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		store, err := blockadt.OpenStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := &Worker{
-			Coordinator: ts.URL, Store: store, Parallelism: 2,
-			Name: fmt.Sprintf("w%d", i), IdleExit: true, Poll: 10 * time.Millisecond,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(t.Context()); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	if ran := blockadt.ScenarioRuns() - before; ran != uint64(total) {
-		t.Fatalf("worker fleet simulated %d scenarios, want exactly %d", ran, total)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/work/" + job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if job.Status != "done" || job.Done != 2 {
-		t.Fatalf("job after workers: %+v, want done 2/2", job)
-	}
-
-	// The coordinator's store now covers the full matrix: submitting the
-	// unsharded sweep is pure cache, and its stream matches a direct run.
-	before = blockadt.ScenarioRuns()
-	_, summary, _ := submitSweep(t, ts.URL, m)
-	if ran := blockadt.ScenarioRuns() - before; ran != 0 {
-		t.Fatalf("post-merge submission simulated %d, want 0", ran)
-	}
-	if summary.CacheHits != uint64(total) {
-		t.Fatalf("post-merge summary: %+v, want %d cache hits", summary, total)
-	}
-	want, err := blockadt.Run(m, 2, blockadt.WithRunStore(srv.cfg.Store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := want.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _ := m.Fingerprint()
-	resp, err = http.Get(ts.URL + "/v1/sweeps/" + id + "/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(got) != string(wantJSON) {
-		t.Fatal("merged-store report diverged from a single-machine run")
-	}
-}
-
-// TestWorkUploadValidation rejects mis-addressed and partial uploads:
-// envelopes outside the shard's key set are 400s, as is an upload that
-// does not cover the shard, and nothing from a rejected upload merges.
-func TestWorkUploadValidation(t *testing.T) {
-	ts, srv := newTestServer(t, nil)
-	m := serveTestMatrix(35)
-
-	resp, err := http.Post(ts.URL+"/v1/work", "application/json",
-		bytes.NewReader(mustJSON(t, enqueueRequest{Matrix: mustJSON(t, m), Shards: 2})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var job jobStatus
-	json.NewDecoder(resp.Body).Decode(&job)
-	resp.Body.Close()
-
-	complete := func(shard int, envs []Envelope) (*http.Response, string) {
-		t.Helper()
-		url := fmt.Sprintf("%s/v1/work/%s/shards/%d/complete", ts.URL, job.ID, shard)
-		resp, err := http.Post(url, "application/json", bytes.NewReader(mustJSON(t, envs)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return resp, string(raw)
-	}
-
-	resp2, body := complete(0, []Envelope{{Key: "not-a-real-key", Data: json.RawMessage(`{}`)}})
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("foreign key upload: got %s (%s), want 400", resp2.Status, body)
-	}
-
-	shard0, err := m.Shard(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := shard0.StoreKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) < 2 {
-		t.Skipf("shard 0 has %d keys; need >= 2 for a partial upload", len(keys))
-	}
-	resp2, body = complete(0, []Envelope{{Key: keys[0], Data: json.RawMessage(`{}`)}})
-	if resp2.StatusCode != http.StatusBadRequest || !strings.Contains(body, "covers") {
-		t.Fatalf("partial upload: got %s (%s), want 400 naming coverage", resp2.Status, body)
-	}
-	if srv.cfg.Store.Has(keys[0]) {
-		t.Fatal("rejected upload still merged an envelope into the store")
-	}
-
-	resp2, body = complete(7, nil)
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown shard: got %s (%s), want 404", resp2.Status, body)
-	}
-}
-
-// TestLeaseExpiry pins re-leasing: a shard leased by a worker that never
-// completes is offered to the next caller once its TTL passes, and not
-// before.
-func TestLeaseExpiry(t *testing.T) {
-	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
-	advance := func(d time.Duration) { mu.Lock(); clock = clock.Add(d); mu.Unlock() }
-
-	ts, _ := newTestServer(t, func(c *Config) {
-		c.LeaseTTL = time.Minute
-		c.Now = now
-	})
-	m := serveTestMatrix(36)
-	resp, err := http.Post(ts.URL+"/v1/work", "application/json",
-		bytes.NewReader(mustJSON(t, enqueueRequest{Matrix: mustJSON(t, m), Shards: 1})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	lease := func() (Lease, int) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/work/lease", "application/json",
-			bytes.NewReader(mustJSON(t, leaseRequest{Worker: "t"})))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var l Lease
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			io.Copy(io.Discard, resp.Body)
-		}
-		return l, resp.StatusCode
-	}
-
-	first, code := lease()
-	if code != http.StatusOK {
-		t.Fatalf("first lease: got %d, want 200", code)
-	}
-	if _, code = lease(); code != http.StatusNoContent {
-		t.Fatalf("second lease inside the TTL: got %d, want 204", code)
-	}
-	advance(2 * time.Minute)
-	second, code := lease()
-	if code != http.StatusOK {
-		t.Fatalf("lease after expiry: got %d, want 200", code)
-	}
-	if second.Job != first.Job || second.Shard != first.Shard {
-		t.Fatalf("expired lease handed out a different shard: %+v vs %+v", second, first)
-	}
-
-	// The takeover is visible in /metricsz: one recorded expiration, and
-	// the shard counted as leased again (not expired) under the new TTL.
-	resp, err = http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap metricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if snap.LeaseExpirations != 1 {
-		t.Fatalf("leaseExpirations = %d, want 1", snap.LeaseExpirations)
-	}
-	if snap.WorkShards.Leased != 1 || snap.WorkShards.Expired != 0 {
-		t.Fatalf("workShards after re-lease: %+v, want 1 leased / 0 expired", snap.WorkShards)
-	}
-
-	// Left alone past the new TTL, the shard shows up as expired.
-	advance(2 * time.Minute)
-	resp, err = http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if snap.WorkShards.Expired != 1 || snap.WorkShards.Leased != 0 {
-		t.Fatalf("workShards past TTL: %+v, want 1 expired / 0 leased", snap.WorkShards)
-	}
-}
-
 // TestMetricsz spot-checks the operational counters after a cold and a
 // cached pass.
 func TestMetricsz(t *testing.T) {
@@ -652,7 +402,7 @@ func TestMetricsz(t *testing.T) {
 	if snap.Store.Puts != total {
 		t.Fatalf("metricsz store.puts = %d, want %d", snap.Store.Puts, total)
 	}
-	if snap.InflightSweeps != 0 || snap.InflightScenarios != 0 || snap.QueueDepth != 0 {
+	if snap.InflightSweeps != 0 || snap.InflightScenarios != 0 {
 		t.Fatalf("idle gauges nonzero: %+v", snap)
 	}
 	if snap.Build.Engine != blockadt.EngineVersion || snap.Build.GoVersion == "" {

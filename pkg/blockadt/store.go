@@ -166,8 +166,7 @@ type StoreStats = runstore.Stats
 // A handle is safe for concurrent use and is meant to be shared: a
 // long-running service opens one RunStore and passes it to every sweep
 // through WithRunStore, so Stats aggregates across requests. Get/Put/Has
-// operate on raw store envelopes (key → canonical Result JSON) — the
-// currency of the worker/coordinator shard-upload protocol.
+// operate on raw store envelopes (key → canonical Result JSON).
 type RunStore struct {
 	s *runstore.Store
 }
@@ -203,8 +202,7 @@ func (s *RunStore) Flush() error { return s.s.Flush() }
 
 // StoreKeys returns the run-store key of every scenario the matrix
 // expands to, in expansion order — the addresses a sweep of this matrix
-// reads and writes. A worker uploads exactly these keys' envelopes after
-// running its shard.
+// reads and writes.
 func (m Matrix) StoreKeys() ([]string, error) {
 	configs, err := m.Configs()
 	if err != nil {
