@@ -352,8 +352,12 @@ func BenchmarkAllExperiments(b *testing.B) {
 
 // syntheticHistory records reads of one growing chain by four processes.
 // Every read gets its own Clone()d chain, so no two chains share memory:
-// the checker benches measure the element-by-element path that histories
-// not recorded through ReadIDs take.
+// the checker benches measure the path that histories not recorded
+// through ReadIDs take. The reads agree on one parent per block id, so
+// the prefix checkers take the one-position test and the binary search.
+// History.ReadsAgreeOnParents is cached per history: its pass (a
+// per-process compare of pointer-equal strings) is paid in the first
+// iteration only, as the Reads cache is.
 func syntheticHistory(reads, chainLen int) *history.History {
 	rec := history.NewRecorder()
 	chain := make(history.Chain, 1, chainLen+1)
@@ -374,7 +378,8 @@ func syntheticHistory(reads, chainLen int) *history.History {
 }
 
 // BenchmarkCheckerStrongPrefix measures Strong Prefix on a 1000-read
-// history (O(N log N + N·L) via the length-sorted adjacency check).
+// history (O(N log N) via the length-sorted adjacency check, one
+// position compared per adjacent pair).
 func BenchmarkCheckerStrongPrefix(b *testing.B) {
 	h := syntheticHistory(1000, 200)
 	b.ResetTimer()
@@ -386,7 +391,8 @@ func BenchmarkCheckerStrongPrefix(b *testing.B) {
 }
 
 // BenchmarkCheckerEventualPrefix measures Eventual Prefix on the same
-// history (O(N·L) via the suffix common-prefix computation).
+// history (O(N log L) via the suffix common-prefix computation, each
+// common prefix found by binary search).
 func BenchmarkCheckerEventualPrefix(b *testing.B) {
 	h := syntheticHistory(1000, 200)
 	b.ResetTimer()

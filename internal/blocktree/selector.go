@@ -7,9 +7,10 @@ package blocktree
 // tie-break the paper uses in its Figure 2 example.
 //
 // The selectors run on every mine and every read, so they lean on the
-// structures Tree.Insert maintains incrementally (the sorted leaf set, the
-// per-block chain work and subtree work): one lock acquisition, one scan,
-// and a single chain materialization per call.
+// structures Tree maintains incrementally (the sorted leaf set, the
+// per-block chain work, and for GHOST the lazily folded subtree work and
+// the memoized tip): one lock acquisition, one scan, and a single chain
+// materialization per call.
 type Selector interface {
 	// Select returns the chosen chain {b0}⌢f(bt).
 	Select(t *Tree) Chain
@@ -120,33 +121,48 @@ type GHOST struct{}
 // Name implements Selector.
 func (GHOST) Name() string { return "ghost" }
 
-// Select implements Selector. The walk reads the sorted children slices
-// and subtree weights in place under one read lock — no per-level copies.
+// Select implements Selector. A valid memo is answered under the read
+// lock; otherwise the write lock is taken to fold pending subtree work and
+// descend, reading the sorted children slices and subtree weights in
+// place.
 func (GHOST) Select(t *Tree) Chain {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
+	if m := t.ghostTip; m > 0 {
+		defer t.mu.RUnlock()
+		return t.chainToLocked(m - 1)
+	}
+	t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.chainToLocked(ghostTipLocked(t))
 }
 
 // SelectTip implements TipSelector.
 func (GHOST) SelectTip(t *Tree) Block {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
+	if m := t.ghostTip; m > 0 {
+		defer t.mu.RUnlock()
+		return t.nodes[m-1].block
+	}
+	t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.nodes[ghostTipLocked(t)].block
 }
 
 // ghostTipLocked returns the GHOST tip's slab index: the memoized one if
-// no block was inserted since the last selection, else the result of a
-// fresh descent, which it memoizes. Caller holds the lock.
+// another caller stored it meanwhile, else the result of a fresh descent
+// over the folded sums, which it memoizes. Caller holds the write lock.
 func ghostTipLocked(t *Tree) int32 {
-	if m := t.ghostTip.Load(); m > 0 {
+	if m := t.ghostTip; m > 0 {
 		return m - 1
 	}
+	t.foldLocked()
 	cur := int32(0)
 	for {
 		kids := t.nodes[cur].children
 		if len(kids) == 0 {
-			t.ghostTip.Store(cur + 1)
+			t.ghostTip = cur + 1
 			return cur
 		}
 		best, bestW := kids[0], t.nodes[kids[0]].subtree

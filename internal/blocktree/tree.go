@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"blockadt/internal/history"
 )
@@ -23,7 +22,8 @@ type node struct {
 	// sorted by block id so selectors walk them in deterministic order.
 	children []int32
 	// subtree caches the cumulative work of the subtree rooted here (for
-	// GHOST); updated incrementally on insert.
+	// GHOST). It is exact for every block once Tree.foldLocked has run;
+	// until then it omits the work of blocks inserted since the last fold.
 	subtree int
 	// chainW caches the cumulative work of the root path ending here (the
 	// heaviest-chain score of ChainTo), set once on insert.
@@ -38,12 +38,16 @@ type node struct {
 // mine and read), so the structures the selectors need are maintained
 // incrementally on Insert instead of being rebuilt per read: children
 // slices stay sorted, the leaf set and fork census are updated in place,
-// and each block's cumulative chain work and subtree work are carried
-// forward — Insert pays O(k + depth), reads pay no sorting at all. The
-// GHOST tip is memoized between inserts, so a GHOST selection on an
-// unchanged tree is O(1) instead of a descent from genesis. The only hash
-// lookups are the id→index translations at the API boundary; everything
-// below it runs on slab indexes.
+// and each block's cumulative chain work is carried forward — Insert pays
+// O(k) for a block with k siblings plus a sorted insert into the leaf set,
+// and reads pay no sorting at all. Subtree work, which only GHOST reads,
+// is folded in lazily: the first GHOST descent or SubtreeWork call after
+// a run of inserts adds the pending blocks' work to their ancestors, so
+// trees under the other selectors never walk to the root. The GHOST tip
+// is memoized and follows inserts that extend it, so a GHOST selection is
+// O(1) unless a block landed off the tip since the last one. The only
+// hash lookups are the id→index translations at the API boundary;
+// everything below it runs on slab indexes.
 type Tree struct {
 	mu    sync.RWMutex
 	nodes []node
@@ -56,11 +60,13 @@ type Tree struct {
 	forkCount int
 	maxFanout int
 	maxHeight int
+	// folded counts the slab entries whose work is already included in
+	// their ancestors' subtree sums; entries from folded on are pending.
+	folded int32
 	// ghostTip memoizes the GHOST selection: the tip's slab index plus
-	// one, 0 when not yet computed. Insert clears it; selectors hold only
-	// the read lock, so concurrent readers may both compute and store the
-	// same value — hence the atomic.
-	ghostTip atomic.Int32
+	// one, 0 when not yet computed. Readers load it under the read lock;
+	// it is stored only under the write lock.
+	ghostTip int32
 }
 
 // Errors returned by Tree operations.
@@ -88,6 +94,7 @@ func NewCap(n int) *Tree {
 		nodes:  make([]node, 1, n+1),
 		index:  make(map[BlockID]int32, n+1),
 		leaves: []int32{0},
+		folded: 1,
 	}
 	t.nodes[0] = node{block: Genesis(), parent: -1}
 	t.index[GenesisID] = 0
@@ -120,7 +127,15 @@ func (t *Tree) Insert(b Block) error {
 		chainW:  t.nodes[pi].chainW + w,
 	})
 	t.index[b.ID] = idx
-	t.ghostTip.Store(0)
+	// A block on the memoized GHOST tip is the tip's only child, and every
+	// subtree on the tip's path only gains work, so each fork's choice
+	// stands and the new block is the new tip. Any other insert may move
+	// the selection.
+	if t.ghostTip == pi+1 {
+		t.ghostTip = idx + 1
+	} else {
+		t.ghostTip = 0
+	}
 	if b.Height > t.maxHeight {
 		t.maxHeight = b.Height
 	}
@@ -146,13 +161,29 @@ func (t *Tree) Insert(b Block) error {
 		t.removeLeaf(pi)
 	}
 	t.addLeaf(idx)
-
-	// Propagate the new block's work up to the root for GHOST — an
-	// index-chasing walk with no hashing.
-	for p := pi; p >= 0; p = t.nodes[p].parent {
-		t.nodes[p].subtree += w
-	}
 	return nil
+}
+
+// foldLocked adds the work of every block inserted since the last fold to
+// its ancestors' subtree sums. A parent always precedes its children in
+// the slab, so one pass from the newest pending block down finishes each
+// pending block's sum before carrying it into its parent; only a sum that
+// reaches an already folded parent walks on to the root, once per pending
+// block hanging off the folded part of the tree rather than once per
+// block. Caller holds the write lock.
+func (t *Tree) foldLocked() {
+	n := int32(len(t.nodes))
+	for i := n - 1; i >= t.folded; i-- {
+		s, p := t.nodes[i].subtree, t.nodes[i].parent
+		if p >= t.folded {
+			t.nodes[p].subtree += s
+			continue
+		}
+		for ; p >= 0; p = t.nodes[p].parent {
+			t.nodes[p].subtree += s
+		}
+	}
+	t.folded = n
 }
 
 // addLeaf inserts idx into the leaf slice, keeping it sorted by block id.
@@ -329,14 +360,16 @@ func (t *Tree) MaxFanout() int {
 }
 
 // SubtreeWork returns the cumulative work of the subtree rooted at id
-// (excluding genesis's own zero work), used by the GHOST selector.
+// (excluding genesis's own zero work), used by the GHOST selector. It
+// folds pending work first, so it takes the write lock.
 func (t *Tree) SubtreeWork(id BlockID) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	i, ok := t.index[id]
 	if !ok {
 		return 0
 	}
+	t.foldLocked()
 	return t.nodes[i].subtree
 }
 
@@ -363,6 +396,7 @@ func (t *Tree) Clone() *Tree {
 		forkCount: t.forkCount,
 		maxFanout: t.maxFanout,
 		maxHeight: t.maxHeight,
+		folded:    t.folded,
 	}
 	copy(c.nodes, t.nodes)
 	for i := range c.nodes {

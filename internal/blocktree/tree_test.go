@@ -2,6 +2,7 @@ package blocktree
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -145,13 +146,35 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestConcurrentInsertsAndReads runs inserting writers beside GHOST
+// readers. A GHOST read whose memo is stale folds pending subtree work
+// under the write lock, so run it under -race.
 func TestConcurrentInsertsAndReads(t *testing.T) {
 	tr := New()
-	var wg sync.WaitGroup
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if c := (GHOST{}).Select(tr); len(c) == 0 || c[0].ID != GenesisID {
+					t.Error("GHOST selection does not start at genesis")
+					return
+				}
+				tr.SubtreeWork(GenesisID)
+			}
+		}()
+	}
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
+		writers.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writers.Done()
 			parent := GenesisID
 			for i := 0; i < 50; i++ {
 				id := BlockID(string(rune('a'+w)) + string(rune('0'+i%10)) + string(rune('A'+i/10)))
@@ -164,12 +187,110 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	writers.Wait()
+	close(done)
+	readers.Wait()
 	if tr.Size() != 1+4*50 {
 		t.Fatalf("size = %d, want %d", tr.Size(), 1+4*50)
 	}
 	if memo, fresh := (GHOST{}).SelectTip(tr).ID, (GHOST{}).SelectTip(tr.Clone()).ID; memo != fresh {
 		t.Fatalf("memoized GHOST tip %s, fresh descent %s", memo, fresh)
+	}
+	if w := tr.SubtreeWork(GenesisID); w != 4*50 {
+		t.Fatalf("subtree(b0) = %d, want %d", w, 4*50)
+	}
+}
+
+// TestPropertyLazySubtreeWorkMatchesBruteForce grows random trees with
+// deep forks and work 1–3, querying GHOST and SubtreeWork on the tree at
+// random so it is left in every mix of folded and pending blocks and of
+// memoized, followed and cleared GHOST tips. After every insert a clone
+// (which carries the partial fold) must report every block's subtree work
+// as a from-scratch sum and descend to the from-scratch GHOST tip, and
+// every GHOST selection on the tree itself must match that tip.
+func TestPropertyLazySubtreeWorkMatchesBruteForce(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		src := prng.New(uint64(7000 + trial))
+		tr := New()
+		ids := []BlockID{GenesisID}
+		parent := map[BlockID]BlockID{}
+		work := map[BlockID]int{GenesisID: 0}
+		// sums recomputes every block's subtree work from scratch by
+		// walking each block's root path.
+		sums := func() map[BlockID]int {
+			out := map[BlockID]int{}
+			for _, b := range ids {
+				for a := b; ; a = parent[a] {
+					out[a] += work[b]
+					if a == GenesisID {
+						break
+					}
+				}
+			}
+			return out
+		}
+		refGHOST := func(sum map[BlockID]int) BlockID {
+			cur := GenesisID
+			for {
+				var best BlockID
+				bestW := -1
+				for _, b := range ids {
+					if b == GenesisID || parent[b] != cur {
+						continue
+					}
+					if w := sum[b]; w > bestW || (w == bestW && b > best) {
+						best, bestW = b, w
+					}
+				}
+				if bestW < 0 {
+					return cur
+				}
+				cur = best
+			}
+		}
+		for i := 0; i < 60+src.Intn(60); i++ {
+			var p BlockID
+			switch r := src.Intn(10); {
+			case r < 5: // extend the newest block: long linear runs
+				p = ids[len(ids)-1]
+			case r < 7: // extend the GHOST tip, so the memo can follow it
+				p = refGHOST(sums())
+			case r < 9: // fork a few blocks back: deep forks
+				p = ids[max(0, len(ids)-1-src.Intn(8))]
+			default:
+				p = ids[src.Intn(len(ids))]
+			}
+			id := BlockID(fmt.Sprintf("p%03d", i))
+			w := 1 + src.Intn(3)
+			if err := tr.Insert(Block{ID: id, Parent: p, Work: w}); err != nil {
+				t.Fatalf("trial %d: insert %s under %s: %v", trial, id, p, err)
+			}
+			ids = append(ids, id)
+			parent[id], work[id] = p, w
+
+			sum := sums()
+			want := refGHOST(sum)
+			c := tr.Clone()
+			for _, b := range ids {
+				if got, ref := c.SubtreeWork(b), sum[b]; got != ref {
+					t.Fatalf("trial %d after %s: clone SubtreeWork(%s) = %d, want %d", trial, id, b, got, ref)
+				}
+			}
+			if got := (GHOST{}).SelectTip(c).ID; got != want {
+				t.Fatalf("trial %d after %s: clone GHOST tip %s, want %s", trial, id, got, want)
+			}
+			switch src.Intn(4) {
+			case 0, 1:
+				if got := (GHOST{}).SelectTip(tr).ID; got != want {
+					t.Fatalf("trial %d after %s: GHOST tip %s, want %s", trial, id, got, want)
+				}
+			case 2:
+				b := ids[src.Intn(len(ids))]
+				if got, ref := tr.SubtreeWork(b), sum[b]; got != ref {
+					t.Fatalf("trial %d after %s: SubtreeWork(%s) = %d, want %d", trial, id, b, got, ref)
+				}
+			}
+		}
 	}
 }
 

@@ -113,10 +113,14 @@ type violationSink struct {
 
 func (s *violationSink) addf(format string, args ...any) {
 	s.total++
-	if len(s.out) < s.max {
+	if s.recording() {
 		s.out = append(s.out, fmt.Sprintf(format, args...))
 	}
 }
+
+// recording reports whether the next violation's message will be kept,
+// so a checker can skip building a counterexample that would be dropped.
+func (s *violationSink) recording() bool { return len(s.out) < s.max }
 
 func (s *violationSink) verdict(property string, checked int) Verdict {
 	return Verdict{

@@ -138,10 +138,14 @@ func readsByProcessOrder(h *history.History) []int32 {
 // reads, one returned blockchain is a prefix of the other. The check sorts
 // chains by length and verifies each is a prefix of the next longer one:
 // prefix order is total on a set iff adjacent elements in length order are
-// related, which brings the pairwise O(N²) property to O(N log N + N·L).
+// related, which brings the pairwise O(N²) property to O(N log N) plus one
+// prefix test per adjacent pair. When the reads agree on one parent per
+// block id (History.ReadsAgreeOnParents) each test compares one position;
+// otherwise it compares elements, O(L).
 func StrongPrefix(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 	reads := h.Reads()
+	agree := h.ReadsAgreeOnParents()
 	chains := make([]history.Chain, len(reads))
 	for i, r := range reads {
 		chains[i] = r.Chain
@@ -155,11 +159,32 @@ func StrongPrefix(h *history.History, opts Options) Verdict {
 	for i := 1; i < len(order); i++ {
 		a, b := chains[order[i-1]], chains[order[i]]
 		checked++
-		if !b.HasPrefix(a) {
+		if !hasPrefix(agree, b, a) {
 			sink.addf("neither of %s and %s prefixes the other", a, b)
 		}
 	}
 	return sink.verdict("StrongPrefix", checked)
+}
+
+// hasPrefix reports p ⊑ c. When agree says the history's reads agree on
+// one parent per block id (History.ReadsAgreeOnParents), p's last element
+// decides it in O(1); otherwise it is Chain.HasPrefix.
+func hasPrefix(agree bool, c, p history.Chain) bool {
+	if !agree {
+		return c.HasPrefix(p)
+	}
+	return len(p) == 0 || len(p) <= len(c) && c[len(p)-1] == p[len(p)-1]
+}
+
+// commonPrefix returns the maximal common prefix of a and b, sliced from
+// a. When agree says the history's reads agree on one parent per block id,
+// the positions where two chains agree form a prefix, so a binary search
+// finds its end in O(log L); otherwise it is Chain.CommonPrefix.
+func commonPrefix(agree bool, a, b history.Chain) history.Chain {
+	if !agree {
+		return a.CommonPrefix(b)
+	}
+	return a[:sort.Search(min(len(a), len(b)), func(i int) bool { return a[i] != b[i] })]
 }
 
 // EverGrowingTree checks Definition 3.2's Ever growing tree under the
@@ -253,11 +278,15 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 // The pairwise quantification collapses to a suffix computation: prefix
 // score is an ultrametric (mcps(a,c) ≥ min(mcps(a,b), mcps(b,c))), so the
 // minimum pairwise mcps over a set of chains equals the score of the
-// common prefix of the whole set, computable right-to-left in O(N·L).
+// common prefix of the whole set, computable right-to-left in O(N log L)
+// when the reads agree on one parent per block id
+// (History.ReadsAgreeOnParents) and O(N·L) otherwise. A violating pair is
+// searched for only while the report still records counterexamples.
 func EventualPrefix(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 	score := opts.score()
 	reads := h.Reads()
+	agree := h.ReadsAgreeOnParents()
 	w := opts.window(len(reads))
 	n := len(reads)
 	// suffixCP[j] = common prefix of chains[j..n-1].
@@ -267,7 +296,7 @@ func EventualPrefix(h *history.History, opts Options) Verdict {
 		if j == n-1 {
 			cp = reads[j].Chain
 		} else {
-			cp = cp.CommonPrefix(reads[j].Chain)
+			cp = commonPrefix(agree, cp, reads[j].Chain)
 		}
 		suffixCPScore[j] = score(cp)
 	}
@@ -282,7 +311,10 @@ func EventualPrefix(h *history.History, opts Options) Verdict {
 		}
 		if suffixCPScore[j] < s {
 			// Locate a concrete violating pair for the report.
-			hi, ki := findDivergentPair(reads[j:], score, s)
+			hi, ki := 0, 0
+			if sink.recording() {
+				hi, ki = findDivergentPair(reads[j:], agree, score, s)
+			}
 			sink.addf("read#%d score %d: reads #%d and #%d past window %d share prefix score %d < %d",
 				i, s, j+hi, j+ki, w, suffixCPScore[j], s)
 		}
@@ -293,16 +325,16 @@ func EventualPrefix(h *history.History, opts Options) Verdict {
 // findDivergentPair returns indices (relative to reads) of a pair whose
 // mcps is below s; it exists whenever the suffix common-prefix score is
 // below s.
-func findDivergentPair(reads []history.ReadOp, score blocktree.Score, s int) (int, int) {
+func findDivergentPair(reads []history.ReadOp, agree bool, score blocktree.Score, s int) (int, int) {
 	for i := 1; i < len(reads); i++ {
-		if score(reads[0].Chain.CommonPrefix(reads[i].Chain)) < s {
+		if score(commonPrefix(agree, reads[0].Chain, reads[i].Chain)) < s {
 			return 0, i
 		}
 	}
 	// The first chain agrees with everyone: divergence is among the
 	// rest; recurse linearly.
 	if len(reads) > 1 {
-		a, b := findDivergentPair(reads[1:], score, s)
+		a, b := findDivergentPair(reads[1:], agree, score, s)
 		return a + 1, b + 1
 	}
 	return 0, 0

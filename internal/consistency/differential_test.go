@@ -80,6 +80,61 @@ func refEverGrowingTree(h *history.History, opts Options) Verdict {
 	return sink.verdict("EverGrowingTree", checked)
 }
 
+// refStrongPrefix is StrongPrefix with Chain.HasPrefix on every adjacent
+// pair: the element-compare reference for the one-position test.
+func refStrongPrefix(h *history.History, opts Options) Verdict {
+	sink := &violationSink{max: opts.maxViolations()}
+	reads := h.Reads()
+	order := make([]int, len(reads))
+	for i := range order {
+		order[i] = i
+	}
+	// The same (unstable) sort as StrongPrefix, so equal-length chains
+	// are paired alike and the reports match byte for byte.
+	sort.Slice(order, func(a, b int) bool { return len(reads[order[a]].Chain) < len(reads[order[b]].Chain) })
+	checked := 0
+	for i := 1; i < len(order); i++ {
+		a, b := reads[order[i-1]].Chain, reads[order[i]].Chain
+		checked++
+		if !b.HasPrefix(a) {
+			sink.addf("neither of %s and %s prefixes the other", a, b)
+		}
+	}
+	return sink.verdict("StrongPrefix", checked)
+}
+
+// refEventualPrefix is EventualPrefix with Chain.CommonPrefix throughout
+// and a witness search for every violating read, recorded or not: the
+// element-compare reference for the binary search and the sink gate.
+func refEventualPrefix(h *history.History, opts Options) Verdict {
+	sink := &violationSink{max: opts.maxViolations()}
+	score := opts.score()
+	reads := h.Reads()
+	w := opts.window(len(reads))
+	n := len(reads)
+	suffix := make([]int, n)
+	var cp history.Chain
+	for j := n - 1; j >= 0; j-- {
+		if j == n-1 {
+			cp = reads[j].Chain
+		} else {
+			cp = cp.CommonPrefix(reads[j].Chain)
+		}
+		suffix[j] = score(cp)
+	}
+	checked := 0
+	for i := range reads {
+		checked++
+		s, j := score(reads[i].Chain), i+w
+		if j < n && suffix[j] < s {
+			hi, ki := findDivergentPair(reads[j:], false, score, s)
+			sink.addf("read#%d score %d: reads #%d and #%d past window %d share prefix score %d < %d",
+				i, s, j+hi, j+ki, w, suffix[j], s)
+		}
+	}
+	return sink.verdict("EventualPrefix", checked)
+}
+
 // stepClock is a virtual clock the twin recorders share.
 type stepClock struct{ t int64 }
 
@@ -216,12 +271,83 @@ func injectViolations(w *twin, t0 int64) {
 	w.read(9, buf[:2:2])
 }
 
-// TestDifferentialCheckers checks the prefix-aware BlockValidity and the
-// suffix-minimum EverGrowingTree against their full-scan references, on
+// injectTwoParents has one process read block x under u1 and then, after
+// a reorg, under u2: the conflict lies inside the previous read's length
+// but past the two reads' common prefix. The reads no longer agree on one
+// parent per block id, and a one-position prefix test would wrongly
+// accept [b0 u1 x] ⊑ [b0 u2 x y].
+func injectTwoParents(w *twin, t0 int64) {
+	w.at(t0)
+	w.read(10, history.Chain{blocktree.GenesisID, "u1", "x"})
+	w.at(t0 + 1)
+	w.read(10, history.Chain{blocktree.GenesisID, "u2", "x", "y"})
+}
+
+// injectRootMismatch adds reads rooted at a block other than genesis.
+// Their ids never follow genesis, so the reads still agree on parents.
+func injectRootMismatch(w *twin, t0 int64) {
+	r := history.Chain{"g", "q1", "q2", "q3"}
+	w.at(t0)
+	w.read(12, r[:3:3])
+	w.read(12, r)
+}
+
+// injectRootReappears adds a read in which genesis reappears mid-chain,
+// beside a read of its prefix.
+func injectRootReappears(w *twin, t0 int64) {
+	c := history.Chain{blocktree.GenesisID, "q1", blocktree.GenesisID, "q1", "q2"}
+	w.at(t0)
+	w.read(13, c[:2:2])
+	w.read(13, c)
+}
+
+// injectEmptyChain adds empty reads around a genesis-only read.
+func injectEmptyChain(w *twin, t0 int64) {
+	w.at(t0)
+	w.read(14, history.Chain{})
+	w.read(14, history.Chain{blocktree.GenesisID})
+	w.read(14, nil)
+}
+
+// injectMixedClones has one process alternate between views of a buffer
+// and clones of it, so its reads share memory with some predecessors and
+// not others, then fork off the buffer.
+func injectMixedClones(w *twin, t0 int64) {
+	buf := history.Chain{blocktree.GenesisID, "m1", "m2", "m3", "m4"}
+	w.at(t0)
+	w.read(15, buf[:2:2])
+	w.read(15, buf[:3:3].Clone())
+	w.read(15, buf[:4:4])
+	w.read(15, buf[:4:4].Clone())
+	w.read(15, buf[:5:5])
+	w.read(15, history.Chain{blocktree.GenesisID, "m1", "m5"})
+}
+
+// injections are the hand-built reads the differential tests append to
+// simulated histories, one kind per history so that a history whose reads
+// disagree on parents does not hide the other kinds. agree is what
+// History.ReadsAgreeOnParents must report afterwards.
+var injections = []struct {
+	name  string
+	add   func(*twin, int64)
+	agree bool
+}{
+	{"none", func(*twin, int64) {}, true},
+	{"violations", injectViolations, true},
+	{"two-parents", injectTwoParents, false},
+	{"root-mismatch", injectRootMismatch, true},
+	{"root-reappears", injectRootReappears, true},
+	{"empty-chain", injectEmptyChain, true},
+	{"mixed-clones", injectMixedClones, true},
+}
+
+// TestDifferentialCheckers checks the prefix-aware BlockValidity, the
+// suffix-minimum EverGrowingTree and the parent-agreement StrongPrefix and
+// EventualPrefix against their full-scan, element-compare references, on
 // histories recorded through ReadIDs (shared chains), on the same
-// histories with every chain cloned, and with injected violations. Every
-// verdict field must agree across the two implementations and across
-// shared and cloned chains.
+// histories with every chain cloned, and with each kind of injected read.
+// Every verdict field must agree across the two implementations and
+// across shared and cloned chains.
 func TestDifferentialCheckers(t *testing.T) {
 	type impl struct {
 		name string
@@ -231,23 +357,28 @@ func TestDifferentialCheckers(t *testing.T) {
 	impls := []impl{
 		{"BlockValidity", BlockValidity, refBlockValidity},
 		{"EverGrowingTree", EverGrowingTree, refEverGrowingTree},
+		{"StrongPrefix", StrongPrefix, refStrongPrefix},
+		{"EventualPrefix", EventualPrefix, refEventualPrefix},
 	}
 	optsList := []Options{{}, {GraceWindow: 3}, {GraceWindow: 3, MaxViolations: 2}}
 	selectors := []blocktree.Selector{blocktree.LongestChain{}, blocktree.GHOST{}}
-	violating := 0
+	violating := map[string]int{}
 	for seed := uint64(1); seed <= 12; seed++ {
-		for _, inject := range []bool{false, true} {
+		for _, inj := range injections {
 			w := newTwin()
 			simulateTwin(w, seed, 4, 60, selectors[seed%2])
-			if inject {
-				injectViolations(w, 1000)
-			}
+			inj.add(w, 1000)
 			shared, cloned := w.histories()
 			if sharedPrefixReads(shared) == 0 {
 				t.Fatalf("seed %d: no read shares its buffer with the previous read; the test would not exercise the prefix skip", seed)
 			}
 			if sharedPrefixReads(cloned) != 0 {
 				t.Fatalf("seed %d: cloned history still shares chain memory", seed)
+			}
+			for _, h := range []*history.History{shared, cloned} {
+				if got := h.ReadsAgreeOnParents(); got != inj.agree {
+					t.Fatalf("seed %d %s: ReadsAgreeOnParents = %v, want %v", seed, inj.name, got, inj.agree)
+				}
 			}
 			for _, opts := range optsList {
 				for _, im := range impls {
@@ -258,21 +389,23 @@ func TestDifferentialCheckers(t *testing.T) {
 						"ref/shared": im.ref(shared, opts),
 					} {
 						if !reflect.DeepEqual(got, want) {
-							t.Errorf("seed %d inject=%v %s %s %+v:\n got  %+v\n want %+v", seed, inject, im.name, name, opts, got, want)
+							t.Errorf("seed %d %s %s %s %+v:\n got  %+v\n want %+v", seed, inj.name, im.name, name, opts, got, want)
 						}
 					}
 					if !want.Satisfied {
-						violating++
+						violating[im.name]++
 					}
 				}
 				if got, want := Classify(shared, opts), Classify(cloned, opts); !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d inject=%v %+v: Classify differs between shared and cloned chains", seed, inject, opts)
+					t.Errorf("seed %d %s %+v: Classify differs between shared and cloned chains", seed, inj.name, opts)
 				}
 			}
 		}
 	}
-	if violating == 0 {
-		t.Fatal("no history violated either property; the injected violations are not reaching the checkers")
+	for _, im := range impls {
+		if violating[im.name] == 0 {
+			t.Errorf("no history violated %s; the differential never compares violation reports", im.name)
+		}
 	}
 }
 
@@ -292,6 +425,49 @@ func TestDifferentialInjectedViolationCounts(t *testing.T) {
 	egt := EverGrowingTree(shared, Options{GraceWindow: 3})
 	if egt.Satisfied {
 		t.Fatal("EverGrowingTree missed the score drop past the grace window")
+	}
+
+	// Alone, the two-parents reads violate Strong prefix once, found only
+	// by an element compare.
+	w = newTwin()
+	injectTwoParents(w, 1)
+	shared, _ = w.histories()
+	if sp := StrongPrefix(shared, Options{}); sp.TotalViolations != 1 {
+		t.Fatalf("StrongPrefix violations = %d, want 1: %v", sp.TotalViolations, sp.Violations)
+	}
+}
+
+// TestEventualPrefixLateDivergence records 3999 reads of one chain
+// growing to 500 blocks and a final read that forks at height 1, so
+// nearly every read violates Eventual prefix against the same late pair.
+// The report keeps only MaxViolations witnesses, so only those may be
+// searched for: with cloned chains a witness search per violating read,
+// each comparing the reads after it element by element, is cubic in the
+// history. The verdict must equal the reference that searches for every
+// violation, run on views of one buffer where it stays quadratic.
+func TestEventualPrefixLateDivergence(t *testing.T) {
+	const reads, height = 4000, 500
+	w := newTwin()
+	buf := make(history.Chain, height+1)
+	buf[0] = blocktree.GenesisID
+	for i := 1; i <= height; i++ {
+		buf[i] = history.BlockRef(fmt.Sprintf("c%d", i))
+	}
+	for i := 0; i < reads-1; i++ {
+		w.at(int64(i))
+		n := 2 + i*(height-1)/reads
+		w.read(history.ProcID(i%4), buf[:n:n])
+	}
+	w.read(0, history.Chain{blocktree.GenesisID, "c1", "fork"})
+	shared, cloned := w.histories()
+	want := refEventualPrefix(shared, Options{})
+	if want.TotalViolations < 2000 {
+		t.Fatalf("only %d violations; the history does not diverge late", want.TotalViolations)
+	}
+	for name, h := range map[string]*history.History{"shared": shared, "cloned": cloned} {
+		if got := EventualPrefix(h, Options{}); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got  %+v\n want %+v", name, got, want)
+		}
 	}
 }
 

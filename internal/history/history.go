@@ -226,6 +226,7 @@ type History struct {
 
 	mu          sync.Mutex
 	readsCache  []ReadOp
+	readParents int8 // ReadsAgreeOnParents: 0 not yet computed, 1 yes, -1 no
 	appendCache []AppendOp
 	okAppends   []AppendOp
 	kindCache   map[Kind][]Op
@@ -264,6 +265,53 @@ func (h *History) Reads() []ReadOp {
 		h.readsCache = out
 	}
 	return h.readsCache
+}
+
+// ReadsAgreeOnParents reports whether the completed reads agree on one
+// predecessor per block id: an id found past position 0 of any returned
+// chain has the same id just before it in every chain that holds it past
+// position 0. Then two chains holding the same id at one position agree on
+// every position before it (walk both back through the shared
+// predecessors). So p ⊑ c exactly when p is empty or c holds p's last id
+// at p's last position, and the positions where two chains agree form a
+// prefix, which a binary search finds.
+//
+// The answer is computed once and cached. Each read is checked only past
+// its common prefix with the same process's previous read, whose
+// positions were checked with that read; for reads that share memory
+// (views of one read buffer) that prefix costs O(1), so the pass costs
+// about one map lookup per block new to each process.
+func (h *History) ReadsAgreeOnParents() bool {
+	h.mu.Lock()
+	known := h.readParents
+	h.mu.Unlock()
+	if known == 0 {
+		known = -1
+		if readsAgreeOnParents(h.Reads()) {
+			known = 1
+		}
+		h.mu.Lock()
+		h.readParents = known
+		h.mu.Unlock()
+	}
+	return known > 0
+}
+
+func readsAgreeOnParents(reads []ReadOp) bool {
+	pred := map[BlockRef]BlockRef{}
+	last := map[ProcID]Chain{}
+	for _, r := range reads {
+		c := r.Chain
+		for i := max(1, len(last[r.Op.Proc].CommonPrefix(c))); i < len(c); i++ {
+			if p, ok := pred[c[i]]; !ok {
+				pred[c[i]] = c[i-1]
+			} else if p != c[i-1] {
+				return false
+			}
+		}
+		last[r.Op.Proc] = c
+	}
+	return true
 }
 
 // AppendOp is a completed append() operation.

@@ -165,8 +165,8 @@ type StoreStats = runstore.Stats
 // — the façade's view of the cache WithStore points the sweep engine at.
 // A handle is safe for concurrent use and is meant to be shared: a
 // long-running service opens one RunStore and passes it to every sweep
-// through WithRunStore, so Stats aggregates across requests. Get/Put/Has
-// operate on raw store envelopes (key → canonical Result JSON).
+// through WithRunStore, so Stats aggregates across requests. Has asks
+// the store's index for a raw key (key → canonical Result JSON).
 type RunStore struct {
 	s *runstore.Store
 }
@@ -179,13 +179,6 @@ func OpenStore(dir string) (*RunStore, error) {
 	}
 	return &RunStore{s: s}, nil
 }
-
-// Get returns the cached value for key; a missing, unreadable or corrupt
-// entry is reported as a plain miss.
-func (s *RunStore) Get(key string) ([]byte, bool, error) { return s.s.Get(key) }
-
-// Put stores value under key atomically.
-func (s *RunStore) Put(key string, value []byte) error { return s.s.Put(key, value) }
 
 // Has reports whether key has an entry, from the index alone (no file
 // read — advisory, like StorePreflight).
