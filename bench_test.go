@@ -80,6 +80,31 @@ func BenchmarkSweepMatrixMetrics(b *testing.B) {
 	}
 }
 
+// BenchmarkLongChain measures the long-chain shape: one 600-block
+// scenario per op (twenty times the sweep matrix's chain length) with
+// every metric, rotating over two proof-of-work selectors and two
+// committee systems. The checkers, the history and the collectors take a
+// large share here, so its B/op tracks the history recorder's footprint.
+func BenchmarkLongChain(b *testing.B) {
+	var matrices []blockadt.Matrix
+	for _, sys := range []string{"Bitcoin", "Ethereum", "Algorand", "Hyperledger"} {
+		matrices = append(matrices, blockadt.Matrix{
+			Systems: []string{sys}, TargetBlocks: 600, RootSeed: 42, Metrics: blockadt.MetricNames(),
+		})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := matrices[i%len(matrices)]
+		rep, err := blockadt.Run(m, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Total != 1 || rep.Matched != rep.Total {
+			b.Fatalf("%s: %d/%d scenarios matched", m.Systems[0], rep.Matched, rep.Total)
+		}
+	}
+}
+
 // BenchmarkMetricCollectors measures the collector pass alone: every
 // registered metric over one completed mid-size run, the marginal cost a
 // metrics-enabled scenario pays after its simulation finishes.

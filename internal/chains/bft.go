@@ -116,7 +116,7 @@ func runBFT(name, refinement string, sel blocktree.Selector, plan roundPlan, p P
 	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
 	orc := oracle.NewFrugal(1, p.Seed, equalMerits(p.N, plan.tokenProb)...)
 	ops := p.TargetBlocks*p.N*5 + p.N*16
-	sim.Recorder().Reserve(2*ops, ops)
+	sim.Recorder().Reserve(ops)
 	done := false
 	reps := map[history.ProcID]*netsim.Replica{}
 	for i := 0; i < p.N; i++ {

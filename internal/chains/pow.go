@@ -91,7 +91,7 @@ func runPoWTopo(name, refinement string, sel blocktree.Selector, links netsim.Li
 	// the periodic reads. Reserving up front keeps the recorder's append
 	// path reallocation-free.
 	ops := p.TargetBlocks*p.N*5 + p.N*16
-	sim.Recorder().Reserve(2*ops, ops)
+	sim.Recorder().Reserve(ops)
 	done := false
 	reps := map[history.ProcID]*netsim.Replica{}
 	for i := 0; i < p.N; i++ {

@@ -13,14 +13,15 @@ type msgKey struct {
 }
 
 // procUniverse returns the correct-process universe: Options.Procs if set,
-// otherwise every process that produced an event.
+// otherwise every process that produced an event (each event belongs to
+// an op of its process).
 func procUniverse(h *history.History, opts Options) []history.ProcID {
 	if opts.Procs != nil {
 		return opts.Procs
 	}
 	seen := map[history.ProcID]bool{}
-	for _, e := range h.Events() {
-		seen[e.Proc] = true
+	for _, op := range h.Ops() {
+		seen[op.Proc] = true
 	}
 	out := make([]history.ProcID, 0, len(seen))
 	for p := range seen {

@@ -125,7 +125,7 @@ func readsByProcessOrder(h *history.History) []int32 {
 		order[i] = int32(i)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		a, b := &reads[order[i]].Op, &reads[order[j]].Op
+		a, b := reads[order[i]].Op, reads[order[j]].Op
 		if a.Proc != b.Proc {
 			return a.Proc < b.Proc
 		}
@@ -259,7 +259,7 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 			if scores[j] > scores[i] {
 				continue
 			}
-			if !history.RespondedBefore(reads[i].Op, reads[j].Op) {
+			if !history.RespondedBefore(*reads[i].Op, *reads[j].Op) {
 				continue
 			}
 			sink.addf("read#%d by p%d score %d still matched by read#%d by p%d score %d after grace window %d",

@@ -69,7 +69,7 @@ func refEverGrowingTree(h *history.History, opts Options) Verdict {
 		si := score(reads[i].Chain)
 		for j := i + w; j < len(reads); j++ {
 			sj := score(reads[j].Chain)
-			if sj > si || !history.RespondedBefore(reads[i].Op, reads[j].Op) {
+			if sj > si || !history.RespondedBefore(*reads[i].Op, *reads[j].Op) {
 				continue
 			}
 			sink.addf("read#%d by p%d score %d still matched by read#%d by p%d score %d after grace window %d",

@@ -10,12 +10,16 @@
 //
 // Histories are produced by a Recorder, which concurrent objects call around
 // each operation, and consumed immutably by the consistency checkers in
-// internal/consistency.
+// internal/consistency. An operation's invocation and response events are
+// fully described by its Op record (both sequence numbers, both times and
+// both labels), so a history stores one record per operation and derives
+// the events from them on demand.
 package history
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -173,7 +177,8 @@ func (t EventType) String() string {
 // OpID pairs an invocation event with its response event.
 type OpID int
 
-// Event is an element of E.
+// Event is an element of E. Histories do not store events;
+// History.Events derives them from the ops.
 type Event struct {
 	// Seq is the event's position in the global record; it is consistent
 	// with real time (Time) and with per-process order.
@@ -196,8 +201,8 @@ func (e Event) String() string {
 	return fmt.Sprintf("e%d[p%d %s %s(%s) t=%d]", e.Seq, e.Proc, e.Type, e.Label.Kind, string(e.Label.Block), e.Time)
 }
 
-// Op is a completed (or pending) operation reconstructed from a history:
-// its invocation event and, when present, its response event.
+// Op is a completed (or pending) operation: the one record a history
+// keeps for its invocation event and, when present, its response event.
 type Op struct {
 	ID       OpID
 	Proc     ProcID
@@ -213,16 +218,21 @@ type Op struct {
 
 // History is an immutable concurrent history H.
 //
+// It keeps one Op per operation and no events: the event set E is
+// derived from the ops (Events), since each op carries its invocation's
+// and response's sequence numbers, times and labels.
+//
 // Because the history never changes after Snapshot, the derived views the
 // consistency checkers and metric collectors iterate (Reads, Appends,
 // OpsOfKind) are computed once and cached: every checker of a
 // classification pass walks the same slices instead of re-filtering and
-// re-sorting the event set per call. The cached slices are shared —
-// callers must not mutate or reorder them (clone first, as
+// re-sorting the operations per call. The views of Reads and Appends hold
+// *Op pointers into the history's own ops. The cached slices and the ops
+// they point at are shared — callers must not mutate or reorder them, nor
+// write through the pointers (sort a permutation instead, as
 // readsByProcessOrder in internal/consistency does).
 type History struct {
-	events []Event
-	ops    []Op
+	ops []Op
 
 	mu          sync.Mutex
 	readsCache  []ReadOp
@@ -232,18 +242,41 @@ type History struct {
 	kindCache   map[Kind][]Op
 }
 
-// Events returns the event set E in global (Seq) order.
-func (h *History) Events() []Event { return h.events }
+// Events returns the event set E in global (Seq) order, derived from the
+// ops on each call: every op contributes its invocation event and, when
+// complete, its response event. Sequence numbers are dense, so each event
+// is placed at its Seq without sorting.
+func (h *History) Events() []Event {
+	out := make([]Event, h.Len())
+	for i := range h.ops {
+		op := &h.ops[i]
+		out[op.InvSeq] = Event{Seq: op.InvSeq, Type: Invocation, Proc: op.Proc, Op: op.ID, Label: op.Label, Time: op.InvTime}
+		if op.Complete {
+			out[op.RspSeq] = Event{Seq: op.RspSeq, Type: Response, Proc: op.Proc, Op: op.ID, Label: *op.Response, Time: op.RspTime}
+		}
+	}
+	return out
+}
 
 // Ops returns all operations in invocation order.
 func (h *History) Ops() []Op { return h.ops }
 
-// Len returns the number of events.
-func (h *History) Len() int { return len(h.events) }
+// Len returns the number of events: one invocation per op plus one
+// response per complete op.
+func (h *History) Len() int {
+	n := len(h.ops)
+	for i := range h.ops {
+		if h.ops[i].Complete {
+			n++
+		}
+	}
+	return n
+}
 
 // ReadOp is a completed read() operation together with its returned chain.
+// Op points into the history's ops.
 type ReadOp struct {
-	Op    Op
+	Op    *Op
 	Chain Chain
 }
 
@@ -255,13 +288,13 @@ func (h *History) Reads() []ReadOp {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.readsCache == nil {
-		out := []ReadOp{}
-		for _, op := range h.ops {
-			if op.Label.Kind == KindRead && op.Complete {
+		out := make([]ReadOp, 0, h.countOps(KindRead))
+		for i := range h.ops {
+			if op := &h.ops[i]; op.Label.Kind == KindRead && op.Complete {
 				out = append(out, ReadOp{Op: op, Chain: op.Response.Chain})
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Op.RspSeq < out[j].Op.RspSeq })
+		slices.SortFunc(out, func(a, b ReadOp) int { return cmp.Compare(a.Op.RspSeq, b.Op.RspSeq) })
 		h.readsCache = out
 	}
 	return h.readsCache
@@ -314,9 +347,10 @@ func readsAgreeOnParents(reads []ReadOp) bool {
 	return true
 }
 
-// AppendOp is a completed append() operation.
+// AppendOp is a completed append() operation. Op points into the
+// history's ops.
 type AppendOp struct {
-	Op    Op
+	Op    *Op
 	Block BlockRef
 	OK    bool
 }
@@ -327,9 +361,9 @@ func (h *History) Appends() []AppendOp {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.appendCache == nil {
-		out := []AppendOp{}
-		for _, op := range h.ops {
-			if op.Label.Kind == KindAppend && op.Complete {
+		out := make([]AppendOp, 0, h.countOps(KindAppend))
+		for i := range h.ops {
+			if op := &h.ops[i]; op.Label.Kind == KindAppend && op.Complete {
 				out = append(out, AppendOp{Op: op, Block: op.Label.Block, OK: op.Response.OK})
 			}
 		}
@@ -347,7 +381,13 @@ func (h *History) SuccessfulAppends() []AppendOp {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.okAppends == nil {
-		out := []AppendOp{}
+		n := 0
+		for _, a := range appends {
+			if a.OK {
+				n++
+			}
+		}
+		out := make([]AppendOp, 0, n)
 		for _, a := range appends {
 			if a.OK {
 				out = append(out, a)
@@ -366,9 +406,9 @@ func (h *History) OpsOfKind(k Kind) []Op {
 	defer h.mu.Unlock()
 	out, ok := h.kindCache[k]
 	if !ok {
-		out = []Op{}
+		out = make([]Op, 0, h.countOps(k))
 		for _, op := range h.ops {
-			if op.Label.Kind == k {
+			if op.Label.Kind == k && op.Complete {
 				out = append(out, op)
 			}
 		}
@@ -378,6 +418,18 @@ func (h *History) OpsOfKind(k Kind) []Op {
 		h.kindCache[k] = out
 	}
 	return out
+}
+
+// countOps returns the number of completed operations of kind k, so the
+// views above allocate their exact size once.
+func (h *History) countOps(k Kind) int {
+	n := 0
+	for i := range h.ops {
+		if h.ops[i].Label.Kind == k && h.ops[i].Complete {
+			n++
+		}
+	}
+	return n
 }
 
 // ProcessOrdered reports a ↦→ b: both events belong to the same process and
@@ -419,13 +471,16 @@ func RespondedBefore(a, b Op) bool {
 	return a.RspTime < b.InvTime
 }
 
-// Recorder accumulates events concurrently. The zero value is not usable;
-// create one with NewRecorder.
+// Recorder accumulates operations concurrently. It stores one Op per
+// operation and numbers events with a counter; the events themselves are
+// derived by History.Events. The zero value is not usable; create one
+// with NewRecorder.
 type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-	ops    []Op
-	clock  Clock
+	mu sync.Mutex
+	// seq is the number of events recorded so far: the Seq of the next.
+	seq   int
+	ops   []Op
+	clock Clock
 	// respSlab is the current response-label chunk. Respond hands out
 	// pointers into it; append never reallocates within a chunk (a fresh
 	// chunk is started when the current one fills), so the pointers stay
@@ -466,18 +521,15 @@ func NewRecorderWithClock(c Clock) *Recorder {
 	return &Recorder{clock: c}
 }
 
-// Reserve grows the recorder's event and operation buffers to at least the
-// given capacities. Simulators that can bound the history size from their
-// parameters (TargetBlocks × replicas × ops-per-block) call this once so the
-// append path never reallocates mid-run.
-func (r *Recorder) Reserve(events, ops int) {
+// Reserve grows the recorder's operation buffer (and its response-label
+// slab) to room for at least ops operations. There is no event buffer to
+// size: events are derived from the ops. Simulators that can bound the
+// history size from their parameters (TargetBlocks × replicas ×
+// ops-per-block) call this once so the append path never reallocates
+// mid-run.
+func (r *Recorder) Reserve(ops int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cap(r.events) < events {
-		grown := make([]Event, len(r.events), events)
-		copy(grown, r.events)
-		r.events = grown
-	}
 	if cap(r.ops) < ops {
 		grown := make([]Op, len(r.ops), ops)
 		copy(grown, r.ops)
@@ -494,9 +546,9 @@ func (r *Recorder) Invoke(p ProcID, l Label) OpID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := OpID(len(r.ops))
-	seq := len(r.events)
+	seq := r.seq
+	r.seq++
 	now := r.clock.Now()
-	r.events = append(r.events, Event{Seq: seq, Type: Invocation, Proc: p, Op: id, Label: l, Time: now})
 	r.ops = append(r.ops, Op{ID: id, Proc: p, Label: l, InvTime: now, InvSeq: seq})
 	return id
 }
@@ -506,10 +558,10 @@ func (r *Recorder) Invoke(p ProcID, l Label) OpID {
 func (r *Recorder) Respond(id OpID, result Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seq := len(r.events)
+	seq := r.seq
+	r.seq++
 	now := r.clock.Now()
 	op := &r.ops[id]
-	r.events = append(r.events, Event{Seq: seq, Type: Response, Proc: op.Proc, Op: id, Label: result, Time: now})
 	if len(r.respSlab) == cap(r.respSlab) {
 		r.respSlab = make([]Label, 0, 256)
 	}
@@ -522,19 +574,18 @@ func (r *Recorder) Respond(id OpID, result Label) {
 
 // Record records an instantaneous (invocation+response collapsed) event,
 // used for send/receive/update events which have no call/return structure.
-// It appends both events under one lock acquisition — equivalent to
-// Invoke+Respond (including drawing two clock values) but cheaper on the
-// simulator's per-delivery path, where Record is the dominant call.
+// It records a complete op under one lock acquisition — equivalent to
+// Invoke+Respond (including drawing two sequence numbers and two clock
+// values) but cheaper on the simulator's per-delivery path, where Record
+// is the dominant call.
 func (r *Recorder) Record(p ProcID, l Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := OpID(len(r.ops))
-	seq := len(r.events)
+	seq := r.seq
+	r.seq += 2
 	tInv := r.clock.Now()
 	tRsp := r.clock.Now()
-	r.events = append(r.events,
-		Event{Seq: seq, Type: Invocation, Proc: p, Op: id, Label: l, Time: tInv},
-		Event{Seq: seq + 1, Type: Response, Proc: p, Op: id, Label: l, Time: tRsp})
 	if len(r.respSlab) == cap(r.respSlab) {
 		r.respSlab = make([]Label, 0, 256)
 	}
@@ -552,11 +603,7 @@ func (r *Recorder) Record(p ProcID, l Label) {
 func (r *Recorder) Snapshot() *History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := &History{
-		events: make([]Event, len(r.events)),
-		ops:    make([]Op, len(r.ops)),
-	}
-	copy(h.events, r.events)
+	h := &History{ops: make([]Op, len(r.ops))}
 	copy(h.ops, r.ops)
 	// One response slab for the whole snapshot instead of one heap object
 	// per completed operation: the copies stay independent of the recorder
@@ -578,16 +625,16 @@ func (r *Recorder) Snapshot() *History {
 }
 
 // Finalize returns the recorded history by transferring ownership of the
-// recorder's buffers — no copy. The recorder is reset to empty and must
-// not be reused, or the returned history would observe the new events.
-// Single-use harnesses (one recorder per simulation run) call this instead
-// of Snapshot to avoid duplicating the full event set at the end of every
-// run.
+// recorder's op buffer — no copy. The recorder is reset to empty:
+// recording after Finalize starts a new history at Seq 0 and OpID 0, in
+// fresh buffers the returned history does not see. Single-use harnesses
+// (one recorder per simulation run) call this instead of Snapshot to avoid
+// duplicating every op at the end of every run.
 func (r *Recorder) Finalize() *History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := &History{events: r.events, ops: r.ops}
-	r.events = nil
+	h := &History{ops: r.ops}
+	r.seq = 0
 	r.ops = nil
 	r.respSlab = nil
 	return h

@@ -1,6 +1,10 @@
 package history
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -302,5 +306,158 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Fatal("unknown kind must render something")
+	}
+}
+
+// stepClock is a deterministic Clock the reference log can follow: each
+// Now returns the next integer.
+type stepClock struct{ t int64 }
+
+func (c *stepClock) Now() int64 { c.t++; return c.t }
+
+// TestDerivedEventsMatchRecordedLog drives a recorder with a random mix
+// of Invoke, Respond and Record across 4 processes, leaving some ops
+// pending, and keeps the event log an event-storing recorder would have
+// written. The events History derives from its ops must equal that log.
+func TestDerivedEventsMatchRecordedLog(t *testing.T) {
+	clk := &stepClock{}
+	r := NewRecorderWithClock(clk)
+	rng := rand.New(rand.NewSource(7))
+	var ref []Event
+	var pending []OpID
+	procOf := map[OpID]ProcID{}
+	nextOp := OpID(0)
+	kinds := []Kind{KindRead, KindAppend, KindGetToken, KindConsumeToken}
+	step := func(i int) {
+		p := ProcID(rng.Intn(4))
+		switch c := rng.Intn(3); {
+		case c == 0 || (c == 1 && len(pending) == 0):
+			l := Label{Kind: kinds[rng.Intn(len(kinds))], Block: BlockRef(fmt.Sprint("b", i))}
+			id := r.Invoke(p, l)
+			if id != nextOp {
+				t.Fatalf("Invoke returned op %d, want %d", id, nextOp)
+			}
+			ref = append(ref, Event{Seq: len(ref), Type: Invocation, Proc: p, Op: id, Label: l, Time: clk.t})
+			pending = append(pending, id)
+			procOf[id] = p
+			nextOp++
+		case c == 1:
+			k := rng.Intn(len(pending))
+			id := pending[k]
+			pending = append(pending[:k], pending[k+1:]...)
+			l := Label{Kind: KindRead, Chain: chainOf("b0", fmt.Sprint("r", i)), OK: i%2 == 0, Token: uint64(i)}
+			r.Respond(id, l)
+			ref = append(ref, Event{Seq: len(ref), Type: Response, Proc: procOf[id], Op: id, Label: l, Time: clk.t})
+		default:
+			l := Label{Kind: KindSend, Block: BlockRef(fmt.Sprint("s", i)), Parent: "b0", Origin: p}
+			r.Record(p, l)
+			ref = append(ref,
+				Event{Seq: len(ref), Type: Invocation, Proc: p, Op: nextOp, Label: l, Time: clk.t - 1},
+				Event{Seq: len(ref) + 1, Type: Response, Proc: p, Op: nextOp, Label: l, Time: clk.t})
+			nextOp++
+		}
+	}
+	check := func(what string, h *History, want []Event) {
+		t.Helper()
+		got := h.Events()
+		if len(got) != len(want) || h.Len() != len(want) {
+			t.Fatalf("%s: Events() has %d, Len() %d, want %d", what, len(got), h.Len(), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: event %d = %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	for i := 0; i < 150; i++ {
+		step(i)
+	}
+	mid := r.Snapshot()
+	midRef := slices.Clone(ref)
+	for i := 150; i < 300; i++ {
+		step(i)
+	}
+	if len(pending) == 0 {
+		t.Fatal("the run left no op pending; pick another seed")
+	}
+	check("snapshot after more recording", mid, midRef)
+	check("snapshot", r.Snapshot(), ref)
+	h := r.Finalize()
+	check("finalized", h, ref)
+
+	id := r.Invoke(0, Label{Kind: KindRead})
+	if id != 0 {
+		t.Fatalf("first op after Finalize = %d, want 0", id)
+	}
+	if ev := r.Snapshot().Events(); len(ev) != 1 || ev[0].Seq != 0 || ev[0].Op != 0 {
+		t.Fatalf("events after Finalize = %+v, want one at Seq 0", ev)
+	}
+	check("finalized after reuse", h, ref)
+}
+
+// TestOpsOfKindExcludesPending: an invoked but never answered operation
+// is not a completed one.
+func TestOpsOfKindExcludesPending(t *testing.T) {
+	r := NewRecorder()
+	r.Invoke(0, Label{Kind: KindSend, Block: "1"})
+	r.Record(1, Label{Kind: KindSend, Block: "2"})
+	h := r.Snapshot()
+	sends := h.OpsOfKind(KindSend)
+	if len(sends) != 1 || sends[0].Label.Block != "2" || !sends[0].Complete {
+		t.Fatalf("OpsOfKind(send) = %+v, want only the recorded send", sends)
+	}
+}
+
+// TestViewsPointIntoOps: Reads and Appends hold pointers into the
+// history's own ops, and every view is allocated at its exact size.
+func TestViewsPointIntoOps(t *testing.T) {
+	r := NewRecorder()
+	rng := rand.New(rand.NewSource(3))
+	var pending []OpID
+	for i := 0; i < 200; i++ {
+		p := ProcID(i % 4)
+		switch rng.Intn(4) {
+		case 0:
+			pending = append(pending, r.Invoke(p, Label{Kind: KindRead}))
+		case 1:
+			pending = append(pending, r.Invoke(p, Label{Kind: KindAppend, Block: BlockRef(fmt.Sprint("b", i))}))
+		case 2:
+			if len(pending) > 0 {
+				k := rng.Intn(len(pending))
+				r.Respond(pending[k], Label{Kind: KindRead, Chain: chainOf("b0"), OK: i%3 != 0})
+				pending = append(pending[:k], pending[k+1:]...)
+			}
+		default:
+			r.Record(p, Label{Kind: KindUpdate, Block: BlockRef(fmt.Sprint("u", i))})
+		}
+	}
+	h := r.Finalize()
+	ops := h.Ops()
+	reads, appends := h.Reads(), h.Appends()
+	if len(reads) == 0 || len(appends) == 0 || len(pending) == 0 {
+		t.Fatalf("degenerate history: %d reads, %d appends, %d pending", len(reads), len(appends), len(pending))
+	}
+	for _, rd := range reads {
+		if rd.Op != &ops[rd.Op.ID] {
+			t.Fatalf("read view of op %d does not point into Ops()", rd.Op.ID)
+		}
+	}
+	for _, a := range appends {
+		if a.Op != &ops[a.Op.ID] {
+			t.Fatalf("append view of op %d does not point into Ops()", a.Op.ID)
+		}
+	}
+	caps := map[string][2]int{
+		"Reads":             {len(reads), cap(reads)},
+		"Appends":           {len(appends), cap(appends)},
+		"SuccessfulAppends": {len(h.SuccessfulAppends()), cap(h.SuccessfulAppends())},
+		"OpsOfKind(update)": {len(h.OpsOfKind(KindUpdate)), cap(h.OpsOfKind(KindUpdate))},
+		"OpsOfKind(read)":   {len(h.OpsOfKind(KindRead)), cap(h.OpsOfKind(KindRead))},
+	}
+	for name, lc := range caps {
+		if lc[0] != lc[1] {
+			t.Errorf("%s: len %d, cap %d, want equal", name, lc[0], lc[1])
+		}
 	}
 }
