@@ -105,6 +105,48 @@ func BenchmarkLongChain(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectTip measures one tip selection per op for each selector
+// on a 600-block chain with a one-block fork off every fourth block: 150
+// dead leaves, the shape a long proof-of-work run leaves behind. Miners
+// select once per granted token and replicas once per read, so this is
+// the blocktree select layer of every simulation.
+func BenchmarkSelectTip(b *testing.B) {
+	tr := blocktree.NewCap(750)
+	parent := blocktree.GenesisID
+	for h := 1; h <= 600; h++ {
+		id := blocktree.BlockID(fmt.Sprintf("b%04d", h))
+		if err := tr.Insert(blocktree.Block{ID: id, Parent: parent, Work: 1}); err != nil {
+			b.Fatal(err)
+		}
+		if h%4 == 0 {
+			fork := blocktree.Block{ID: blocktree.BlockID(fmt.Sprintf("a%04d", h)), Parent: parent, Work: 1}
+			if err := tr.Insert(fork); err != nil {
+				b.Fatal(err)
+			}
+		}
+		parent = id
+	}
+	if n := len(tr.Leaves()); n != 151 {
+		b.Fatalf("tree has %d leaves, want 151", n)
+	}
+	for _, sel := range []blocktree.Selector{blocktree.LongestChain{}, blocktree.HeaviestChain{}, blocktree.GHOST{}, blocktree.SingleChain{}} {
+		b.Run(sel.Name(), func(b *testing.B) {
+			// Warm the caches first: at the gate's 100 iterations the timed
+			// loop is a few microseconds, so a cold first pass would dominate.
+			for i := 0; i < 10000; i++ {
+				blocktree.SelectTip(sel, tr)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if blocktree.SelectTip(sel, tr).ID != parent {
+					b.Fatalf("%s selected off the main chain", sel.Name())
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMetricCollectors measures the collector pass alone: every
 // registered metric over one completed mid-size run, the marginal cost a
 // metrics-enabled scenario pays after its simulation finishes.

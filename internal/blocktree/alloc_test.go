@@ -7,11 +7,12 @@ import (
 )
 
 // TestInsertAllocs pins the insert path's allocation budget on a pre-sized
-// tree: with NewCap the maps never rehash, the sorted leaf slice is reused,
-// and the only unavoidable allocation is each parent's children slice — so
-// a chain insert must average well under two allocations per block. This is
-// the regression guard for the sorted-at-insert rewrite: reintroducing a
-// per-read sort+copy or per-insert map rebuild blows the ceiling at once.
+// tree: with NewCap the maps never rehash, the GHOST path never grows past
+// its capacity, and the only unavoidable allocation is each parent's
+// children slice — so a chain insert must average well under two
+// allocations per block. This is the regression guard for the
+// sorted-at-insert rewrite: reintroducing a per-read sort+copy or
+// per-insert map rebuild blows the ceiling at once.
 func TestInsertAllocs(t *testing.T) {
 	const n = 512
 	ids := make([]BlockID, n)

@@ -227,9 +227,9 @@ func TestProperty_GHOSTPrefixStability(t *testing.T) {
 }
 
 // TestProperty_GHOSTMemoMatchesDescent: with a GHOST selection between
-// every two inserts, the memoized tip always equals a fresh descent on a
-// clone (which starts with no memo), so Insert invalidates the memo
-// whenever the selection could move.
+// every two inserts, the tip GHOST answers from its kept path always
+// equals a descent from genesis over from-scratch subtree sums, so Insert
+// marks the path stale whenever the selection could move.
 func TestProperty_GHOSTMemoMatchesDescent(t *testing.T) {
 	var g GHOST
 	f := func(seed uint64, n uint8) bool {
@@ -243,7 +243,7 @@ func TestProperty_GHOSTMemoMatchesDescent(t *testing.T) {
 				ids = append(ids, id)
 			}
 			memo := g.SelectTip(tr).ID
-			if g.SelectTip(tr).ID != memo || g.SelectTip(tr.Clone()).ID != memo {
+			if g.SelectTip(tr).ID != memo || freshGHOSTTip(tr) != memo {
 				return false
 			}
 		}

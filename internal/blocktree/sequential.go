@@ -151,7 +151,7 @@ func NewSeqFromTree(t *Tree, f Selector) *SeqBlockTree {
 
 // Tip returns the tip block of the currently selected chain without
 // recording a read or materializing the chain — the protocol-internal
-// selection miners run on every attempt.
+// selection miners run on every granted token.
 func (s *SeqBlockTree) Tip() Block { return SelectTip(s.f, s.tree) }
 
 // Append implements the append(b) operation of Definition 3.1: if P(b)

@@ -35,38 +35,45 @@ type node struct {
 // concurrent use.
 //
 // The tree is the read hot path of every simulator (selectors run on every
-// mine and read), so the structures the selectors need are maintained
-// incrementally on Insert instead of being rebuilt per read: children
-// slices stay sorted, the leaf set and fork census are updated in place,
-// and each block's cumulative chain work is carried forward — Insert pays
-// O(k) for a block with k siblings plus a sorted insert into the leaf set,
-// and reads pay no sorting at all. Subtree work, which only GHOST reads,
-// is folded in lazily: the first GHOST descent or SubtreeWork call after
-// a run of inserts adds the pending blocks' work to their ancestors, so
-// trees under the other selectors never walk to the root. The GHOST tip
-// is memoized and follows inserts that extend it, so a GHOST selection is
-// O(1) unless a block landed off the tip since the last one. The only
-// hash lookups are the id→index translations at the API boundary;
-// everything below it runs on slab indexes.
+// successful mining attempt and every read), so the structures the
+// selectors need are maintained incrementally on Insert instead of being
+// rebuilt per read: children slices stay sorted, the fork census is a
+// counter, each block's cumulative chain work is carried forward, and the
+// longest and heaviest tips are memos updated with one comparison each —
+// Insert pays O(k) for a block with k siblings, and the longest and
+// heaviest selections are O(1). Subtree work, which only GHOST reads, is
+// folded in lazily: the first GHOST descent or SubtreeWork call after a
+// run of inserts adds the pending blocks' work to their ancestors, so trees
+// under the other selectors never walk to the root. GHOST keeps the root
+// path of its last selection; inserts on its end extend it, and after any
+// other insert the next selection re-descends only from the lowest height
+// where a new block joins the path. The only hash lookups are the id→index
+// translations at the API boundary; everything below it runs on slab
+// indexes.
 type Tree struct {
 	mu    sync.RWMutex
 	nodes []node
 	index map[BlockID]int32
-	// leaves is the set of blocks with no children, sorted by block id,
-	// maintained incrementally: append-only trees only ever grow a leaf
-	// set by removing the parent and inserting the new block.
-	leaves []int32
 	// forkCount counts blocks with more than one child.
 	forkCount int
 	maxFanout int
-	maxHeight int
+	// longest and heaviest are the slab indexes of the blocks maximal by
+	// (height, id) and by (chain work, id). A block's height and chain work
+	// exceed its parent's (work is at least 1), so the maximal block has no
+	// children: it is the longest (heaviest) chain's tip.
+	longest, heaviest int32
 	// folded counts the slab entries whose work is already included in
 	// their ancestors' subtree sums; entries from folded on are pending.
 	folded int32
-	// ghostTip memoizes the GHOST selection: the tip's slab index plus
-	// one, 0 when not yet computed. Readers load it under the read lock;
-	// it is stored only under the write lock.
-	ghostTip int32
+	// ghostPath is the root path of the last GHOST selection, indexed by
+	// height. While ghostStale is false its end is the GHOST tip; an insert
+	// on the end extends it, any other insert sets ghostStale. foldLocked
+	// truncates a stale path at the lowest height where a newly folded
+	// off-path block joins it, and the next selection descends from the
+	// truncated end. Readers load both under the read lock; they are
+	// stored only under the write lock.
+	ghostPath  []int32
+	ghostStale bool
 }
 
 // Errors returned by Tree operations.
@@ -91,10 +98,10 @@ func NewCap(n int) *Tree {
 		n = 1
 	}
 	t := &Tree{
-		nodes:  make([]node, 1, n+1),
-		index:  make(map[BlockID]int32, n+1),
-		leaves: []int32{0},
-		folded: 1,
+		nodes:     make([]node, 1, n+1),
+		index:     make(map[BlockID]int32, n+1),
+		folded:    1,
+		ghostPath: make([]int32, 1, n+1),
 	}
 	t.nodes[0] = node{block: Genesis(), parent: -1}
 	t.index[GenesisID] = 0
@@ -119,25 +126,29 @@ func (t *Tree) Insert(b Block) error {
 	}
 	b.Height = t.nodes[pi].block.Height + 1
 	w := b.work()
+	cw := t.nodes[pi].chainW + w
 	idx := int32(len(t.nodes))
+	if l := &t.nodes[t.longest].block; b.Height > l.Height || (b.Height == l.Height && b.ID > l.ID) {
+		t.longest = idx
+	}
+	if h := &t.nodes[t.heaviest]; cw > h.chainW || (cw == h.chainW && b.ID > h.block.ID) {
+		t.heaviest = idx
+	}
 	t.nodes = append(t.nodes, node{
 		block:   b,
 		parent:  pi,
 		subtree: w,
-		chainW:  t.nodes[pi].chainW + w,
+		chainW:  cw,
 	})
 	t.index[b.ID] = idx
-	// A block on the memoized GHOST tip is the tip's only child, and every
-	// subtree on the tip's path only gains work, so each fork's choice
-	// stands and the new block is the new tip. Any other insert may move
-	// the selection.
-	if t.ghostTip == pi+1 {
-		t.ghostTip = idx + 1
+	// A block on the GHOST tip is the tip's only child, and every subtree
+	// on the tip's path only gains work, so each fork's choice stands and
+	// the new block is the new tip. Any other insert may move the
+	// selection.
+	if !t.ghostStale && t.ghostPath[len(t.ghostPath)-1] == pi {
+		t.ghostPath = append(t.ghostPath, idx)
 	} else {
-		t.ghostTip = 0
-	}
-	if b.Height > t.maxHeight {
-		t.maxHeight = b.Height
+		t.ghostStale = true
 	}
 
 	// Keep the children slice sorted at insert time so reads never sort:
@@ -154,13 +165,6 @@ func (t *Tree) Insert(b Block) error {
 	if len(kids) > t.maxFanout {
 		t.maxFanout = len(kids)
 	}
-
-	// Leaf set update: the parent (if it was a leaf) stops being one, the
-	// new block becomes one. Both edits keep the slice sorted.
-	if len(kids) == 1 {
-		t.removeLeaf(pi)
-	}
-	t.addLeaf(idx)
 	return nil
 }
 
@@ -170,39 +174,42 @@ func (t *Tree) Insert(b Block) error {
 // pending block's sum before carrying it into its parent; only a sum that
 // reaches an already folded parent walks on to the root, once per pending
 // block hanging off the folded part of the tree rather than once per
-// block. Caller holds the write lock.
+// block.
+//
+// The same pass finds, for each pending block off the GHOST path, the
+// height where its ancestors join the path, and truncates the path above
+// the lowest such height: below it, every fork's chosen child is an
+// ancestor of the new blocks and only gained work, so those choices stand.
+// Caller holds the write lock.
 func (t *Tree) foldLocked() {
 	n := int32(len(t.nodes))
+	join := len(t.ghostPath) - 1
+	onPath := func(i int32) bool {
+		h := t.nodes[i].block.Height
+		return h < len(t.ghostPath) && t.ghostPath[h] == i
+	}
 	for i := n - 1; i >= t.folded; i-- {
 		s, p := t.nodes[i].subtree, t.nodes[i].parent
+		// A pending off-path block whose parent is pending and off the
+		// path joins where its parent does; the parent's step records it.
+		off := !onPath(i)
 		if p >= t.folded {
 			t.nodes[p].subtree += s
+			if off && onPath(p) {
+				join = min(join, t.nodes[p].block.Height)
+			}
 			continue
 		}
 		for ; p >= 0; p = t.nodes[p].parent {
 			t.nodes[p].subtree += s
+			if off && onPath(p) {
+				join = min(join, t.nodes[p].block.Height)
+				off = false
+			}
 		}
 	}
 	t.folded = n
-}
-
-// addLeaf inserts idx into the leaf slice, keeping it sorted by block id.
-func (t *Tree) addLeaf(idx int32) {
-	id := t.nodes[idx].block.ID
-	pos := sort.Search(len(t.leaves), func(i int) bool { return t.nodes[t.leaves[i]].block.ID >= id })
-	t.leaves = append(t.leaves, 0)
-	copy(t.leaves[pos+1:], t.leaves[pos:])
-	t.leaves[pos] = idx
-}
-
-// removeLeaf deletes idx from the sorted leaf slice if present.
-func (t *Tree) removeLeaf(idx int32) {
-	id := t.nodes[idx].block.ID
-	pos := sort.Search(len(t.leaves), func(i int) bool { return t.nodes[t.leaves[i]].block.ID >= id })
-	if pos < len(t.leaves) && t.leaves[pos] == idx {
-		copy(t.leaves[pos:], t.leaves[pos+1:])
-		t.leaves = t.leaves[:len(t.leaves)-1]
-	}
+	t.ghostPath = t.ghostPath[:join+1]
 }
 
 // Has reports whether the tree contains the block.
@@ -306,15 +313,18 @@ func (t *Tree) appendRootPathIDs(buf history.Chain, id BlockID) history.Chain {
 }
 
 // Leaves returns the ids of the blocks with no children, sorted
-// lexicographically. The set is maintained incrementally on Insert, so
-// this is a plain copy.
+// lexicographically. No selector needs the leaf set, so it is derived on
+// demand.
 func (t *Tree) Leaves() []BlockID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]BlockID, len(t.leaves))
-	for i, idx := range t.leaves {
-		out[i] = t.nodes[idx].block.ID
+	var out []BlockID
+	for i := range t.nodes {
+		if len(t.nodes[i].children) == 0 {
+			out = append(out, t.nodes[i].block.ID)
+		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -343,12 +353,12 @@ func (t *Tree) Forks() int {
 }
 
 // Height returns the maximal block height — the length (excluding genesis)
-// of the longest chain, maintained on Insert so progress checks need not
-// materialize a chain.
+// of the longest chain, read off the longest-tip memo so progress checks
+// need not materialize a chain.
 func (t *Tree) Height() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.maxHeight
+	return t.nodes[t.longest].block.Height
 }
 
 // MaxFanout returns the maximum number of children of any block: the
@@ -390,13 +400,15 @@ func (t *Tree) Clone() *Tree {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	c := &Tree{
-		nodes:     make([]node, len(t.nodes)),
-		index:     make(map[BlockID]int32, len(t.index)),
-		leaves:    make([]int32, len(t.leaves)),
-		forkCount: t.forkCount,
-		maxFanout: t.maxFanout,
-		maxHeight: t.maxHeight,
-		folded:    t.folded,
+		nodes:      make([]node, len(t.nodes)),
+		index:      make(map[BlockID]int32, len(t.index)),
+		forkCount:  t.forkCount,
+		maxFanout:  t.maxFanout,
+		longest:    t.longest,
+		heaviest:   t.heaviest,
+		folded:     t.folded,
+		ghostPath:  append(make([]int32, 0, cap(t.ghostPath)), t.ghostPath...),
+		ghostStale: t.ghostStale,
 	}
 	copy(c.nodes, t.nodes)
 	for i := range c.nodes {
@@ -409,6 +421,5 @@ func (t *Tree) Clone() *Tree {
 	for id, i := range t.index {
 		c.index[id] = i
 	}
-	copy(c.leaves, t.leaves)
 	return c
 }

@@ -193,8 +193,8 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 	if tr.Size() != 1+4*50 {
 		t.Fatalf("size = %d, want %d", tr.Size(), 1+4*50)
 	}
-	if memo, fresh := (GHOST{}).SelectTip(tr).ID, (GHOST{}).SelectTip(tr.Clone()).ID; memo != fresh {
-		t.Fatalf("memoized GHOST tip %s, fresh descent %s", memo, fresh)
+	if got, fresh := (GHOST{}).SelectTip(tr).ID, freshGHOSTTip(tr); got != fresh {
+		t.Fatalf("GHOST tip %s, fresh descent %s", got, fresh)
 	}
 	if w := tr.SubtreeWork(GenesisID); w != 4*50 {
 		t.Fatalf("subtree(b0) = %d, want %d", w, 4*50)
@@ -204,7 +204,7 @@ func TestConcurrentInsertsAndReads(t *testing.T) {
 // TestPropertyLazySubtreeWorkMatchesBruteForce grows random trees with
 // deep forks and work 1–3, querying GHOST and SubtreeWork on the tree at
 // random so it is left in every mix of folded and pending blocks and of
-// memoized, followed and cleared GHOST tips. After every insert a clone
+// followed, stale and truncated GHOST paths. After every insert a clone
 // (which carries the partial fold) must report every block's subtree work
 // as a from-scratch sum and descend to the from-scratch GHOST tip, and
 // every GHOST selection on the tree itself must match that tip.
@@ -212,66 +212,31 @@ func TestPropertyLazySubtreeWorkMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		src := prng.New(uint64(7000 + trial))
 		tr := New()
-		ids := []BlockID{GenesisID}
-		parent := map[BlockID]BlockID{}
-		work := map[BlockID]int{GenesisID: 0}
-		// sums recomputes every block's subtree work from scratch by
-		// walking each block's root path.
-		sums := func() map[BlockID]int {
-			out := map[BlockID]int{}
-			for _, b := range ids {
-				for a := b; ; a = parent[a] {
-					out[a] += work[b]
-					if a == GenesisID {
-						break
-					}
-				}
-			}
-			return out
-		}
-		refGHOST := func(sum map[BlockID]int) BlockID {
-			cur := GenesisID
-			for {
-				var best BlockID
-				bestW := -1
-				for _, b := range ids {
-					if b == GenesisID || parent[b] != cur {
-						continue
-					}
-					if w := sum[b]; w > bestW || (w == bestW && b > best) {
-						best, bestW = b, w
-					}
-				}
-				if bestW < 0 {
-					return cur
-				}
-				cur = best
-			}
-		}
-		for i := 0; i < 60+src.Intn(60); i++ {
+		ref := newRefTree()
+		n := 60 + src.Intn(60)
+		for i := 0; i < n; i++ {
 			var p BlockID
 			switch r := src.Intn(10); {
 			case r < 5: // extend the newest block: long linear runs
-				p = ids[len(ids)-1]
-			case r < 7: // extend the GHOST tip, so the memo can follow it
-				p = refGHOST(sums())
+				p = ref.ids[len(ref.ids)-1]
+			case r < 7: // extend the GHOST tip, so the path can follow it
+				p = ref.ghostTip()
 			case r < 9: // fork a few blocks back: deep forks
-				p = ids[max(0, len(ids)-1-src.Intn(8))]
+				p = ref.ids[max(0, len(ref.ids)-1-src.Intn(8))]
 			default:
-				p = ids[src.Intn(len(ids))]
+				p = ref.ids[src.Intn(len(ref.ids))]
 			}
 			id := BlockID(fmt.Sprintf("p%03d", i))
 			w := 1 + src.Intn(3)
 			if err := tr.Insert(Block{ID: id, Parent: p, Work: w}); err != nil {
 				t.Fatalf("trial %d: insert %s under %s: %v", trial, id, p, err)
 			}
-			ids = append(ids, id)
-			parent[id], work[id] = p, w
+			ref.add(id, p, w)
 
-			sum := sums()
-			want := refGHOST(sum)
+			sum := ref.sums()
+			want := ref.ghostTip()
 			c := tr.Clone()
-			for _, b := range ids {
+			for _, b := range ref.ids {
 				if got, ref := c.SubtreeWork(b), sum[b]; got != ref {
 					t.Fatalf("trial %d after %s: clone SubtreeWork(%s) = %d, want %d", trial, id, b, got, ref)
 				}
@@ -285,7 +250,7 @@ func TestPropertyLazySubtreeWorkMatchesBruteForce(t *testing.T) {
 					t.Fatalf("trial %d after %s: GHOST tip %s, want %s", trial, id, got, want)
 				}
 			case 2:
-				b := ids[src.Intn(len(ids))]
+				b := ref.ids[src.Intn(len(ref.ids))]
 				if got, ref := tr.SubtreeWork(b), sum[b]; got != ref {
 					t.Fatalf("trial %d after %s: SubtreeWork(%s) = %d, want %d", trial, id, b, got, ref)
 				}

@@ -48,7 +48,6 @@ type bftNode struct {
 	plan   roundPlan
 	round  int
 	count  int
-	names  nameMemo
 	done   *bool
 }
 
@@ -91,8 +90,11 @@ func (n *bftNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 // commit). Only the first consume per predecessor succeeds; losers record a
 // failed append, which the purged histories of Section 3.4 discard.
 func (n *bftNode) propose(s *netsim.Sim) {
+	if n.orc.PopBottom(n.merit) {
+		return
+	}
 	parent := n.rep.SelectedTip()
-	candidate := n.names.get(parent.Height+1, n.rep.ID(), n.count)
+	candidate := blockName(parent.Height+1, n.rep.ID(), n.count)
 	tok, granted := n.orc.GetToken(n.merit, parent.ID, candidate)
 	if !granted {
 		return

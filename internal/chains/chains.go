@@ -207,55 +207,9 @@ func equalMerits(n int, p float64) []float64 {
 }
 
 // blockName builds the deterministic block id "b<height>-p<proc>-<n>".
-// Zero-padding keeps lexicographic tie-breaks stable and readable. The id
-// is hand-encoded (identical to fmt.Sprintf("b%04d-p%02d-%04d", …)) because
-// miners build a candidate name on every attempt, granted or not.
+// Zero-padding keeps lexicographic tie-breaks stable and readable.
 func blockName(height int, proc history.ProcID, n int) blocktree.BlockID {
-	var buf [32]byte
-	b := append(buf[:0], 'b')
-	b = appendPadded(b, height, 4)
-	b = append(b, '-', 'p')
-	b = appendPadded(b, int(proc), 2)
-	b = append(b, '-')
-	b = appendPadded(b, n, 4)
-	return blocktree.BlockID(b)
-}
-
-// appendPadded appends v ≥ 0 in decimal, zero-padded to at least width
-// digits (wider values expand, matching fmt's %0*d).
-func appendPadded(b []byte, v, width int) []byte {
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	for pad := width - (len(tmp) - i); pad > 0; pad-- {
-		b = append(b, '0')
-	}
-	return append(b, tmp[i:]...)
-}
-
-// nameMemo caches the last candidate id a miner built. Attempts fail far
-// more often than they succeed (TokenProb ≈ 0.04), and between successes
-// the (height, counter) pair — hence the name — rarely changes, so the memo
-// removes nearly all candidate-name constructions from the mining loop.
-type nameMemo struct {
-	name   blocktree.BlockID
-	height int
-	n      int
-}
-
-func (m *nameMemo) get(height int, proc history.ProcID, n int) blocktree.BlockID {
-	if m.name == "" || m.height != height || m.n != n {
-		m.name = blockName(height, proc, n)
-		m.height, m.n = height, n
-	}
-	return m.name
+	return blocktree.BlockID(fmt.Sprintf("b%04d-p%02d-%04d", height, proc, n))
 }
 
 // bestReplica returns the replica stats over a set of replicas: the

@@ -80,7 +80,6 @@ type fruitNode struct {
 	// pending are fruits seen but not yet observed inside the local
 	// selected chain.
 	pending map[string]Fruit
-	names   nameMemo
 	done    *bool
 }
 
@@ -113,8 +112,11 @@ func (n *fruitNode) mineFruit(s *netsim.Sim) {
 }
 
 func (n *fruitNode) mineBlock(s *netsim.Sim) {
+	if n.orc.PopBottom(n.merit) {
+		return
+	}
 	parent := n.rep.SelectedTip()
-	candidate := n.names.get(parent.Height+1, n.rep.ID(), n.counter)
+	candidate := blockName(parent.Height+1, n.rep.ID(), n.counter)
 	tok, ok := n.orc.GetToken(n.merit, parent.ID, candidate)
 	if !ok {
 		return

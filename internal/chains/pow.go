@@ -18,7 +18,6 @@ type powNode struct {
 	merit   int
 	params  Params
 	counter int
-	names   nameMemo
 	done    *bool
 }
 
@@ -48,9 +47,14 @@ func (n *powNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 	n.rep.OnMessage(s, m)
 }
 
+// mine draws the head cell of the miner's tape first: most attempts draw
+// ⊥, and only a tkn cell is worth selecting a tip and naming a block for.
 func (n *powNode) mine(s *netsim.Sim) {
+	if n.orc.PopBottom(n.merit) {
+		return
+	}
 	parent := n.rep.SelectedTip()
-	candidate := n.names.get(parent.Height+1, n.rep.ID(), n.counter)
+	candidate := blockName(parent.Height+1, n.rep.ID(), n.counter)
 	tok, ok := n.orc.GetToken(n.merit, parent.ID, candidate)
 	if !ok {
 		return

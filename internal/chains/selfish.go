@@ -42,11 +42,11 @@ type selfishMiner struct {
 }
 
 func (m *selfishMiner) publicTip() blocktree.Block {
-	return blocktree.HeaviestChain{}.Select(m.rep.Tree()).Tip()
+	return blocktree.SelectTip(blocktree.HeaviestChain{}, m.rep.Tree())
 }
 
 func (m *selfishMiner) privateTip() blocktree.Block {
-	return blocktree.HeaviestChain{}.Select(m.private).Tip()
+	return blocktree.SelectTip(blocktree.HeaviestChain{}, m.private)
 }
 
 // OnTimer implements netsim.Handler.
@@ -56,6 +56,9 @@ func (m *selfishMiner) OnTimer(s *netsim.Sim, tag string) {
 	}
 	defer s.TimerAt(m.rep.ID(), s.Now()+m.params.MineInterval, mineTimer)
 
+	if m.orc.PopBottom(m.merit) {
+		return
+	}
 	parent := m.privateTip()
 	// Adversary blocks carry a "z" marker that wins the deterministic
 	// lexicographic tie-break of the selectors: this models γ = 1 of the

@@ -181,8 +181,8 @@ func (r *Replica) ApplyDecided(parent blocktree.BlockID, b blocktree.Block, orig
 func (r *Replica) Selected() blocktree.Chain { return r.bt.Read() }
 
 // SelectedTip is Selected().Tip() without materializing the chain: the
-// tip-only fast path for miners, which select on every attempt but only
-// ever extend the tip.
+// tip-only fast path for miners, which select on every granted token but
+// only ever extend the tip.
 func (r *Replica) SelectedTip() blocktree.Block { return r.bt.Tip() }
 
 // Resync re-broadcasts every non-genesis block of the local tree — a

@@ -178,6 +178,30 @@ func (o *Oracle) GetToken(merit int, h, l ObjectID) (Token, bool) {
 	return tok, true
 }
 
+// PopBottom pops the head cell of tape α_merit only when it contains ⊥,
+// and reports whether it did. The popped cell counts as a getToken call
+// that returned ⊥, so calling GetToken exactly when PopBottom returns false
+// grants the same tokens and leaves the same tapes and Stats as calling
+// GetToken every time. A cell's content depends only on (seed, merit,
+// position), never on the objects getToken names, so a miner can draw
+// before it selects the object to extend and skip the selection on the
+// far more common ⊥ cell. An unknown merit has no tape: PopBottom returns
+// false and GetToken then fails.
+func (o *Oracle) PopBottom(merit int) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if merit < 0 || merit >= len(o.merits) {
+		return false
+	}
+	pos := o.tapePos[merit]
+	if prng.Bernoulli(prng.Cell(o.seed, merit, pos), o.merits[merit]) {
+		return false
+	}
+	o.tapePos[merit]++
+	o.getCalls++
+	return true
+}
+
 // ConsumeToken implements consumeToken(obj_ℓ^tkn_h): it inserts the
 // validated object into K[h] as long as |K[h]| < k, and in every case
 // returns the contents of K[h] (the paper's get(K, h)). The boolean result

@@ -2,7 +2,9 @@ package oracle
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -257,5 +259,37 @@ func TestProperty_FrugalNeverExceedsK(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPopBottomThenGetTokenMatchesGetToken: drawing first changes nothing.
+// Over 10k attempts spread across merits of probability 0, 0.04, 0.5 and 1
+// (plus unknown merits), "PopBottom, else GetToken" must grant the same
+// tokens with the same ids, leave every tape at the same position and
+// report the same Stats as calling GetToken on every attempt.
+func TestPopBottomThenGetTokenMatchesGetToken(t *testing.T) {
+	cfg := Config{Merits: []float64{0, 0.04, 0.5, 1}, Seed: 11}
+	every, first := New(cfg), New(cfg)
+	for i := 0; i < 10000; i++ {
+		merit := i%6 - 1 // cycles -1..4: the four tapes and two unknown merits
+		h, l := ObjectID(fmt.Sprintf("h%d", i)), ObjectID(fmt.Sprintf("l%d", i))
+		want, wantOK := every.GetToken(merit, h, l)
+		var got Token
+		gotOK := false
+		if !first.PopBottom(merit) {
+			got, gotOK = first.GetToken(merit, h, l)
+		}
+		if got != want || gotOK != wantOK {
+			t.Fatalf("attempt %d (merit %d): drew %+v/%v, want %+v/%v", i, merit, got, gotOK, want, wantOK)
+		}
+	}
+	if !slices.Equal(first.tapePos, every.tapePos) {
+		t.Fatalf("tape positions %v, want %v", first.tapePos, every.tapePos)
+	}
+	if first.Stats() != every.Stats() {
+		t.Fatalf("stats %+v, want %+v", first.Stats(), every.Stats())
+	}
+	if st := first.Stats(); st.Grants == 0 || st.Grants == st.GetCalls {
+		t.Fatalf("%d grants in %d calls: the mix must contain both cells", st.Grants, st.GetCalls)
 	}
 }
