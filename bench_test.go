@@ -6,6 +6,7 @@
 package blockadt_bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -27,6 +28,7 @@ import (
 	"blockadt/internal/pbft"
 	"blockadt/internal/prng"
 	"blockadt/internal/registers"
+	"blockadt/internal/runstore"
 	"blockadt/pkg/blockadt"
 )
 
@@ -145,6 +147,80 @@ func BenchmarkSelectTip(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRunStore measures sweeps through one shared run-store handle,
+// as btadt serve holds it, over a store pre-filled with 2,000 entries.
+// warm serves the CI matrix from the store: 36 cache hits per op. cold
+// sweeps a one-scenario matrix at a root seed no op used before: one
+// simulation, one put and one sweep finish per op, so any store cost
+// that grows with the number of entries shows here.
+func BenchmarkRunStore(b *testing.B) {
+	dir := b.TempDir()
+	ci := blockadt.Matrix{
+		Links:        []string{"sync", "async", "psync", "lossy", "partition", "jitter"},
+		Adversaries:  []string{"none", "selfish"},
+		Ns:           []int{8},
+		Seeds:        2,
+		TargetBlocks: 30,
+		RootSeed:     42,
+		Metrics:      blockadt.MetricNames(),
+	}
+	rep, err := blockadt.Run(ci, runtime.NumCPU(), blockadt.WithStore(dir))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rep.Total != 36 {
+		b.Fatalf("CI matrix expanded to %d scenarios, want 36", rep.Total)
+	}
+	filler, err := runstore.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := rep.Total; i < 2000; i++ {
+		data, err := json.Marshal(rep.Results[i%rep.Total])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := filler.Put(fmt.Sprintf("filler|%d", i), data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	store, err := blockadt.OpenStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if store.Len() != 2000 {
+		b.Fatalf("store holds %d entries, want 2000", store.Len())
+	}
+
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var census blockadt.Census
+			if _, err := blockadt.Run(ci, 1, blockadt.WithRunStore(store), blockadt.WithCensus(&census)); err != nil {
+				b.Fatal(err)
+			}
+			if census.CacheHits() != 36 {
+				b.Fatalf("%d of 36 scenarios served from the store", census.CacheHits())
+			}
+		}
+	})
+	root := uint64(1000)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			root++
+			m := blockadt.Matrix{Systems: []string{"Bitcoin"}, TargetBlocks: 30, RootSeed: root}
+			var census blockadt.Census
+			if _, err := blockadt.Run(m, 1, blockadt.WithRunStore(store), blockadt.WithCensus(&census)); err != nil {
+				b.Fatal(err)
+			}
+			if census.Simulated() != 1 {
+				b.Fatalf("%d of 1 scenarios simulated", census.Simulated())
+			}
+		}
+	})
 }
 
 // BenchmarkMetricCollectors measures the collector pass alone: every

@@ -107,9 +107,9 @@ func main() {
 		os.Exit(2)
 	}
 	// One signal-aware context feeds every long-running command: the
-	// first SIGINT/SIGTERM cancels it (sweeps stop admitting scenarios,
-	// flush their store index and exit; serve drains connections), the
-	// second signal kills the process the default way.
+	// first SIGINT/SIGTERM cancels it (sweeps stop admitting scenarios
+	// and exit; serve drains connections), the second signal kills the
+	// process the default way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	var err error
@@ -151,9 +151,9 @@ func main() {
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			// Interrupted by signal after a clean teardown: completed
-			// store writes are flushed, so the next -resume picks up
-			// where this run stopped.
+			// Interrupted by signal after a clean teardown: every
+			// completed scenario's object is already on disk, so the
+			// next -resume picks up where this run stopped.
 			fmt.Fprintln(os.Stderr, "btadt: interrupted")
 			os.Exit(130)
 		}

@@ -7,21 +7,22 @@
 // Layout, under the store directory:
 //
 //	objects/<hh>/<hash>.json   one entry per cached run, where <hash> is
-//	                           the hex SHA-256 of the key and <hh> its
-//	                           first two characters. The file is a JSON
-//	                           envelope {"key": ..., "data": ...} so the
-//	                           key preimage survives inside the object
-//	                           itself.
-//	index.json                 an accelerator listing every entry. It is
-//	                           NOT authoritative: Open reconciles it
-//	                           against the objects tree, adopting objects
-//	                           the index misses and dropping index rows
-//	                           whose object is gone.
+//	                           the lowercase hex SHA-256 of the key and
+//	                           <hh> its first two characters. The file is
+//	                           a JSON envelope {"key": ..., "data": ...}
+//	                           so the key preimage survives inside the
+//	                           object itself.
 //
-// Because objects are the source of truth and their names are pure
-// functions of their keys, two stores can be merged by unioning their
-// objects/ trees with plain file copies — that is how CI folds per-shard
-// stores into one before serving the merged sweep from cache.
+// There is no index: the object names are the store. Open lists them and
+// reads no object, Put writes one object and nothing else, and only GC
+// — the one operation that needs key preimages — reads each object's key.
+// Any other file in the tree (a leftover index.json, a temp file of a
+// killed writer) is ignored.
+//
+// Because object names are pure functions of their keys, two stores can
+// be merged by unioning their objects/ trees with plain file copies —
+// that is how CI folds per-shard stores into one before serving the
+// merged sweep from cache.
 //
 // Writes are atomic (temp file + rename in the same directory), so a
 // killed sweep leaves a store containing exactly the scenarios that
@@ -35,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,24 +54,14 @@ type envelope struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// indexFile is the index.json schema.
-type indexFile struct {
-	Version int              `json:"version"`
-	Entries map[string]entry `json:"entries"` // hash → entry
-}
-
-type entry struct {
-	Key string `json:"key"`
-}
-
 // Stats snapshots one Store handle's operation counters. Counters are
 // per-handle and in-memory only: they start at zero at Open and are
 // never persisted, so they measure the traffic this process sent to the
 // store, not the store's lifetime history.
 type Stats struct {
-	// Hits / Misses partition Get calls: a hit returned a decodable
-	// cached value, a miss is everything else (unknown key, unreadable
-	// or corrupt object — the degrade-to-recompute path).
+	// Hits / Misses partition Get calls: a hit decoded a cached value,
+	// a miss is everything else (unknown key, unreadable or corrupt
+	// object — the degrade-to-recompute path).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Puts counts successful Put calls.
@@ -86,130 +76,112 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu      sync.Mutex
-	entries map[string]entry // hash → entry
-	dirty   bool             // entries diverged from index.json
+	mu     sync.Mutex
+	hashes map[string]struct{} // names of the objects on disk
 
 	hits, misses, puts      atomic.Uint64
 	bytesRead, bytesWritten atomic.Uint64
 }
 
-// Open opens (creating if necessary) the store rooted at dir, loads the
-// index and reconciles it against the objects tree: objects missing from
-// the index — e.g. copied in from another shard's store — are adopted,
-// and index rows whose object has been deleted are dropped.
+// Open opens (creating if necessary) the store rooted at dir. It lists
+// the objects tree and reads no object: every objects/<hh>/<hash>.json
+// whose <hash> is 64 lowercase hex digits starting with <hh> is an
+// entry, whoever wrote it — objects copied in from another shard's store
+// included.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("runstore: empty store directory")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	root := filepath.Join(dir, "objects")
+	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	s := &Store{dir: dir, entries: map[string]entry{}}
-
-	var idx indexFile
-	if raw, err := os.ReadFile(s.indexPath()); err == nil {
-		// A corrupt index is not fatal: the scan below rebuilds it.
-		_ = json.Unmarshal(raw, &idx)
-	}
-	for hash, e := range idx.Entries {
-		if _, err := os.Stat(s.objectPath(hash)); err == nil {
-			s.entries[hash] = e
-		} else {
-			s.dirty = true // row without object: drop it
-		}
-	}
-	if err := s.scan(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// scan walks the objects tree and adopts every decodable object the
-// index does not know about. Undecodable files are ignored (a truncated
-// temp file can never exist here — writes rename atomically — but a
-// foreign file dropped into the tree should not break the store).
-func (s *Store) scan() error {
-	root := filepath.Join(s.dir, "objects")
 	prefixes, err := os.ReadDir(root)
 	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
+		return nil, fmt.Errorf("runstore: %w", err)
 	}
+	s := &Store{dir: dir, hashes: map[string]struct{}{}}
 	for _, p := range prefixes {
 		if !p.IsDir() {
 			continue
 		}
 		files, err := os.ReadDir(filepath.Join(root, p.Name()))
 		if err != nil {
-			return fmt.Errorf("runstore: %w", err)
+			return nil, fmt.Errorf("runstore: %w", err)
 		}
 		for _, f := range files {
 			hash, ok := strings.CutSuffix(f.Name(), ".json")
-			if !ok {
-				continue
+			if ok && isHash(hash) && hash[:2] == p.Name() {
+				s.hashes[hash] = struct{}{}
 			}
-			if _, known := s.entries[hash]; known {
-				continue
-			}
-			raw, err := os.ReadFile(filepath.Join(root, p.Name(), f.Name()))
-			if err != nil {
-				continue
-			}
-			var env envelope
-			if json.Unmarshal(raw, &env) != nil || Hash(env.Key) != hash {
-				continue
-			}
-			s.entries[hash] = entry{Key: env.Key}
-			s.dirty = true
 		}
 	}
-	return nil
+	return s, nil
 }
 
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
+// isHash reports whether name is a Hash result: 64 lowercase hex digits.
+func isHash(name string) bool {
+	if len(name) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 func (s *Store) objectPath(hash string) string {
 	return filepath.Join(s.dir, "objects", hash[:2], hash+".json")
 }
 
-// Has reports whether key has an entry, from the in-memory index alone
-// — no file read, so counting hits over a large matrix stays cheap. A
-// corrupt object can make Has true while Get still misses; callers that
-// need the value must use Get.
+// Has reports whether key has an entry, from the in-memory set of object
+// names alone — no file read, so counting hits over a large matrix stays
+// cheap. A corrupt object can make Has true while Get still misses;
+// callers that need the value must use Get.
 func (s *Store) Has(key string) bool {
 	hash := Hash(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[hash]
+	_, ok := s.hashes[hash]
 	return ok
 }
 
-// Get returns the cached value for key. A missing entry is (nil, false,
-// nil); an entry whose object cannot be read or decoded is also reported
-// as a miss (the caller recomputes and Put overwrites it), so a damaged
-// store degrades to recomputation, never to failure.
-func (s *Store) Get(key string) ([]byte, bool, error) {
+// Get decodes the value cached for key into v, which must be a non-nil
+// pointer, and reports whether it did. The object is decoded in one pass:
+// its "data" member goes straight into v (an absent member reads as
+// null, which leaves v as it was). A hit needs an object whose "key"
+// member equals key and whose data decodes into v; anything else — no
+// entry, an unreadable object, a foreign key, malformed data — is a miss
+// (the caller recomputes and Put overwrites it), so a damaged store
+// degrades to recomputation, never to failure. On a miss v may have been
+// partly written.
+func (s *Store) Get(key string, v any) (bool, error) {
 	hash := Hash(key)
 	s.mu.Lock()
-	_, known := s.entries[hash]
+	_, known := s.hashes[hash]
 	s.mu.Unlock()
 	if !known {
 		s.misses.Add(1)
-		return nil, false, nil
+		return false, nil
 	}
 	raw, err := os.ReadFile(s.objectPath(hash))
 	if err != nil {
 		s.misses.Add(1)
-		return nil, false, nil
+		return false, nil
 	}
-	var env envelope
+	env := struct {
+		Key  string `json:"key"`
+		Data any    `json:"data"`
+	}{Data: v}
 	if json.Unmarshal(raw, &env) != nil || env.Key != key {
 		s.misses.Add(1)
-		return nil, false, nil
+		return false, nil
 	}
 	s.hits.Add(1)
 	s.bytesRead.Add(uint64(len(raw)))
-	return env.Data, true, nil
+	return true, nil
 }
 
 // Put stores value under key, atomically: the envelope is written to a
@@ -243,8 +215,7 @@ func (s *Store) Put(key string, value []byte) error {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	s.mu.Lock()
-	s.entries[hash] = entry{Key: key}
-	s.dirty = true
+	s.hashes[hash] = struct{}{}
 	s.mu.Unlock()
 	s.puts.Add(1)
 	s.bytesWritten.Add(uint64(len(enc)))
@@ -266,77 +237,37 @@ func (s *Store) Stats() Stats {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Keys returns every cached key preimage, sorted.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e.Key)
-	}
-	sort.Strings(out)
-	return out
+	return len(s.hashes)
 }
 
 // GC deletes every entry whose key the keep predicate rejects and
-// reports how many were removed. The index is flushed afterwards so a
-// GC'd store opens without a reconciliation pass.
+// reports how many were removed. It reads each object's key; an object
+// that cannot be read or decoded, or whose key does not hash to its
+// name, can never hit, so GC deletes it too. The lock is not held while
+// objects are read or keep runs, so Get and Put proceed during a GC.
 func (s *Store) GC(keep func(key string) bool) (int, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	hashes := make([]string, 0, len(s.hashes))
+	for hash := range s.hashes {
+		hashes = append(hashes, hash)
+	}
+	s.mu.Unlock()
 	removed := 0
-	for hash, e := range s.entries {
-		if keep(e.Key) {
+	for _, hash := range hashes {
+		var env struct {
+			Key string `json:"key"`
+		}
+		raw, err := os.ReadFile(s.objectPath(hash))
+		if err == nil && json.Unmarshal(raw, &env) == nil && Hash(env.Key) == hash && keep(env.Key) {
 			continue
 		}
 		if err := os.Remove(s.objectPath(hash)); err != nil && !os.IsNotExist(err) {
 			return removed, fmt.Errorf("runstore: %w", err)
 		}
-		delete(s.entries, hash)
+		s.mu.Lock()
+		delete(s.hashes, hash)
+		s.mu.Unlock()
 		removed++
-		s.dirty = true
 	}
-	return removed, s.flushLocked()
-}
-
-// Flush writes index.json if any entry changed since the last flush.
-// The index is an accelerator, not the source of truth, so callers may
-// skip Flush entirely — the next Open just pays for a scan.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *Store) flushLocked() error {
-	if !s.dirty {
-		return nil
-	}
-	idx := indexFile{Version: 1, Entries: s.entries}
-	enc, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".index-*")
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if _, err := tmp.Write(append(enc, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.indexPath()); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runstore: %w", err)
-	}
-	s.dirty = false
-	return nil
+	return removed, nil
 }

@@ -65,7 +65,7 @@ func WithStoreGC() RunOption {
 // WithRunStore backs the sweep with an already-open RunStore handle
 // instead of opening the directory per call. A long-running service
 // passes one shared handle through every Run/Stream so cache-hit/miss
-// statistics accumulate process-wide and the index is loaded once.
+// statistics accumulate process-wide and the objects tree is listed once.
 // Takes precedence over WithStore when both are given.
 func WithRunStore(s *RunStore) RunOption {
 	return func(c *runConfig) { c.store = s }
@@ -166,7 +166,7 @@ type StoreStats = runstore.Stats
 // A handle is safe for concurrent use and is meant to be shared: a
 // long-running service opens one RunStore and passes it to every sweep
 // through WithRunStore, so Stats aggregates across requests. Has asks
-// the store's index for a raw key (key → canonical Result JSON).
+// the store for a raw key (key → canonical Result JSON).
 type RunStore struct {
 	s *runstore.Store
 }
@@ -180,8 +180,8 @@ func OpenStore(dir string) (*RunStore, error) {
 	return &RunStore{s: s}, nil
 }
 
-// Has reports whether key has an entry, from the index alone (no file
-// read — advisory, like StorePreflight).
+// Has reports whether key has an entry, from the listed object names
+// alone (no file read — advisory, like StorePreflight).
 func (s *RunStore) Has(key string) bool { return s.s.Has(key) }
 
 // Len reports the number of cached entries.
@@ -189,9 +189,6 @@ func (s *RunStore) Len() int { return s.s.Len() }
 
 // Stats snapshots the handle's hit/miss/put/byte counters.
 func (s *RunStore) Stats() StoreStats { return s.s.Stats() }
-
-// Flush writes the store's index accelerator if anything changed.
-func (s *RunStore) Flush() error { return s.s.Flush() }
 
 // StoreKeys returns the run-store key of every scenario the matrix
 // expands to, in expansion order — the addresses a sweep of this matrix
@@ -231,7 +228,7 @@ func (m Matrix) Fingerprint() (string, error) {
 }
 
 // runCache binds one sweep to its store: per-scenario keys precomputed
-// in expansion order, hit/miss bookkeeping, and end-of-run flush/GC.
+// in expansion order, hit/miss bookkeeping, and end-of-run GC.
 type runCache struct {
 	store *runstore.Store
 	keys  []string
@@ -240,12 +237,8 @@ type runCache struct {
 // get serves scenario i from the store. Unreadable or undecodable
 // entries degrade to a miss (the caller recomputes and put overwrites).
 func (c *runCache) get(i int) (Result, bool) {
-	raw, ok, err := c.store.Get(c.keys[i])
-	if err != nil || !ok {
-		return Result{}, false
-	}
 	var r Result
-	if json.Unmarshal(raw, &r) != nil {
+	if ok, err := c.store.Get(c.keys[i], &r); err != nil || !ok {
 		return Result{}, false
 	}
 	return r, true
@@ -466,48 +459,34 @@ func (r *sweepRunner) err() error {
 	return nil
 }
 
-// flush persists the store index without GC — the teardown path for
-// interrupted sweeps, so completed writes survive (objects are already
-// durable; this just spares the next Open a reconciliation scan).
-func (r *sweepRunner) flush() {
-	if r.cache != nil {
-		_ = r.cache.store.Flush()
-	}
-}
-
-// finish flushes the index and, when requested, garbage-collects every
-// entry outside the matrix's full unsharded expansion.
+// finish garbage-collects, when requested, every entry outside the
+// matrix's full unsharded expansion.
 func (r *sweepRunner) finish(gc bool, m Matrix) error {
-	if r.cache == nil {
+	if r.cache == nil || !gc {
 		return nil
 	}
-	if gc {
-		full := m
-		full.ShardIndex, full.ShardCount = 0, 0
-		configs, err := full.Configs()
-		if err != nil {
-			return err
-		}
-		keep := make(map[string]bool, len(configs))
-		for _, cfg := range configs {
-			keep[storeKey(m.RootSeed, cfg, m.Metrics)] = true
-		}
-		if _, err := r.cache.store.GC(func(key string) bool { return keep[key] }); err != nil {
-			return err
-		}
-		return nil
+	full := m
+	full.ShardIndex, full.ShardCount = 0, 0
+	configs, err := full.Configs()
+	if err != nil {
+		return err
 	}
-	return r.cache.store.Flush()
+	keep := make(map[string]bool, len(configs))
+	for _, cfg := range configs {
+		keep[storeKey(m.RootSeed, cfg, m.Metrics)] = true
+	}
+	_, err = r.cache.store.GC(func(key string) bool { return keep[key] })
+	return err
 }
 
 // StorePreflight reports how many of the matrix's scenarios are already
 // cached in the store at dir (created if missing): the numbers behind
 // `btadt sweep -resume`'s "X/Y cached" note and the guard that refuses
 // to serve a pre-populated store without an explicit -resume. It counts
-// from the store index without reading objects, so it is advisory — an
-// object corrupted on disk still counts here and degrades to a
-// recompute when served. The post-run ScenarioRuns delta is the exact
-// measure of what was actually simulated.
+// the object names the store lists without reading any object, so it
+// is advisory — an object corrupted on disk still counts here and
+// degrades to a recompute when served. The post-run ScenarioRuns delta
+// is the exact measure of what was actually simulated.
 func StorePreflight(dir string, m Matrix) (cached, total int, err error) {
 	configs, err := m.Configs()
 	if err != nil {

@@ -3,7 +3,13 @@ package blockadt
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"blockadt/internal/runstore"
 )
 
 // storeTestMatrix pins its systems explicitly so registrations made by
@@ -217,5 +223,120 @@ func TestStoreGC(t *testing.T) {
 	}
 	if curHits != total {
 		t.Fatalf("GC collected live entries: %d/%d cached", curHits, total)
+	}
+}
+
+// TestStoreWritesOnlyObjects pins that sweeps write nothing store-wide:
+// after a cold Run, a cached Run with GC and a Stream torn down early,
+// the store directory holds exactly one objects/<hh>/<hash>.json per
+// scenario.
+func TestStoreWritesOnlyObjects(t *testing.T) {
+	m := storeTestMatrix()
+	dir := t.TempDir()
+	if _, err := Run(m, 2, WithStore(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(m, 2, WithStore(dir), WithStoreGC()); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range Stream(context.Background(), m, 2, WithStore(dir)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+	keys, err := m.StoreKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, k := range keys {
+		h := runstore.Hash(k)
+		want["objects/"+h[:2]+"/"+h+".json"] = true
+	}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if !want[filepath.ToSlash(rel)] {
+			t.Errorf("store holds %s, which is no scenario's object", rel)
+		}
+		delete(want, filepath.ToSlash(rel))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d scenario objects missing", len(want))
+	}
+}
+
+// TestRunCacheGet pins the cache's read path: a hit decodes to exactly
+// the Result the sweep stored, and an object under a foreign key or with
+// data that is not a Result is a miss, counted as one.
+func TestRunCacheGet(t *testing.T) {
+	m := storeTestMatrix()
+	dir := t.TempDir()
+	rep, err := Run(m, 1, WithStore(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := m.StoreKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &runCache{store: store.s, keys: keys}
+	for i, want := range rep.Results {
+		got, ok := c.get(i)
+		if !ok {
+			t.Fatalf("scenario %d missed", i)
+		}
+		a, _ := json.Marshal(got)
+		b, _ := json.Marshal(want)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("scenario %d: hit decoded to\n%s\nwant\n%s", i, a, b)
+		}
+	}
+
+	objectPath := func(key string) string {
+		h := runstore.Hash(key)
+		return filepath.Join(dir, "objects", h[:2], h+".json")
+	}
+	data, err := json.Marshal(rep.Results[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := json.Marshal(map[string]any{"key": keys[1], "data": json.RawMessage(data)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	malformed, err := json.Marshal(map[string]any{"key": keys[1], "data": map[string]any{"blocks": "many"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(objectPath(keys[0]), foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(objectPath(keys[1]), malformed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := store.Stats()
+	for i := 0; i < 2; i++ {
+		if _, ok := c.get(i); ok {
+			t.Fatalf("scenario %d hit a damaged object", i)
+		}
+	}
+	if after := store.Stats(); after.Misses-before.Misses != 2 || after.Hits != before.Hits {
+		t.Fatalf("damaged objects counted %d misses and %d hits, want 2 and 0",
+			after.Misses-before.Misses, after.Hits-before.Hits)
 	}
 }

@@ -18,9 +18,9 @@ import (
 // cancelled; iteration stops after any error. Breaking out of the loop
 // tears the sweep down promptly: the inner pool is cancelled, so
 // scenarios that have not started are skipped instead of finishing in
-// the background, scenarios already simulating run to completion (and,
-// with a store, persist), and the store index is flushed so completed
-// writes survive for the next resume. With WithStore, cached scenarios
+// the background, and scenarios already simulating run to completion
+// (and, with a store, persist, so the next resume starts from every
+// scenario that finished). With WithStore, cached scenarios
 // are served from the run store without simulating and misses are
 // computed and persisted, like Run.
 func Stream(ctx context.Context, m Matrix, parallelism int, opts ...RunOption) iter.Seq2[Result, error] {
@@ -43,18 +43,9 @@ func Stream(ctx context.Context, m Matrix, parallelism int, opts ...RunOption) i
 		}
 		// The inner context tears the pool down when the consumer breaks
 		// out (or an error path returns): queued scenarios observe the
-		// cancellation and skip simulating. The deferred flush persists
-		// the store index for whatever did complete — objects are already
-		// durable on disk, so an interrupted sweep resumes from exactly
-		// the scenarios that finished.
+		// cancellation and skip simulating.
 		inner, cancel := context.WithCancel(ctx)
-		finished := false
-		defer func() {
-			cancel()
-			if !finished {
-				runner.flush()
-			}
-		}()
+		defer cancel()
 		for _, r := range parallel.Stream(inner, configs, parallelism, func(i int, cfg Scenario) Result {
 			return runner.exec(inner, i, cfg)
 		}) {
@@ -80,7 +71,6 @@ func Stream(ctx context.Context, m Matrix, parallelism int, opts ...RunOption) i
 			yield(Result{}, err)
 			return
 		}
-		finished = true
 		if err := runner.finish(rcfg.storeGC, m); err != nil {
 			yield(Result{}, err)
 		}
