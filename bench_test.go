@@ -1,8 +1,8 @@
 // Package blockadt_bench holds the top-level benchmark harness: one
-// benchmark per paper artifact (Table 1 and Figures 1-14 / Theorems), as
-// indexed in DESIGN.md, plus the ablation benches for the design decisions
-// DESIGN.md calls out. Each benchmark regenerates its artifact end to end,
-// so `go test -bench=. -benchmem` reproduces the entire evaluation.
+// benchmark per paper artifact (Table 1 and Figures 1-14 / Theorems),
+// plus ablation benches for the design decisions behind the oracle,
+// checker and simulator. Each benchmark regenerates its artifact end to
+// end, so `go test -bench=. -benchmem` reproduces the entire evaluation.
 package blockadt_bench
 
 import (
@@ -17,7 +17,6 @@ import (
 	"blockadt/internal/consensus"
 	"blockadt/internal/consistency"
 	"blockadt/internal/core"
-	"blockadt/internal/experiments"
 	"blockadt/internal/fairness"
 	"blockadt/internal/figures"
 	"blockadt/internal/finality"
@@ -61,7 +60,7 @@ func BenchmarkSweepMatrix(b *testing.B) {
 // BenchmarkSweepMatrixMetrics measures the same matrix with the full
 // metric-collection pipeline enabled (every registered collector on every
 // run). Comparing parallel=1 here against BenchmarkSweepMatrix/parallel=1
-// isolates the metrics overhead — the number BENCH_sweep.json records.
+// isolates the metrics overhead.
 func BenchmarkSweepMatrixMetrics(b *testing.B) {
 	matrix := blockadt.Matrix{Seeds: 4, TargetBlocks: 30, Metrics: blockadt.MetricNames()}
 	for _, par := range []int{1, runtime.NumCPU()} {
@@ -446,46 +445,12 @@ func BenchmarkThm43ProdigalFromSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkThm47LRCNecessity measures the reliable-vs-lossy replicated runs
-// of the Update Agreement experiment.
-func BenchmarkThm47LRCNecessity(b *testing.B) {
-	r := experiments.Runner{Seed: 42}
-	for i := 0; i < b.N; i++ {
-		res := r.T46T47UpdateAgreementNecessity()
-		if !res.Pass {
-			b.Fatal("experiment failed")
-		}
-	}
-}
-
-// BenchmarkThm48ForkImpossibility measures the Theorem 4.8 construction.
-func BenchmarkThm48ForkImpossibility(b *testing.B) {
-	r := experiments.Runner{Seed: 42}
-	for i := 0; i < b.N; i++ {
-		if !r.T48ForkImpossibility().Pass {
-			b.Fatal("experiment failed")
-		}
-	}
-}
-
 // BenchmarkThm32KForkCoherence measures the contended oracle workload.
 func BenchmarkThm32KForkCoherence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := core.ForkWorkload{K: 2, Procs: 8, Rounds: 6, Seed: uint64(i)}.Run()
 		if res.MaxFanout > 2 {
 			b.Fatal("bound violated")
-		}
-	}
-}
-
-// BenchmarkAllExperiments runs the complete experiment index (the
-// EXPERIMENTS.md generator's workload).
-func BenchmarkAllExperiments(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, r := range (experiments.Runner{Seed: 42}).All() {
-			if !r.Pass {
-				b.Fatalf("%s failed", r.ID)
-			}
 		}
 	}
 }
@@ -557,7 +522,7 @@ func BenchmarkCheckerFullSC(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md design decisions) ---
+// --- ablation benches (the design decisions behind the hot paths) ---
 
 // BenchmarkAblationTapeVsCrypto compares the merit-tape PRF lookup against
 // recomputing a hash-chain per attempt (what a naive PoW abstraction would

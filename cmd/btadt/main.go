@@ -13,20 +13,6 @@
 //	    Regenerate Table 1: simulate each blockchain system and classify
 //	    its recorded history against the BT consistency criteria.
 //
-//	btadt experiments [-seed 42]
-//	    Run the full per-figure/per-theorem experiment index and print
-//	    paper-claim vs measured for each.
-//
-//	btadt hierarchy  [-procs 8] [-rounds 6] [-seed 17]
-//	    Sample the refinement hierarchy of Figures 8/14: realized fork
-//	    fanout per oracle class.
-//
-//	btadt figures    [-tail 12]
-//	    Check the example histories of Figures 2-4 against SC and EC.
-//
-//	btadt consensus  [-n 16] [-seed 1]
-//	    Solve consensus from the frugal k=1 oracle (Protocol A, Fig 11).
-//
 //	btadt sweep      [-systems a,b] [-links sync,async,psync] [-adversaries none,selfish]
 //	                 [-n 8,16] [-seeds 4] [-seed 42] [-parallel 0] [-json] [-metrics m1,m2|all]
 //	                 [-shard i/n] [-store DIR] [-resume] [-store-gc] [-trace out.ndjson] [-v]
@@ -95,7 +81,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 
 	"blockadt/pkg/blockadt"
@@ -118,14 +103,6 @@ func main() {
 		err = cmdList(os.Args[2:])
 	case "classify":
 		err = cmdClassify(os.Args[2:])
-	case "experiments":
-		err = cmdExperiments(os.Args[2:])
-	case "hierarchy":
-		err = cmdHierarchy(os.Args[2:])
-	case "figures":
-		err = cmdFigures(os.Args[2:])
-	case "consensus":
-		err = cmdConsensus(os.Args[2:])
 	case "fairness":
 		err = cmdFairness(os.Args[2:])
 	case "selfish":
@@ -168,10 +145,6 @@ func usage() {
 commands:
   list         print every registered system, oracle, selector, link, adversary and metric
   classify     regenerate Table 1 (system → consistency classification)
-  experiments  run the per-figure/per-theorem experiment index
-  hierarchy    sample the refinement hierarchy (Figures 8/14)
-  figures      check the example histories of Figures 2-4
-  consensus    solve consensus from the frugal k=1 oracle (Figure 11)
   fairness     analyze proposer fairness against the merit parameter
   selfish      run the selfish-mining chain-quality experiment
   sweep        run a concurrent scenario matrix (system × link × adversary × n × seed)
@@ -225,112 +198,5 @@ func cmdClassify(args []string) error {
 			return fmt.Errorf("%s classified %s, paper says %s", r.System, r.Measured, r.Expected)
 		}
 	}
-	return nil
-}
-
-func cmdExperiments(args []string) error {
-	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
-	seed := fs.Uint64("seed", 42, "experiment seed")
-	ext := fs.Bool("extensions", true, "also run the beyond-the-paper extension experiments")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	results := blockadt.RunExperiments(*seed)
-	fmt.Println("paper artifacts:")
-	fmt.Print(blockadt.FormatExperiments(results))
-	if *ext {
-		extResults := blockadt.RunExtensions(*seed)
-		fmt.Println("\nextensions (worked examples, future work, related-work mapping):")
-		fmt.Print(blockadt.FormatExperiments(extResults))
-		results = append(results, extResults...)
-	}
-	for _, r := range results {
-		if !r.Pass {
-			return fmt.Errorf("experiment %s failed", r.ID)
-		}
-	}
-	return nil
-}
-
-func cmdHierarchy(args []string) error {
-	fs := flag.NewFlagSet("hierarchy", flag.ExitOnError)
-	procs := fs.Int("procs", 8, "contending processes")
-	rounds := fs.Int("rounds", 6, "contention rounds")
-	seed := fs.Uint64("seed", 17, "workload seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fmt.Printf("%-8s %10s %12s %10s\n", "oracle", "max-fanout", "ok-appends", "SC?")
-	for _, e := range []struct {
-		label string
-		k     int
-	}{{"Θ_F,k=1", 1}, {"Θ_F,k=2", 2}, {"Θ_F,k=4", 4}, {"Θ_P", blockadt.Unbounded}} {
-		res := blockadt.ForkWorkload{K: e.k, Procs: *procs, Rounds: *rounds, Seed: *seed}.Run()
-		sc := blockadt.CheckSC(res.History, blockadt.CheckOptions{}).Satisfied()
-		fmt.Printf("%-8s %10d %12d %10v\n", e.label, res.MaxFanout, res.SuccessfulAppends, sc)
-	}
-	return nil
-}
-
-func cmdFigures(args []string) error {
-	fs := flag.NewFlagSet("figures", flag.ExitOnError)
-	tail := fs.Int("tail", 12, "length of the histories' growth tail")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opts := blockadt.CheckOptions{GraceWindow: 8}
-	figs := blockadt.FigureHistories(*tail)
-	hs := make([]*blockadt.History, len(figs))
-	for i, f := range figs {
-		hs[i] = f.History
-	}
-	classifications := blockadt.ClassifyHistories(hs, opts, 0)
-	for i, f := range figs {
-		fmt.Printf("%s: classified %s\n", f.Name, classifications[i].Level)
-		fmt.Printf("  %s  %s", classifications[i].SC, classifications[i].EC)
-	}
-	return nil
-}
-
-func cmdConsensus(args []string) error {
-	fs := flag.NewFlagSet("consensus", flag.ExitOnError)
-	n := fs.Int("n", 16, "number of proposers")
-	seed := fs.Uint64("seed", 1, "oracle seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	merits := make([]float64, *n)
-	for i := range merits {
-		merits[i] = 1
-	}
-	o, err := blockadt.NewOracleByName("frugal", blockadt.OracleConfig{K: 1, Merits: merits, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	c, err := blockadt.NewConsensusFromFrugal(o, "b0")
-	if err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	decisions := make([]blockadt.ConsensusValue, *n)
-	errs := make([]error, *n)
-	for i := 0; i < *n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			decisions[i], errs[i] = c.Propose(i, blockadt.ConsensusValue(fmt.Sprintf("blk-%d", i)))
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < *n; i++ {
-		if errs[i] != nil {
-			return fmt.Errorf("process %d: %w", i, errs[i])
-		}
-		fmt.Printf("p%-2d proposed blk-%-2d decided %s\n", i, i, decisions[i])
-		if decisions[i] != decisions[0] {
-			return fmt.Errorf("agreement violated")
-		}
-	}
-	fmt.Printf("agreement: all %d processes decided %q\n", *n, decisions[0])
 	return nil
 }

@@ -10,8 +10,7 @@
 // (c) the communication assumptions (at least a light reliable
 // communication). Each simulator reproduces exactly those three
 // ingredients as the paper describes them, and abstracts the rest
-// (transaction content, signatures, view changes) — the substitutions are
-// recorded in DESIGN.md.
+// (transaction content, signatures, view changes).
 package chains
 
 import (

@@ -12,17 +12,23 @@ var table1Params = Params{N: 8, TargetBlocks: 30, Seed: 42}
 // TestTable1Classification regenerates Table 1: each simulated system's
 // recorded history classifies at the paper's consistency level.
 func TestTable1Classification(t *testing.T) {
-	rows := Classify(table1Params)
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d, want 7", len(rows))
-	}
-	for _, r := range rows {
-		if !r.Match {
-			t.Errorf("%s: measured %s, paper says %s\nSC: %sEC: %s",
-				r.System, r.Measured, r.Expected, r.SC, r.EC)
+	for _, seed := range claimSeeds(table1Params.Seed) {
+		p := table1Params
+		p.Seed = seed
+		rows := Classify(p)
+		if len(rows) != 7 {
+			t.Fatalf("seed=%d: rows = %d, want 7", seed, len(rows))
+		}
+		for _, r := range rows {
+			if !r.Match {
+				t.Errorf("seed=%d: %s: measured %s, paper says %s\nSC: %sEC: %s",
+					seed, r.System, r.Measured, r.Expected, r.SC, r.EC)
+			}
+		}
+		if seed == table1Params.Seed {
+			t.Logf("\n%s", FormatTable(rows))
 		}
 	}
-	t.Logf("\n%s", FormatTable(rows))
 }
 
 // TestPoWSystemsViolateStrongPrefixSpecifically: Bitcoin and Ethereum are
@@ -84,15 +90,17 @@ func TestKForkCoherenceAcrossSystems(t *testing.T) {
 // broadcast, so the recorded histories satisfy Update Agreement — the
 // necessary condition of Theorem 4.6 honoured by construction.
 func TestUpdateAgreementHoldsOnAllSystems(t *testing.T) {
-	small := Params{N: 4, TargetBlocks: 10, Seed: 7}
-	for _, sys := range All() {
-		res := sys.Run(small)
-		opts := Options(small.withDefaults(), res.History)
-		if v := consistency.UpdateAgreement(res.History, opts); !v.Satisfied {
-			t.Errorf("%s: %s", sys.Name(), v)
-		}
-		if v := consistency.LRC(res.History, opts); !v.Satisfied {
-			t.Errorf("%s LRC: %s", sys.Name(), v)
+	for _, seed := range claimSeeds(7) {
+		small := Params{N: 4, TargetBlocks: 10, Seed: seed}
+		for _, sys := range All() {
+			res := sys.Run(small)
+			opts := Options(small.withDefaults(), res.History)
+			if v := consistency.UpdateAgreement(res.History, opts); !v.Satisfied {
+				t.Errorf("seed=%d: %s: %s", seed, sys.Name(), v)
+			}
+			if v := consistency.LRC(res.History, opts); !v.Satisfied {
+				t.Errorf("seed=%d: %s LRC: %s", seed, sys.Name(), v)
+			}
 		}
 	}
 }

@@ -17,7 +17,9 @@ func classifyLevel(res Result, n int) consistency.Level {
 // message sent by a correct process is dropped"): under rate-based loss
 // with no retransmission, every run drops messages from correct
 // processes and its recorded history violates Eventual Prefix — for both
-// PoW systems, across seeds.
+// PoW systems, across seeds. The dropped updates also break the two
+// communication guarantees Theorems 4.6 and 4.7 name as necessary:
+// Update Agreement and Light Reliable Communication.
 func TestLossyWitnessesTheorem47(t *testing.T) {
 	for _, sys := range []System{Bitcoin{}, Ethereum{}} {
 		for _, seed := range []uint64{1, 42, 12345} {
@@ -36,6 +38,12 @@ func TestLossyWitnessesTheorem47(t *testing.T) {
 			}
 			if len(v.Violations) == 0 {
 				t.Fatalf("%s seed=%d: Eventual Prefix violated but no witness recorded", sys.Name(), seed)
+			}
+			if consistency.UpdateAgreement(res.History, opts).Satisfied {
+				t.Fatalf("%s seed=%d: lossy run satisfies Update Agreement despite %d drops", sys.Name(), seed, res.Dropped)
+			}
+			if consistency.LRC(res.History, opts).Satisfied {
+				t.Fatalf("%s seed=%d: lossy run satisfies LRC despite %d drops", sys.Name(), seed, res.Dropped)
 			}
 			if lvl := classifyLevel(res, 8); lvl != consistency.LevelNone {
 				t.Fatalf("%s seed=%d: lossy run classified %s, want none", sys.Name(), seed, lvl)

@@ -29,38 +29,40 @@ func TestDefaults(t *testing.T) {
 // f(bt), then consumeToken inserting into K, then the concatenation — made
 // observable through the recorded history and the oracle state.
 func TestFig7AppendRefinementPath(t *testing.T) {
-	orc := oracle.NewFrugal(2, 42, 1)
-	bc := New(Config{Oracle: orc})
+	for _, seed := range claimSeeds(42) {
+		orc := oracle.NewFrugal(2, seed, 1)
+		bc := New(Config{Oracle: orc})
 
-	ok, err := bc.Append(0, blocktree.Block{ID: "bk"})
-	if err != nil || !ok {
-		t.Fatalf("append(bk): ok=%v err=%v", ok, err)
-	}
-	// Oracle state ξ'1/b: K[b0] = {bk}.
-	if set := orc.ConsumedSet("b0"); len(set) != 1 || set[0] != "bk" {
-		t.Fatalf("K[b0] = %v, want {bk}", set)
-	}
-	// read()/b0⌢bk.
-	if got := bc.Read(0).String(); got != "b0⌢bk" {
-		t.Fatalf("read = %s", got)
-	}
-	// Second append chains to the new tip.
-	ok, err = bc.Append(0, blocktree.Block{ID: "b2"})
-	if err != nil || !ok {
-		t.Fatalf("append(b2): ok=%v err=%v", ok, err)
-	}
-	if got := bc.Read(0).String(); got != "b0⌢bk⌢b2" {
-		t.Fatalf("read = %s", got)
-	}
+		ok, err := bc.Append(0, blocktree.Block{ID: "bk"})
+		if err != nil || !ok {
+			t.Fatalf("seed=%d: append(bk): ok=%v err=%v", seed, ok, err)
+		}
+		// Oracle state ξ'1/b: K[b0] = {bk}.
+		if set := orc.ConsumedSet("b0"); len(set) != 1 || set[0] != "bk" {
+			t.Fatalf("seed=%d: K[b0] = %v, want {bk}", seed, set)
+		}
+		// read()/b0⌢bk.
+		if got := bc.Read(0).String(); got != "b0⌢bk" {
+			t.Fatalf("seed=%d: read = %s", seed, got)
+		}
+		// Second append chains to the new tip.
+		ok, err = bc.Append(0, blocktree.Block{ID: "b2"})
+		if err != nil || !ok {
+			t.Fatalf("seed=%d: append(b2): ok=%v err=%v", seed, ok, err)
+		}
+		if got := bc.Read(0).String(); got != "b0⌢bk⌢b2" {
+			t.Fatalf("seed=%d: read = %s", seed, got)
+		}
 
-	// The recorded history carries the same path.
-	h := bc.History()
-	appends := h.SuccessfulAppends()
-	if len(appends) != 2 {
-		t.Fatalf("successful appends = %d", len(appends))
-	}
-	if appends[0].Op.Response.Parent != "b0" || appends[1].Op.Response.Parent != "bk" {
-		t.Fatalf("append parents = %s, %s", appends[0].Op.Response.Parent, appends[1].Op.Response.Parent)
+		// The recorded history carries the same path.
+		h := bc.History()
+		appends := h.SuccessfulAppends()
+		if len(appends) != 2 {
+			t.Fatalf("seed=%d: successful appends = %d", seed, len(appends))
+		}
+		if appends[0].Op.Response.Parent != "b0" || appends[1].Op.Response.Parent != "bk" {
+			t.Fatalf("seed=%d: append parents = %s, %s", seed, appends[0].Op.Response.Parent, appends[1].Op.Response.Parent)
+		}
 	}
 }
 

@@ -186,8 +186,8 @@ func Fig4(tail int) *history.History {
 	return b.done()
 }
 
-// Custom exposes the builder so experiments can assemble bespoke histories
-// (e.g. the Theorem 4.8 fork execution) with explicit timing.
+// Custom exposes the builder so tests can assemble bespoke histories
+// (e.g. the Figure 13 update-agreement execution) with explicit timing.
 type Custom struct{ b *builder }
 
 // NewCustom returns an empty history builder.
@@ -216,20 +216,3 @@ func (c *Custom) Record(p history.ProcID, l history.Label) *Custom {
 
 // History returns the built history.
 func (c *Custom) History() *history.History { return c.b.done() }
-
-// Named pairs a figure's paper name with its constructed history.
-type Named struct {
-	Name    string
-	History *history.History
-}
-
-// All returns the three example histories with the given convergence
-// tail, in figure order — the iteration target for drivers that check or
-// classify every figure in one pass.
-func All(tail int) []Named {
-	return []Named{
-		{Name: "Figure 2", History: Fig2(tail)},
-		{Name: "Figure 3", History: Fig3(tail)},
-		{Name: "Figure 4", History: Fig4(tail)},
-	}
-}

@@ -1,9 +1,6 @@
 package blockadt
 
-import (
-	"blockadt/internal/consistency"
-	"blockadt/internal/parallel"
-)
+import "blockadt/internal/consistency"
 
 // CheckSC checks the BT Strong Consistency criteria over a history.
 func CheckSC(h *History, opts CheckOptions) ConsistencyReport {
@@ -19,14 +16,6 @@ func CheckEC(h *History, opts CheckOptions) ConsistencyReport {
 // satisfied consistency level.
 func ClassifyHistory(h *History, opts CheckOptions) Classification {
 	return consistency.Classify(h, opts)
-}
-
-// ClassifyHistories classifies a batch of histories across the worker
-// pool, preserving input order.
-func ClassifyHistories(hs []*History, opts CheckOptions, parallelism int) []Classification {
-	return parallel.Map(hs, parallelism, func(_ int, h *History) Classification {
-		return consistency.Classify(h, opts)
-	})
 }
 
 // UpdateAgreement checks the R3 Update Agreement property (Definition

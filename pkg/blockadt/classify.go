@@ -13,13 +13,7 @@ type Table1Row = chains.Row
 // history. Rows come back in registration order (Table 1 order for the
 // built-ins); the runs fan out across all CPUs.
 func ClassifyTable(p SimParams) []Table1Row {
-	return ClassifyTableParallel(p, 0)
-}
-
-// ClassifyTableParallel is ClassifyTable with an explicit worker bound
-// (<1 selects NumCPU).
-func ClassifyTableParallel(p SimParams, parallelism int) []Table1Row {
-	return parallel.Map(Systems(), parallelism, func(_ int, spec SystemSpec) Table1Row {
+	return parallel.Map(Systems(), 0, func(_ int, spec SystemSpec) Table1Row {
 		return chains.ClassifyOne(specSystem{spec}, p)
 	})
 }
