@@ -683,8 +683,8 @@ func BenchmarkFinalityGadget(b *testing.B) {
 func BenchmarkSelfishMining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := chains.Execute(chains.Scenario{
-			Adversary: chains.SelfishWithholding,
-			Params:    chains.ScenarioParams{Params: chains.Params{N: 6, TargetBlocks: 60, Seed: 31}, Alpha: 0.34},
+			Adversary: chains.SelfishWithholding(0.34),
+			Params:    chains.Params{N: 6, TargetBlocks: 60, Seed: 31},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -13,7 +13,19 @@
 //	    Regenerate Table 1: simulate each blockchain system and classify
 //	    its recorded history against the BT consistency criteria.
 //
-//	btadt sweep      [-systems a,b] [-links sync,async,psync] [-adversaries none,selfish]
+//	btadt fairness   [-system Bitcoin] [-merits 0.16,0.04,0.04,0.04,0.04] [-blocks 150]
+//	                 [-seed 13] [-seeds 1] [-parallel 0] [-tol 0.15]
+//	    Simulate a PoW system with per-miner merits and compare the
+//	    realized block shares with the merit entitlement (total variation
+//	    distance against -tol); -seeds > 1 sweeps derived seeds across
+//	    the worker pool.
+//
+//	btadt selfish    [-system Bitcoin] [-n 6] [-alpha 0.34] [-blocks 120] [-seed 31]
+//	    Run the selfish-mining chain-quality experiment: an adversary
+//	    with merit share -alpha withholds blocks, and the report compares
+//	    its main-chain share with its merit and counts orphaned work.
+//
+//	btadt sweep     [-systems a,b] [-links sync,async,psync] [-adversaries none,selfish]
 //	                 [-n 8,16] [-seeds 4] [-seed 42] [-parallel 0] [-json] [-metrics m1,m2|all]
 //	                 [-shard i/n] [-store DIR] [-resume] [-store-gc] [-trace out.ndjson] [-v]
 //	    Expand and run a scenario matrix across the worker pool; every

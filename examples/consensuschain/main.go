@@ -62,14 +62,21 @@ func main() {
 	}
 	var wg sync.WaitGroup
 	decisions := make([]blockadt.ConsensusValue, *n)
+	errs := make([]error, *n)
 	for i := 0; i < *n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			decisions[i], _ = cons.Propose(i, blockadt.ConsensusValue(fmt.Sprintf("proposal-%d", i)))
+			decisions[i], errs[i] = cons.Propose(i, blockadt.ConsensusValue(fmt.Sprintf("proposal-%d", i)))
 		}(i)
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "p%d: %v\n", i, err)
+			os.Exit(1)
+		}
+	}
 	for i, d := range decisions {
 		if d != decisions[0] {
 			fmt.Fprintf(os.Stderr, "agreement violated at p%d\n", i)

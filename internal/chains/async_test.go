@@ -4,7 +4,20 @@ import (
 	"testing"
 
 	"blockadt/internal/consistency"
+	"blockadt/internal/netsim"
 )
+
+// stragglingAsyncLinks is the divergent asynchronous channel of the
+// conjecture-(iii) regime: common-case delay up to 192 ticks plus a 20%
+// straggler tail at 10×. No registered link needs stragglers, so the
+// test builds the plan itself instead of widening AsyncLinks.
+var stragglingAsyncLinks = LinkPlan{
+	Regime:     "async",
+	Refinement: AsyncLinks(192).Refinement,
+	Build: func(Params) netsim.LinkModel {
+		return netsim.Asynchronous{MaxDelay: 192, TailProb: 0.2}
+	},
+}
 
 // TestOpenIssueEventualPrefixUnderAsynchrony exhibits finite-run witnesses
 // for the paper's Section 4.2 open issues: when blocks are generated much
@@ -18,12 +31,8 @@ func TestOpenIssueEventualPrefixUnderAsynchrony(t *testing.T) {
 	// persistently — the conjecture-(iii) regime.
 	fast := execScenario(t, Scenario{
 		System: Bitcoin{},
-		Links:  AsyncLinks,
-		Params: ScenarioParams{
-			Params:   Params{N: 6, TargetBlocks: 60, Seed: 23, MineInterval: 1, TokenProb: 0.5, ReadEvery: 4},
-			MaxDelay: 192,
-			TailProb: 0.2,
-		},
+		Links:  stragglingAsyncLinks,
+		Params: Params{N: 6, TargetBlocks: 60, Seed: 23, MineInterval: 1, TokenProb: 0.5, ReadEvery: 4},
 	})
 	fastOpts := Options(Params{N: 6}.withDefaults(), fast.History)
 	fastOpts.GraceWindow = 16
@@ -39,11 +48,8 @@ func TestOpenIssueEventualPrefixUnderAsynchrony(t *testing.T) {
 	// Eventual Prefix holds.
 	slow := execScenario(t, Scenario{
 		System: Bitcoin{},
-		Links:  AsyncLinks,
-		Params: ScenarioParams{
-			Params:   Params{N: 6, TargetBlocks: 25, Seed: 23, MineInterval: 64, TokenProb: 0.04, ReadEvery: 32},
-			MaxDelay: 8,
-		},
+		Links:  AsyncLinks(8),
+		Params: Params{N: 6, TargetBlocks: 25, Seed: 23, MineInterval: 64, TokenProb: 0.04, ReadEvery: 32},
 	})
 	slowOpts := Options(Params{N: 6}.withDefaults(), slow.History)
 	if v := consistency.EventualPrefix(slow.History, slowOpts); !v.Satisfied {
@@ -57,12 +63,8 @@ func TestOpenIssueEventualPrefixUnderAsynchrony(t *testing.T) {
 func TestAsyncRunStillSatisfiesSafetyCore(t *testing.T) {
 	res := execScenario(t, Scenario{
 		System: Bitcoin{},
-		Links:  AsyncLinks,
-		Params: ScenarioParams{
-			Params:   Params{N: 6, TargetBlocks: 60, Seed: 23, MineInterval: 1, TokenProb: 0.5, ReadEvery: 4},
-			MaxDelay: 192,
-			TailProb: 0.2,
-		},
+		Links:  stragglingAsyncLinks,
+		Params: Params{N: 6, TargetBlocks: 60, Seed: 23, MineInterval: 1, TokenProb: 0.5, ReadEvery: 4},
 	})
 	opts := Options(Params{N: 6}.withDefaults(), res.History)
 	if v := consistency.BlockValidity(res.History, opts); !v.Satisfied {

@@ -18,50 +18,12 @@ import (
 // plan value, and the façade registries (pkg/blockadt) compose plans by
 // name with no engine changes.
 
-// ScenarioParams is the unified parameter set of the executor: the core
-// run shape (Params) plus every knob the link, adversary and topology
-// plans read. The per-regime *Params structs this replaces each carried
-// two or three of these fields; here they share one struct, and each
-// plan documents which fields it reads and how zero values default.
-type ScenarioParams struct {
-	Params
-	// MaxDelay is the asynchronous common-case delay bound (AsyncLinks;
-	// 0 defaults inside netsim to 64).
-	MaxDelay int64
-	// TailProb is the straggler probability: AsyncLinks takes it
-	// literally (0 = no stragglers); JitterLinks defaults 0 to 0.05.
-	TailProb float64
-	// GST is the absolute global stabilization time (PsyncLinks; 0
-	// defaults to 8·δ).
-	GST int64
-	// GSTDeltas is the stabilization time in units of the defaulted δ
-	// (LossyPsyncLinks; 0 defaults to 8). It stays distinct from GST
-	// because the lossy+psync grid keys scenario identity in δ units.
-	GSTDeltas int64
-	// PreMax bounds the common-case delay before GST (PsyncLinks; 0
-	// defaults inside netsim to 8·δ).
-	PreMax int64
-	// Rate is the per-message drop probability: LossyLinks defaults
-	// 0 to DefaultLossRate; LossyPsyncLinks takes it literally (0 =
-	// reliable channels, the p=0 boundary row).
-	Rate float64
-	// Start and Heal bound the partition interval [Start, Heal)
-	// (PartitionLinks; zero values default to [8δ, 24δ)).
-	Start, Heal int64
-	// Split is the partition cut — processes with id < Split on one
-	// side (PartitionLinks; 0 defaults to N/2).
-	Split int
-	// TailFactor multiplies a straggler's delay (JitterLinks; 0
-	// defaults inside netsim to 10).
-	TailFactor int64
-	// Alpha is the adversary's merit share (adversary plans only).
-	Alpha float64
-}
-
 // LinkPlan is the channel-model axis: how to build the netsim link
-// model from the (defaulted) params, plus the labels the regime stamps
-// on results. The zero value is the synchronous default — the system's
-// own simulator runs untouched.
+// model from the defaulted run shape, plus the labels the regime stamps
+// on results. A plan captures its own parameters (AsyncLinks(maxDelay),
+// LossyPsyncLinks(rate, gstDeltas)); Build reads nothing but the core
+// Params. The zero value is the synchronous default — the system's own
+// simulator runs untouched.
 type LinkPlan struct {
 	// Regime tags the result's System field ("Bitcoin/async") and names
 	// the regime in unknown-system errors.
@@ -69,11 +31,11 @@ type LinkPlan struct {
 	// Refinement replaces the system's refinement string on results.
 	Refinement string
 	// Build constructs the link model. p carries the defaulted core
-	// Params, so δ-scaled defaults can be computed here.
-	Build func(p ScenarioParams) netsim.LinkModel
+	// Params, so δ-scaled windows can be computed here.
+	Build func(p Params) netsim.LinkModel
 	// Heal reports the partition heal time the result should carry
 	// (PartitionLinks); nil for regimes without one.
-	Heal func(p ScenarioParams) int64
+	Heal func(p Params) int64
 }
 
 // AdversaryPlan is the fault-model axis. The zero value runs every
@@ -86,10 +48,11 @@ type LinkPlan struct {
 type AdversaryPlan struct {
 	// Name labels the plan in composition errors.
 	Name string
-	// Run drives the adversarial run. The scenario's Params (including
-	// Alpha) arrive exactly as composed; the runner applies its own
-	// defaulting, like the honest simulators do.
-	Run func(sc Scenario) Result
+	// Run drives the adversarial run. The scenario's Params arrive
+	// exactly as composed; the runner applies its own defaulting, like
+	// the honest simulators do. The adversary's merit share is captured
+	// by the plan (SelfishWithholding(alpha)).
+	Run func(p Params) Result
 }
 
 // TopologyPlan is the dissemination-graph axis. The zero value is the
@@ -105,7 +68,7 @@ type TopologyPlan struct {
 	Graph netsim.Topology
 	// WrapLinks, when set, decorates the link model after the link plan
 	// built it. p carries the defaulted core Params.
-	WrapLinks func(links netsim.LinkModel, p ScenarioParams) netsim.LinkModel
+	WrapLinks func(links netsim.LinkModel, p Params) netsim.LinkModel
 }
 
 // GossipTopology returns the degree-k ring-gossip plan: each process
@@ -127,7 +90,7 @@ func ClusteredTopology(clusters int, extraDeltas int64) TopologyPlan {
 	}
 	return TopologyPlan{
 		Name: fmt.Sprintf("clustered%d", clusters),
-		WrapLinks: func(links netsim.LinkModel, p ScenarioParams) netsim.LinkModel {
+		WrapLinks: func(links netsim.LinkModel, p Params) netsim.LinkModel {
 			size := (p.N + clusters - 1) / clusters
 			return netsim.ClusterLatency{Inner: links, Size: size, Extra: extraDeltas * p.Delta}
 		},
@@ -143,7 +106,7 @@ type Scenario struct {
 	Links     LinkPlan
 	Adversary AdversaryPlan
 	Topology  TopologyPlan
-	Params    ScenarioParams
+	Params    Params
 }
 
 // UnknownSystemError reports a composition naming a system that has no
@@ -189,7 +152,7 @@ func Execute(sc Scenario) (Result, error) {
 		if sc.Links.Build != nil || sc.Links.Regime != "" || sc.Topology.Graph != nil || sc.Topology.WrapLinks != nil {
 			return Result{}, fmt.Errorf("chains: adversary %q composes only with synchronous complete-graph networks", sc.Adversary.Name)
 		}
-		return sc.Adversary.Run(sc), nil
+		return sc.Adversary.Run(sc.Params), nil
 	}
 	if sc.System == nil {
 		return Result{}, fmt.Errorf("chains: scenario names no system")
@@ -199,7 +162,7 @@ func Execute(sc Scenario) (Result, error) {
 	if defaultLinks && defaultTopo {
 		// The Table 1 path: the system's own simulator, raw params (it
 		// applies its own defaults).
-		return sc.System.Run(sc.Params.Params), nil
+		return sc.System.Run(sc.Params), nil
 	}
 	name := sc.System.Name()
 	sel, ok := powSelectors[name]
@@ -210,8 +173,7 @@ func Execute(sc Scenario) (Result, error) {
 		}
 		return Result{}, &UnknownSystemError{System: name, Regime: regime, Known: PoWSystems()}
 	}
-	p := sc.Params
-	p.Params = p.Params.withDefaults()
+	p := sc.Params.withDefaults()
 	var links netsim.LinkModel
 	if sc.Links.Build != nil {
 		links = sc.Links.Build(p)
@@ -233,129 +195,105 @@ func Execute(sc Scenario) (Result, error) {
 	if sc.Topology.Name != "" {
 		resName += "@" + sc.Topology.Name
 	}
-	res := runPoWTopo(resName, refinement, sel, links, sc.Topology.Graph, p.Params)
+	res := runPoWTopo(resName, refinement, sel, links, sc.Topology.Graph, p)
 	if sc.Links.Heal != nil {
 		res.PartitionHeal = sc.Links.Heal(p)
 	}
 	return res, nil
 }
 
-// The six link plans of the Section 4.2 channel models. Each Build
-// reproduces the defaulting and netsim construction of the Run* runner
-// it replaced, so results — and the rng streams behind them — are
-// byte-identical.
-var (
-	// AsyncLinks is the asynchronous regime of the Section 4.2 open
-	// issues: common-case delay MaxDelay, TailProb stragglers at 10×.
-	AsyncLinks = LinkPlan{
+// The link plans of the Section 4.2 channel models. Each captures its
+// own parameters — the two parameterized regimes are constructors — and
+// fixes every other knob at the constant the registered scenario links
+// use, so each registered link is configured in one place. Each Build
+// reproduces the netsim construction of the Run* runner it replaced, so
+// results — and the rng streams behind them — are byte-identical.
+
+// AsyncLinks is the asynchronous regime of the Section 4.2 open issues:
+// common-case delay bound maxDelay (0 defaults inside netsim to 64) and
+// no stragglers.
+func AsyncLinks(maxDelay int64) LinkPlan {
+	return LinkPlan{
 		Regime:     "async",
 		Refinement: "R(BT-ADT_EC, Θ_P) — async regime",
-		Build: func(p ScenarioParams) netsim.LinkModel {
-			return netsim.Asynchronous{MaxDelay: p.MaxDelay, TailProb: p.TailProb}
+		Build: func(p Params) netsim.LinkModel {
+			return netsim.Asynchronous{MaxDelay: maxDelay}
 		},
 	}
+}
+
+// LossyPsyncLinks combines per-message drops at rate (taken literally:
+// 0 = reliable channels) with weak synchrony stabilizing at gstDeltas·δ
+// — the Theorem 4.7 phase-boundary grid.
+func LossyPsyncLinks(rate float64, gstDeltas int64) LinkPlan {
+	return LinkPlan{
+		Regime:     "lossy+psync",
+		Refinement: "R(BT-ADT_EC, Θ_P) — lossy weakly-synchronous regime (Theorem 4.7 boundary)",
+		Build: func(p Params) netsim.LinkModel {
+			return netsim.LossyRate{
+				Inner: netsim.WeaklySynchronous{GST: gstDeltas * p.Delta, Delta: p.Delta},
+				P:     rate,
+			}
+		},
+	}
+}
+
+var (
 	// PsyncLinks is the weakly synchronous regime: asynchronous before
-	// GST (0 → 8δ), δ-bounded after, pre-GST sends delivered by GST+δ.
+	// GST = 8δ (pre-GST delays bounded by netsim's 8δ default),
+	// δ-bounded after, pre-GST sends delivered by GST+δ.
 	PsyncLinks = LinkPlan{
 		Regime:     "psync",
 		Refinement: "R(BT-ADT_EC, Θ_P) — weakly synchronous (GST) regime",
-		Build: func(p ScenarioParams) netsim.LinkModel {
-			gst := p.GST
-			if gst <= 0 {
-				gst = 8 * p.Delta
-			}
-			return netsim.WeaklySynchronous{GST: gst, Delta: p.Delta, PreMax: p.PreMax}
+		Build: func(p Params) netsim.LinkModel {
+			return netsim.WeaklySynchronous{GST: 8 * p.Delta, Delta: p.Delta}
 		},
 	}
-	// LossyLinks drops each message with probability Rate (0 →
-	// DefaultLossRate), never retransmitting — the Theorem 4.7 channels.
+	// LossyLinks drops each message with probability DefaultLossRate,
+	// never retransmitting — the Theorem 4.7 channels.
 	LossyLinks = LinkPlan{
 		Regime:     "lossy",
 		Refinement: "R(BT-ADT_EC, Θ_P) — lossy channels (Theorem 4.7 regime)",
-		Build: func(p ScenarioParams) netsim.LinkModel {
-			rate := p.Rate
-			if rate <= 0 {
-				rate = DefaultLossRate
-			}
-			return netsim.LossyRate{Inner: netsim.Synchronous{Delta: p.Delta}, P: rate}
+		Build: func(p Params) netsim.LinkModel {
+			return netsim.LossyRate{Inner: netsim.Synchronous{Delta: p.Delta}, P: DefaultLossRate}
 		},
 	}
-	// LossyPsyncLinks combines per-message drops at Rate (taken
-	// literally: 0 = reliable) with weak synchrony stabilizing at
-	// GSTDeltas·δ (0 → 8) — the Theorem 4.7 phase-boundary grid.
-	LossyPsyncLinks = LinkPlan{
-		Regime:     "lossy+psync",
-		Refinement: "R(BT-ADT_EC, Θ_P) — lossy weakly-synchronous regime (Theorem 4.7 boundary)",
-		Build: func(p ScenarioParams) netsim.LinkModel {
-			gstDeltas := p.GSTDeltas
-			if gstDeltas <= 0 {
-				gstDeltas = 8
-			}
-			return netsim.LossyRate{
-				Inner: netsim.WeaklySynchronous{GST: gstDeltas * p.Delta, Delta: p.Delta},
-				P:     p.Rate,
-			}
-		},
-	}
-	// PartitionLinks bisects the network over [Start, Heal) (0 →
-	// [8δ, 24δ)) at cut Split (0 → N/2), deferring cross-cut deliveries
-	// until the cut heals.
+	// PartitionLinks bisects the network at N/2 over [8δ, 24δ),
+	// deferring cross-cut deliveries until the cut heals.
 	PartitionLinks = LinkPlan{
 		Regime:     "partition",
 		Refinement: "R(BT-ADT_EC, Θ_P) — healed partition regime",
-		Build: func(p ScenarioParams) netsim.LinkModel {
-			start, heal := partitionWindow(p)
-			split := p.Split
-			if split <= 0 {
-				split = p.N / 2
-			}
+		Build: func(p Params) netsim.LinkModel {
 			return netsim.PartitionModel{
 				Inner: netsim.Synchronous{Delta: p.Delta},
-				Split: history.ProcID(split),
-				Start: start,
-				Heal:  heal,
+				Split: history.ProcID(p.N / 2),
+				Start: 8 * p.Delta,
+				Heal:  24 * p.Delta,
 				Defer: true,
 			}
 		},
-		Heal: func(p ScenarioParams) int64 {
-			_, heal := partitionWindow(p)
-			return heal
-		},
+		Heal: func(p Params) int64 { return 24 * p.Delta },
 	}
-	// JitterLinks stretches a TailProb (0 → 0.05) fraction of
-	// deliveries by TailFactor× (0 → 10) over synchronous links.
+	// JitterLinks stretches 5% of deliveries by netsim's default 10×
+	// over synchronous links.
 	JitterLinks = LinkPlan{
 		Regime:     "jitter",
 		Refinement: "R(BT-ADT_EC, Θ_P) — heavy-tail jitter regime",
-		Build: func(p ScenarioParams) netsim.LinkModel {
-			tail := p.TailProb
-			if tail <= 0 {
-				tail = 0.05
-			}
-			return netsim.Jitter{Inner: netsim.Synchronous{Delta: p.Delta}, TailProb: tail, TailFactor: p.TailFactor}
+		Build: func(p Params) netsim.LinkModel {
+			return netsim.Jitter{Inner: netsim.Synchronous{Delta: p.Delta}, TailProb: 0.05}
 		},
 	}
 )
 
-// partitionWindow resolves the partition interval's δ-scaled defaults.
-func partitionWindow(p ScenarioParams) (start, heal int64) {
-	start, heal = p.Start, p.Heal
-	if start <= 0 {
-		start = 8 * p.Delta
-	}
-	if heal <= start {
-		heal = start + 16*p.Delta
-	}
-	return start, heal
+// SelfishWithholding replaces process 0 with an Eyal–Sirer selfish
+// miner holding merit share alpha.
+func SelfishWithholding(alpha float64) AdversaryPlan {
+	return AdversaryPlan{Name: "selfish", Run: func(p Params) Result { return runSelfishMining(p, alpha) }}
 }
 
-// The two adversary plans: the Eyal–Sirer withholding miner over plain
-// Bitcoin and over FruitChain's fruit-reward scheme.
-var (
-	// SelfishWithholding replaces process 0 with a selfish miner holding
-	// merit share Params.Alpha.
-	SelfishWithholding = AdversaryPlan{Name: "selfish", Run: runSelfishMining}
-	// FruitWithholding runs the same withholding miner against honest
-	// FruitChain miners; its withheld blocks include only its own fruits.
-	FruitWithholding = AdversaryPlan{Name: "fruit-selfish", Run: runFruitChainAttack}
-)
+// FruitWithholding runs the same withholding miner, holding merit share
+// alpha, against honest FruitChain miners; its withheld blocks include
+// only its own fruits.
+func FruitWithholding(alpha float64) AdversaryPlan {
+	return AdversaryPlan{Name: "fruit-selfish", Run: func(p Params) Result { return runFruitChainAttack(p, alpha) }}
+}

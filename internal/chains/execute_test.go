@@ -26,7 +26,7 @@ func TestExecuteDefaultAxesMatchesSystemRun(t *testing.T) {
 	for _, sys := range []System{Bitcoin{}, Ethereum{}, Algorand{}, Hyperledger{}} {
 		p := Params{N: 5, TargetBlocks: 20, Seed: 17}
 		direct := sys.Run(p)
-		via := execScenario(t, Scenario{System: sys, Params: ScenarioParams{Params: p}})
+		via := execScenario(t, Scenario{System: sys, Params: p})
 		if direct.Blocks != via.Blocks || direct.Ticks != via.Ticks ||
 			direct.Delivered != via.Delivered || direct.Forks != via.Forks ||
 			direct.System != via.System || direct.Refinement != via.Refinement {
@@ -43,8 +43,8 @@ func TestExecuteDefaultAxesMatchesSystemRun(t *testing.T) {
 // message stays byte-identical to the panic it replaced so operators'
 // grep habits survive.
 func TestExecuteUnknownSystem(t *testing.T) {
-	p := ScenarioParams{Params: Params{N: 4, TargetBlocks: 10, Seed: 1}}
-	_, err := Execute(Scenario{System: Hyperledger{}, Links: AsyncLinks, Params: p})
+	p := Params{N: 4, TargetBlocks: 10, Seed: 1}
+	_, err := Execute(Scenario{System: Hyperledger{}, Links: AsyncLinks(8), Params: p})
 	var ue *UnknownSystemError
 	if !errors.As(err, &ue) {
 		t.Fatalf("want *UnknownSystemError, got %v", err)
@@ -76,18 +76,18 @@ func TestExecuteUnknownSystem(t *testing.T) {
 // with a link or topology plan is refused up front rather than silently
 // ignoring the network axis.
 func TestExecuteRejectsAdversaryNetworkCompositions(t *testing.T) {
-	p := ScenarioParams{Params: Params{N: 6, TargetBlocks: 20, Seed: 3}, Alpha: 0.34}
+	p := Params{N: 6, TargetBlocks: 20, Seed: 3}
 	for _, sc := range []Scenario{
-		{Adversary: SelfishWithholding, Links: LossyLinks, Params: p},
-		{Adversary: SelfishWithholding, Topology: GossipTopology(3), Params: p},
-		{Adversary: FruitWithholding, Topology: ClusteredTopology(2, 4), Params: p},
+		{Adversary: SelfishWithholding(0.34), Links: LossyLinks, Params: p},
+		{Adversary: SelfishWithholding(0.34), Topology: GossipTopology(3), Params: p},
+		{Adversary: FruitWithholding(0.34), Topology: ClusteredTopology(2, 4), Params: p},
 	} {
 		if _, err := Execute(sc); err == nil {
 			t.Fatalf("adversary+network composition must error: %+v", sc)
 		}
 	}
 	// The plain composition still runs.
-	res := execScenario(t, Scenario{Adversary: SelfishWithholding, Params: p})
+	res := execScenario(t, Scenario{Adversary: SelfishWithholding(0.34), Params: p})
 	if res.Adversary == nil {
 		t.Fatal("adversary run carries no census")
 	}
@@ -101,7 +101,7 @@ func TestGossipTopologyDeterministicEC(t *testing.T) {
 		sc := Scenario{
 			System:   sys,
 			Topology: GossipTopology(3),
-			Params:   ScenarioParams{Params: Params{N: 8, TargetBlocks: 30, Seed: 42}},
+			Params:   Params{N: 8, TargetBlocks: 30, Seed: 42},
 		}
 		a := execScenario(t, sc)
 		b := execScenario(t, sc)
@@ -130,7 +130,7 @@ func TestClusteredTopologyDeterministicEC(t *testing.T) {
 	sc := Scenario{
 		System:   Bitcoin{},
 		Topology: ClusteredTopology(2, 4),
-		Params:   ScenarioParams{Params: Params{N: 8, TargetBlocks: 30, Seed: 42}},
+		Params:   Params{N: 8, TargetBlocks: 30, Seed: 42},
 	}
 	a := execScenario(t, sc)
 	b := execScenario(t, sc)
@@ -152,7 +152,7 @@ func TestClusteredTopologyDeterministicEC(t *testing.T) {
 	// as many ticks as the flat run on the same seed.
 	flat := execScenario(t, Scenario{
 		System: Bitcoin{},
-		Params: ScenarioParams{Params: Params{N: 8, TargetBlocks: 30, Seed: 42}},
+		Params: Params{N: 8, TargetBlocks: 30, Seed: 42},
 	})
 	if a.Ticks < flat.Ticks {
 		t.Fatalf("clustered run finished faster than flat: %d < %d ticks", a.Ticks, flat.Ticks)
@@ -163,7 +163,7 @@ func TestClusteredTopologyDeterministicEC(t *testing.T) {
 		System:   Ethereum{},
 		Links:    JitterLinks,
 		Topology: ClusteredTopology(2, 4),
-		Params:   ScenarioParams{Params: Params{N: 8, TargetBlocks: 20, Seed: 7}},
+		Params:   Params{N: 8, TargetBlocks: 20, Seed: 7},
 	}
 	c := execScenario(t, composed)
 	d := execScenario(t, composed)
@@ -183,7 +183,7 @@ func TestExecuteCrossProductDeterminism(t *testing.T) {
 		t.Skip("cross product is slow")
 	}
 	links := map[string]LinkPlan{
-		"sync": {}, "async": AsyncLinks, "psync": PsyncLinks,
+		"sync": {}, "async": AsyncLinks(8), "psync": PsyncLinks,
 		"lossy": LossyLinks, "partition": PartitionLinks, "jitter": JitterLinks,
 	}
 	topos := map[string]TopologyPlan{
@@ -196,7 +196,7 @@ func TestExecuteCrossProductDeterminism(t *testing.T) {
 					System:   sys,
 					Links:    link,
 					Topology: topo,
-					Params:   ScenarioParams{Params: Params{N: 6, TargetBlocks: 15, Seed: 11}},
+					Params:   Params{N: 6, TargetBlocks: 15, Seed: 11},
 				}
 				a := execScenario(t, sc)
 				b := execScenario(t, sc)

@@ -179,13 +179,12 @@ func (n *fruitNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 
 // runFruitChainAttack is the FruitWithholding plan's driver: N-1 honest
 // FruitChain miners against the same selfish block-withholding adversary
-// as runSelfishMining, with Params.Alpha as the merit share. The
+// as runSelfishMining, with alpha as the merit share. The
 // adversary also mines fruits (at its merit rate) but its withheld
 // blocks include only its own fruits, the worst case for honest rewards.
 // The census (block authorship vs fruit rewards) lands on
 // Result.Adversary.
-func runFruitChainAttack(sc Scenario) Result {
-	p, alpha := sc.Params.Params, sc.Params.Alpha
+func runFruitChainAttack(p Params, alpha float64) Result {
 	p = p.withDefaults()
 	total := p.TokenProb * float64(p.N)
 	merits := make([]float64, p.N)

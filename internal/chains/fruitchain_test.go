@@ -12,8 +12,8 @@ import (
 func runFruit(t *testing.T, p Params, alpha float64) Result {
 	t.Helper()
 	return execScenario(t, Scenario{
-		Adversary: FruitWithholding,
-		Params:    ScenarioParams{Params: p, Alpha: alpha},
+		Adversary: FruitWithholding(alpha),
+		Params:    p,
 	})
 }
 

@@ -26,7 +26,7 @@ func TestLossyWitnessesTheorem47(t *testing.T) {
 			res := execScenario(t, Scenario{
 				System: sys,
 				Links:  LossyLinks,
-				Params: ScenarioParams{Params: Params{N: 8, TargetBlocks: 30, Seed: seed}},
+				Params: Params{N: 8, TargetBlocks: 30, Seed: seed},
 			})
 			if res.Dropped == 0 {
 				t.Fatalf("%s seed=%d: lossy run dropped nothing — no Theorem 4.7 hypothesis", sys.Name(), seed)
@@ -61,7 +61,7 @@ func TestPartitionHealsBackToEC(t *testing.T) {
 			res := execScenario(t, Scenario{
 				System: sys,
 				Links:  PartitionLinks,
-				Params: ScenarioParams{Params: Params{N: 8, TargetBlocks: 30, Seed: seed}},
+				Params: Params{N: 8, TargetBlocks: 30, Seed: seed},
 			})
 			if res.PartitionHeal == 0 {
 				t.Fatalf("%s seed=%d: partition run lost its heal time", sys.Name(), seed)
@@ -80,7 +80,7 @@ func TestJitterKeepsEC(t *testing.T) {
 		res := execScenario(t, Scenario{
 			System: sys,
 			Links:  JitterLinks,
-			Params: ScenarioParams{Params: Params{N: 8, TargetBlocks: 30, Seed: 42}},
+			Params: Params{N: 8, TargetBlocks: 30, Seed: 42},
 		})
 		if res.Dropped != 0 {
 			t.Fatalf("%s: jitter dropped %d messages", sys.Name(), res.Dropped)
@@ -104,8 +104,8 @@ func TestPoWLinkPlansCoverAllPoWSystems(t *testing.T) {
 	p := Params{N: 8, TargetBlocks: 30, Seed: 42}
 	async := execScenario(t, Scenario{
 		System: Ethereum{},
-		Links:  AsyncLinks,
-		Params: ScenarioParams{Params: p, MaxDelay: 8},
+		Links:  AsyncLinks(8),
+		Params: p,
 	})
 	if lvl := classifyLevel(async, 8); lvl != consistency.LevelEC {
 		t.Fatalf("Ethereum/async classified %s, want EC", lvl)
@@ -113,7 +113,7 @@ func TestPoWLinkPlansCoverAllPoWSystems(t *testing.T) {
 	psync := execScenario(t, Scenario{
 		System: Ethereum{},
 		Links:  PsyncLinks,
-		Params: ScenarioParams{Params: p},
+		Params: p,
 	})
 	if lvl := classifyLevel(psync, 8); lvl != consistency.LevelEC {
 		t.Fatalf("Ethereum/psync classified %s, want EC", lvl)
@@ -132,8 +132,8 @@ func TestNormalizeSelfishN(t *testing.T) {
 	// main-chain author can sit outside [0, NormalizeSelfishN(n)).
 	for _, n := range []int{0, 1} {
 		res := execScenario(t, Scenario{
-			Adversary: SelfishWithholding,
-			Params:    ScenarioParams{Params: Params{N: n, TargetBlocks: 20, Seed: 42}, Alpha: 0.34},
+			Adversary: SelfishWithholding(0.34),
+			Params:    Params{N: n, TargetBlocks: 20, Seed: 42},
 		})
 		stats := res.Adversary
 		limit := NormalizeSelfishN(n)

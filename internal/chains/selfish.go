@@ -140,11 +140,9 @@ func (m *selfishMiner) publish(s *netsim.Sim, n int) {
 // OnTimerRead is unused; reads come from honest observers.
 
 // runSelfishMining is the SelfishWithholding plan's driver: N-1 honest
-// miners against one selfish miner (process 0) holding fraction
-// Params.Alpha of the total mining power. The census lands on
-// Result.Adversary.
-func runSelfishMining(sc Scenario) Result {
-	p, alpha := sc.Params.Params, sc.Params.Alpha
+// miners against one selfish miner (process 0) holding fraction alpha
+// of the total mining power. The census lands on Result.Adversary.
+func runSelfishMining(p Params, alpha float64) Result {
 	p.N = NormalizeSelfishN(p.N)
 	p = p.withDefaults()
 	// Merit tapes: adversary gets alpha of the aggregate attempt rate.

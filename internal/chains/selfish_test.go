@@ -11,8 +11,8 @@ import (
 func runSelfish(t *testing.T, p Params, alpha float64) Result {
 	t.Helper()
 	return execScenario(t, Scenario{
-		Adversary: SelfishWithholding,
-		Params:    ScenarioParams{Params: p, Alpha: alpha},
+		Adversary: SelfishWithholding(alpha),
+		Params:    p,
 	})
 }
 

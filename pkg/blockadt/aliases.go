@@ -53,15 +53,12 @@ type (
 	SimParams = chains.Params
 	// SimResult is the outcome of one simulated run.
 	SimResult = chains.Result
-	// Execution is the unified executor's composed scenario: a system
-	// plus one strategy value per axis (links, adversary, topology).
-	// Link, adversary and topology specs compose themselves into it
-	// through their Plan hooks.
+	// Execution is the unified executor's composed scenario: a system,
+	// its SimParams and one strategy value per axis (links, adversary,
+	// topology). Link, adversary and topology specs compose themselves
+	// into it through their Plan hooks; each plan carries its own
+	// parameters.
 	Execution = chains.Scenario
-	// ExecutionParams is the executor's unified parameter set — the core
-	// SimParams plus every knob the link, adversary and topology plans
-	// read.
-	ExecutionParams = chains.ScenarioParams
 	// AdversaryStats is the structured census an adversarial execution
 	// attaches to its result.
 	AdversaryStats = chains.AdversaryStats

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"blockadt/internal/chains"
 )
 
 // ErrUnknownName is the sentinel every failed registry lookup matches:
@@ -42,16 +40,3 @@ func (e *UnknownNameError) Error() string {
 // Is matches the ErrUnknownName sentinel, so errors.Is works without
 // callers knowing the concrete type.
 func (e *UnknownNameError) Is(target error) bool { return target == ErrUnknownName }
-
-// convertExecuteErr lifts the executor's typed failures into the
-// façade's error vocabulary: a system outside the generic PoW driver's
-// support set surfaces as the same *UnknownNameError a registry miss
-// produces (Kind "system", Registered = the driver's support set).
-// Other executor errors (composition mistakes) pass through unchanged.
-func convertExecuteErr(err error) error {
-	var ue *chains.UnknownSystemError
-	if errors.As(err, &ue) {
-		return &UnknownNameError{Kind: "system", Name: ue.System, Registered: ue.Known}
-	}
-	return err
-}

@@ -176,8 +176,8 @@ func TestFruitChainMetricsCloserToFair(t *testing.T) {
 	p := chains.Params{N: 6, TargetBlocks: 120, Seed: 31}
 	const alpha = 0.34
 	res, err := chains.Execute(chains.Scenario{
-		Adversary: chains.FruitWithholding,
-		Params:    chains.ScenarioParams{Params: p, Alpha: alpha},
+		Adversary: chains.FruitWithholding(alpha),
+		Params:    p,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -173,33 +173,16 @@ func (s settings) metricSpecs() ([]MetricSpec, error) {
 	if len(names) == 0 {
 		names = MetricNames()
 	}
-	specs := make([]MetricSpec, 0, len(names))
-	for _, name := range names {
-		spec, err := LookupMetric(name)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
-	}
-	return specs, nil
+	return lookupAll(names, LookupMetric)
 }
 
-// topologySpec resolves the WithTopology request against the registry
-// and the composition's support predicate. No option (or the complete
-// default) resolves to the nil-Plan complete-graph spec.
-func (s settings) topologySpec(system, link, adversary string) (TopologySpec, error) {
-	name := s.topology
-	if name == "" {
-		name = TopoComplete
+// linkName is the WithLink request, defaulting to the synchronous
+// Table 1 links.
+func (s settings) linkName() string {
+	if s.link == "" {
+		return LinkSync
 	}
-	tspec, err := LookupTopology(name)
-	if err != nil {
-		return TopologySpec{}, err
-	}
-	if tspec.Plan != nil && !tspec.supportsScenario(system, link, adversary) {
-		return TopologySpec{}, fmt.Errorf("blockadt: system %q does not implement topology %q under link %q and adversary %q", system, name, link, adversary)
-	}
-	return tspec, nil
+	return s.link
 }
 
 // simParams assembles the chains-level parameters from the options.

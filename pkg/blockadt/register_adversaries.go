@@ -29,8 +29,8 @@ func init() {
 		Supports: func(system, link string) bool {
 			return selfishSystems[system] && link == LinkSync
 		},
-		Plan: func(ex *Execution) {
-			ex.Adversary = chains.SelfishWithholding
+		Plan: func(ex *Execution, alpha float64) {
+			ex.Adversary = chains.SelfishWithholding(alpha)
 		},
 		// Withholding skews chain quality, not consistency: the run is
 		// still predicted eventually consistent.
@@ -53,14 +53,12 @@ func init() {
 }
 
 // adversaryOutcome assembles the structured outcome of an adversarial
-// execution from the census the plan attached to the result. It is the
-// one place AdversaryStats maps onto the façade's AdversaryOutcome,
-// shared by the sweep engine and SimulateAdversary.
-func adversaryOutcome(spec AdversarySpec, system, link string, p SimParams, alpha float64, honest Level, res SimResult) AdversaryOutcome {
-	out := AdversaryOutcome{SimResult: res, Expected: honest}
-	if spec.Expected != nil {
-		out.Expected = spec.Expected(system, link, honest)
-	}
+// execution from the census the plan attached to the result and the
+// level compose predicted. It is the one place AdversaryStats maps onto
+// the façade's AdversaryOutcome, shared by the sweep engine and
+// SimulateAdversary.
+func adversaryOutcome(spec AdversarySpec, p SimParams, alpha float64, expected Level, res SimResult) AdversaryOutcome {
+	out := AdversaryOutcome{SimResult: res, Expected: expected}
 	stats := res.Adversary
 	if stats == nil {
 		return out

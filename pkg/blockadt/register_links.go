@@ -60,8 +60,7 @@ func init() {
 			// Slow-mining asynchronous regime: common-case delay equal to
 			// the synchronous bound, no stragglers — the configuration the
 			// Section 4.2 conjecture predicts still converges to EC.
-			ex.Links = chains.AsyncLinks
-			ex.Params.MaxDelay = 8
+			ex.Links = chains.AsyncLinks(8)
 		},
 		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
 	})
@@ -70,9 +69,8 @@ func init() {
 		Description: "weakly synchronous: async before GST, δ-bounded after, pre-GST sends delivered by GST+δ (Section 4.2)",
 		Supports:    chains.SupportsPoWLinks,
 		Plan: func(ex *Execution) {
-			// GST and PreMax take the plan's δ-scaled defaults: the run
-			// outlives stabilization by a wide margin, so the theory still
-			// predicts (eventual) convergence.
+			// GST = 8δ: the run outlives stabilization by a wide margin,
+			// so the theory still predicts (eventual) convergence.
 			ex.Links = chains.PsyncLinks
 		},
 		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
@@ -84,7 +82,6 @@ func init() {
 		Supports:    chains.SupportsPoWLinks,
 		Plan: func(ex *Execution) {
 			ex.Links = chains.LossyLinks
-			ex.Params.Rate = chains.DefaultLossRate
 		},
 		// Theorem 4.7: dropping even one correct process's message makes
 		// Eventual Prefix unimplementable — the run retains no criterion
@@ -97,9 +94,8 @@ func init() {
 		Params:      "start=8δ,heal=24δ,defer",
 		Supports:    chains.SupportsPoWLinks,
 		Plan: func(ex *Execution) {
-			// Zero values pick the plan's δ-scaled window and the N/2
-			// bisection; the result carries the heal time for the
-			// partition_heal_lag metric.
+			// The [8δ, 24δ) window and the N/2 bisection; the result
+			// carries the heal time for the partition_heal_lag metric.
 			ex.Links = chains.PartitionLinks
 		},
 		// The cut heals and deferred traffic arrives, so convergence is
@@ -140,8 +136,7 @@ func EnsureAsyncLink(maxDelay int64) string {
 		Supports:    chains.SupportsPoWLinks,
 		Hidden:      true,
 		Plan: func(ex *Execution) {
-			ex.Links = chains.AsyncLinks
-			ex.Params.MaxDelay = maxDelay
+			ex.Links = chains.AsyncLinks(maxDelay)
 		},
 		// Slower links delay convergence without destroying it: still EC.
 		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
@@ -178,9 +173,7 @@ func EnsureLossyPsyncLink(rate float64, gstDeltas int) string {
 		Supports:    chains.SupportsPoWLinks,
 		Hidden:      true,
 		Plan: func(ex *Execution) {
-			ex.Links = chains.LossyPsyncLinks
-			ex.Params.Rate = rate
-			ex.Params.GSTDeltas = int64(gstDeltas)
+			ex.Links = chains.LossyPsyncLinks(rate, int64(gstDeltas))
 		},
 		Expected: func(system string, sync Level) Level { return expected },
 	})

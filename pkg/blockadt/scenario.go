@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"blockadt/internal/chains"
 	"blockadt/internal/fairness"
 	"blockadt/internal/metrics"
 	"blockadt/internal/parallel"
@@ -200,10 +199,8 @@ func (m Matrix) withDefaults() Matrix {
 // negative process count.
 func (m Matrix) Configs() ([]Scenario, error) {
 	m = m.withDefaults()
-	for _, name := range m.Systems {
-		if _, err := LookupSystem(name); err != nil {
-			return nil, err
-		}
+	if _, err := lookupAll(m.Systems, LookupSystem); err != nil {
+		return nil, err
 	}
 	// withDefaults remapped 0 to 0.34, so anything outside (0,1) here is
 	// caller input — reject it before it builds degenerate merit tapes.
@@ -226,36 +223,30 @@ func (m Matrix) Configs() ([]Scenario, error) {
 	if m.ShardCount > 0 && (m.ShardIndex < 0 || m.ShardIndex >= m.ShardCount) {
 		return nil, fmt.Errorf("blockadt: shard index %d out of range [0,%d)", m.ShardIndex, m.ShardCount)
 	}
+	lspecs, err := lookupAll(m.Links, LookupLink)
+	if err != nil {
+		return nil, err
+	}
+	aspecs, err := lookupAll(m.Adversaries, LookupAdversary)
+	if err != nil {
+		return nil, err
+	}
+	tspecs, err := lookupAll(m.Topologies, LookupTopology)
+	if err != nil {
+		return nil, err
+	}
 	var out []Scenario
 	for _, sys := range m.Systems {
-		for _, link := range m.Links {
-			lspec, err := LookupLink(link)
-			if err != nil {
-				return nil, err
-			}
-			if !lspec.supportsSystem(sys) {
-				continue
-			}
-			for _, adv := range m.Adversaries {
-				aspec, err := LookupAdversary(adv)
-				if err != nil {
-					return nil, err
-				}
-				if aspec.Plan != nil && !aspec.supportsSystem(sys, link) {
-					continue
-				}
-				for _, topo := range m.Topologies {
-					tspec, err := LookupTopology(topo)
-					if err != nil {
-						return nil, err
-					}
-					if tspec.Plan != nil && !tspec.supportsScenario(sys, link, adv) {
+		for _, lspec := range lspecs {
+			for _, aspec := range aspecs {
+				for _, tspec := range tspecs {
+					if supportErr(sys, lspec, aspec, tspec) != nil {
 						continue
 					}
 					for _, n := range m.Ns {
 						for s := 0; s < m.Seeds; s++ {
 							cfg := Scenario{
-								System: sys, Link: link, Adversary: adv,
+								System: sys, Link: lspec.Name, Adversary: aspec.Name,
 								LinkParams: lspec.Params,
 								N:          n, Blocks: m.TargetBlocks, SeedIndex: s,
 							}
@@ -267,7 +258,7 @@ func (m Matrix) Configs() ([]Scenario, error) {
 								// the scenario entirely: its keys, JSON
 								// and derived seeds predate the topology
 								// dimension.
-								cfg.Topology = topo
+								cfg.Topology = tspec.Name
 								cfg.TopoParams = tspec.Params
 							}
 							if m.ShardCount > 1 && cfg.shard(m.ShardCount) != m.ShardIndex {
@@ -284,17 +275,23 @@ func (m Matrix) Configs() ([]Scenario, error) {
 	return out, nil
 }
 
-// metricSpecs resolves the matrix's metric names against the registry.
-func (m Matrix) metricSpecs() ([]MetricSpec, error) {
-	specs := make([]MetricSpec, 0, len(m.Metrics))
-	for _, name := range m.Metrics {
-		spec, err := LookupMetric(name)
+// lookupAll resolves every name of one matrix dimension against its
+// registry, failing on the first miss.
+func lookupAll[T any](names []string, lookup func(string) (T, error)) ([]T, error) {
+	out := make([]T, len(names))
+	for i, name := range names {
+		spec, err := lookup(name)
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, spec)
+		out[i] = spec
 	}
-	return specs, nil
+	return out, nil
+}
+
+// metricSpecs resolves the matrix's metric names against the registry.
+func (m Matrix) metricSpecs() ([]MetricSpec, error) {
+	return lookupAll(m.Metrics, LookupMetric)
 }
 
 // Result is the structured outcome of one scenario.
@@ -413,103 +410,31 @@ func RunScenario(cfg Scenario) (Result, error) {
 	if err := checkN(cfg.N); err != nil {
 		return Result{}, err
 	}
-	if _, err := LookupSystem(cfg.System); err != nil {
-		return Result{}, err
-	}
-	lspec, err := LookupLink(cfg.Link)
-	if err != nil {
-		return Result{}, err
-	}
-	if !lspec.supportsSystem(cfg.System) {
-		return Result{}, fmt.Errorf("blockadt: system %q does not implement link model %q", cfg.System, cfg.Link)
-	}
-	aspec, err := LookupAdversary(cfg.Adversary)
-	if err != nil {
-		return Result{}, err
-	}
-	if aspec.Plan != nil {
-		if !aspec.supportsSystem(cfg.System, cfg.Link) {
-			return Result{}, fmt.Errorf("blockadt: system %q does not implement adversary %q under link %q", cfg.System, cfg.Adversary, cfg.Link)
-		}
-		if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
-			return Result{}, fmt.Errorf("blockadt: adversary merit share must be in (0,1), got %v", cfg.Alpha)
-		}
-	}
-	if cfg.Topology != "" {
-		tspec, err := LookupTopology(cfg.Topology)
-		if err != nil {
-			return Result{}, err
-		}
-		if tspec.Plan != nil && !tspec.supportsScenario(cfg.System, cfg.Link, cfg.Adversary) {
-			return Result{}, fmt.Errorf("blockadt: system %q does not implement topology %q under link %q and adversary %q", cfg.System, cfg.Topology, cfg.Link, cfg.Adversary)
-		}
-	}
-	return runScenario(cfg, nil), nil
+	return runScenario(cfg, nil)
 }
 
-// runScenario is RunScenario's engine-side core. It assumes the scenario
-// was validated (Matrix.Configs and RunScenario both do): an unknown
-// system name panics, and an unknown link, adversary or topology name
-// degrades to the honest synchronous path — neither can reach here
-// through the exported entry points. mspecs are the resolved metric
-// collectors to run over the result (nil disables collection).
-func runScenario(cfg Scenario, mspecs []MetricSpec) Result {
-	scenarioRuns.Add(1)
-	p := SimParams{N: cfg.N, TargetBlocks: cfg.Blocks, Seed: cfg.Seed}
+// runScenario is RunScenario's engine-side core, shared with the sweep
+// runner. compose resolves and validates the scenario; a composition the
+// registrations admit but the executor cannot run (a custom link whose
+// Supports claims a system its plan cannot drive) is an error, never a
+// panic. mspecs are the resolved metric collectors to run over the
+// result (nil disables collection).
+func runScenario(cfg Scenario, mspecs []MetricSpec) (Result, error) {
 	start := time.Now()
-
-	var (
-		expected    Level
-		out         Result
-		adversarial bool
-	)
-	spec, err := LookupSystem(cfg.System)
+	p := SimParams{N: cfg.N, TargetBlocks: cfg.Blocks, Seed: cfg.Seed}
+	ex, expected, aspec, err := compose(cfg.System, cfg.Link, cfg.Adversary, cfg.Topology, cfg.Alpha, p)
 	if err != nil {
-		// Configs() and RunScenario validated the name; an error here
-		// is a bug.
-		panic(err)
+		return Result{}, err
 	}
-	aspec, aerr := LookupAdversary(cfg.Adversary)
-	lspec, lerr := LookupLink(cfg.Link)
-	ex := Execution{System: specSystem{spec}, Params: ExecutionParams{Params: p}}
-	switch {
-	case aerr == nil && aspec.Plan != nil:
-		ex.Params.Alpha = cfg.Alpha
-		aspec.Plan(&ex)
-		adversarial = true
-		expected = spec.Expected
-		if aspec.Expected != nil {
-			expected = aspec.Expected(cfg.System, cfg.Link, spec.Expected)
-		}
-	case lerr == nil && lspec.Plan != nil:
-		lspec.Plan(&ex)
-		expected = linkExpected(lspec, cfg.System, spec.Expected)
-	default:
-		expected = spec.Expected
-		if lerr == nil {
-			// A link model registered without its own plan may still
-			// adjust the predicted level (LinkSpec.Expected).
-			expected = linkExpected(lspec, cfg.System, spec.Expected)
-		}
-	}
-	if cfg.Topology != "" {
-		if tspec, terr := LookupTopology(cfg.Topology); terr == nil && tspec.Plan != nil {
-			tspec.Plan(&ex)
-			if tspec.Expected != nil {
-				expected = tspec.Expected(cfg.System, cfg.Link, expected)
-			}
-		}
-	}
-	res, err := chains.Execute(ex)
+	scenarioRuns.Add(1)
+	res, err := execute(ex)
 	if err != nil {
-		// Configs() and RunScenario validated the composition; an
-		// executor rejection here is a registration bug (e.g. a custom
-		// link spec whose Supports accepts a system its plan cannot
-		// run).
-		panic(convertExecuteErr(err))
+		return Result{}, err
 	}
+	adversarial := aspec.Plan != nil
+	out := Result{Config: cfg}
 	if adversarial {
-		stats := adversaryOutcome(aspec, cfg.System, cfg.Link, p, cfg.Alpha, spec.Expected, res)
+		stats := adversaryOutcome(aspec, p, cfg.Alpha, expected, res)
 		out.AdversaryShare = stats.AdversaryShare
 		out.FairnessTVD = stats.FairnessTVD
 	} else {
@@ -517,7 +442,6 @@ func runScenario(cfg Scenario, mspecs []MetricSpec) Result {
 	}
 
 	cls := ClassifyRun(p, res)
-	out.Config = cfg
 	out.Refinement = res.Refinement
 	out.Expected = expected.String()
 	out.Level = cls.Level.String()
@@ -533,7 +457,7 @@ func runScenario(cfg Scenario, mspecs []MetricSpec) Result {
 		out.Metrics = computeMetrics(mspecs, metricRun(cfg, res, out, adversarial))
 	}
 	out.WallNS = time.Since(start).Nanoseconds()
-	return out
+	return out, nil
 }
 
 // metricRun assembles the collector snapshot from a completed scenario.

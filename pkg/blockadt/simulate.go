@@ -31,18 +31,7 @@ func Simulate(name string, opts ...Option) (SimResult, error) {
 		return SimResult{}, err
 	}
 	p := s.simParams()
-	link := s.link
-	if link == "" {
-		link = LinkSync
-	}
-	lspec, err := LookupLink(link)
-	if err != nil {
-		return SimResult{}, err
-	}
-	if !lspec.supportsSystem(spec.Name) {
-		return SimResult{}, fmt.Errorf("blockadt: system %q does not implement link model %q", spec.Name, link)
-	}
-	tspec, err := s.topologySpec(spec.Name, link, AdvNone)
+	ex, _, _, err := compose(name, s.linkName(), AdvNone, s.topology, 0, p)
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -50,16 +39,9 @@ func Simulate(name string, opts ...Option) (SimResult, error) {
 	if err != nil {
 		return SimResult{}, err
 	}
-	ex := Execution{System: specSystem{spec}, Params: ExecutionParams{Params: p}}
-	if lspec.Plan != nil {
-		lspec.Plan(&ex)
-	}
-	if tspec.Plan != nil {
-		tspec.Plan(&ex)
-	}
-	res, err := chains.Execute(ex)
+	res, err := execute(ex)
 	if err != nil {
-		return SimResult{}, convertExecuteErr(err)
+		return SimResult{}, err
 	}
 	if len(mspecs) > 0 {
 		run := newMetricRun(p, res)
@@ -103,40 +85,22 @@ func ClassifySimulated(name string, opts ...Option) (SimResult, Classification, 
 	return res, ClassifyRun(applyOptions(opts).simParams(), res), nil
 }
 
-// linkExpected resolves the consistency level predicted for a system
-// under a link model: the link spec may adjust the system's default
-// (synchronous) level.
-func linkExpected(lspec LinkSpec, system string, sync Level) Level {
-	if lspec.Expected != nil {
-		return lspec.Expected(system, sync)
-	}
-	return sync
-}
-
 // ExpectedLevel returns the consistency level the theory predicts for
 // the named system under the named link model — the same value the sweep
 // engine compares measured runs against, so Simulate callers can check
 // their classification the way the engine does.
 func ExpectedLevel(system, link string) (Level, error) {
-	spec, err := LookupSystem(system)
+	_, expected, _, err := compose(system, link, AdvNone, "", 0, SimParams{})
 	if err != nil {
 		return 0, err
 	}
-	lspec, err := LookupLink(link)
-	if err != nil {
-		return 0, err
-	}
-	if !lspec.supportsSystem(system) {
-		return 0, fmt.Errorf("blockadt: system %q does not implement link model %q", system, link)
-	}
-	return linkExpected(lspec, system, spec.Expected), nil
+	return expected, nil
 }
 
 // SimulateAdversary runs a registered system under a registered adversary
 // holding merit share alpha (WithAlpha; default 0.34).
 func SimulateAdversary(system, adversary string, opts ...Option) (AdversaryOutcome, error) {
-	spec, err := LookupSystem(system)
-	if err != nil {
+	if _, err := LookupSystem(system); err != nil {
 		return AdversaryOutcome{}, err
 	}
 	aspec, err := LookupAdversary(adversary)
@@ -156,18 +120,8 @@ func SimulateAdversary(system, adversary string, opts ...Option) (AdversaryOutco
 	if len(s.merits) != 0 {
 		return AdversaryOutcome{}, fmt.Errorf("blockadt: WithMerits conflicts with SimulateAdversary (the adversary model derives merits from WithAlpha)")
 	}
-	link := s.link
-	if link == "" {
-		link = LinkSync
-	}
-	if _, err := LookupLink(link); err != nil {
-		return AdversaryOutcome{}, err
-	}
-	if !aspec.supportsSystem(spec.Name, link) {
-		return AdversaryOutcome{}, fmt.Errorf("blockadt: system %q does not implement adversary %q under link %q", spec.Name, adversary, link)
-	}
 	if s.topology != "" && s.topology != TopoComplete {
-		// The executor rejects the composition too; failing here names
+		// compose would reject the composition too; failing here names
 		// the conflicting option.
 		return AdversaryOutcome{}, fmt.Errorf("blockadt: WithTopology(%q) conflicts with SimulateAdversary (adversary models assume complete-graph broadcast)", s.topology)
 	}
@@ -175,22 +129,22 @@ func SimulateAdversary(system, adversary string, opts ...Option) (AdversaryOutco
 	if alpha == 0 {
 		alpha = 0.34
 	}
-	if alpha <= 0 || alpha >= 1 {
-		return AdversaryOutcome{}, fmt.Errorf("blockadt: adversary merit share must be in (0,1), got %v", alpha)
+	p := s.simParams()
+	ex, expected, aspec, err := compose(system, s.linkName(), adversary, "", alpha, p)
+	if err != nil {
+		return AdversaryOutcome{}, err
 	}
 	mspecs, err := s.metricSpecs()
 	if err != nil {
 		return AdversaryOutcome{}, err
 	}
-	ex := Execution{System: specSystem{spec}, Params: ExecutionParams{Params: s.simParams(), Alpha: alpha}}
-	aspec.Plan(&ex)
-	res, err := chains.Execute(ex)
+	res, err := execute(ex)
 	if err != nil {
-		return AdversaryOutcome{}, convertExecuteErr(err)
+		return AdversaryOutcome{}, err
 	}
-	out := adversaryOutcome(aspec, spec.Name, link, s.simParams(), alpha, spec.Expected, res)
+	out := adversaryOutcome(aspec, p, alpha, expected, res)
 	if len(mspecs) > 0 {
-		run := newMetricRun(s.simParams(), out.SimResult)
+		run := newMetricRun(p, out.SimResult)
 		run.FairnessTVD = out.FairnessTVD
 		run.Adversarial = true
 		run.AdversaryShare = out.AdversaryShare

@@ -65,9 +65,10 @@ type LinkSpec struct {
 	// model in scenario runs; nil means every system does.
 	Supports func(system string) bool
 	// Plan composes the model into an execution: it sets the executor's
-	// link strategy (one of the chains link plans) and the parameter
-	// fields the plan reads. A nil Plan marks the default model: the
-	// system's own synchronous simulator runs untouched.
+	// link strategy to a plan that captures its own parameters
+	// (chains.AsyncLinks(8), chains.LossyLinks, …). A nil Plan marks the
+	// default model: the system's own synchronous simulator runs
+	// untouched.
 	Plan func(ex *Execution)
 	// Expected returns the consistency level the theory predicts for
 	// the named system under this link model, given the system's
@@ -90,10 +91,10 @@ type AdversarySpec struct {
 	// adversary under the named link model; nil means every combination.
 	Supports func(system, link string) bool
 	// Plan composes the fault model into an execution: it sets the
-	// executor's adversary strategy (one of the chains adversary plans);
-	// the adversary's merit share travels as the execution's Alpha
-	// parameter. A nil Plan marks the honest default.
-	Plan func(ex *Execution)
+	// executor's adversary strategy to a plan that captures the
+	// adversary's merit share alpha (chains.SelfishWithholding(alpha)).
+	// A nil Plan marks the honest default.
+	Plan func(ex *Execution, alpha float64)
 	// Expected returns the consistency level the adversarial run is
 	// predicted to retain, given the system's honest synchronous level;
 	// nil means the level is unchanged.
@@ -158,8 +159,9 @@ type AdversaryOutcome struct {
 	Expected Level
 	// FairnessTVD is the chain-quality total variation distance between
 	// realized and entitled block shares, as this adversary model
-	// defines entitlement. The spec's Run computes it — only the model
-	// knows its merit layout; leave it 0 if not meaningful.
+	// defines entitlement (AdversarySpec.Entitlement — only the model
+	// knows its merit layout). It is 0 when the plan attaches no census
+	// or the spec defines no entitlement.
 	FairnessTVD float64
 	// AdversaryMined / HonestMined count oracle-validated blocks.
 	AdversaryMined, HonestMined int
@@ -171,20 +173,6 @@ type AdversaryOutcome struct {
 	// MainChainByProc is the main-chain authorship census, the input to
 	// chain-quality fairness analysis.
 	MainChainByProc map[history.ProcID]int
-}
-
-// supportsSystem applies the spec's Supports predicate with the
-// nil-means-everything default.
-func (l LinkSpec) supportsSystem(system string) bool {
-	return l.Supports == nil || l.Supports(system)
-}
-
-func (a AdversarySpec) supportsSystem(system, link string) bool {
-	return a.Supports == nil || a.Supports(system, link)
-}
-
-func (t TopologySpec) supportsScenario(system, link, adversary string) bool {
-	return t.Supports == nil || t.Supports(system, link, adversary)
 }
 
 // asChainsSystem adapts a SystemSpec back to the internal simulator

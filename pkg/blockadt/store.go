@@ -255,14 +255,16 @@ func (c *runCache) put(i int, r Result) error {
 
 // sweepRunner is the per-scenario execution core shared by Run and
 // Stream: cache lookup, optional singleflight coalescing, census
-// bookkeeping, store persistence and deferred store-error capture.
+// bookkeeping, store persistence and deferred error capture.
 type sweepRunner struct {
-	cache    *runCache
-	flight   *Singleflight
-	census   *Census
-	keys     []string // non-nil when cache or flight need them
-	specs    []MetricSpec
-	storeErr atomic.Pointer[error]
+	cache  *runCache
+	flight *Singleflight
+	census *Census
+	keys   []string // non-nil when cache or flight need them
+	specs  []MetricSpec
+	// firstErr is the sweep's first failure: a scenario the executor
+	// rejected or a result the store could not persist.
+	firstErr atomic.Pointer[error]
 	// tracer receives one obs.Span per scenario execution; nil (the
 	// default) keeps the hot path free of wall-clock reads beyond the
 	// historical WallNS one. epoch anchors the spans' common timeline.
@@ -403,14 +405,18 @@ func (r *sweepRunner) exec(ctx context.Context, i int, cfg Scenario) Result {
 		}
 		simulated = true
 		t0 := sp.now()
-		res := runScenario(cfg, r.specs)
+		res, err := runScenario(cfg, r.specs)
 		sp.addSimulate(t0)
+		if err != nil {
+			r.firstErr.CompareAndSwap(nil, &err)
+			return Result{}
+		}
 		if r.cache != nil {
 			t1 := sp.now()
 			err := r.cache.put(i, res)
 			sp.addStorePut(t1)
 			if err != nil {
-				r.storeErr.CompareAndSwap(nil, &err)
+				r.firstErr.CompareAndSwap(nil, &err)
 			}
 		}
 		return res
@@ -451,9 +457,9 @@ func (r *sweepRunner) exec(ctx context.Context, i int, cfg Scenario) Result {
 	return res
 }
 
-// err surfaces the first store-persistence failure, if any.
+// err surfaces the sweep's first scenario or store failure, if any.
 func (r *sweepRunner) err() error {
-	if errp := r.storeErr.Load(); errp != nil {
+	if errp := r.firstErr.Load(); errp != nil {
 		return *errp
 	}
 	return nil

@@ -2,6 +2,7 @@ package blockadt
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -24,6 +25,11 @@ func TestRegistryCrossProductNoThirdState(t *testing.T) {
 	}
 	for _, sys := range SystemNames() {
 		for _, lspec := range Links() {
+			if lspec.Name == claimsEverythingLink {
+				// The deliberately lying fixture of the tests below; with
+				// -count>1 it is already registered here.
+				continue
+			}
 			for _, aspec := range Adversaries() {
 				for _, tspec := range Topologies() {
 					m := Matrix{
@@ -38,9 +44,9 @@ func TestRegistryCrossProductNoThirdState(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s×%s×%s×%s: expansion error: %v", sys, lspec.Name, aspec.Name, tspec.Name, err)
 					}
-					supported := lspec.supportsSystem(sys) &&
-						(aspec.Plan == nil || aspec.supportsSystem(sys, lspec.Name)) &&
-						(tspec.Plan == nil || tspec.supportsScenario(sys, lspec.Name, aspec.Name))
+					supported := (lspec.Supports == nil || lspec.Supports(sys)) &&
+						(aspec.Plan == nil || aspec.Supports == nil || aspec.Supports(sys, lspec.Name)) &&
+						(tspec.Plan == nil || tspec.Supports == nil || tspec.Supports(sys, lspec.Name, aspec.Name))
 					if supported != (len(configs) == 1) {
 						t.Fatalf("%s×%s×%s×%s: Supports says %v but expansion produced %d configs",
 							sys, lspec.Name, aspec.Name, tspec.Name, supported, len(configs))
@@ -79,10 +85,47 @@ func TestRegistryCrossProductNoThirdState(t *testing.T) {
 						t.Fatalf("%s×%s×%s×%s: nondeterministic:\n a: %+v\n b: %+v",
 							sys, lspec.Name, aspec.Name, tspec.Name, a, b)
 					}
+					// Every entry point composes the tuple the same way: the
+					// direct simulation entry points, given the scenario's
+					// coordinates and derived seed, reproduce its run and
+					// its verdict.
+					if aspec.Plan != nil && tspec.Plan != nil {
+						continue // SimulateAdversary has no topology option
+					}
+					direct := directRun(t, configs[0], aspec.Plan != nil)
+					if direct.Blocks != a.Blocks || direct.Forks != a.Forks || direct.Ticks != a.Ticks ||
+						direct.Delivered != a.Delivered || direct.Dropped != a.Dropped {
+						t.Fatalf("%s×%s×%s×%s: direct entry point diverged from RunScenario:\n direct: %+v\n sweep:  %+v",
+							sys, lspec.Name, aspec.Name, tspec.Name, direct, a)
+					}
+					p := SimParams{N: configs[0].N, TargetBlocks: configs[0].Blocks, Seed: configs[0].Seed}
+					if lvl := ClassifyRun(p, direct).Level.String(); lvl != a.Level {
+						t.Fatalf("%s×%s×%s×%s: direct run classified %s, RunScenario %s",
+							sys, lspec.Name, aspec.Name, tspec.Name, lvl, a.Level)
+					}
 				}
 			}
 		}
 	}
+}
+
+// directRun replays a scenario through Simulate, or through
+// SimulateAdversary when it is adversarial.
+func directRun(t *testing.T, cfg Scenario, adversarial bool) SimResult {
+	t.Helper()
+	opts := []Option{WithLink(cfg.Link), WithN(cfg.N), WithBlocks(cfg.Blocks), WithSeed(cfg.Seed)}
+	if adversarial {
+		out, err := SimulateAdversary(cfg.System, cfg.Adversary, append(opts, WithAlpha(cfg.Alpha))...)
+		if err != nil {
+			t.Fatalf("%s: SimulateAdversary: %v", cfg.Key(), err)
+		}
+		return out.SimResult
+	}
+	res, err := Simulate(cfg.System, append(opts, WithTopology(cfg.Topology))...)
+	if err != nil {
+		t.Fatalf("%s: Simulate: %v", cfg.Key(), err)
+	}
+	return res
 }
 
 // TestTopologySweepDeterministicAcrossParallelism sweeps every topology
@@ -225,19 +268,7 @@ func TestSimulateWithTopology(t *testing.T) {
 // converts the internal *chains.UnknownSystemError into its public typed
 // error — callers handle one error surface, *UnknownNameError.
 func TestUnknownSystemSurfacesAsUnknownNameError(t *testing.T) {
-	const name = "test-claims-everything"
-	if _, err := LookupLink(name); err != nil {
-		RegisterLink(LinkSpec{
-			Name:        name,
-			Description: "test-only async variant with no Supports predicate",
-			Plan: func(ex *Execution) {
-				ex.Links = chains.AsyncLinks
-				ex.Params.MaxDelay = 8
-			},
-			Hidden: true,
-		})
-	}
-	_, err := Simulate("Algorand", WithLink(name))
+	_, err := Simulate("Algorand", WithLink(registerClaimsEverythingLink()))
 	var unknown *UnknownNameError
 	if !errors.As(err, &unknown) {
 		t.Fatalf("want *UnknownNameError, got %v", err)
@@ -251,4 +282,48 @@ func TestUnknownSystemSurfacesAsUnknownNameError(t *testing.T) {
 	if len(unknown.Registered) == 0 {
 		t.Fatal("Registered alternatives empty")
 	}
+}
+
+// TestSweepReturnsLyingRegistrationError: the sweep engine meets the
+// same lying registration with the same typed error instead of a panic —
+// at parallelism 1, where the pool runs inline, and in a worker pool,
+// where a panic would kill the process. Stream yields it too.
+func TestSweepReturnsLyingRegistrationError(t *testing.T) {
+	m := Matrix{Systems: []string{"Algorand"}, Links: []string{registerClaimsEverythingLink()}}
+	for _, parallelism := range []int{1, 2} {
+		rep, err := Run(m, parallelism)
+		var unknown *UnknownNameError
+		if !errors.As(err, &unknown) || unknown.Kind != "system" || unknown.Name != "Algorand" {
+			t.Fatalf("parallelism %d: want *UnknownNameError for system Algorand, got %v", parallelism, err)
+		}
+		if rep != nil {
+			t.Fatalf("parallelism %d: failed sweep returned a report", parallelism)
+		}
+	}
+	for _, err := range Stream(context.Background(), m, 2) {
+		if !errors.Is(err, ErrUnknownName) {
+			t.Fatalf("Stream: want an unknown-name error first, got %v", err)
+		}
+		break
+	}
+}
+
+// claimsEverythingLink is a hidden async link whose nil Supports claims
+// every system although its plan runs only on the PoW driver.
+const claimsEverythingLink = "test-claims-everything"
+
+// registerClaimsEverythingLink registers claimsEverythingLink once and
+// returns its name.
+func registerClaimsEverythingLink() string {
+	if _, err := LookupLink(claimsEverythingLink); err != nil {
+		RegisterLink(LinkSpec{
+			Name:        claimsEverythingLink,
+			Description: "test-only async variant with no Supports predicate",
+			Plan: func(ex *Execution) {
+				ex.Links = chains.AsyncLinks(8)
+			},
+			Hidden: true,
+		})
+	}
+	return claimsEverythingLink
 }
