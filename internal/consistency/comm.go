@@ -20,8 +20,9 @@ func procUniverse(h *history.History, opts Options) []history.ProcID {
 		return opts.Procs
 	}
 	seen := map[history.ProcID]bool{}
-	for _, op := range h.Ops() {
-		seen[op.Proc] = true
+	ops := h.Ops()
+	for i := range ops {
+		seen[ops[i].Proc] = true
 	}
 	out := make([]history.ProcID, 0, len(seen))
 	for p := range seen {
@@ -60,8 +61,10 @@ func UpdateAgreement(h *history.History, opts Options) Verdict {
 			inner[k] = t
 		}
 	}
-	var updates []history.Op
-	for _, op := range h.Ops() {
+	var updates []*history.Op
+	ops := h.Ops()
+	for i := range ops {
+		op := &ops[i]
 		k := msgKey{parent: op.Label.Parent, block: op.Label.Block}
 		switch op.Label.Kind {
 		case history.KindSend:
@@ -126,7 +129,9 @@ func LRC(h *history.History, opts Options) Verdict {
 		key  msgKey
 	}
 	var sendEvents []sendEvt
-	for _, op := range h.Ops() {
+	ops := h.Ops()
+	for i := range ops {
+		op := &ops[i]
 		k := msgKey{parent: op.Label.Parent, block: op.Label.Block}
 		switch op.Label.Kind {
 		case history.KindSend:

@@ -29,8 +29,9 @@ func BlockValidity(h *history.History, opts Options) Verdict {
 			earliest[b] = t
 		}
 	}
-	for _, op := range h.Ops() {
-		switch op.Label.Kind {
+	ops := h.Ops()
+	for i := range ops {
+		switch op := &ops[i]; op.Label.Kind {
 		case history.KindAppend:
 			note(op.Label.Block, op.InvTime)
 		case history.KindUpdate:
@@ -116,11 +117,29 @@ func LocalMonotonicRead(h *history.History, opts Options) Verdict {
 
 // readsByProcessOrder returns the indexes into h.Reads() sorted by (proc,
 // invocation sequence): the per-process order ↦→. History.Reads returns a
-// shared cached slice, so the permutation is sorted instead of a private
+// shared cached slice, so the permutation is built instead of a private
 // copy of the (much larger) read records.
+//
+// Reads are in response order, and a process is sequential, so in a
+// well-formed history each process's reads already appear in invocation
+// order: one stable counting pass by process gives the sorted order in
+// O(n). A history in which some process's InvSeq does not increase (hand-
+// built histories can do that), or whose process ids span more than the
+// read count, takes the sort instead; both give the same permutation
+// whenever the counting pass is used.
 func readsByProcessOrder(h *history.History) []int32 {
 	reads := h.Reads()
 	order := make([]int32, len(reads))
+	if len(reads) == 0 {
+		return order
+	}
+	lo, hi := reads[0].Op.Proc, reads[0].Op.Proc
+	for i := range reads {
+		lo, hi = min(lo, reads[i].Op.Proc), max(hi, reads[i].Op.Proc)
+	}
+	if uint64(hi)-uint64(lo) < uint64(len(reads)) && countByProc(reads, lo, hi, order) {
+		return order
+	}
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -132,6 +151,34 @@ func readsByProcessOrder(h *history.History) []int32 {
 		return a.InvSeq < b.InvSeq
 	})
 	return order
+}
+
+// countByProc fills order with the read indexes bucketed stably by
+// process (ids in [lo, hi]) and reports whether each process's InvSeq
+// strictly increases along its bucket, i.e. whether order is the
+// (Proc, InvSeq) sort.
+func countByProc(reads []history.ReadOp, lo, hi history.ProcID, order []int32) bool {
+	next := make([]int32, int(hi-lo)+1)
+	for i := range reads {
+		next[reads[i].Op.Proc-lo]++
+	}
+	var at int32
+	for p, n := range next {
+		next[p] = at
+		at += n
+	}
+	for i := range reads {
+		p := reads[i].Op.Proc - lo
+		order[next[p]] = int32(i)
+		next[p]++
+	}
+	for k := 1; k < len(order); k++ {
+		a, b := reads[order[k-1]].Op, reads[order[k]].Op
+		if a.Proc == b.Proc && a.InvSeq >= b.InvSeq {
+			return false
+		}
+	}
+	return true
 }
 
 // StrongPrefix checks Definition 3.2's Strong prefix: for every pair of
@@ -213,11 +260,11 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 	// per-kind cached views just to read invocation times would copy far
 	// more than this check needs.
 	var growthTimes []int64
-	for i := range h.Ops() {
-		op := &h.Ops()[i]
-		switch op.Label.Kind {
+	ops := h.Ops()
+	for i := range ops {
+		switch op := &ops[i]; op.Label.Kind {
 		case history.KindAppend:
-			if op.Complete && op.Response.OK {
+			if op.Complete && op.Result().OK {
 				growthTimes = append(growthTimes, op.InvTime)
 			}
 		case history.KindUpdate:
@@ -364,10 +411,11 @@ func KForkCoherence(h *history.History, k int, opts Options) Verdict {
 		m[child] = true
 	}
 	for _, a := range h.SuccessfulAppends() {
-		add(a.Op.Response.Parent, a.Block)
+		add(a.Op.Result().Parent, a.Block)
 	}
-	for _, op := range h.OpsOfKind(history.KindUpdate) {
-		add(op.Label.Parent, op.Label.Block)
+	updates := h.OpsOfKind(history.KindUpdate)
+	for i := range updates {
+		add(updates[i].Label.Parent, updates[i].Label.Block)
 	}
 	checked := 0
 	for parent, kids := range children {

@@ -1,8 +1,12 @@
 package consistency
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"blockadt/internal/figures"
 	"blockadt/internal/history"
@@ -302,5 +306,67 @@ func TestWindowDefaults(t *testing.T) {
 	o.GraceWindow = 7
 	if o.window(100) != 7 {
 		t.Fatal("explicit window ignored")
+	}
+}
+
+// randomReadHistory records reads of procs processes with random
+// interleavings. With wellFormed each process has at most one read
+// pending, as a sequential process does; otherwise a process may overlap
+// its own reads, so its reads can respond out of invocation order. spread
+// scales the process ids (negative and far-apart ids exercise the
+// counting pass's range check).
+func randomReadHistory(rng *rand.Rand, procs, steps int, wellFormed bool, spread int) *history.History {
+	r := history.NewRecorder()
+	var pending []history.OpID
+	busy := map[history.ProcID]bool{}
+	procOf := map[history.OpID]history.ProcID{}
+	for i := 0; i < steps; i++ {
+		p := history.ProcID((rng.Intn(procs) - procs/2) * spread)
+		if rng.Intn(2) == 0 && (!wellFormed || !busy[p]) {
+			id := r.Invoke(p, history.Label{Kind: history.KindRead})
+			pending = append(pending, id)
+			procOf[id], busy[p] = p, true
+			continue
+		}
+		if len(pending) == 0 {
+			r.Record(p, history.Label{Kind: history.KindUpdate, Block: "1", Parent: "b0"})
+			continue
+		}
+		k := rng.Intn(len(pending))
+		id := pending[k]
+		pending = append(pending[:k], pending[k+1:]...)
+		r.Respond(id, history.Label{Kind: history.KindRead, Chain: history.Chain{"b0"}})
+		busy[procOf[id]] = false
+	}
+	return r.Finalize()
+}
+
+// TestProperty_ReadsByProcessOrderIsTheSort: on random well-formed and
+// ill-formed histories, readsByProcessOrder returns exactly the
+// permutation a (Proc, InvSeq) sort of the response-ordered reads gives,
+// whether it takes the counting pass or falls back to the sort.
+func TestProperty_ReadsByProcessOrderIsTheSort(t *testing.T) {
+	f := func(seed int64, wellFormed bool, procsRaw, spreadRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		spread := []int{1, 1, 3, 1 << 40}[spreadRaw%4]
+		h := randomReadHistory(rng, 1+int(procsRaw%6), 120, wellFormed, spread)
+		reads := h.Reads()
+		want := make([]int32, len(reads))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortFunc(want, func(a, b int32) int {
+			x, y := reads[a].Op, reads[b].Op
+			return cmp.Or(cmp.Compare(x.Proc, y.Proc), cmp.Compare(x.InvSeq, y.InvSeq))
+		})
+		got := readsByProcessOrder(h)
+		if !slices.Equal(got, want) {
+			t.Logf("seed %d wellFormed %v: got %v, want %v", seed, wellFormed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

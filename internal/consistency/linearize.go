@@ -57,15 +57,17 @@ func SequentiallyConsistent(h *history.History, sel blocktree.Selector) (bool, e
 
 func collectLinOps(h *history.History) ([]linOp, error) {
 	var ops []linOp
-	for _, op := range h.Ops() {
+	hops := h.Ops()
+	for i := range hops {
+		op := &hops[i]
 		if !op.Complete {
 			continue // pending ops may linearize anywhere; we drop them
 		}
 		switch op.Label.Kind {
 		case history.KindRead:
-			ops = append(ops, linOp{op: op, read: true, chain: op.Response.Chain})
+			ops = append(ops, linOp{op: *op, read: true, chain: op.Result().Chain})
 		case history.KindAppend:
-			ops = append(ops, linOp{op: op, ok: op.Response.OK, block: op.Label.Block})
+			ops = append(ops, linOp{op: *op, ok: op.Result().OK, block: op.Label.Block})
 		}
 	}
 	if len(ops) > MaxLinearizeOps {

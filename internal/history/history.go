@@ -204,9 +204,13 @@ func (e Event) String() string {
 // Op is a completed (or pending) operation: the one record a history
 // keeps for its invocation event and, when present, its response event.
 type Op struct {
-	ID       OpID
-	Proc     ProcID
-	Label    Label // invocation label
+	ID    OpID
+	Proc  ProcID
+	Label Label // invocation label
+	// Response is the response label of an op recorded by Invoke and
+	// Respond. It is nil for a pending op and for an instantaneous op
+	// (Recorder.Record), whose response repeats its invocation label; read
+	// it through Result.
 	Response *Label
 	InvTime  int64
 	RspTime  int64
@@ -214,6 +218,16 @@ type Op struct {
 	RspSeq   int
 	// Complete reports whether a response was recorded.
 	Complete bool
+}
+
+// Result returns the op's response label: Response, or for a complete
+// instantaneous op the op's own Label, which its response repeats. It is
+// nil for a pending op.
+func (op *Op) Result() *Label {
+	if op.Response == nil && op.Complete {
+		return &op.Label
+	}
+	return op.Response
 }
 
 // History is an immutable concurrent history H.
@@ -229,10 +243,16 @@ type Op struct {
 // re-sorting the operations per call. The views of Reads and Appends hold
 // *Op pointers into the history's own ops. The cached slices and the ops
 // they point at are shared — callers must not mutate or reorder them, nor
-// write through the pointers (sort a permutation instead, as
+// write through the pointers (order a permutation instead, as
 // readsByProcessOrder in internal/consistency does).
+//
+// A history's ops live in buffers that Release may hand back to the
+// recorders for reuse; see Release for who may call it.
 type History struct {
 	ops []Op
+	// resp is the response-label chunk the recorder was filling when the
+	// history was taken; Release recycles it with ops.
+	resp []Label
 
 	mu          sync.Mutex
 	readsCache  []ReadOp
@@ -252,7 +272,7 @@ func (h *History) Events() []Event {
 		op := &h.ops[i]
 		out[op.InvSeq] = Event{Seq: op.InvSeq, Type: Invocation, Proc: op.Proc, Op: op.ID, Label: op.Label, Time: op.InvTime}
 		if op.Complete {
-			out[op.RspSeq] = Event{Seq: op.RspSeq, Type: Response, Proc: op.Proc, Op: op.ID, Label: *op.Response, Time: op.RspTime}
+			out[op.RspSeq] = Event{Seq: op.RspSeq, Type: Response, Proc: op.Proc, Op: op.ID, Label: *op.Result(), Time: op.RspTime}
 		}
 	}
 	return out
@@ -291,7 +311,7 @@ func (h *History) Reads() []ReadOp {
 		out := make([]ReadOp, 0, h.countOps(KindRead))
 		for i := range h.ops {
 			if op := &h.ops[i]; op.Label.Kind == KindRead && op.Complete {
-				out = append(out, ReadOp{Op: op, Chain: op.Response.Chain})
+				out = append(out, ReadOp{Op: op, Chain: op.Result().Chain})
 			}
 		}
 		slices.SortFunc(out, func(a, b ReadOp) int { return cmp.Compare(a.Op.RspSeq, b.Op.RspSeq) })
@@ -364,7 +384,7 @@ func (h *History) Appends() []AppendOp {
 		out := make([]AppendOp, 0, h.countOps(KindAppend))
 		for i := range h.ops {
 			if op := &h.ops[i]; op.Label.Kind == KindAppend && op.Complete {
-				out = append(out, AppendOp{Op: op, Block: op.Label.Block, OK: op.Response.OK})
+				out = append(out, AppendOp{Op: op, Block: op.Label.Block, OK: op.Result().OK})
 			}
 		}
 		h.appendCache = out
@@ -407,9 +427,9 @@ func (h *History) OpsOfKind(k Kind) []Op {
 	out, ok := h.kindCache[k]
 	if !ok {
 		out = make([]Op, 0, h.countOps(k))
-		for _, op := range h.ops {
-			if op.Label.Kind == k && op.Complete {
-				out = append(out, op)
+		for i := range h.ops {
+			if op := &h.ops[i]; op.Label.Kind == k && op.Complete {
+				out = append(out, *op)
 			}
 		}
 		if h.kindCache == nil {
@@ -418,6 +438,29 @@ func (h *History) OpsOfKind(k Kind) []Op {
 		h.kindCache[k] = out
 	}
 	return out
+}
+
+// Release hands the history's buffers back for reuse by the next
+// Recorder.Reserve they fit, and empties the history: afterwards Ops is
+// nil, Len is 0 and every view is empty, so a stray reference to the
+// History sees an empty history, never another run's ops. An *Op,
+// ReadOp or AppendOp taken before Release points into the recycled
+// buffer and must not be used after it.
+//
+// Only the history's last consumer may call it, once nothing reads the
+// history any more: the sweep engine's scenario runner, after
+// classification and every collector have run. A history handed to a
+// caller is never released. Releasing twice is a no-op.
+func (h *History) Release() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ops == nil {
+		return
+	}
+	bufPool.Put(&buffers{ops: h.ops[:0], resp: h.resp[:0]})
+	h.ops, h.resp = nil, nil
+	h.readsCache, h.readParents = nil, 0
+	h.appendCache, h.okAppends, h.kindCache = nil, nil, nil
 }
 
 // countOps returns the number of completed operations of kind k, so the
@@ -483,10 +526,24 @@ type Recorder struct {
 	clock Clock
 	// respSlab is the current response-label chunk. Respond hands out
 	// pointers into it; append never reallocates within a chunk (a fresh
-	// chunk is started when the current one fills), so the pointers stay
-	// valid and one allocation serves many responses.
+	// chunk of the same capacity is started when the current one fills),
+	// so the pointers stay valid and one allocation serves many
+	// responses. Record takes no entry: an instantaneous op's response is
+	// its own label (Op.Result).
 	respSlab []Label
 }
+
+// buffers is the storage of one history: its op buffer and the
+// response-label chunk it was filling. History.Release puts it in
+// bufPool, and the next Reserve it fits reuses it instead of faulting in
+// fresh memory. The recycled entries are not cleared: every op and label
+// appended later overwrites its slot whole.
+type buffers struct {
+	ops  []Op
+	resp []Label
+}
+
+var bufPool sync.Pool // of *buffers
 
 // Clock supplies timestamps for the operation order ≺. Virtual-time
 // simulators supply their own clock; real concurrent runs use a monotonic
@@ -521,22 +578,33 @@ func NewRecorderWithClock(c Clock) *Recorder {
 	return &Recorder{clock: c}
 }
 
-// Reserve grows the recorder's operation buffer (and its response-label
-// slab) to room for at least ops operations. There is no event buffer to
-// size: events are derived from the ops. Simulators that can bound the
-// history size from their parameters (TargetBlocks × replicas ×
-// ops-per-block) call this once so the append path never reallocates
-// mid-run.
+// Reserve grows the recorder's operation buffer to room for at least ops
+// operations, and its response-label slab to room for ops/2 responses:
+// only ops recorded by Invoke and Respond take a slab entry, and in the
+// simulators' histories those (reads, appends) are at most about a third
+// of the ops, the send/receive/update fan-out being recorded by Record.
+// There is no event buffer to size: events are derived from the ops.
+// Simulators that can bound the history size from their parameters
+// (TargetBlocks × replicas × ops-per-block) call this once so the append
+// path never reallocates mid-run. An empty recorder takes the buffers of
+// a released history (History.Release) when they are large enough.
 func (r *Recorder) Reserve(ops int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if len(r.ops) == 0 && cap(r.ops) < ops {
+		// An empty recorder holds no response pointers either, so both
+		// buffers can be swapped for recycled ones.
+		if b, ok := bufPool.Get().(*buffers); ok && cap(b.ops) >= ops {
+			r.ops, r.respSlab = b.ops, b.resp
+		}
+	}
 	if cap(r.ops) < ops {
 		grown := make([]Op, len(r.ops), ops)
 		copy(grown, r.ops)
 		r.ops = grown
 	}
-	if cap(r.respSlab)-len(r.respSlab) < ops {
-		r.respSlab = make([]Label, 0, ops)
+	if resp := ops / 2; cap(r.respSlab)-len(r.respSlab) < resp {
+		r.respSlab = make([]Label, 0, resp)
 	}
 }
 
@@ -563,7 +631,7 @@ func (r *Recorder) Respond(id OpID, result Label) {
 	now := r.clock.Now()
 	op := &r.ops[id]
 	if len(r.respSlab) == cap(r.respSlab) {
-		r.respSlab = make([]Label, 0, 256)
+		r.respSlab = make([]Label, 0, max(256, cap(r.respSlab)))
 	}
 	r.respSlab = append(r.respSlab, result)
 	op.Response = &r.respSlab[len(r.respSlab)-1]
@@ -575,9 +643,10 @@ func (r *Recorder) Respond(id OpID, result Label) {
 // Record records an instantaneous (invocation+response collapsed) event,
 // used for send/receive/update events which have no call/return structure.
 // It records a complete op under one lock acquisition — equivalent to
-// Invoke+Respond (including drawing two sequence numbers and two clock
-// values) but cheaper on the simulator's per-delivery path, where Record
-// is the dominant call.
+// Invoke+Respond with l as the result (including drawing two sequence
+// numbers and two clock values) but cheaper on the simulator's
+// per-delivery path, where Record is the dominant call. The op stores no
+// response label: Op.Result answers with its own Label.
 func (r *Recorder) Record(p ProcID, l Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -586,14 +655,9 @@ func (r *Recorder) Record(p ProcID, l Label) {
 	r.seq += 2
 	tInv := r.clock.Now()
 	tRsp := r.clock.Now()
-	if len(r.respSlab) == cap(r.respSlab) {
-		r.respSlab = make([]Label, 0, 256)
-	}
-	r.respSlab = append(r.respSlab, l)
 	r.ops = append(r.ops, Op{
 		ID: id, Proc: p, Label: l,
-		Response: &r.respSlab[len(r.respSlab)-1],
-		InvTime:  tInv, RspTime: tRsp,
+		InvTime: tInv, RspTime: tRsp,
 		InvSeq: seq, RspSeq: seq + 1,
 		Complete: true,
 	})
@@ -608,6 +672,8 @@ func (r *Recorder) Snapshot() *History {
 	// One response slab for the whole snapshot instead of one heap object
 	// per completed operation: the copies stay independent of the recorder
 	// (the slab is owned by the snapshot) without per-op allocations.
+	// Instantaneous ops have no Response to copy; their copied Label is
+	// their result.
 	n := 0
 	for i := range r.ops {
 		if r.ops[i].Response != nil {
@@ -625,7 +691,8 @@ func (r *Recorder) Snapshot() *History {
 }
 
 // Finalize returns the recorded history by transferring ownership of the
-// recorder's op buffer — no copy. The recorder is reset to empty:
+// recorder's op buffer and current response chunk — no copy. The
+// recorder is reset to empty:
 // recording after Finalize starts a new history at Seq 0 and OpID 0, in
 // fresh buffers the returned history does not see. Single-use harnesses
 // (one recorder per simulation run) call this instead of Snapshot to avoid
@@ -633,7 +700,7 @@ func (r *Recorder) Snapshot() *History {
 func (r *Recorder) Finalize() *History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := &History{ops: r.ops}
+	h := &History{ops: r.ops, resp: r.respSlab}
 	r.seq = 0
 	r.ops = nil
 	r.respSlab = nil

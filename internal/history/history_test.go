@@ -461,3 +461,98 @@ func TestViewsPointIntoOps(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordResultIsOwnLabel: an instantaneous op stores no response
+// label; Result answers with its own Label, in the recorder's history and
+// in a snapshot, while Invoke/Respond ops answer with their response and
+// a pending op with nil.
+func TestRecordResultIsOwnLabel(t *testing.T) {
+	r := NewRecorder()
+	l := Label{Kind: KindUpdate, Block: "1", Parent: "b0", Origin: 2}
+	r.Record(2, l)
+	id := r.Invoke(0, Label{Kind: KindAppend, Block: "2"})
+	r.Respond(id, Label{Kind: KindAppend, Block: "2", Parent: "1", OK: true})
+	r.Invoke(1, Label{Kind: KindRead})
+	snap := r.Snapshot()
+	for _, h := range []*History{snap, r.Finalize()} {
+		ops := h.Ops()
+		if ops[0].Response != nil || ops[0].Result() != &ops[0].Label || !reflect.DeepEqual(*ops[0].Result(), l) {
+			t.Fatalf("Record op: Response %v, Result %v, want nil and its own label", ops[0].Response, ops[0].Result())
+		}
+		if got := ops[1].Result(); got != ops[1].Response || !got.OK || got.Parent != "1" {
+			t.Fatalf("append op: Result %+v, want its response", got)
+		}
+		if ops[2].Result() != nil {
+			t.Fatalf("pending op: Result %+v, want nil", ops[2].Result())
+		}
+	}
+}
+
+// recordMixed records a sequence of n operations of every shape (reads
+// and appends through Invoke/Respond, a pending invocation, and
+// instantaneous Record ops) whose labels depend on tag, so two calls with
+// different tags record different histories.
+func recordMixed(r *Recorder, n int, tag string) {
+	for i := 0; i < n; i++ {
+		p := ProcID(i % 3)
+		switch i % 4 {
+		case 0:
+			id := r.Invoke(p, Label{Kind: KindRead})
+			r.Respond(id, Label{Kind: KindRead, Chain: chainOf("b0", fmt.Sprint(tag, i))})
+		case 1:
+			id := r.Invoke(p, Label{Kind: KindAppend, Block: BlockRef(fmt.Sprint(tag, i))})
+			r.Respond(id, Label{Kind: KindAppend, Block: BlockRef(fmt.Sprint(tag, i)), Parent: "b0", OK: i%3 == 0})
+		case 2:
+			r.Record(p, Label{Kind: KindUpdate, Block: BlockRef(fmt.Sprint(tag, i)), Parent: "b0", Origin: p})
+		default:
+			if i == n-1 {
+				r.Invoke(p, Label{Kind: KindRead})
+			} else {
+				r.Record(p, Label{Kind: KindSend, Block: BlockRef(fmt.Sprint(tag, i)), Parent: "b0", Origin: p})
+			}
+		}
+	}
+}
+
+// TestReleasedBufferReuseIsInvisible: a recorder that records into a
+// released history's buffers yields exactly the ops and events a fresh
+// recorder yields for the same sequence, although the recycled buffers
+// still hold a longer, different history's ops past the new length; and
+// the released history reads as empty. sync.Pool may drop a buffer (the
+// race detector makes it do so at random), so the reuse is retried until
+// it is observed.
+func TestReleasedBufferReuseIsInvisible(t *testing.T) {
+	const reserve = 128
+	fresh := NewRecorder()
+	recordMixed(fresh, 41, "new")
+	want := fresh.Finalize()
+	for attempt := 0; attempt < 64; attempt++ {
+		old := NewRecorder()
+		old.Reserve(reserve)
+		recordMixed(old, 97, "old")
+		released := old.Finalize()
+		if len(released.Reads()) == 0 || len(released.Appends()) == 0 || len(released.OpsOfKind(KindUpdate)) == 0 {
+			t.Fatal("the released history should have built non-empty views")
+		}
+		first := &released.Ops()[0]
+		released.Release()
+		if released.Len() != 0 || released.Ops() != nil || len(released.Reads()) != 0 ||
+			len(released.Appends()) != 0 || len(released.SuccessfulAppends()) != 0 ||
+			len(released.OpsOfKind(KindUpdate)) != 0 || len(released.Events()) != 0 {
+			t.Fatalf("released history is not empty: Len %d, %d reads", released.Len(), len(released.Reads()))
+		}
+		released.Release() // a second release is a no-op
+
+		r := NewRecorder()
+		r.Reserve(reserve)
+		recordMixed(r, 41, "new")
+		got := r.Finalize()
+		if !reflect.DeepEqual(got.Ops(), want.Ops()) || !reflect.DeepEqual(got.Events(), want.Events()) {
+			t.Fatalf("attempt %d: a recorder on recycled buffers recorded\n%+v\nwant\n%+v", attempt, got.Ops(), want.Ops())
+		}
+		if &got.Ops()[0] == first {
+			return
+		}
+	}
+	t.Fatal("Reserve never reused a released op buffer")
+}

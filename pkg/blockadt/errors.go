@@ -40,3 +40,23 @@ func (e *UnknownNameError) Error() string {
 // Is matches the ErrUnknownName sentinel, so errors.Is works without
 // callers knowing the concrete type.
 func (e *UnknownNameError) Is(target error) bool { return target == ErrUnknownName }
+
+// ScenarioPanicError reports a sweep scenario whose execution panicked,
+// e.g. a simulator safety cap or a faulty registered plan. The sweep
+// engine recovers the panic on the worker that ran the scenario and fails
+// the sweep with this error, so Run and Stream return it instead of the
+// panic taking the process down.
+type ScenarioPanicError struct {
+	// Key is the panicking scenario's canonical key (Scenario.Key).
+	Key string
+	// Value is the value the scenario panicked with.
+	Value any
+	// Stack is the panicking goroutine's stack trace, which the recovered
+	// panic would otherwise have printed.
+	Stack []byte
+}
+
+// Error names the scenario and the panic value.
+func (e *ScenarioPanicError) Error() string {
+	return fmt.Sprintf("blockadt: scenario %s panicked: %v", e.Key, e.Value)
+}

@@ -456,6 +456,9 @@ func runScenario(cfg Scenario, mspecs []MetricSpec) (Result, error) {
 	if len(mspecs) > 0 {
 		out.Metrics = computeMetrics(mspecs, metricRun(cfg, res, out, adversarial))
 	}
+	// Nothing reads the history past this point and it never leaves this
+	// function, so its buffers go to the next scenario's recorder.
+	res.History.Release()
 	out.WallNS = time.Since(start).Nanoseconds()
 	return out, nil
 }

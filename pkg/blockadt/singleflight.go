@@ -23,6 +23,7 @@ type Singleflight struct {
 type flightCall struct {
 	done chan struct{}
 	r    Result
+	err  error
 }
 
 // NewSingleflight returns an empty flight group.
@@ -32,27 +33,29 @@ func NewSingleflight() *Singleflight {
 
 // Do executes fn under key, coalescing concurrent calls: the first
 // caller for a key runs fn (leader=true); callers that arrive while it
-// runs block and receive the leader's result without invoking fn
-// (leader=false). The key is removed before the result is published, so
-// a call arriving after completion starts a fresh flight — by then the
-// run store already has the result, making the recompute a cache hit.
-func (g *Singleflight) Do(key string, fn func() Result) (r Result, leader bool) {
+// runs block and receive the leader's result and error without invoking
+// fn (leader=false), so a failed scenario fails every sweep waiting on
+// it rather than handing the waiters an empty result. The key is removed
+// before the result is published, so a call arriving after completion
+// starts a fresh flight — by then the run store already has the result,
+// making the recompute a cache hit.
+func (g *Singleflight) Do(key string, fn func() (Result, error)) (r Result, leader bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		<-c.done
-		return c.r, false
+		return c.r, false, c.err
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	c.r = fn()
+	c.r, c.err = fn()
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
 	close(c.done)
-	return c.r, true
+	return c.r, true, c.err
 }
 
 // Inflight reports how many distinct keys are currently being computed —

@@ -147,7 +147,10 @@ type MetricSpec struct {
 	// inapplicable metric (e.g. adversary share on an honest run) is
 	// skipped, not recorded as zero. Compute must be a pure function of
 	// the snapshot — the determinism of metrics-enabled sweep JSON
-	// depends on it.
+	// depends on it. Compute must not keep MetricRun.History, or anything
+	// taken from it, after it returns: the sweep engine releases the
+	// history for reuse by the next scenario (History.Release) once every
+	// collector has run.
 	Compute func(MetricRun) (float64, bool)
 }
 

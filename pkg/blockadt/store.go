@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -388,7 +389,7 @@ func (r *sweepRunner) exec(ctx context.Context, i int, cfg Scenario) Result {
 		return Result{}
 	}
 	simulated := false
-	compute := func() Result {
+	compute := func() (Result, error) {
 		// Double-check the store under flight leadership: a previous
 		// leader persists before releasing its key, so a caller that
 		// missed the cache, stalled, and then won a fresh flight finds
@@ -400,16 +401,15 @@ func (r *sweepRunner) exec(ctx context.Context, i int, cfg Scenario) Result {
 			res, ok := r.cache.get(i)
 			sp.addStoreGet(t0)
 			if ok {
-				return res
+				return res, nil
 			}
 		}
 		simulated = true
 		t0 := sp.now()
-		res, err := runScenario(cfg, r.specs)
+		res, err := r.simulate(cfg)
 		sp.addSimulate(t0)
 		if err != nil {
-			r.firstErr.CompareAndSwap(nil, &err)
-			return Result{}
+			return Result{}, err
 		}
 		if r.cache != nil {
 			t1 := sp.now()
@@ -419,11 +419,14 @@ func (r *sweepRunner) exec(ctx context.Context, i int, cfg Scenario) Result {
 				r.firstErr.CompareAndSwap(nil, &err)
 			}
 		}
-		return res
+		return res, nil
 	}
 	if r.flight != nil {
 		t0 := sp.now()
-		res, leader := r.flight.Do(r.keys[i], compute)
+		res, leader, err := r.flight.Do(r.keys[i], compute)
+		if err != nil {
+			r.firstErr.CompareAndSwap(nil, &err)
+		}
 		var outcome string
 		switch {
 		case leader && simulated:
@@ -452,9 +455,26 @@ func (r *sweepRunner) exec(ctx context.Context, i int, cfg Scenario) Result {
 	if r.census != nil {
 		r.census.simulated.Add(1)
 	}
-	res := compute()
+	res, err := compute()
+	if err != nil {
+		r.firstErr.CompareAndSwap(nil, &err)
+	}
 	sp.finish(r, cfg, obs.OutcomeSimulated)
 	return res
+}
+
+// simulate runs one scenario, turning a panic anywhere in it into a
+// *ScenarioPanicError so one bad scenario fails its sweep instead of
+// killing the process, a serving one included. A panicking scenario
+// never reaches its history's release: its buffers go to the garbage
+// collector, not to the next scenario.
+func (r *sweepRunner) simulate(cfg Scenario) (res Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = Result{}, &ScenarioPanicError{Key: cfg.Key(), Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return runScenario(cfg, r.specs)
 }
 
 // err surfaces the sweep's first scenario or store failure, if any.
