@@ -274,29 +274,40 @@ func BenchmarkSeedAggregation(b *testing.B) {
 }
 
 // BenchmarkTable1Classify regenerates Table 1: simulate all seven systems
-// and classify their histories.
+// and classify their histories, one after another as `btadt classify`
+// does.
 func BenchmarkTable1Classify(b *testing.B) {
-	p := chains.Params{N: 8, TargetBlocks: 30, Seed: 42}
 	for i := 0; i < b.N; i++ {
-		rows := chains.Classify(p)
-		if len(rows) != 7 {
-			b.Fatal("short table")
+		for _, name := range blockadt.SystemNames() {
+			classifyTable1Row(b, name)
 		}
 	}
 }
 
 // BenchmarkTable1PerSystem times each row of Table 1 separately.
 func BenchmarkTable1PerSystem(b *testing.B) {
-	p := chains.Params{N: 8, TargetBlocks: 30, Seed: 42}
-	for _, sys := range chains.All() {
-		b.Run(sys.Name(), func(b *testing.B) {
+	for _, name := range blockadt.SystemNames() {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				row := chains.ClassifyOne(sys, p)
-				if !row.Match {
-					b.Fatalf("%s mismatched", sys.Name())
-				}
+				classifyTable1Row(b, name)
 			}
 		})
+	}
+}
+
+// classifyTable1Row simulates and classifies one Table 1 row at the
+// golden's parameters, failing on a verdict the paper does not assign.
+func classifyTable1Row(b *testing.B, name string) {
+	spec, err := blockadt.LookupSystem(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, cls, err := blockadt.ClassifySimulated(name, blockadt.WithN(8), blockadt.WithBlocks(30), blockadt.WithSeed(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if cls.Level != spec.Expected {
+		b.Fatalf("%s classified %s, paper says %s", name, cls.Level, spec.Expected)
 	}
 }
 

@@ -93,6 +93,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"blockadt/pkg/blockadt"
@@ -187,28 +188,40 @@ func cmdClassify(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p := blockadt.SimParams{N: *n, TargetBlocks: *blocks, Seed: *seed}
-
-	var rows []blockadt.Table1Row
+	names := blockadt.SystemNames()
 	if *system != "" {
-		row, err := blockadt.ClassifySystem(*system, p)
+		names = []string{*system}
+	}
+	// Every row runs before anything prints, so a rejected parameter
+	// leaves no half-rendered table behind.
+	var table, reports strings.Builder
+	fmt.Fprintf(&table, "%-12s %-28s %-10s %-9s %-9s %-8s %6s %6s %5s\n",
+		"System", "Refinement (paper)", "Oracle", "Selector", "Expected", "Measured", "Blocks", "Forks", "Match")
+	fmt.Fprintln(&table, strings.Repeat("-", 104))
+	var mismatch error
+	for _, name := range names {
+		spec, err := blockadt.LookupSystem(name)
 		if err != nil {
 			return err
 		}
-		rows = []blockadt.Table1Row{row}
-	} else {
-		rows = blockadt.ClassifyTable(p)
+		res, cls, err := blockadt.ClassifySimulated(name, blockadt.WithN(*n), blockadt.WithBlocks(*blocks), blockadt.WithSeed(*seed))
+		if err != nil {
+			return err
+		}
+		match := "yes"
+		if cls.Level != spec.Expected {
+			match = "NO"
+			if mismatch == nil {
+				mismatch = fmt.Errorf("%s classified %s, paper says %s", spec.Name, cls.Level, spec.Expected)
+			}
+		}
+		fmt.Fprintf(&table, "%-12s %-28s %-10s %-9s %-9s %-8s %6d %6d %5s\n",
+			spec.Name, spec.Refinement, res.OracleName, res.SelectorName, spec.Expected, cls.Level, res.Blocks, res.Forks, match)
+		fmt.Fprintf(&reports, "\n── %s ──\n%s%s", spec.Name, cls.SC, cls.EC)
 	}
-	fmt.Print(blockadt.FormatTable1(rows))
+	fmt.Print(table.String())
 	if *verbose {
-		for _, r := range rows {
-			fmt.Printf("\n── %s ──\n%s%s", r.System, r.SC, r.EC)
-		}
+		fmt.Print(reports.String())
 	}
-	for _, r := range rows {
-		if !r.Match {
-			return fmt.Errorf("%s classified %s, paper says %s", r.System, r.Measured, r.Expected)
-		}
-	}
-	return nil
+	return mismatch
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -69,12 +70,31 @@ func TestListGolden(t *testing.T) {
 	checkGolden(t, "list", captureStdout(t, func() error { return cmdList(nil) }))
 }
 
-// TestClassifyGolden pins the Table 1 regeneration at fixed parameters.
+// TestClassifyGolden pins the Table 1 regeneration at fixed parameters:
+// every system's verdict, oracle, selector and run summary, so a refactor
+// cannot silently flip a consistency verdict or perturb a deterministic
+// simulation.
 func TestClassifyGolden(t *testing.T) {
-	out := captureStdout(t, func() error {
-		return cmdClassify([]string{"-n", "8", "-blocks", "20", "-seed", "42"})
-	})
-	checkGolden(t, "classify", out)
+	for _, tc := range []struct{ golden, blocks string }{
+		{"classify", "20"},
+		{"table1", "30"},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			out := captureStdout(t, func() error {
+				return cmdClassify([]string{"-n", "8", "-blocks", tc.blocks, "-seed", "42"})
+			})
+			checkGolden(t, tc.golden, out)
+		})
+	}
+}
+
+// TestClassifyRejectsNegativeN: a negative process count is an error
+// naming the parameter, not a panic inside the simulator.
+func TestClassifyRejectsNegativeN(t *testing.T) {
+	err := cmdClassify([]string{"-n", "-3"})
+	if err == nil || !strings.Contains(err.Error(), "process count n must be >= 0") {
+		t.Fatalf("classify -n -3: err = %v, want the process-count error", err)
+	}
 }
 
 // TestStatsGolden pins the stats pipeline's table and JSON outputs on a

@@ -185,16 +185,6 @@ func All() []System {
 	}
 }
 
-// ByName returns the system with the given (case-sensitive) name.
-func ByName(name string) (System, error) {
-	for _, s := range All() {
-		if s.Name() == name {
-			return s, nil
-		}
-	}
-	return nil, fmt.Errorf("chains: unknown system %q", name)
-}
-
 // equalMerits returns n merit probabilities of p each: the normalized
 // α_p = 1/n setting of Section 5 scaled to a per-attempt probability.
 func equalMerits(n int, p float64) []float64 {

@@ -1,7 +1,6 @@
 package chains
 
 import (
-	"strings"
 	"testing"
 
 	"blockadt/internal/consistency"
@@ -12,21 +11,19 @@ var table1Params = Params{N: 8, TargetBlocks: 30, Seed: 42}
 // TestTable1Classification regenerates Table 1: each simulated system's
 // recorded history classifies at the paper's consistency level.
 func TestTable1Classification(t *testing.T) {
+	if got := len(All()); got != 7 {
+		t.Fatalf("Table 1 has %d systems, want 7", got)
+	}
 	for _, seed := range claimSeeds(table1Params.Seed) {
 		p := table1Params
 		p.Seed = seed
-		rows := Classify(p)
-		if len(rows) != 7 {
-			t.Fatalf("seed=%d: rows = %d, want 7", seed, len(rows))
-		}
-		for _, r := range rows {
-			if !r.Match {
+		for _, sys := range All() {
+			res := sys.Run(p)
+			cls := res.Classify(Options(p, res.History))
+			if cls.Level != sys.Expected() {
 				t.Errorf("seed=%d: %s: measured %s, paper says %s\nSC: %sEC: %s",
-					seed, r.System, r.Measured, r.Expected, r.SC, r.EC)
+					seed, sys.Name(), cls.Level, sys.Expected(), cls.SC, cls.EC)
 			}
-		}
-		if seed == table1Params.Seed {
-			t.Logf("\n%s", FormatTable(rows))
 		}
 	}
 }
@@ -131,26 +128,6 @@ func TestSeedChangesRun(t *testing.T) {
 	b := Bitcoin{}.Run(Params{N: 8, TargetBlocks: 20, Seed: 2})
 	if a.Ticks == b.Ticks && a.Delivered == b.Delivered && a.Forks == b.Forks {
 		t.Fatal("two seeds produced identical executions — suspicious")
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, want := range []string{"Bitcoin", "Ethereum", "Algorand", "ByzCoin", "PeerCensus", "RedBelly", "Hyperledger"} {
-		sys, err := ByName(want)
-		if err != nil || sys.Name() != want {
-			t.Fatalf("ByName(%s): %v", want, err)
-		}
-	}
-	if _, err := ByName("Dogecoin"); err == nil {
-		t.Fatal("unknown system accepted")
-	}
-}
-
-func TestFormatTable(t *testing.T) {
-	rows := []Row{{System: "X", PaperRefinement: "R", Expected: consistency.LevelSC, Measured: consistency.LevelSC, Match: true}}
-	out := FormatTable(rows)
-	if !strings.Contains(out, "X") || !strings.Contains(out, "yes") {
-		t.Fatalf("table:\n%s", out)
 	}
 }
 

@@ -21,16 +21,19 @@ func Example() {
 	// forked: true
 }
 
-// ExampleClassify regenerates the whole of Table 1.
-func ExampleClassify() {
-	rows := chains.Classify(chains.Params{N: 8, TargetBlocks: 30, Seed: 42})
+// ExampleResult_Classify regenerates the whole of Table 1: run each
+// system and classify its history.
+func ExampleResult_Classify() {
+	p := chains.Params{N: 8, TargetBlocks: 30, Seed: 42}
+	systems := chains.All()
 	allMatch := true
-	for _, r := range rows {
-		if !r.Match {
+	for _, sys := range systems {
+		res := sys.Run(p)
+		if res.Classify(chains.Options(p, res.History)).Level != sys.Expected() {
 			allMatch = false
 		}
 	}
-	fmt.Printf("%d systems, all at the paper's level: %v\n", len(rows), allMatch)
+	fmt.Printf("%d systems, all at the paper's level: %v\n", len(systems), allMatch)
 	// Output:
 	// 7 systems, all at the paper's level: true
 }

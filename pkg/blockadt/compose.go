@@ -16,8 +16,16 @@ import (
 // predicts for it and the adversary spec that owns the run (the honest
 // default, with a nil Plan, for honest runs). An empty topology is the
 // complete graph. alpha is read only when the adversary has a Plan, and
-// must then lie in (0,1).
+// must then lie in (0,1). A negative process count or block target is an
+// error; zero selects the simulators' default.
 func compose(system, link, adversary, topology string, alpha float64, p SimParams) (ex Execution, expected Level, adv AdversarySpec, err error) {
+	if err = checkN(p.N); err != nil {
+		return
+	}
+	if p.TargetBlocks < 0 {
+		err = fmt.Errorf("blockadt: target blocks must be >= 0 (0 selects the default), got %d", p.TargetBlocks)
+		return
+	}
 	if topology == "" {
 		topology = TopoComplete
 	}

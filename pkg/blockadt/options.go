@@ -90,7 +90,7 @@ func WithForkBound(k int) Option { return func(s *settings) { s.forkBound = k } 
 func WithAlpha(alpha float64) Option { return func(s *settings) { s.alpha = alpha } }
 
 // WithMerits sets per-process token probabilities (the paper's merit
-// parameter αᵢ), overriding the uniform default. Applies to New and
+// parameter αᵢ, each in [0,1]), overriding the uniform default. Applies to New and
 // Simulate; Simulate accepts it only for merit-aware (PoW) systems and
 // requires one entry per process — committee systems grant
 // deterministically, and a silently ignored merit vector would fake a

@@ -3,6 +3,7 @@ package blockadt
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,9 +167,32 @@ func TestUnknownNamesFailLoudly(t *testing.T) {
 		"degenerate alpha":   {System: "Bitcoin", Link: LinkSync, Adversary: AdvSelfish, Alpha: 0, N: 4, Blocks: 5},
 		"out-of-range alpha": {System: "Bitcoin", Link: LinkSync, Adversary: AdvSelfish, Alpha: 1.5, N: 4, Blocks: 5},
 		"negative n":         {System: "Bitcoin", Link: LinkSync, Adversary: AdvNone, N: -1, Blocks: 5},
+		"negative blocks":    {System: "Bitcoin", Link: LinkSync, Adversary: AdvNone, N: 4, Blocks: -5},
 	} {
 		if _, err := RunScenario(cfg); err == nil {
 			t.Errorf("RunScenario accepted a scenario with %s: %+v", name, cfg)
+		}
+	}
+	// A negative size reaches no simulator through any entry point: it
+	// would panic building the network (n) or stop at once and report a
+	// verdict no paper claim backs (blocks).
+	for name, run := range map[string]func() error{
+		"Simulate negative n": func() error { _, err := Simulate("Bitcoin", WithN(-3)); return err },
+		"Simulate negative blocks": func() error {
+			_, err := Simulate("Bitcoin", WithBlocks(-5))
+			return err
+		},
+		"SimulateAdversary negative n": func() error {
+			_, err := SimulateAdversary("Bitcoin", AdvSelfish, WithN(-3))
+			return err
+		},
+		"SimulateAdversary negative blocks": func() error {
+			_, err := SimulateAdversary("Bitcoin", AdvSelfish, WithBlocks(-5))
+			return err
+		},
+	} {
+		if err := run(); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -216,6 +240,17 @@ func TestOptionScopeEnforced(t *testing.T) {
 	}
 	if _, err := SimulateAdversary("Bitcoin", AdvSelfish, WithMerits(0.5, 0.5)); err == nil {
 		t.Error("SimulateAdversary ignored WithMerits instead of rejecting it (the adversary model derives merits from alpha)")
+	}
+	for _, merits := range [][]float64{{0.5, -0.2, 0.1}, {0.5, 1.2, 0.1}, {0.5, math.NaN(), 0.1}} {
+		if _, err := Simulate("Bitcoin", WithMerits(merits...), WithN(3)); err == nil {
+			t.Errorf("Simulate accepted merits %v, which are not token probabilities", merits)
+		}
+		if _, err := New("Bitcoin", WithMerits(merits...)); err == nil {
+			t.Errorf("New accepted merits %v, which are not token probabilities", merits)
+		}
+	}
+	if _, err := New("Bitcoin", WithMerits(0, 1)); err != nil {
+		t.Errorf("New rejected merits at the ends of [0,1]: %v", err)
 	}
 }
 

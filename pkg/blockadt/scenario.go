@@ -404,12 +404,9 @@ func Run(m Matrix, parallelism int, opts ...RunOption) (*Report, error) {
 // applies the same validation Matrix.Configs does while expanding: a name
 // no registry knows, a combination no simulator supports, a negative
 // process count or an out-of-range adversary merit share is an error
-// instead of a silently wrong run. Scenarios expanded by Matrix.Configs
-// are always valid.
+// instead of a silently wrong run, as is a negative block target.
+// Scenarios expanded by Matrix.Configs are always valid.
 func RunScenario(cfg Scenario) (Result, error) {
-	if err := checkN(cfg.N); err != nil {
-		return Result{}, err
-	}
 	return runScenario(cfg, nil)
 }
 

@@ -351,6 +351,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		blockadt.WithCensus(&census),
 		blockadt.WithTracer(s.requestTracer(r.Context()))) {
 		if err != nil {
+			// The stack is for the operator: it stays out of the NDJSON
+			// line and the polled state, so log it once here.
+			var pe *blockadt.ScenarioPanicError
+			if errors.As(err, &pe) {
+				s.log.LogAttrs(r.Context(), slog.LevelError, "scenario panicked",
+					slog.String("sweep", id),
+					slog.String("key", pe.Key),
+					slog.Any("value", pe.Value),
+					slog.String("stack", string(pe.Stack)),
+				)
+			}
 			enc.Encode(map[string]string{"error": err.Error()})
 			s.finishSweep(st, &census, completed, "failed", err.Error())
 			return

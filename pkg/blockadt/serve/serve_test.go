@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -435,5 +437,95 @@ func TestMetricsz(t *testing.T) {
 	}
 	if len(lines) < 4 || !strings.Contains(string(body), "engine: "+blockadt.EngineVersion) {
 		t.Fatalf("healthz should report the build triple after ok, got %q", body)
+	}
+}
+
+// panicLink is a hidden link whose plan panics, so every scenario
+// routed over it fails its sweep with a *blockadt.ScenarioPanicError.
+const panicLink = "serve-test-panics"
+
+var registerPanicLinkOnce sync.Once
+
+func registerPanicLink() {
+	registerPanicLinkOnce.Do(func() {
+		blockadt.RegisterLink(blockadt.LinkSpec{
+			Name:        panicLink,
+			Description: "test-only link whose plan panics",
+			Plan:        func(*blockadt.Execution) { panic("link model exploded") },
+			Hidden:      true,
+		})
+	})
+}
+
+// recordLog is an slog.Handler that keeps every record it is handed.
+type recordLog struct {
+	mu      sync.Mutex
+	records []slog.Record
+}
+
+func (l *recordLog) Enabled(context.Context, slog.Level) bool { return true }
+func (l *recordLog) WithAttrs([]slog.Attr) slog.Handler       { return l }
+func (l *recordLog) WithGroup(string) slog.Handler            { return l }
+func (l *recordLog) Handle(_ context.Context, r slog.Record) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.records = append(l.records, r.Clone())
+	return nil
+}
+
+// TestScenarioPanicLogsStack: a sweep whose scenario panics ends its
+// stream with the unchanged error line, and the server logs one
+// error-level record with the sweep ID, the scenario key and the stack
+// of the panic, which neither the stream nor the polled state carries.
+func TestScenarioPanicLogsStack(t *testing.T) {
+	registerPanicLink()
+	var log recordLog
+	ts, _ := newTestServer(t, func(c *Config) { c.Logger = slog.New(&log) })
+	m := blockadt.Matrix{Systems: []string{"Bitcoin"}, Links: []string{panicLink}, TargetBlocks: 5, RootSeed: 61}
+	configs, err := m.Configs()
+	if err != nil || len(configs) != 1 {
+		t.Fatalf("configs = %v, %v; want one scenario", configs, err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(mustJSON(t, m)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var line struct{ Error string }
+	if err := json.Unmarshal(body, &line); err != nil || !strings.Contains(line.Error, "panicked: link model exploded") {
+		t.Fatalf("stream = %q, want one error line naming the panic", body)
+	}
+	if strings.Contains(string(body), "goroutine") {
+		t.Errorf("stream carries the stack: %q", body)
+	}
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	var panics []map[string]string
+	for _, r := range log.records {
+		if r.Level != slog.LevelError {
+			continue
+		}
+		attrs := map[string]string{"msg": r.Message}
+		r.Attrs(func(a slog.Attr) bool {
+			attrs[a.Key] = a.Value.String()
+			return true
+		})
+		panics = append(panics, attrs)
+	}
+	if len(panics) != 1 {
+		t.Fatalf("%d error records, want 1: %v", len(panics), panics)
+	}
+	got := panics[0]
+	if got["sweep"] != resp.Header.Get("X-Sweep-Id") || got["key"] != configs[0].Key() {
+		t.Errorf("record names sweep %q scenario %q, want %q and %q",
+			got["sweep"], got["key"], resp.Header.Get("X-Sweep-Id"), configs[0].Key())
+	}
+	if !strings.Contains(got["stack"], "registerPanicLink") {
+		t.Errorf("record's stack does not reach the panicking plan:\n%s", got["stack"])
 	}
 }

@@ -61,6 +61,9 @@ func meritsErr(spec SystemSpec, s settings) error {
 	if len(s.merits) == 0 {
 		return nil
 	}
+	if err := meritRangeErr(s.merits); err != nil {
+		return err
+	}
 	if !spec.MeritAware {
 		return fmt.Errorf("blockadt: system %q grants tokens deterministically and ignores WithMerits", spec.Name)
 	}
@@ -70,6 +73,17 @@ func meritsErr(spec SystemSpec, s settings) error {
 	}
 	if len(s.merits) != n {
 		return fmt.Errorf("blockadt: WithMerits has %d entries for %d processes — the simulator would fall back to uniform merits", len(s.merits), n)
+	}
+	return nil
+}
+
+// meritRangeErr rejects a merit that is not a token probability: NaN,
+// below 0 or above 1.
+func meritRangeErr(merits []float64) error {
+	for i, m := range merits {
+		if !(m >= 0 && m <= 1) {
+			return fmt.Errorf("blockadt: merit %d is %v; a merit is a token probability in [0,1]", i, m)
+		}
 	}
 	return nil
 }

@@ -57,6 +57,9 @@ func New(name string, opts ...Option) (*Instance, error) {
 	if err := s.simulationOnlyErr(); err != nil {
 		return nil, err
 	}
+	if err := meritRangeErr(s.merits); err != nil {
+		return nil, err
+	}
 
 	orc := s.oracleInstance
 	if orc != nil {
