@@ -165,7 +165,11 @@ func BenchmarkRunStore(b *testing.B) {
 		RootSeed:     42,
 		Metrics:      blockadt.MetricNames(),
 	}
-	rep, err := blockadt.Run(ci, runtime.NumCPU(), blockadt.WithStore(dir))
+	first, err := blockadt.OpenStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := blockadt.Run(ci, runtime.NumCPU(), blockadt.WithRunStore(first))
 	if err != nil {
 		b.Fatal(err)
 	}

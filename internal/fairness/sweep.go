@@ -1,6 +1,8 @@
 package fairness
 
 import (
+	"context"
+
 	"blockadt/internal/metrics"
 	"blockadt/internal/parallel"
 	"blockadt/internal/prng"
@@ -18,9 +20,13 @@ func SweepSeeds(rootSeed uint64, seeds, parallelism int, run func(seed uint64) R
 	for i := range idx {
 		idx[i] = i
 	}
-	return parallel.Map(idx, parallelism, func(_ int, i int) Report {
+	out := make([]Report, 0, seeds)
+	for _, r := range parallel.Stream(context.Background(), idx, parallelism, func(_ int, i int) Report {
 		return run(prng.Mix(rootSeed, uint64(i)))
-	})
+	}) {
+		out = append(out, r)
+	}
+	return out
 }
 
 // Aggregate summarizes a seed sweep.

@@ -17,9 +17,14 @@ import (
 // default, with a nil Plan, for honest runs). An empty topology is the
 // complete graph. alpha is read only when the adversary has a Plan, and
 // must then lie in (0,1). A negative process count or block target is an
-// error; zero selects the simulators' default.
+// error; zero selects the simulators' default. The writer count must lie
+// in [0, N] against the defaulted N (0 means every process writes).
 func compose(system, link, adversary, topology string, alpha float64, p SimParams) (ex Execution, expected Level, adv AdversarySpec, err error) {
 	if err = checkN(p.N); err != nil {
+		return
+	}
+	if n := p.WithDefaults().N; p.Writers < 0 || p.Writers > n {
+		err = fmt.Errorf("blockadt: writer count must be in [0,%d] (0 means every process), got %d", n, p.Writers)
 		return
 	}
 	if p.TargetBlocks < 0 {

@@ -54,7 +54,7 @@ func (e Experiment) Matrices(cfg Config) []blockadt.Matrix {
 // through the deterministic sweep engine (blockadt.Stream / Compare),
 // so the outcome is a pure function of the experiment and the seed
 // count: byte-identical at any parallelism, and cache-first under
-// blockadt.WithStore.
+// blockadt.WithRunStore.
 func Run(ctx context.Context, e Experiment, cfg Config) (*Outcome, error) {
 	seeds := e.ResolveSeeds(cfg)
 	if e.Class != Deterministic && seeds < 2 {

@@ -23,6 +23,20 @@ func (r *Report) EncodeJSON() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// DecodeReport parses a sweep report from its canonical JSON (the
+// output of Report.EncodeJSON / `btadt sweep -json`).
+func DecodeReport(raw []byte) (*Report, error) {
+	var rep Report
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if err := dec.Decode(&rep); err != nil {
+		return nil, fmt.Errorf("blockadt: not a sweep report: %w", err)
+	}
+	if rep.Results == nil && rep.Total == 0 && !strings.Contains(string(raw), "\"results\"") {
+		return nil, fmt.Errorf("blockadt: not a sweep report: no results field")
+	}
+	return &rep, nil
+}
+
 // FormatTableHeader renders the sweep table's header line and rule.
 func FormatTableHeader() string {
 	var b strings.Builder

@@ -1,6 +1,7 @@
 package blockadt
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -77,13 +78,14 @@ func runEngine(t *testing.T, configs []Scenario, parallelism int) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := newSweepRunner(runConfig{}, Matrix{}, configs, specs)
-	if err != nil {
-		t.Fatal(err)
+	runner := newSweepRunner(runConfig{}, Matrix{}, configs, specs)
+	ctx := context.Background()
+	var results []Result
+	for _, r := range parallel.Stream(ctx, configs, parallelism, func(i int, cfg Scenario) Result {
+		return runner.exec(ctx, i, cfg)
+	}) {
+		results = append(results, r)
 	}
-	results := parallel.Map(configs, parallelism, func(i int, cfg Scenario) Result {
-		return runner.exec(nil, i, cfg)
-	})
 	if err := runner.err(); err != nil {
 		t.Fatal(err)
 	}

@@ -153,6 +153,8 @@ func TestUnknownNamesFailLoudly(t *testing.T) {
 		{Adversaries: []string{AdvSelfish}, Alpha: 1.5},
 		{Adversaries: []string{AdvSelfish}, Alpha: -0.1},
 		{Systems: []string{"Bitcoin"}, Ns: []int{4, -1}},
+		{Seeds: 100000000},
+		{Systems: []string{"Bitcoin"}, Ns: make([]int, 256), Seeds: 257},
 	} {
 		if _, err := m.Configs(); err == nil {
 			t.Errorf("matrix %+v expanded despite an unregistered dimension", m)
@@ -190,10 +192,36 @@ func TestUnknownNamesFailLoudly(t *testing.T) {
 			_, err := SimulateAdversary("Bitcoin", AdvSelfish, WithBlocks(-5))
 			return err
 		},
+		"New negative n": func() error { _, err := New("Bitcoin", WithN(-3)); return err },
+		// A writer subset satisfies 0 <= |M| <= |V|, with |V| defaulted
+		// 0 -> 8 as the simulators default it.
+		"Simulate negative writers": func() error {
+			_, err := Simulate("RedBelly", WithWriters(-2))
+			return err
+		},
+		"Simulate writers above n": func() error {
+			_, err := Simulate("Hyperledger", WithN(4), WithWriters(20))
+			return err
+		},
+		"Simulate writers above default n": func() error {
+			_, err := Simulate("RedBelly", WithWriters(9))
+			return err
+		},
+		"SimulateAdversary negative writers": func() error {
+			_, err := SimulateAdversary("Bitcoin", AdvSelfish, WithWriters(-2))
+			return err
+		},
+		"SimulateAdversary writers above n": func() error {
+			_, err := SimulateAdversary("Bitcoin", AdvSelfish, WithN(4), WithWriters(5))
+			return err
+		},
 	} {
 		if err := run(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if _, err := Simulate("RedBelly", WithN(4), WithWriters(4)); err != nil {
+		t.Errorf("Simulate rejected writers == n: %v", err)
 	}
 }
 

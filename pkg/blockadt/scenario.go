@@ -1,6 +1,7 @@
 package blockadt
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -127,7 +128,8 @@ type Matrix struct {
 // Shard returns a copy of the matrix restricted to the index'th of
 // count deterministic partitions (0 ≤ index < count). Sharded sweeps
 // run disjoint scenario subsets whose union is exactly the unsharded
-// expansion — Merge reassembles their reports into the canonical whole.
+// expansion — a store holding every shard's results serves the whole
+// matrix (docs/runstore.md).
 func (m Matrix) Shard(index, count int) (Matrix, error) {
 	if count < 1 {
 		return Matrix{}, fmt.Errorf("blockadt: shard count must be >= 1, got %d", count)
@@ -191,12 +193,19 @@ func (m Matrix) withDefaults() Matrix {
 	return m
 }
 
+// maxScenarios bounds a matrix's unpruned cross product. Configs holds
+// every scenario in memory (under 1 KB each), so the bound keeps one
+// expansion near 50 MB; every matrix the repository sweeps is far below
+// it, and a request body of a few bytes cannot ask for billions.
+const maxScenarios = 1 << 16
+
 // Configs expands the matrix into its resolved scenarios, in
 // deterministic (systems → links → adversaries → topologies → ns →
 // seeds) order, pruning combinations no registered simulator implements.
 // It errors on unregistered systems, links, adversaries or topologies so
-// a typo fails loudly instead of silently sweeping nothing, and on a
-// negative process count.
+// a typo fails loudly instead of silently sweeping nothing, on a
+// negative process count, and on a cross product above maxScenarios
+// (counted before pruning).
 func (m Matrix) Configs() ([]Scenario, error) {
 	m = m.withDefaults()
 	if _, err := lookupAll(m.Systems, LookupSystem); err != nil {
@@ -234,6 +243,16 @@ func (m Matrix) Configs() ([]Scenario, error) {
 	tspecs, err := lookupAll(m.Topologies, LookupTopology)
 	if err != nil {
 		return nil, err
+	}
+	// Each factor and partial product stays at most maxScenarios before
+	// the next multiplication, so the product cannot overflow.
+	product := 1
+	for _, d := range []int{len(m.Systems), len(lspecs), len(aspecs), len(tspecs), len(m.Ns), m.Seeds} {
+		if d > maxScenarios || product*d > maxScenarios {
+			return nil, fmt.Errorf("blockadt: matrix spans more than %d scenarios (%d systems × %d links × %d adversaries × %d topologies × %d ns × %d seeds)",
+				maxScenarios, len(m.Systems), len(lspecs), len(aspecs), len(tspecs), len(m.Ns), m.Seeds)
+		}
+		product *= d
 	}
 	var out []Scenario
 	for _, sys := range m.Systems {
@@ -353,49 +372,28 @@ type Report struct {
 	Parallelism int `json:"-"`
 }
 
-// Run expands the matrix and executes every scenario across a bounded
-// pool of the given parallelism (<1 selects NumCPU). Results are in
-// matrix-expansion order regardless of scheduling. With WithStore,
-// cached scenarios are served from the run store without simulating and
-// misses are computed and persisted — the report is byte-identical
-// either way.
+// Run collects Stream's results into a report: every scenario of the
+// matrix, executed across a bounded pool of the given parallelism (<1
+// selects NumCPU), in matrix-expansion order regardless of scheduling.
+// Like Stream, it stops at the first failed scenario and returns its
+// error. With WithRunStore, cached scenarios are served from the run
+// store without simulating and misses are computed and persisted — the
+// report is byte-identical either way.
 func Run(m Matrix, parallelism int, opts ...RunOption) (*Report, error) {
-	configs, err := m.Configs()
-	if err != nil {
-		return nil, err
-	}
-	specs, err := m.metricSpecs()
-	if err != nil {
-		return nil, err
-	}
-	rcfg := applyRunOptions(opts)
-	runner, err := newSweepRunner(rcfg, m, configs, specs)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	results := parallel.Map(configs, parallelism, func(i int, cfg Scenario) Result {
-		return runner.exec(nil, i, cfg)
-	})
-	if err := runner.err(); err != nil {
-		return nil, err
-	}
-	if err := runner.finish(rcfg.storeGC, m); err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		RootSeed:    m.RootSeed,
-		Results:     results,
-		Total:       len(results),
-		WallNS:      time.Since(start).Nanoseconds(),
-		Parallelism: parallel.Workers(parallelism),
-	}
-	for _, r := range results {
+	rep := &Report{RootSeed: m.RootSeed, Results: []Result{}, Parallelism: parallel.Workers(parallelism)}
+	for r, err := range Stream(context.Background(), m, parallelism, opts...) {
+		if err != nil {
+			return nil, err
+		}
+		rep.Results = append(rep.Results, r)
 		if r.Match {
 			rep.Matched++
 		}
 		rep.Ticks += r.Ticks
 	}
+	rep.Total = len(rep.Results)
+	rep.WallNS = time.Since(start).Nanoseconds()
 	return rep, nil
 }
 

@@ -182,6 +182,9 @@ func writePrometheus(w http.ResponseWriter, snap metricsSnapshot) {
 	p.Counter("btadt_scenarios_coalesced_total",
 		"Scenarios satisfied by another request's in-flight simulation.",
 		float64(snap.Coalesced))
+	p.Counter("btadt_scenario_panics_total",
+		"Sweeps failed by a recovered scenario panic; the log holds each panic's stack.",
+		float64(snap.ScenarioPanics))
 
 	p.Gauge("btadt_inflight_sweeps", "Sweep submissions currently streaming.", float64(snap.InflightSweeps))
 	p.Gauge("btadt_inflight_scenarios", "Scenario simulations in flight right now.", float64(snap.InflightScenarios))

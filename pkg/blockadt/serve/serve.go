@@ -117,6 +117,7 @@ type Server struct {
 	simulated      atomic.Uint64
 	cacheHits      atomic.Uint64
 	coalesced      atomic.Uint64
+	panics         atomic.Uint64 // sweeps failed by a recovered scenario panic
 }
 
 // sweepState is the O(1) polling record of one submitted sweep.
@@ -351,17 +352,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		blockadt.WithCensus(&census),
 		blockadt.WithTracer(s.requestTracer(r.Context()))) {
 		if err != nil {
-			// The stack is for the operator: it stays out of the NDJSON
-			// line and the polled state, so log it once here.
-			var pe *blockadt.ScenarioPanicError
-			if errors.As(err, &pe) {
-				s.log.LogAttrs(r.Context(), slog.LevelError, "scenario panicked",
-					slog.String("sweep", id),
-					slog.String("key", pe.Key),
-					slog.Any("value", pe.Value),
-					slog.String("stack", string(pe.Stack)),
-				)
-			}
+			s.notePanic(r.Context(), id, err)
 			enc.Encode(map[string]string{"error": err.Error()})
 			s.finishSweep(st, &census, completed, "failed", err.Error())
 			return
@@ -391,6 +382,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Coalesced: census.Coalesced(), Skipped: census.Skipped(),
 	}})
 	s.finishSweep(st, &census, completed, "done", "")
+}
+
+// notePanic counts a sweep failed by a recovered scenario panic and logs
+// the panic's stack once. The stack is for the operator: it stays out of
+// every response body and the polled state. Other errors pass unnoted.
+func (s *Server) notePanic(ctx context.Context, id string, err error) {
+	var pe *blockadt.ScenarioPanicError
+	if !errors.As(err, &pe) {
+		return
+	}
+	s.panics.Add(1)
+	s.log.LogAttrs(ctx, slog.LevelError, "scenario panicked",
+		slog.String("sweep", id),
+		slog.String("key", pe.Key),
+		slog.Any("value", pe.Value),
+		slog.String("stack", string(pe.Stack)),
+	)
 }
 
 // noteProgress bumps a sweep's completion counter for pollers.
@@ -495,6 +503,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		blockadt.WithCensus(&census),
 		blockadt.WithTracer(s.requestTracer(r.Context())))
 	if err != nil {
+		s.notePanic(r.Context(), id, err)
 		jsonError(w, http.StatusInternalServerError, "serving report: %v", err)
 		return
 	}
@@ -559,6 +568,8 @@ type metricsSnapshot struct {
 	Store              blockadt.StoreStats       `json:"store"`
 	Build              blockadt.BuildInfo        `json:"build"`
 	Latencies          []blockadt.LatencySummary `json:"latencies,omitempty"`
+	// ScenarioPanics counts sweeps failed by a recovered scenario panic.
+	ScenarioPanics uint64 `json:"scenarioPanics"`
 }
 
 // handleMetricsz is GET /metricsz: the operational counters a load test
@@ -592,6 +603,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		Store:              s.cfg.Store.Stats(),
 		Build:              blockadt.Build(),
 		Latencies:          s.lat.Snapshot(),
+		ScenarioPanics:     s.panics.Load(),
 	}
 	if wantsPrometheus(r) {
 		writePrometheus(w, snap)

@@ -167,6 +167,13 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("negative ns: got %s (body %s), want 400", resp.Status, body)
 	}
 
+	// A 19-byte body asking for 10⁸ seeds must not make the server
+	// build 7×10⁸ scenarios before answering.
+	resp, body = post([]byte(`{"seeds":100000000}`))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "scenarios") {
+		t.Fatalf("10⁸ seeds: got %s (body %s), want 400", resp.Status, body)
+	}
+
 	resp, body = post([]byte(`{"systems": ["Bitcoin"`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: got %s (body %s), want 400", resp.Status, body)
@@ -474,9 +481,10 @@ func (l *recordLog) Handle(_ context.Context, r slog.Record) error {
 }
 
 // TestScenarioPanicLogsStack: a sweep whose scenario panics ends its
-// stream with the unchanged error line, and the server logs one
-// error-level record with the sweep ID, the scenario key and the stack
-// of the panic, which neither the stream nor the polled state carries.
+// stream with the unchanged error line, the server logs one error-level
+// record with the sweep ID, the scenario key and the stack of the panic,
+// which neither the stream nor the polled state carries, and /metricsz
+// counts the failed sweep.
 func TestScenarioPanicLogsStack(t *testing.T) {
 	registerPanicLink()
 	var log recordLog
@@ -501,6 +509,21 @@ func TestScenarioPanicLogsStack(t *testing.T) {
 	}
 	if strings.Contains(string(body), "goroutine") {
 		t.Errorf("stream carries the stack: %q", body)
+	}
+
+	// Scrape before taking the log's lock: the request log goes through it.
+	metrics, err := http.Get(ts.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap metricsSnapshot
+	err = json.NewDecoder(metrics.Body).Decode(&snap)
+	metrics.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ScenarioPanics != 1 {
+		t.Errorf("metricsz scenarioPanics = %d after one panicking sweep, want 1", snap.ScenarioPanics)
 	}
 
 	log.mu.Lock()

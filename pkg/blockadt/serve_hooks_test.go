@@ -209,7 +209,7 @@ func TestStreamEarlyBreakTeardown(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	before := ScenarioRuns()
 	consumed := 0
-	for _, err := range Stream(context.Background(), m, 4, WithStore(dir)) {
+	for _, err := range Stream(context.Background(), m, 4, storeAt(t, dir)) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,11 +239,7 @@ func TestStreamEarlyBreakTeardown(t *testing.T) {
 
 	// Completed writes persisted: a reopened store serves at least the
 	// three consumed results.
-	cached, total, err := StorePreflight(dir, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached < consumed {
+	if cached, total := storeHits(t, dir, m); cached < consumed {
 		t.Fatalf("store holds %d of %d results after the break, want at least %d", cached, total, consumed)
 	}
 }

@@ -1,7 +1,6 @@
 package blockadt
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -121,102 +120,5 @@ func TestShardValidation(t *testing.T) {
 	neg.ShardCount = -1
 	if _, err := neg.Configs(); err == nil {
 		t.Error("Configs accepted a negative shard count")
-	}
-}
-
-// TestMergeShardsByteIdentical is the acceptance criterion: run the two
-// shards of a matrix separately, Merge them (in scrambled order), and
-// the merged report's canonical JSON is byte-identical to the unsharded
-// sweep's.
-func TestMergeShardsByteIdentical(t *testing.T) {
-	m := shardTestMatrix()
-	m.TargetBlocks = 6 // keep the double sweep fast
-	whole, err := Run(m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wholeJSON, err := whole.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var shards []*Report
-	for i := 0; i < 2; i++ {
-		sm, err := m.Shard(i, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Run(sm, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Total == 0 || rep.Total == whole.Total {
-			t.Fatalf("shard %d expanded to %d of %d scenarios — not a real partition", i, rep.Total, whole.Total)
-		}
-		shards = append(shards, rep)
-	}
-
-	merged, err := Merge(m, shards[1], shards[0]) // order must not matter
-	if err != nil {
-		t.Fatal(err)
-	}
-	mergedJSON, err := merged.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wholeJSON, mergedJSON) {
-		t.Fatal("merged shard reports are not byte-identical to the unsharded sweep")
-	}
-}
-
-// TestMergeFailsLoudly pins Merge's error modes: a missing shard, a
-// foreign scenario, a root-seed mismatch and a conflicting duplicate.
-func TestMergeFailsLoudly(t *testing.T) {
-	m := shardTestMatrix()
-	m.TargetBlocks = 6
-	s0m, _ := m.Shard(0, 2)
-	s1m, _ := m.Shard(1, 2)
-	s0, err := Run(s0m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := Run(s1m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := Merge(m, s0); err == nil {
-		t.Error("Merge accepted a missing shard")
-	}
-
-	foreign := m
-	foreign.RootSeed = 7
-	f0m, _ := foreign.Shard(0, 2)
-	f0, err := Run(f0m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(m, f0, s1); err == nil {
-		t.Error("Merge accepted a shard swept under a different root seed")
-	}
-
-	// A duplicated but agreeing shard is fine (overlapping stores).
-	if _, err := Merge(m, s0, s1, s0); err != nil {
-		t.Errorf("Merge rejected an agreeing overlap: %v", err)
-	}
-
-	// A conflicting duplicate is not.
-	tampered := *s0
-	tampered.Results = append([]Result(nil), s0.Results...)
-	tampered.Results[0].Forks++
-	if _, err := Merge(m, s0, s1, &tampered); err == nil {
-		t.Error("Merge accepted shards that disagree about a scenario")
-	}
-
-	// A scenario outside the matrix is an error too.
-	narrower := m
-	narrower.Ns = []int{4}
-	if _, err := Merge(narrower, s0, s1); err == nil {
-		t.Error("Merge accepted results outside the matrix")
 	}
 }

@@ -36,38 +36,30 @@ const EngineVersion = "btadt-engine-v3"
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	storeDir string
-	storeGC  bool
-	store    *RunStore
-	flight   *Singleflight
-	census   *Census
-	tracers  []obs.Tracer
-}
-
-// WithStore backs the sweep with the content-addressed run store at
-// dir (created if missing): scenarios whose key — a hash of {engine
-// version, root seed, scenario coordinates, derived seed, metric set} —
-// is already cached are served from disk without simulating, and misses
-// are computed and persisted atomically. Because the store holds each
-// scenario's canonical Result JSON, a cached sweep's report is
-// byte-identical to a cold run's at any parallelism.
-func WithStore(dir string) RunOption {
-	return func(c *runConfig) { c.storeDir = dir }
+	storeGC bool
+	store   *RunStore
+	flight  *Singleflight
+	census  *Census
+	tracers []obs.Tracer
 }
 
 // WithStoreGC garbage-collects the store after the sweep: every entry
 // that is not part of this matrix's FULL (unsharded) expansion under the
 // current engine version is deleted. Sharded sweeps therefore never
-// collect sibling shards' entries. Only meaningful with WithStore.
+// collect sibling shards' entries. Only meaningful with WithRunStore.
 func WithStoreGC() RunOption {
 	return func(c *runConfig) { c.storeGC = true }
 }
 
-// WithRunStore backs the sweep with an already-open RunStore handle
-// instead of opening the directory per call. A long-running service
-// passes one shared handle through every Run/Stream so cache-hit/miss
-// statistics accumulate process-wide and the objects tree is listed once.
-// Takes precedence over WithStore when both are given.
+// WithRunStore backs the sweep with an open RunStore handle: scenarios
+// whose key — a hash of {engine version, root seed, scenario
+// coordinates, derived seed, metric set} — is already cached are served
+// from disk without simulating, and misses are computed and persisted
+// atomically. Because the store holds each scenario's canonical Result
+// JSON, a cached sweep's report is byte-identical to a cold run's at any
+// parallelism. A long-running service passes one shared handle through
+// every Run/Stream so cache-hit/miss statistics accumulate process-wide
+// and the objects tree is listed once.
 func WithRunStore(s *RunStore) RunOption {
 	return func(c *runConfig) { c.store = s }
 }
@@ -163,11 +155,11 @@ func uniqSorted(names []string) []string {
 type StoreStats = runstore.Stats
 
 // RunStore is an open handle on a content-addressed run store directory
-// — the façade's view of the cache WithStore points the sweep engine at.
-// A handle is safe for concurrent use and is meant to be shared: a
-// long-running service opens one RunStore and passes it to every sweep
-// through WithRunStore, so Stats aggregates across requests. Has asks
-// the store for a raw key (key → canonical Result JSON).
+// — the façade's view of the sweep engine's cache. A handle is safe for
+// concurrent use and is meant to be shared: a long-running service opens
+// one RunStore and passes it to every sweep through WithRunStore, so
+// Stats aggregates across requests. Has asks the store for a raw key
+// (key → canonical Result JSON).
 type RunStore struct {
 	s *runstore.Store
 }
@@ -182,7 +174,8 @@ func OpenStore(dir string) (*RunStore, error) {
 }
 
 // Has reports whether key has an entry, from the listed object names
-// alone (no file read — advisory, like StorePreflight).
+// alone. It reads no file, so it is advisory: an object corrupted on
+// disk still counts here and degrades to a recompute when served.
 func (s *RunStore) Has(key string) bool { return s.s.Has(key) }
 
 // Len reports the number of cached entries.
@@ -254,9 +247,9 @@ func (c *runCache) put(i int, r Result) error {
 	return c.store.Put(c.keys[i], enc)
 }
 
-// sweepRunner is the per-scenario execution core shared by Run and
-// Stream: cache lookup, optional singleflight coalescing, census
-// bookkeeping, store persistence and deferred error capture.
+// sweepRunner is Stream's per-scenario execution core: cache lookup,
+// optional singleflight coalescing, census bookkeeping, store
+// persistence and deferred error capture.
 type sweepRunner struct {
 	cache  *runCache
 	flight *Singleflight
@@ -274,29 +267,21 @@ type sweepRunner struct {
 }
 
 // newSweepRunner resolves the run options against the expanded matrix.
-func newSweepRunner(c runConfig, m Matrix, configs []Scenario, specs []MetricSpec) (*sweepRunner, error) {
+func newSweepRunner(c runConfig, m Matrix, configs []Scenario, specs []MetricSpec) *sweepRunner {
 	r := &sweepRunner{flight: c.flight, census: c.census, specs: specs}
 	if r.tracer = obs.Multi(c.tracers...); r.tracer != nil {
 		r.epoch = time.Now()
 	}
-	store := c.store
-	if store == nil && c.storeDir != "" {
-		opened, err := OpenStore(c.storeDir)
-		if err != nil {
-			return nil, err
-		}
-		store = opened
-	}
-	if store != nil || c.flight != nil {
+	if c.store != nil || c.flight != nil {
 		r.keys = make([]string, len(configs))
 		for i, cfg := range configs {
 			r.keys[i] = storeKey(m.RootSeed, cfg, m.Metrics)
 		}
 	}
-	if store != nil {
-		r.cache = &runCache{store: store.s, keys: r.keys}
+	if c.store != nil {
+		r.cache = &runCache{store: c.store.s, keys: r.keys}
 	}
-	return r, nil
+	return r
 }
 
 // spanRec accumulates one scenario execution's span. A nil *spanRec
@@ -381,7 +366,7 @@ func (r *sweepRunner) exec(ctx context.Context, i int, cfg Scenario) Result {
 			return res
 		}
 	}
-	if ctx != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		if r.census != nil {
 			r.census.skipped.Add(1)
 		}
@@ -503,29 +488,4 @@ func (r *sweepRunner) finish(gc bool, m Matrix) error {
 	}
 	_, err = r.cache.store.GC(func(key string) bool { return keep[key] })
 	return err
-}
-
-// StorePreflight reports how many of the matrix's scenarios are already
-// cached in the store at dir (created if missing): the numbers behind
-// `btadt sweep -resume`'s "X/Y cached" note and the guard that refuses
-// to serve a pre-populated store without an explicit -resume. It counts
-// the object names the store lists without reading any object, so it
-// is advisory — an object corrupted on disk still counts here and
-// degrades to a recompute when served. The post-run ScenarioRuns delta
-// is the exact measure of what was actually simulated.
-func StorePreflight(dir string, m Matrix) (cached, total int, err error) {
-	configs, err := m.Configs()
-	if err != nil {
-		return 0, 0, err
-	}
-	store, err := runstore.Open(dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, cfg := range configs {
-		if store.Has(storeKey(m.RootSeed, cfg, m.Metrics)) {
-			cached++
-		}
-	}
-	return cached, len(configs), nil
 }

@@ -27,6 +27,37 @@ func storeTestMatrix() Matrix {
 	}
 }
 
+// storeAt opens the run store at dir for one sweep, as a command does:
+// each call lists the objects tree anew.
+func storeAt(t *testing.T, dir string) RunOption {
+	t.Helper()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return WithRunStore(s)
+}
+
+// storeHits reports how many of the matrix's store keys the store at dir
+// lists, out of how many.
+func storeHits(t *testing.T, dir string, m Matrix) (cached, total int) {
+	t.Helper()
+	keys, err := m.StoreKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if s.Has(k) {
+			cached++
+		}
+	}
+	return cached, len(keys)
+}
+
 // TestStoreRoundTrip is the tentpole's golden contract: populate a store
 // through a sweep, reopen it, serve the same sweep entirely from cache —
 // the JSON is byte-identical to the cold run and the cached pass
@@ -49,7 +80,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	dir := t.TempDir()
 	before := ScenarioRuns()
-	populated, err := Run(m, 2, WithStore(dir))
+	populated, err := Run(m, 2, storeAt(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +95,9 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("store-backed cold run diverged from plain run")
 	}
 
-	// Reopen (a fresh Run opens the store anew) and serve from cache.
+	// Reopen the store and serve from cache.
 	before = ScenarioRuns()
-	cached, err := Run(m, 4, WithStore(dir))
+	cached, err := Run(m, 4, storeAt(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +112,8 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("cached run is not byte-identical to the cold run")
 	}
 
-	if hit, total, err := StorePreflight(dir, m); err != nil || hit != len(configs) || total != len(configs) {
-		t.Fatalf("StorePreflight = (%d, %d, %v), want (%d, %d, nil)", hit, total, err, len(configs), len(configs))
+	if hit, total := storeHits(t, dir, m); hit != len(configs) || total != len(configs) {
+		t.Fatalf("store holds %d of %d keys, want all %d", hit, total, len(configs))
 	}
 }
 
@@ -91,14 +122,14 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStreamServesFromStore(t *testing.T) {
 	m := storeTestMatrix()
 	dir := t.TempDir()
-	cold, err := Run(m, 1, WithStore(dir))
+	cold, err := Run(m, 1, storeAt(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	before := ScenarioRuns()
 	var streamed []Result
-	for r, err := range Stream(context.Background(), m, 3, WithStore(dir)) {
+	for r, err := range Stream(context.Background(), m, 3, storeAt(t, dir)) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +167,7 @@ func TestStorePartialResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := Run(shard0, 1, WithStore(dir)); err != nil {
+	if _, err := Run(shard0, 1, storeAt(t, dir)); err != nil {
 		t.Fatal(err)
 	}
 	shardConfigs, err := shard0.Configs()
@@ -149,7 +180,7 @@ func TestStorePartialResume(t *testing.T) {
 	}
 
 	before := ScenarioRuns()
-	full, err := Run(m, 2, WithStore(dir))
+	full, err := Run(m, 2, storeAt(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +206,7 @@ func TestStoreKeyIncludesMetrics(t *testing.T) {
 	m := storeTestMatrix()
 	m.Metrics = nil
 	dir := t.TempDir()
-	if _, err := Run(m, 1, WithStore(dir)); err != nil {
+	if _, err := Run(m, 1, storeAt(t, dir)); err != nil {
 		t.Fatal(err)
 	}
 	withMetrics := m
@@ -185,7 +216,7 @@ func TestStoreKeyIncludesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ScenarioRuns()
-	rep, err := Run(withMetrics, 1, WithStore(dir))
+	rep, err := Run(withMetrics, 1, storeAt(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,26 +233,18 @@ func TestStoreKeyIncludesMetrics(t *testing.T) {
 func TestStoreGC(t *testing.T) {
 	stale := storeTestMatrix()
 	dir := t.TempDir()
-	if _, err := Run(stale, 1, WithStore(dir)); err != nil {
+	if _, err := Run(stale, 1, storeAt(t, dir)); err != nil {
 		t.Fatal(err)
 	}
 	current := stale
 	current.RootSeed = stale.RootSeed + 1
-	if _, err := Run(current, 1, WithStore(dir), WithStoreGC()); err != nil {
+	if _, err := Run(current, 1, storeAt(t, dir), WithStoreGC()); err != nil {
 		t.Fatal(err)
 	}
-	staleHits, _, err := StorePreflight(dir, stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if staleHits != 0 {
+	if staleHits, _ := storeHits(t, dir, stale); staleHits != 0 {
 		t.Fatalf("GC left %d stale entries", staleHits)
 	}
-	curHits, total, err := StorePreflight(dir, current)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curHits != total {
+	if curHits, total := storeHits(t, dir, current); curHits != total {
 		t.Fatalf("GC collected live entries: %d/%d cached", curHits, total)
 	}
 }
@@ -233,13 +256,13 @@ func TestStoreGC(t *testing.T) {
 func TestStoreWritesOnlyObjects(t *testing.T) {
 	m := storeTestMatrix()
 	dir := t.TempDir()
-	if _, err := Run(m, 2, WithStore(dir)); err != nil {
+	if _, err := Run(m, 2, storeAt(t, dir)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(m, 2, WithStore(dir), WithStoreGC()); err != nil {
+	if _, err := Run(m, 2, storeAt(t, dir), WithStoreGC()); err != nil {
 		t.Fatal(err)
 	}
-	for _, err := range Stream(context.Background(), m, 2, WithStore(dir)) {
+	for _, err := range Stream(context.Background(), m, 2, storeAt(t, dir)) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +305,7 @@ func TestStoreWritesOnlyObjects(t *testing.T) {
 func TestRunCacheGet(t *testing.T) {
 	m := storeTestMatrix()
 	dir := t.TempDir()
-	rep, err := Run(m, 1, WithStore(dir))
+	rep, err := Run(m, 1, storeAt(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}

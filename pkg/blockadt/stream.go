@@ -10,36 +10,37 @@ import (
 // Stream expands the matrix and yields its results in matrix-expansion
 // order as they complete across a bounded pool of the given parallelism
 // (<1 selects NumCPU) — without buffering the full report, so arbitrarily
-// large sweeps run in bounded memory. The scenarios executed and the
-// values yielded are exactly those Run would report for the same matrix.
+// large sweeps run in bounded memory. It is the sweep engine's one
+// executor: Run collects its results into a Report.
 //
 // The first yielded pair carries a non-nil error (and a zero Result) if
-// the matrix fails to expand, the run store fails, or the context is
-// cancelled; iteration stops after any error. Breaking out of the loop
-// tears the sweep down promptly: the inner pool is cancelled, so
-// scenarios that have not started are skipped instead of finishing in
-// the background, and scenarios already simulating run to completion
-// (and, with a store, persist, so the next resume starts from every
-// scenario that finished). With WithStore, cached scenarios
-// are served from the run store without simulating and misses are
-// computed and persisted, like Run.
+// the matrix fails to expand, a scenario fails, the run store fails, or
+// the context is cancelled; iteration stops after any error. Breaking
+// out of the loop tears the sweep down promptly: the inner pool is
+// cancelled, so scenarios that have not started are skipped instead of
+// finishing in the background, and scenarios already simulating run to
+// completion (and, with a store, persist, so the next resume starts from
+// every scenario that finished). With WithRunStore, cached scenarios are
+// served from the run store without simulating and misses are computed
+// and persisted.
 func Stream(ctx context.Context, m Matrix, parallelism int, opts ...RunOption) iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		configs, err := m.Configs()
-		if err != nil {
-			yield(Result{}, err)
-			return
+		var specs []MetricSpec
+		if err == nil {
+			specs, err = m.metricSpecs()
 		}
-		specs, err := m.metricSpecs()
 		if err != nil {
 			yield(Result{}, err)
 			return
 		}
 		rcfg := applyRunOptions(opts)
-		runner, err := newSweepRunner(rcfg, m, configs, specs)
-		if err != nil {
-			yield(Result{}, err)
-			return
+		runner := newSweepRunner(rcfg, m, configs, specs)
+		failed := func() error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return runner.err()
 		}
 		// The inner context tears the pool down when the consumer breaks
 		// out (or an error path returns): queued scenarios observe the
@@ -49,11 +50,7 @@ func Stream(ctx context.Context, m Matrix, parallelism int, opts ...RunOption) i
 		for _, r := range parallel.Stream(inner, configs, parallelism, func(i int, cfg Scenario) Result {
 			return runner.exec(inner, i, cfg)
 		}) {
-			if err := ctx.Err(); err != nil {
-				yield(Result{}, err)
-				return
-			}
-			if err := runner.err(); err != nil {
+			if err := failed(); err != nil {
 				yield(Result{}, err)
 				return
 			}
@@ -63,15 +60,11 @@ func Stream(ctx context.Context, m Matrix, parallelism int, opts ...RunOption) i
 		}
 		// The inner stream stops silently when the context fires between
 		// yields; surface the cancellation as the final pair.
-		if err := ctx.Err(); err != nil {
-			yield(Result{}, err)
-			return
+		err = failed()
+		if err == nil {
+			err = runner.finish(rcfg.storeGC, m)
 		}
-		if err := runner.err(); err != nil {
-			yield(Result{}, err)
-			return
-		}
-		if err := runner.finish(rcfg.storeGC, m); err != nil {
+		if err != nil {
 			yield(Result{}, err)
 		}
 	}

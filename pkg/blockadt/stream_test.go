@@ -3,6 +3,7 @@ package blockadt
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -20,14 +21,21 @@ func streamTestMatrix() Matrix {
 	}
 }
 
-// TestStreamMatchesRun asserts the streaming API yields exactly the
-// results the buffered Run reports, in the same matrix-expansion order,
-// at a real worker count.
+// TestStreamMatchesRun asserts that the streaming API at a real worker
+// count, and Run collecting it, yield exactly the results of running
+// each expanded scenario serially through RunScenario, in
+// matrix-expansion order.
 func TestStreamMatchesRun(t *testing.T) {
 	m := streamTestMatrix()
-	rep, err := Run(m, 1)
+	configs, err := m.Configs()
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([]Result, len(configs))
+	for i, cfg := range configs {
+		if want[i], err = RunScenario(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var streamed []Result
 	for r, err := range Stream(context.Background(), m, 4) {
@@ -36,15 +44,24 @@ func TestStreamMatchesRun(t *testing.T) {
 		}
 		streamed = append(streamed, r)
 	}
-	if len(streamed) != len(rep.Results) {
-		t.Fatalf("streamed %d results, Run produced %d", len(streamed), len(rep.Results))
+	rep, err := Run(m, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range streamed {
-		a, b := streamed[i], rep.Results[i]
-		a.WallNS, b.WallNS = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("result %d differs:\nstream: %+v\nrun:    %+v", i, a, b)
+	for name, got := range map[string][]Result{"Stream": streamed, "Run": rep.Results} {
+		if len(got) != len(want) {
+			t.Fatalf("%s produced %d results, want %d", name, len(got), len(want))
 		}
+		for i := range got {
+			a, b := got[i], want[i]
+			a.WallNS, b.WallNS = 0, 0
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s result %d differs:\ngot:  %+v\nwant: %+v", name, i, a, b)
+			}
+		}
+	}
+	if rep.Total != len(want) {
+		t.Fatalf("Run reports Total %d, want %d", rep.Total, len(want))
 	}
 }
 
@@ -101,5 +118,21 @@ func TestStreamCancellation(t *testing.T) {
 	}
 	if results == 0 {
 		t.Fatal("cancelled before any result was yielded")
+	}
+}
+
+// TestRunEmptyExpansion: a matrix whose every combination is pruned
+// still reports an empty results array, not a null one.
+func TestRunEmptyExpansion(t *testing.T) {
+	rep, err := Run(Matrix{Systems: []string{"Hyperledger"}, Links: []string{LinkAsync}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := rep.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total != 0 || !strings.Contains(string(enc), `"results": []`) {
+		t.Fatalf("empty sweep encoded as %s", enc)
 	}
 }

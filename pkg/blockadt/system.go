@@ -47,7 +47,7 @@ var _ System = (*Instance)(nil)
 // WithOracle/WithSelector/WithOracleInstance), WithSeed seeds the oracle
 // tapes, WithN sets the merit count (default 1, every merit granting with
 // probability 1 so appends terminate deterministically — override with
-// WithMerits for probabilistic validation).
+// WithMerits for probabilistic validation; a negative count is an error).
 func New(name string, opts ...Option) (*Instance, error) {
 	spec, err := LookupSystem(name)
 	if err != nil {
@@ -55,6 +55,9 @@ func New(name string, opts ...Option) (*Instance, error) {
 	}
 	s := applyOptions(opts)
 	if err := s.simulationOnlyErr(); err != nil {
+		return nil, err
+	}
+	if err := checkN(s.n); err != nil {
 		return nil, err
 	}
 	if err := meritRangeErr(s.merits); err != nil {
@@ -91,7 +94,7 @@ func New(name string, opts ...Option) (*Instance, error) {
 		merits := s.merits
 		if len(merits) == 0 {
 			n := s.n
-			if n <= 0 {
+			if n == 0 {
 				n = 1
 			}
 			merits = make([]float64, n)
