@@ -113,10 +113,11 @@ func TestInterruptedSweepResumesCleanly(t *testing.T) {
 		t.Fatalf("interrupted sweep: got %v, want context.Canceled", err)
 	}
 
-	keys, err := m.StoreKeys()
+	sw, err := blockadt.Expand(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := sw.Keys()
 	if len(keys) != total {
 		t.Fatalf("matrix has %d store keys, want %d", len(keys), total)
 	}
@@ -191,16 +192,15 @@ func TestSweepPrintMatrix(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &m); err != nil {
 		t.Fatalf("-print-matrix output is not a Matrix: %v\n%s", err, out)
 	}
-	want := sweepMatrix()
-	wantFP, err := want.Fingerprint()
+	want, err := blockadt.Expand(sweepMatrix())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFP, err := m.Fingerprint()
+	got, err := blockadt.Expand(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotFP != wantFP {
+	if gotFP, wantFP := got.Fingerprint(), want.Fingerprint(); gotFP != wantFP {
 		t.Fatalf("-print-matrix fingerprint %s, want %s", gotFP, wantFP)
 	}
 	if err := cmdSweep(t.Context(), sweepArgs("-print-matrix", "-systems", "Dogecoin")); err == nil {

@@ -152,13 +152,12 @@ func cmdSweep(ctx context.Context, args []string) error {
 
 	// Validate the matrix before any table output reaches stdout: a typo
 	// or a fully pruned cross product must fail with a clean error, not a
-	// dangling header. Stream re-expands internally, but expansion is
-	// just validation plus key hashing — no simulation.
-	configs, err := m.Configs()
+	// dangling header. The expanded sweep is the one that streams.
+	sw, err := blockadt.Expand(m)
 	if err != nil {
 		return err
 	}
-	if len(configs) == 0 {
+	if sw.Len() == 0 {
 		return errEmptyMatrix
 	}
 	var (
@@ -167,8 +166,8 @@ func cmdSweep(ctx context.Context, args []string) error {
 		start          = time.Now()
 	)
 	fmt.Print(blockadt.FormatTableHeader())
-	stopProgress := startSweepProgress(*verbose, &census, len(configs))
-	for r, err := range blockadt.Stream(ctx, m, rf.parallel, runOpts...) {
+	stopProgress := startSweepProgress(*verbose, &census, sw.Len())
+	for r, err := range sw.Stream(ctx, rf.parallel, runOpts...) {
 		if err != nil {
 			stopProgress()
 			return err
@@ -291,11 +290,11 @@ func storeOptionsMulti(ms []blockadt.Matrix, storeDir string, resume, storeGC bo
 	seen := make(map[string]bool)
 	cached, total := 0, 0
 	for _, m := range ms {
-		keys, err := m.StoreKeys()
+		sw, err := blockadt.Expand(m)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, k := range keys {
+		for _, k := range sw.Keys() {
 			if seen[k] {
 				continue
 			}

@@ -78,7 +78,7 @@ func runEngine(t *testing.T, configs []Scenario, parallelism int) []Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := newSweepRunner(runConfig{}, Matrix{}, configs, specs)
+	runner := newSweepRunner(runConfig{}, nil, specs)
 	ctx := context.Background()
 	var results []Result
 	for _, r := range parallel.Stream(ctx, configs, parallelism, func(i int, cfg Scenario) Result {

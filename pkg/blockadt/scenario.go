@@ -3,6 +3,7 @@ package blockadt
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"blockadt/internal/fairness"
@@ -46,18 +47,41 @@ type Scenario struct {
 // when present, so the parameterless complete-graph scenarios keep their
 // historical keys (and derived seeds) byte for byte.
 func (c Scenario) Key() string {
-	key := fmt.Sprintf("%s|%s|%s|a=%.4f|n=%d|b=%d|s=%d",
-		c.System, c.Link, c.Adversary, c.Alpha, c.N, c.Blocks, c.SeedIndex)
+	return string(c.appendKey(make([]byte, 0, 64)))
+}
+
+// appendKey appends Key to b. It is the one key builder: Key, the seed
+// and shard hashes of matrix expansion and the run-store keys all go
+// through it, so none of them formats through fmt. The layout is
+// "sys|link|adv|a=%.4f|n=%d|b=%d|s=%d" plus the optional "|lp=",
+// "|topo=" and "|tp=" parts.
+func (c Scenario) appendKey(b []byte) []byte {
+	b = append(b, c.System...)
+	b = append(b, '|')
+	b = append(b, c.Link...)
+	b = append(b, '|')
+	b = append(b, c.Adversary...)
+	b = append(b, "|a="...)
+	b = strconv.AppendFloat(b, c.Alpha, 'f', 4, 64)
+	b = append(b, "|n="...)
+	b = strconv.AppendInt(b, int64(c.N), 10)
+	b = append(b, "|b="...)
+	b = strconv.AppendInt(b, int64(c.Blocks), 10)
+	b = append(b, "|s="...)
+	b = strconv.AppendInt(b, int64(c.SeedIndex), 10)
 	if c.LinkParams != "" {
-		key += "|lp=" + c.LinkParams
+		b = append(b, "|lp="...)
+		b = append(b, c.LinkParams...)
 	}
 	if c.Topology != "" {
-		key += "|topo=" + c.Topology
+		b = append(b, "|topo="...)
+		b = append(b, c.Topology...)
 		if c.TopoParams != "" {
-			key += "|tp=" + c.TopoParams
+			b = append(b, "|tp="...)
+			b = append(b, c.TopoParams...)
 		}
 	}
-	return key
+	return b
 }
 
 // DeriveSeed returns the scenario's independent prng stream:
@@ -72,7 +96,7 @@ func (c Scenario) DeriveSeed(root uint64) uint64 {
 // hashString folds a string into a 64-bit value with the repository's
 // stateless mixer (an FNV-style byte fold finished by prng.Mix, so the
 // result is well distributed even for short keys).
-func hashString(s string) uint64 {
+func hashString[S string | []byte](s S) uint64 {
 	const prime = 0x100000001B3
 	h := uint64(0xCBF29CE484222325)
 	for i := 0; i < len(s); i++ {
@@ -151,12 +175,14 @@ func checkN(n int) error {
 	return nil
 }
 
-// shard reports which of count partitions the scenario belongs to: a
-// hash of the canonical key, deliberately domain-separated from the
-// seed-derivation hash so shard membership and prng streams stay
-// uncorrelated.
-func (c Scenario) shard(count int) int {
-	return int(hashString("shard|"+c.Key()) % uint64(count))
+// shardPrefix domain-separates the shard hash from the seed-derivation
+// hash, so shard membership and prng streams stay uncorrelated.
+const shardPrefix = "shard|"
+
+// shardOf reports which of count partitions a scenario belongs to,
+// given shardPrefix followed by its canonical key.
+func shardOf(prefixedKey []byte, count int) int {
+	return int(hashString(prefixedKey) % uint64(count))
 }
 
 // Table1 returns the matrix regenerating Table 1: every registered
@@ -207,54 +233,63 @@ const maxScenarios = 1 << 16
 // negative process count, and on a cross product above maxScenarios
 // (counted before pruning).
 func (m Matrix) Configs() ([]Scenario, error) {
+	configs, _, err := m.expand()
+	return configs, err
+}
+
+// expand is Configs, also returning the resolved metric collectors: the
+// metric list is validated here like every other dimension.
+func (m Matrix) expand() ([]Scenario, []MetricSpec, error) {
 	m = m.withDefaults()
 	if _, err := lookupAll(m.Systems, LookupSystem); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// withDefaults remapped 0 to 0.34, so anything outside (0,1) here is
 	// caller input — reject it before it builds degenerate merit tapes.
 	if m.Alpha <= 0 || m.Alpha >= 1 {
-		return nil, fmt.Errorf("blockadt: adversary merit share must be in (0,1), got %v", m.Alpha)
+		return nil, nil, fmt.Errorf("blockadt: adversary merit share must be in (0,1), got %v", m.Alpha)
 	}
 	for _, n := range m.Ns {
 		if err := checkN(n); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// Metrics do not expand into scenarios, but a typo in the list must
 	// fail here like one in any other dimension.
-	if _, err := m.metricSpecs(); err != nil {
-		return nil, err
+	specs, err := m.metricSpecs()
+	if err != nil {
+		return nil, nil, err
 	}
 	if m.ShardCount < 0 {
-		return nil, fmt.Errorf("blockadt: shard count must be >= 1, got %d", m.ShardCount)
+		return nil, nil, fmt.Errorf("blockadt: shard count must be >= 1, got %d", m.ShardCount)
 	}
 	if m.ShardCount > 0 && (m.ShardIndex < 0 || m.ShardIndex >= m.ShardCount) {
-		return nil, fmt.Errorf("blockadt: shard index %d out of range [0,%d)", m.ShardIndex, m.ShardCount)
+		return nil, nil, fmt.Errorf("blockadt: shard index %d out of range [0,%d)", m.ShardIndex, m.ShardCount)
 	}
 	lspecs, err := lookupAll(m.Links, LookupLink)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	aspecs, err := lookupAll(m.Adversaries, LookupAdversary)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tspecs, err := lookupAll(m.Topologies, LookupTopology)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Each factor and partial product stays at most maxScenarios before
 	// the next multiplication, so the product cannot overflow.
 	product := 1
 	for _, d := range []int{len(m.Systems), len(lspecs), len(aspecs), len(tspecs), len(m.Ns), m.Seeds} {
 		if d > maxScenarios || product*d > maxScenarios {
-			return nil, fmt.Errorf("blockadt: matrix spans more than %d scenarios (%d systems × %d links × %d adversaries × %d topologies × %d ns × %d seeds)",
+			return nil, nil, fmt.Errorf("blockadt: matrix spans more than %d scenarios (%d systems × %d links × %d adversaries × %d topologies × %d ns × %d seeds)",
 				maxScenarios, len(m.Systems), len(lspecs), len(aspecs), len(tspecs), len(m.Ns), m.Seeds)
 		}
 		product *= d
 	}
 	var out []Scenario
+	var kb []byte
 	for _, sys := range m.Systems {
 		for _, lspec := range lspecs {
 			for _, aspec := range aspecs {
@@ -280,10 +315,14 @@ func (m Matrix) Configs() ([]Scenario, error) {
 								cfg.Topology = tspec.Name
 								cfg.TopoParams = tspec.Params
 							}
-							if m.ShardCount > 1 && cfg.shard(m.ShardCount) != m.ShardIndex {
+							// One key build serves both hashes: the
+							// shard hash covers the prefix, the seed
+							// hash the key after it.
+							kb = cfg.appendKey(append(kb[:0], shardPrefix...))
+							if m.ShardCount > 1 && shardOf(kb, m.ShardCount) != m.ShardIndex {
 								continue
 							}
-							cfg.Seed = cfg.DeriveSeed(m.RootSeed)
+							cfg.Seed = prng.Mix(m.RootSeed, hashString(kb[len(shardPrefix):]))
 							out = append(out, cfg)
 						}
 					}
@@ -291,7 +330,7 @@ func (m Matrix) Configs() ([]Scenario, error) {
 			}
 		}
 	}
-	return out, nil
+	return out, specs, nil
 }
 
 // lookupAll resolves every name of one matrix dimension against its
@@ -350,7 +389,10 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// WallNS is the measured wall-clock cost of the run. It is
 	// excluded from the canonical JSON: it is the one field that is
-	// not deterministic.
+	// not deterministic. Because the run store keeps that JSON, a
+	// Result served from the store has WallNS == 0, so WallNS != 0
+	// marks a result computed in this process: simulated, or coalesced
+	// onto a simulation.
 	WallNS int64 `json:"-"`
 }
 

@@ -30,13 +30,13 @@ func FuzzDecodeMatrix(f *testing.F) {
 		w := httptest.NewRecorder()
 		r := httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body))
 		raw, ok := readBody(w, r, s.cfg.MaxBodyBytes)
-		total := 0
+		var sw *blockadt.Sweep
 		if ok {
-			_, total, ok = s.decodeMatrix(w, r, raw)
+			_, sw, ok = s.decodeMatrix(w, raw)
 		}
 		if ok {
-			if total < 1 || w.Body.Len() != 0 {
-				t.Fatalf("accepted body expanded to %d scenarios and wrote %q", total, w.Body)
+			if sw.Len() < 1 || len(sw.Keys()) != sw.Len() || w.Body.Len() != 0 {
+				t.Fatalf("accepted body expanded to %d scenarios, %d keys, and wrote %q", sw.Len(), len(sw.Keys()), w.Body)
 			}
 			return
 		}

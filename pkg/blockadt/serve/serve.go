@@ -22,10 +22,10 @@
 //	GET  /healthz                         liveness (text)
 //	GET  /metricsz                        scenarios/sec, cache counters, gauges
 //
-// The server holds no per-sweep result buffers: streaming rides
-// blockadt.Stream (bounded reorder window), polling state is O(1) per
-// sweep, and reports are re-served from the store rather than retained
-// in memory — thousands of concurrent clients see bounded memory. The
+// The server holds no per-sweep result buffers: streaming rides the
+// expanded sweep's Stream (bounded reorder window), polling state is
+// O(1) per sweep, and reports are re-served from the store rather than
+// retained in memory — thousands of concurrent clients see bounded memory. The
 // service is unauthenticated and meant for a trusted network, like a CI
 // fleet or a lab cluster.
 package serve
@@ -121,6 +121,8 @@ type Server struct {
 }
 
 // sweepState is the O(1) polling record of one submitted sweep.
+// Identical submissions share it, and its status settles only when the
+// last of them ends.
 type sweepState struct {
 	ID        string
 	Matrix    blockadt.Matrix
@@ -133,6 +135,10 @@ type sweepState struct {
 	Err       string
 	CreatedAt time.Time
 	UpdatedAt time.Time
+	// Active counts the submissions still streaming. Done is set once a
+	// submission since the sweep last settled streamed every result.
+	Active int
+	Done   bool
 }
 
 // sweepStatus is the poll-endpoint wire form.
@@ -198,20 +204,21 @@ func jsonError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decodeMatrix reads and validates a matrix body under the given byte
-// limit. Failures are written to w (400 for malformed or invalid, 413
-// for oversized) and reported via ok=false.
-func (s *Server) decodeMatrix(w http.ResponseWriter, r *http.Request, raw json.RawMessage) (m blockadt.Matrix, total int, ok bool) {
+// decodeMatrix reads, validates and expands a matrix body — the
+// request's one expansion: the sweep it returns carries the scenario
+// count, the store keys and the fingerprint. Failures are written to w
+// (400 for malformed or invalid) and reported via ok=false.
+func (s *Server) decodeMatrix(w http.ResponseWriter, raw json.RawMessage) (m blockadt.Matrix, sw *blockadt.Sweep, ok bool) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		jsonError(w, http.StatusBadRequest, "malformed matrix JSON: %v", err)
-		return m, 0, false
+		return m, nil, false
 	}
-	// Configs validates every dimension against the registries; its
+	// Expansion validates every dimension against the registries; its
 	// unknown-name errors carry the registered alternatives, which is
 	// exactly what a 400 should teach the client. For those the body
 	// also breaks the failure out into machine-readable fields, so a
 	// client can match on kind/name instead of parsing the message.
-	configs, err := m.Configs()
+	sw, err := blockadt.Expand(m)
 	if err != nil {
 		var unknown *blockadt.UnknownNameError
 		if errors.As(err, &unknown) {
@@ -223,17 +230,17 @@ func (s *Server) decodeMatrix(w http.ResponseWriter, r *http.Request, raw json.R
 				Name       string   `json:"name"`
 				Registered []string `json:"registered"`
 			}{fmt.Sprintf("invalid matrix: %v", err), unknown.Kind, unknown.Name, unknown.Registered})
-			return m, 0, false
+			return m, nil, false
 		}
 		jsonError(w, http.StatusBadRequest, "invalid matrix: %v", err)
-		return m, 0, false
+		return m, nil, false
 	}
-	if len(configs) == 0 {
+	if sw.Len() == 0 {
 		jsonError(w, http.StatusBadRequest,
 			"matrix expanded to 0 configurations: every requested combination was pruned")
-		return m, 0, false
+		return m, nil, false
 	}
-	return m, len(configs), true
+	return m, sw, true
 }
 
 // readBody drains the request body under limit, translating the
@@ -269,7 +276,9 @@ func (s *Server) parallelism(w http.ResponseWriter, r *http.Request) (int, bool)
 }
 
 // register records a sweep for polling, reusing the slot on resubmission
-// and evicting the oldest finished sweeps past the registry cap.
+// and evicting the oldest finished sweeps past the registry cap. A
+// resubmission of a finished sweep starts its progress over; one that
+// joins a running sweep leaves that sweep's progress alone.
 func (s *Server) register(id string, m blockadt.Matrix, total int) *sweepState {
 	now := time.Now()
 	s.mu.Lock()
@@ -281,10 +290,14 @@ func (s *Server) register(id string, m blockadt.Matrix, total int) *sweepState {
 		s.order = append(s.order, id)
 		s.evictLocked()
 	}
-	st.Status = "running"
-	st.Completed = 0
-	st.Simulated, st.CacheHits, st.Coalesced = 0, 0, 0
-	st.Err = ""
+	if st.Active == 0 {
+		st.Status = "running"
+		st.Done = false
+		st.Completed = 0
+		st.Simulated, st.CacheHits, st.Coalesced = 0, 0, 0
+		st.Err = ""
+	}
+	st.Active++
 	st.UpdatedAt = now
 	return st
 }
@@ -317,7 +330,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	m, total, ok := s.decodeMatrix(w, r, raw)
+	m, sw, ok := s.decodeMatrix(w, raw)
 	if !ok {
 		return
 	}
@@ -325,11 +338,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	id, err := m.Fingerprint()
-	if err != nil { // Configs passed, so this cannot happen; fail loudly anyway
-		jsonError(w, http.StatusInternalServerError, "fingerprint: %v", err)
-		return
-	}
+	id, total := sw.Fingerprint(), sw.Len()
 
 	st := s.register(id, m, total)
 	s.inflightSweeps.Add(1)
@@ -338,6 +347,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Id", id)
 	w.Header().Set("Cache-Control", "no-store")
+	// A line computed in this process (simulated, or coalesced onto a
+	// simulation: WallNS != 0) is flushed at once. Cached lines (WallNS
+	// == 0, as the store does not keep it) ride net/http's response
+	// buffer, one write per ~4 KB, and the handler's return flushes the
+	// tail. The census cannot make this call: at parallelism > 1 a later
+	// scenario's simulation can be counted before an earlier cached line
+	// is yielded.
 	flusher, _ := w.(http.Flusher)
 
 	var census blockadt.Census
@@ -346,7 +362,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var matched int
 	var ticks int64
 	completed := 0
-	for res, err := range blockadt.Stream(r.Context(), m, parallelism,
+	for res, err := range sw.Stream(r.Context(), parallelism,
 		blockadt.WithRunStore(s.cfg.Store),
 		blockadt.WithSingleflight(s.flight),
 		blockadt.WithCensus(&census),
@@ -370,7 +386,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ticks += res.Ticks
 		s.completed.Add(1)
 		s.noteProgress(st, completed)
-		if flusher != nil {
+		if res.WallNS != 0 && flusher != nil {
 			flusher.Flush()
 		}
 	}
@@ -401,27 +417,37 @@ func (s *Server) notePanic(ctx context.Context, id string, err error) {
 	)
 }
 
-// noteProgress bumps a sweep's completion counter for pollers.
+// noteProgress bumps a sweep's completion counter for pollers. Of
+// several identical submissions in flight the furthest one counts, so
+// progress never rewinds.
 func (s *Server) noteProgress(st *sweepState, completed int) {
 	s.mu.Lock()
-	st.Completed = completed
+	st.Completed = max(st.Completed, completed)
 	st.UpdatedAt = time.Now()
 	s.mu.Unlock()
 }
 
-// finishSweep folds a finished (or torn down) sweep's census into the
-// polling state and the server-lifetime counters.
+// finishSweep folds a finished (or torn down) submission's census into
+// the polling state and the server-lifetime counters. The sweep's status
+// settles when its last in-flight submission ends: "done" if any of them
+// streamed every result, else the last one's failure.
 func (s *Server) finishSweep(st *sweepState, census *blockadt.Census, completed int, status, errMsg string) {
 	s.simulated.Add(census.Simulated())
 	s.cacheHits.Add(census.CacheHits())
 	s.coalesced.Add(census.Coalesced())
 	s.mu.Lock()
-	st.Status = status
-	st.Completed = completed
+	st.Active--
+	st.Completed = max(st.Completed, completed)
 	st.Simulated = census.Simulated()
 	st.CacheHits = census.CacheHits()
 	st.Coalesced = census.Coalesced()
-	st.Err = errMsg
+	st.Done = st.Done || status == "done"
+	if st.Active == 0 {
+		st.Status, st.Err = status, errMsg
+		if st.Done {
+			st.Status, st.Err = "done", ""
+		}
+	}
 	st.UpdatedAt = time.Now()
 	s.mu.Unlock()
 }

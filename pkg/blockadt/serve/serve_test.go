@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"blockadt/pkg/blockadt"
 )
@@ -218,11 +219,7 @@ func TestSubmitCacheFirst(t *testing.T) {
 	if id == "" {
 		t.Fatal("submission response carries no X-Sweep-Id")
 	}
-	wantID, err := m.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != wantID {
+	if wantID := mustExpand(t, m).Fingerprint(); id != wantID {
 		t.Fatalf("X-Sweep-Id %q is not the matrix fingerprint %q", id, wantID)
 	}
 
@@ -241,11 +238,17 @@ func TestSubmitCacheFirst(t *testing.T) {
 
 func matrixTotal(t *testing.T, m blockadt.Matrix) int {
 	t.Helper()
-	configs, err := m.Configs()
+	return mustExpand(t, m).Len()
+}
+
+// mustExpand expands m, failing the test on an invalid matrix.
+func mustExpand(t *testing.T, m blockadt.Matrix) *blockadt.Sweep {
+	t.Helper()
+	sw, err := blockadt.Expand(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(configs)
+	return sw
 }
 
 func mustString(t *testing.T, v any) string {
@@ -296,16 +299,172 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	}
 }
 
+// pollSweep GETs a sweep's polling state and its ETag.
+func pollSweep(t *testing.T, base, id string) (sweepStatus, string) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/sweeps/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status sweepStatus
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	return status, resp.Header.Get("ETag")
+}
+
+// TestIdenticalSubmissionsSettleTogether: in-flight submissions of one
+// matrix share its polling state, so the first to end must not report
+// the sweep done while another still streams, and neither must rewind
+// the progress the other made. The sweep settles when the last one
+// ends: done, with its ETag, if any of them streamed every result.
+func TestIdenticalSubmissionsSettleTogether(t *testing.T) {
+	ts, srv := newTestServer(t, nil)
+	m := serveTestMatrix(35)
+	sw := mustExpand(t, m)
+	id, total := sw.Fingerprint(), sw.Len()
+	var census blockadt.Census
+	for _, outcomes := range [][2]string{{"done", "done"}, {"done", "failed"}, {"failed", "done"}} {
+		first := srv.register(id, m, total)
+		srv.noteProgress(first, total)
+		second := srv.register(id, m, total)
+		srv.noteProgress(second, 1)
+		end := func(st *sweepState, status string) {
+			if status == "done" {
+				srv.finishSweep(st, &census, total, status, "")
+			} else {
+				srv.finishSweep(st, &census, 1, status, "client disconnected")
+			}
+		}
+		end(first, outcomes[0])
+		status, etag := pollSweep(t, ts.URL, id)
+		if status.Status != "running" || status.Completed != total || status.Error != "" || etag != "" {
+			t.Fatalf("%v: after the first submission ended, poll = %+v with ETag %q; want running, %d completed, no ETag",
+				outcomes, status, etag, total)
+		}
+		end(second, outcomes[1])
+		status, etag = pollSweep(t, ts.URL, id)
+		if status.Status != "done" || status.Completed != total || status.Error != "" || etag != etagFor(id) {
+			t.Fatalf("%v: after both ended, poll = %+v with ETag %q; want done with ETag %s", outcomes, status, etag, etagFor(id))
+		}
+	}
+}
+
+// gatedLink is a hidden link whose plan waits on linkGate while it
+// holds a channel, so a test can keep one scenario from finishing.
+const gatedLink = "serve-test-gated"
+
+var (
+	registerGatedLinkOnce sync.Once
+	linkGate              struct {
+		sync.Mutex
+		ch chan struct{}
+	}
+)
+
+func registerGatedLink() {
+	registerGatedLinkOnce.Do(func() {
+		blockadt.RegisterLink(blockadt.LinkSpec{
+			Name:        gatedLink,
+			Description: "test-only synchronous link that waits on a gate",
+			Plan: func(*blockadt.Execution) {
+				linkGate.Lock()
+				ch := linkGate.ch
+				linkGate.Unlock()
+				if ch != nil {
+					<-ch
+				}
+			},
+			Hidden: true,
+		})
+	})
+}
+
+// TestComputedLinesFlushAtOnce pins the flush rule. A simulated line
+// reaches the client while a later scenario of the same sweep is still
+// blocked, so the client never waits on a result the server holds. A
+// fully cached submission streams the same bytes and flushes nothing
+// before the handler returns: its lines ride the response buffer.
+func TestComputedLinesFlushAtOnce(t *testing.T) {
+	registerGatedLink()
+	ts, srv := newTestServer(t, nil)
+	m := blockadt.Matrix{Systems: []string{"Bitcoin"}, Links: []string{blockadt.LinkSync, gatedLink},
+		TargetBlocks: 5, RootSeed: 62}
+	gate := make(chan struct{})
+	linkGate.Lock()
+	linkGate.ch = gate
+	linkGate.Unlock()
+	open := sync.OnceFunc(func() {
+		close(gate)
+		linkGate.Lock()
+		linkGate.ch = nil
+		linkGate.Unlock()
+	})
+	defer open()
+
+	type read struct {
+		line []byte
+		rest []byte
+		err  error
+	}
+	submission := mustJSON(t, m)
+	firstLine, body := make(chan read, 1), make(chan read, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(submission))
+		if err != nil {
+			firstLine <- read{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		line, err := br.ReadBytes('\n')
+		firstLine <- read{line: line, err: err}
+		if err != nil {
+			return
+		}
+		rest, err := io.ReadAll(br)
+		body <- read{line: line, rest: rest, err: err}
+	}()
+	select {
+	case r := <-firstLine:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		var res blockadt.Result
+		if err := json.Unmarshal(r.line, &res); err != nil || res.Config.Link != blockadt.LinkSync {
+			t.Fatalf("first line %q is not the sync scenario's result (%v)", r.line, err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the simulated first line did not reach the client while the second scenario was blocked")
+	}
+	open()
+	cold := <-body
+	if cold.err != nil {
+		t.Fatal(cold.err)
+	}
+
+	warm := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(warm, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(submission)))
+	if warm.Flushed {
+		t.Error("a fully cached submission flushed before the handler returned")
+	}
+	resultLines := func(b []byte) []byte {
+		return b[:bytes.LastIndex(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))+1]
+	}
+	coldBody := append(cold.line, cold.rest...)
+	if got, want := resultLines(warm.Body.Bytes()), resultLines(coldBody); !bytes.Equal(got, want) || bytes.Count(want, []byte("\n")) != 2 {
+		t.Fatalf("cached result lines\n%s\ndiffer from the cold ones\n%s", got, want)
+	}
+}
+
 // TestPollAndReport walks the poll lifecycle: 404 before submission,
 // done + ETag after, 304 on If-None-Match, and a report byte-identical
 // to the engine's canonical encoding, served from cache.
 func TestPollAndReport(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	m := serveTestMatrix(33)
-	id, err := m.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := mustExpand(t, m).Fingerprint()
 
 	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"blockadt/internal/runstore"
 )
 
 // hookTestMatrix is a small metrics-enabled matrix with pinned systems
@@ -151,45 +153,79 @@ func TestSingleflightConcurrentIdenticalSweeps(t *testing.T) {
 // that changes a store key, and failing on the same inputs Configs does.
 func TestMatrixFingerprint(t *testing.T) {
 	m := hookTestMatrix()
-	a, err := m.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	a := mustExpand(t, m).Fingerprint()
+	if b := mustExpand(t, m).Fingerprint(); a != b {
 		t.Fatal("fingerprint is not deterministic")
 	}
 
 	seed := m
 	seed.RootSeed++
-	if fp, _ := seed.Fingerprint(); fp == a {
+	if mustExpand(t, seed).Fingerprint() == a {
 		t.Fatal("fingerprint ignores the root seed")
 	}
 	metrics := m
 	metrics.Metrics = nil
-	if fp, _ := metrics.Fingerprint(); fp == a {
+	if mustExpand(t, metrics).Fingerprint() == a {
 		t.Fatal("fingerprint ignores the metric set")
 	}
 
-	keys, err := m.StoreKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := mustExpand(t, m)
 	configs, err := m.Configs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != len(configs) {
-		t.Fatalf("StoreKeys returned %d keys for %d scenarios", len(keys), len(configs))
+	if len(sw.Keys()) != len(configs) || sw.Len() != len(configs) {
+		t.Fatalf("Keys returned %d keys, Len %d, for %d scenarios", len(sw.Keys()), sw.Len(), len(configs))
 	}
 
 	bad := m
 	bad.Systems = []string{"Dogecoin"}
-	if _, err := bad.Fingerprint(); err == nil {
-		t.Fatal("fingerprint accepted an unregistered system")
+	if _, err := Expand(bad); err == nil {
+		t.Fatal("Expand accepted an unregistered system")
+	}
+}
+
+// ciMatrix is the canonical CI sweep matrix (SWEEP_baseline.json's),
+// with the built-in systems and metrics spelled out: tests register
+// more of both, and the registry defaults would pick them up.
+func ciMatrix() Matrix {
+	return Matrix{
+		Systems:      []string{"Bitcoin", "Ethereum", "Algorand", "ByzCoin", "PeerCensus", "RedBelly", "Hyperledger"},
+		Links:        []string{LinkSync, LinkAsync, LinkPsync, LinkLossy, LinkPartition, LinkJitter},
+		Adversaries:  []string{AdvNone, AdvSelfish},
+		Ns:           []int{8},
+		Seeds:        2,
+		TargetBlocks: 30,
+		RootSeed:     42,
+		Metrics: []string{"fork_rate", "chain_quality", "growth_rate", "finality_depth", "finality_latency",
+			"msgs_delivered", "msg_bytes", "rounds_to_agreement", "adversary_share", "fairness_tvd",
+			"msgs_dropped", "partition_heal_lag"},
+	}
+}
+
+// TestAddressesPinned pins the run-store addresses byte for byte: the
+// sweep ids (and ETags) clients hold, and the object names existing
+// stores were written under. A change to any of these literals orphans
+// every store and invalidates every ETag, so it must come with an
+// EngineVersion bump, never silently.
+func TestAddressesPinned(t *testing.T) {
+	ci := mustExpand(t, ciMatrix())
+	if got, want := ci.Fingerprint(), "8cea99212bf31875af9843be48feb771d5929ccf81979ddac7ba5096a5308975"; got != want {
+		t.Errorf("CI matrix fingerprint = %s, want %s", got, want)
+	}
+	table1 := Table1(8, 30, 42)
+	table1.Systems = ciMatrix().Systems
+	if got, want := mustExpand(t, table1).Fingerprint(), "85d125b8a2929e1210b238a426e364774982371e04d1d3ec9f775524ae093707"; got != want {
+		t.Errorf("Table 1 fingerprint = %s, want %s", got, want)
+	}
+	const key0 = "btadt-engine-v3|root=42|Bitcoin|sync|none|a=0.0000|n=8|b=30|s=0|seed=8502013113552945509|" +
+		"metrics=adversary_share,chain_quality,fairness_tvd,finality_depth,finality_latency,fork_rate," +
+		"growth_rate,msg_bytes,msgs_delivered,msgs_dropped,partition_heal_lag,rounds_to_agreement"
+	if got := ci.Keys()[0]; got != key0 {
+		t.Errorf("CI matrix first store key = %q, want %q", got, key0)
+	}
+	if got, want := runstore.Hash(ci.Keys()[0]), "fa3cfc1fcfb354271d80662277a6b1688f9643bcae76d96582833bb9c60a11c4"; got != want {
+		t.Errorf("CI matrix first object hash = %s, want %s", got, want)
 	}
 }
 

@@ -27,14 +27,17 @@ func keySet(t *testing.T, m Matrix) map[string]bool {
 		if out[c.Key()] {
 			t.Fatalf("duplicate scenario %s", c.Key())
 		}
+		if c.Seed != c.DeriveSeed(m.RootSeed) {
+			t.Fatalf("scenario %s expanded with seed %d, DeriveSeed says %d", c.Key(), c.Seed, c.DeriveSeed(m.RootSeed))
+		}
 		out[c.Key()] = true
 	}
 	return out
 }
 
-// TestShardPartitionProperty is the satellite property test: for several
-// shard counts, the shards are pairwise disjoint and their union is
-// exactly the unsharded expansion.
+// TestShardPartitionProperty: for several shard counts, each scenario
+// lands in the shard its prefixed key hashes to, the shards are pairwise
+// disjoint and their union is exactly the unsharded expansion.
 func TestShardPartitionProperty(t *testing.T) {
 	m := shardTestMatrix()
 	full := keySet(t, m)
@@ -49,6 +52,9 @@ func TestShardPartitionProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			for key := range keySet(t, shard) {
+				if got := int(hashString(shardPrefix+key) % uint64(count)); count > 1 && got != i {
+					t.Fatalf("count=%d: scenario %s expanded into shard %d, its key hashes to %d", count, key, i, got)
+				}
 				if union[key] {
 					t.Fatalf("count=%d: scenario %s appears in two shards", count, key)
 				}

@@ -2,12 +2,10 @@ package blockadt
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -124,28 +122,43 @@ var scenarioRuns atomic.Uint64
 // it unchanged.
 func ScenarioRuns() uint64 { return scenarioRuns.Load() }
 
-// storeKey derives a scenario's run-store key. Everything that can
-// change the scenario's canonical Result JSON participates: the engine
-// version, the root seed (the derived seed is included too, though it is
-// a function of the two), the scenario's canonical coordinates, and the
-// sorted deduplicated metric set (metrics add fields to the Result but
-// never alter the simulation).
-func storeKey(rootSeed uint64, cfg Scenario, metricNames []string) string {
-	names := append([]string(nil), metricNames...)
-	sort.Strings(names)
-	names = uniqSorted(names)
-	return fmt.Sprintf("%s|root=%d|%s|seed=%d|metrics=%s",
-		EngineVersion, rootSeed, cfg.Key(), cfg.Seed, strings.Join(names, ","))
+// appendStoreKey appends a scenario's run-store key to b. Everything
+// that can change the scenario's canonical Result JSON participates: the
+// engine version, the root seed (the derived seed is included too,
+// though it is a function of the two), the scenario's canonical
+// coordinates, and the metric set (metrics add fields to the Result but
+// never alter the simulation). metrics is metricSet's rendering, which a
+// sweep computes once. The layout is
+// "engine|root=%d|<Scenario.Key>|seed=%d|metrics=<set>".
+func appendStoreKey(b []byte, rootSeed uint64, cfg Scenario, metrics string) []byte {
+	b = append(b, EngineVersion...)
+	b = append(b, "|root="...)
+	b = strconv.AppendUint(b, rootSeed, 10)
+	b = append(b, '|')
+	b = cfg.appendKey(b)
+	b = append(b, "|seed="...)
+	b = strconv.AppendUint(b, cfg.Seed, 10)
+	b = append(b, "|metrics="...)
+	return append(b, metrics...)
 }
 
-func uniqSorted(names []string) []string {
-	out := names[:0]
-	for i, n := range names {
-		if i == 0 || n != names[i-1] {
-			out = append(out, n)
-		}
+// storeKeys returns the run-store key of every scenario, in order.
+func storeKeys(rootSeed uint64, configs []Scenario, metrics string) []string {
+	keys := make([]string, len(configs))
+	var b []byte
+	for i, cfg := range configs {
+		b = appendStoreKey(b[:0], rootSeed, cfg, metrics)
+		keys[i] = string(b)
 	}
-	return out
+	return keys
+}
+
+// metricSet renders a metric list the way store keys carry it: sorted,
+// deduplicated and comma-joined.
+func metricSet(names []string) string {
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	return strings.Join(slices.Compact(sorted), ",")
 }
 
 // StoreStats snapshots a RunStore handle's operation counters (hits,
@@ -184,43 +197,6 @@ func (s *RunStore) Len() int { return s.s.Len() }
 // Stats snapshots the handle's hit/miss/put/byte counters.
 func (s *RunStore) Stats() StoreStats { return s.s.Stats() }
 
-// StoreKeys returns the run-store key of every scenario the matrix
-// expands to, in expansion order — the addresses a sweep of this matrix
-// reads and writes.
-func (m Matrix) StoreKeys() ([]string, error) {
-	configs, err := m.Configs()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(configs))
-	for i, cfg := range configs {
-		keys[i] = storeKey(m.RootSeed, cfg, m.Metrics)
-	}
-	return keys, nil
-}
-
-// Fingerprint returns the matrix's content address: a hex SHA-256 over
-// the engine version and every expanded scenario's store key (which
-// folds in the root seed, canonical scenario coordinates, derived seeds
-// and sorted metric set). Two matrices get the same fingerprint exactly
-// when a sweep of each would read and write the same store entries under
-// the same engine — making it the natural sweep identity and HTTP ETag
-// for a cache-first sweep service. It errors on the same inputs Configs
-// does (unknown names, bad alpha, bad shard spec).
-func (m Matrix) Fingerprint() (string, error) {
-	keys, err := m.StoreKeys()
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	h.Write([]byte(EngineVersion))
-	for _, k := range keys {
-		h.Write([]byte{0})
-		h.Write([]byte(k))
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // runCache binds one sweep to its store: per-scenario keys precomputed
 // in expansion order, hit/miss bookkeeping, and end-of-run GC.
 type runCache struct {
@@ -254,7 +230,7 @@ type sweepRunner struct {
 	cache  *runCache
 	flight *Singleflight
 	census *Census
-	keys   []string // non-nil when cache or flight need them
+	keys   []string // store keys in expansion order
 	specs  []MetricSpec
 	// firstErr is the sweep's first failure: a scenario the executor
 	// rejected or a result the store could not persist.
@@ -266,20 +242,15 @@ type sweepRunner struct {
 	epoch  time.Time
 }
 
-// newSweepRunner resolves the run options against the expanded matrix.
-func newSweepRunner(c runConfig, m Matrix, configs []Scenario, specs []MetricSpec) *sweepRunner {
-	r := &sweepRunner{flight: c.flight, census: c.census, specs: specs}
+// newSweepRunner resolves the run options against an expanded sweep's
+// store keys and metric collectors.
+func newSweepRunner(c runConfig, keys []string, specs []MetricSpec) *sweepRunner {
+	r := &sweepRunner{flight: c.flight, census: c.census, keys: keys, specs: specs}
 	if r.tracer = obs.Multi(c.tracers...); r.tracer != nil {
 		r.epoch = time.Now()
 	}
-	if c.store != nil || c.flight != nil {
-		r.keys = make([]string, len(configs))
-		for i, cfg := range configs {
-			r.keys[i] = storeKey(m.RootSeed, cfg, m.Metrics)
-		}
-	}
 	if c.store != nil {
-		r.cache = &runCache{store: c.store.s, keys: r.keys}
+		r.cache = &runCache{store: c.store.s, keys: keys}
 	}
 	return r
 }
@@ -471,21 +442,26 @@ func (r *sweepRunner) err() error {
 }
 
 // finish garbage-collects, when requested, every entry outside the
-// matrix's full unsharded expansion.
-func (r *sweepRunner) finish(gc bool, m Matrix) error {
+// sweep's full unsharded expansion. An unsharded sweep's own keys are
+// that keep-set; a shard expands the full matrix once more.
+func (r *sweepRunner) finish(gc bool, sw *Sweep) error {
 	if r.cache == nil || !gc {
 		return nil
 	}
-	full := m
-	full.ShardIndex, full.ShardCount = 0, 0
-	configs, err := full.Configs()
-	if err != nil {
-		return err
+	keys := sw.keys
+	if sw.m.ShardCount > 1 {
+		full := sw.m
+		full.ShardIndex, full.ShardCount = 0, 0
+		configs, err := full.Configs()
+		if err != nil {
+			return err
+		}
+		keys = storeKeys(sw.m.RootSeed, configs, metricSet(sw.m.Metrics))
 	}
-	keep := make(map[string]bool, len(configs))
-	for _, cfg := range configs {
-		keep[storeKey(m.RootSeed, cfg, m.Metrics)] = true
+	keep := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		keep[k] = true
 	}
-	_, err = r.cache.store.GC(func(key string) bool { return keep[key] })
+	_, err := r.cache.store.GC(func(key string) bool { return keep[key] })
 	return err
 }

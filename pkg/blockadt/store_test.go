@@ -38,14 +38,21 @@ func storeAt(t *testing.T, dir string) RunOption {
 	return WithRunStore(s)
 }
 
+// mustExpand expands m, failing the test on an invalid matrix.
+func mustExpand(t *testing.T, m Matrix) *Sweep {
+	t.Helper()
+	sw, err := Expand(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw
+}
+
 // storeHits reports how many of the matrix's store keys the store at dir
 // lists, out of how many.
 func storeHits(t *testing.T, dir string, m Matrix) (cached, total int) {
 	t.Helper()
-	keys, err := m.StoreKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := mustExpand(t, m).Keys()
 	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -268,16 +275,13 @@ func TestStoreWritesOnlyObjects(t *testing.T) {
 		}
 		break
 	}
-	keys, err := m.StoreKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := mustExpand(t, m).Keys()
 	want := map[string]bool{}
 	for _, k := range keys {
 		h := runstore.Hash(k)
 		want["objects/"+h[:2]+"/"+h+".json"] = true
 	}
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -309,10 +313,7 @@ func TestRunCacheGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := m.StoreKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	keys := mustExpand(t, m).Keys()
 	store, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -361,5 +362,26 @@ func TestRunCacheGet(t *testing.T) {
 	if after := store.Stats(); after.Misses-before.Misses != 2 || after.Hits != before.Hits {
 		t.Fatalf("damaged objects counted %d misses and %d hits, want 2 and 0",
 			after.Misses-before.Misses, after.Hits-before.Hits)
+	}
+}
+
+// TestWallNSMarksComputedResults pins the provenance mark the sweep
+// service flushes on: a simulated Result carries its wall-clock cost,
+// and one served from the store carries none, because WallNS is not part
+// of the JSON the store keeps.
+func TestWallNSMarksComputedResults(t *testing.T) {
+	m := storeTestMatrix()
+	m.RootSeed = 12
+	dir := t.TempDir()
+	for pass, name := range []string{"simulated", "cached"} {
+		rep, err := Run(m, 2, storeAt(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rep.Results {
+			if computed := r.WallNS != 0; computed != (pass == 0) {
+				t.Fatalf("%s pass: scenario %d has WallNS %d", name, i, r.WallNS)
+			}
+		}
 	}
 }
