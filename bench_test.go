@@ -629,8 +629,8 @@ func BenchmarkPBFTChain(b *testing.B) {
 // BenchmarkBroadcast measures the netsim broadcast hot path: one message
 // fanned out to 64 registered processes. Every simulator calls this once
 // per block per miner, so it is the inner loop of the entire sweep
-// engine; the Sim caches the sorted process slice (invalidated on
-// Register) instead of re-sorting per call. Gated by benchguard via
+// engine; the fan-out walks the Sim's handler table in process-id order
+// and queues each copy in its tick's ring bucket. Gated by benchguard via
 // BENCH_baseline.txt.
 func BenchmarkBroadcast(b *testing.B) {
 	s := netsim.New(netsim.Synchronous{Delta: 4}, 1)
@@ -643,7 +643,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Broadcast(0, netsim.Message{Kind: netsim.UpdateMsg, Block: "b"})
 		if i%1024 == 1023 {
-			// Drain so the event heap stays bounded. Run(horizon) cannot do
+			// Drain so the event queue stays bounded. Run(horizon) cannot do
 			// this: it jumps virtual time to the horizon, so the next batch
 			// of deliveries lands past any fixed horizon and would pile up
 			// unprocessed forever. RunToIdle drains by queue emptiness, not
@@ -651,6 +651,41 @@ func BenchmarkBroadcast(b *testing.B) {
 			s.RunToIdle(1 << 62)
 		}
 	}
+}
+
+// BenchmarkEventLoop measures the netsim event loop per event over a
+// proof-of-work-shaped mix: 8 processes, each re-arming a mining timer
+// every 4 ticks and a second timer every 16, a broadcast about every 12
+// ticks network-wide (one mining timer in 24 fires one), and δ = 8. About
+// 80% of the events are timers, as in the simulated chains. One op is
+// 1024 ticks; ns/event is the loop's cost per dispatched event. Gated by
+// benchguard via BENCH_baseline.txt.
+func BenchmarkEventLoop(b *testing.B) {
+	const procs, span = 8, 1024
+	s := netsim.New(netsim.Synchronous{Delta: 8}, 1)
+	for i := 0; i < procs; i++ {
+		p := history.ProcID(i)
+		s.Register(p, netsim.HandlerFuncs{Timer: func(s *netsim.Sim, tag string) {
+			if tag == "tick" {
+				s.TimerAt(p, s.Now()+16, "tick")
+				return
+			}
+			if s.Rng().Int63n(24) == 0 {
+				s.Broadcast(p, netsim.Message{Kind: netsim.UpdateMsg, Block: "b"})
+			}
+			s.TimerAt(p, s.Now()+4, "mine")
+		}})
+		s.TimerAt(p, 1, "mine")
+		s.TimerAt(p, 1, "tick")
+	}
+	s.Run(span) // grow the slab to the mix's peak queue depth
+	b.ReportAllocs()
+	b.ResetTimer()
+	events := 0
+	for i := 0; i < b.N; i++ {
+		events += s.Run(s.Now() + span)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkGossipDissemination measures flooding one block to 8 processes.

@@ -6,12 +6,13 @@ import (
 	"blockadt/internal/history"
 )
 
-// TestBroadcastAllocs pins the allocation-free event core: once the queue's
-// backing array and the batch-planning scratch have warmed up, a broadcast
-// fan-out plus its delivery drain must not allocate at all — events are
-// values in a reused heap, and Synchronous plans the whole fan-out through
-// the batched path. AllocsPerRun's warm-up call grows the buffers; the
-// measured runs must then stay on the steady state.
+// TestBroadcastAllocs pins the allocation-free event core: once the event
+// slab and the batch-planning scratch have warmed up, a broadcast fan-out
+// plus its delivery drain must not allocate at all — events are values in
+// a recycled slab, queued by index in the calendar ring, and Synchronous
+// plans the whole fan-out through the batched path. AllocsPerRun's warm-up
+// call grows the buffers; the measured runs must then stay on the steady
+// state.
 func TestBroadcastAllocs(t *testing.T) {
 	const n = 64
 	s := New(Synchronous{Delta: 8}, 1)
@@ -24,5 +25,29 @@ func TestBroadcastAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("Broadcast+Run allocated %.1f objects per fan-out, want 0", allocs)
+	}
+}
+
+// TestTimerRearmAllocs pins the most common event of the simulated
+// chains, a mining attempt: a timer whose handler re-arms it through
+// TimerAt. The re-armed timer takes a free slab slot, and the fired one's
+// slot is freed once its handler returns, so the cycle alternates between
+// two slots and allocates nothing. AllocsPerRun rounds amortized growth
+// down to zero, so the slab's size is pinned as well.
+func TestTimerRearmAllocs(t *testing.T) {
+	s := New(Synchronous{Delta: 8}, 1)
+	s.Register(0, HandlerFuncs{Timer: func(s *Sim, tag string) {
+		s.TimerAt(0, s.Now()+4, tag)
+	}})
+	s.TimerAt(0, 1, "mine")
+	fired := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		fired += s.Run(s.Now() + 4)
+	})
+	if allocs > 0 {
+		t.Fatalf("timer fire + re-arm allocated %.1f objects per cycle, want 0", allocs)
+	}
+	if fired != 201 || s.Pending() != 1 || len(s.slab) != 2 {
+		t.Fatalf("fired %d timers with %d pending in a %d-slot slab, want 201 with 1 in 2", fired, s.Pending(), len(s.slab))
 	}
 }

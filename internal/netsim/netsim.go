@@ -8,8 +8,10 @@
 // delivery bound), with optional message dropping, partitions, heavy-tail
 // jitter, and crash/Byzantine fault injection.
 //
-// The simulator runs in virtual time from a single priority queue, so every
-// execution is a deterministic function of (topology, link model, seed).
+// The simulator runs in virtual time, dispatching events in (time, push
+// order) from a calendar ring of per-tick FIFOs backed by a heap for the
+// rare far-future event, so every execution is a deterministic function of
+// (topology, link model, seed).
 // The fictional global clock the paper postulates is the simulator's `now`;
 // processes never read it except through message delivery order, matching
 // the paper's "processes do not have access to the fictional global time".
@@ -23,7 +25,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 
 	"blockadt/internal/history"
 	"blockadt/internal/prng"
@@ -362,28 +363,36 @@ type BatchPlanner interface {
 	PlanBatch(rng *prng.Source, m Message, now int64, delays []int64)
 }
 
+// ringWidth is the span W in ticks of the calendar ring (R. Brown,
+// "Calendar queues", CACM 31(10), 1988), a power of two. It holds every
+// timer and δ-bounded delivery of the simulators; the far heap takes the
+// rare longer delays (partition-deferred traffic, asynchronous
+// stragglers). 256 measured no faster.
+const ringWidth = 128
+
 // event is a queue entry's payload: either a delivery or a timer. Events
 // live in a slab the simulator recycles through a free list — scheduling
-// never heap-allocates, and both the slab and the heap's backing array are
-// reused across Run iterations.
+// never heap-allocates once the slab has grown to the peak queue depth.
 type event struct {
 	msg   Message
 	timer bool
+	next  int32 // the next event in its ring bucket, as slab index+1; 0 ends it
 	tag   string
 	proc  history.ProcID
 }
 
-// heapItem is what the priority queue actually orders: the (at, seq) key
-// plus the slab index of the payload. Sift operations move these 24-byte
-// items instead of full event structs, which keeps the heap's memory
-// traffic independent of the message size.
+// bucket is one tick's FIFO in the calendar ring, as slab index+1 (0: empty).
+type bucket struct{ head, tail int32 }
+
+// heapItem is what the far heap orders: the (at, seq) key plus the slab
+// index of the payload.
 type heapItem struct {
 	at  int64
 	seq int64 // FIFO tie-break for determinism
 	idx int32
 }
 
-// itemLess orders the min-heap by (at, seq).
+// itemLess orders the far min-heap by (at, seq).
 func itemLess(a, b heapItem) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -393,27 +402,36 @@ func itemLess(a, b heapItem) bool {
 
 // Sim is the discrete-event simulator. It is single-goroutine: handlers run
 // sequentially in virtual-time order.
+//
+// Events run in (at, push order). An event due less than W ticks ahead
+// joins the FIFO of ring bucket at mod W; every queued event is due at or
+// after now and every push strictly after now, so a bucket holds one tick.
+// An event due W or more ticks ahead goes to the far heap, ordered by
+// (at, seq). At equal at, far events come first: a far event due at T was
+// pushed at some now <= T-W, a ring event at some now > T-W, and now never
+// decreases, so the far one was pushed earlier. Popping is thus a two-way
+// merge that takes the heap's top on ties, and no event ever migrates.
 type Sim struct {
-	now   int64
-	seq   int64
-	queue []heapItem
+	now int64
+	seq int64
+	// ring[at mod W] holds the ring events due at at; ringLen counts them.
+	ring    [ringWidth]bucket
+	ringLen int
+	far     []heapItem
 	// slab holds the queued events' payloads; free lists the vacated slots.
-	// Together they pool event structs: a pop releases its slot for the
-	// next push, so steady-state scheduling allocates nothing.
+	// Together they pool event structs: a dispatch releases its slot for
+	// the next push, so steady-state scheduling allocates nothing.
 	slab []event
 	free []int32
 	// delays is Broadcast's scratch buffer for batched link planning; it is
 	// reused across calls so batched fan-outs allocate nothing steady-state.
-	delays   []int64
-	handlers map[history.ProcID]Handler
-	// procs caches the sorted process ids; Register invalidates it.
-	// Broadcast iterates it once per call, so the sort is paid per
-	// registration instead of per broadcast.
-	procs   []history.ProcID
-	crashed map[history.ProcID]bool
-	links   LinkModel
-	rng     *prng.Source
-	rec     *history.Recorder
+	delays []int64
+	// handlers and crashed are indexed by process id; nil is unregistered.
+	handlers []Handler
+	crashed  []bool
+	links    LinkModel
+	rng      *prng.Source
+	rec      *history.Recorder
 	// Delivered counts delivered messages; Dropped counts planned drops.
 	Delivered int
 	Dropped   int
@@ -429,10 +447,8 @@ type Sim struct {
 // created with the simulator's virtual clock.
 func New(links LinkModel, seed uint64) *Sim {
 	s := &Sim{
-		handlers: map[history.ProcID]Handler{},
-		crashed:  map[history.ProcID]bool{},
-		links:    links,
-		rng:      prng.New(seed),
+		links: links,
+		rng:   prng.New(seed),
 	}
 	s.rec = history.NewRecorderWithClock(simClock{s})
 	return s
@@ -453,41 +469,46 @@ func (s *Sim) Recorder() *history.Recorder { return s.rec }
 // Rng returns the simulator's deterministic random source.
 func (s *Sim) Rng() *prng.Source { return s.rng }
 
-// Register installs the handler for a process.
+// Register installs the handler for a process. Process ids index the
+// handler table, so they must be non-negative.
 func (s *Sim) Register(p history.ProcID, h Handler) {
+	s.handlers = grow(s.handlers, p)
 	s.handlers[p] = h
-	s.procs = nil
 }
 
-// sortedProcs returns the cached ascending process ids, rebuilding the
-// cache after a Register invalidated it. Callers must not mutate the
-// returned slice.
-func (s *Sim) sortedProcs() []history.ProcID {
-	if s.procs == nil && len(s.handlers) > 0 {
-		s.procs = make([]history.ProcID, 0, len(s.handlers))
-		for p := range s.handlers {
-			s.procs = append(s.procs, p)
-		}
-		slices.Sort(s.procs)
-	}
-	return s.procs
+// grow extends a table indexed by process id to cover p.
+func grow[T any](t []T, p history.ProcID) []T {
+	return append(t, make([]T, max(int(p)+1-len(t), 0))...)
 }
 
 // Procs returns the registered process ids in ascending order.
 func (s *Sim) Procs() []history.ProcID {
-	return slices.Clone(s.sortedProcs())
+	procs := make([]history.ProcID, 0, len(s.handlers))
+	for p, h := range s.handlers {
+		if h != nil {
+			procs = append(procs, history.ProcID(p))
+		}
+	}
+	return procs
 }
 
 // Crash marks the process faulty from the current instant: pending and
-// future deliveries and timers to it are discarded.
-func (s *Sim) Crash(p history.ProcID) { s.crashed[p] = true }
+// future deliveries and timers to it are discarded. A negative id names
+// no process and is ignored.
+func (s *Sim) Crash(p history.ProcID) {
+	if p >= 0 {
+		s.crashed = grow(s.crashed, p)
+		s.crashed[p] = true
+	}
+}
 
 // Crashed reports whether the process has crashed.
-func (s *Sim) Crashed(p history.ProcID) bool { return s.crashed[p] }
+func (s *Sim) Crashed(p history.ProcID) bool { return uint(p) < uint(len(s.crashed)) && s.crashed[p] }
 
-// push assigns the event a sequence number, parks its payload in a slab
-// slot (recycled from the free list when one is available) and sifts the
-// 24-byte heap item up — no per-event allocation.
+// push parks the event in a slab slot (recycled from the free list when
+// one is available) and queues it: at the tail of its tick's ring bucket
+// when it is due less than W ticks ahead, in the far heap otherwise. No
+// per-event allocation.
 func (s *Sim) push(at int64, ev event) {
 	var idx int32
 	if n := len(s.free); n > 0 {
@@ -498,9 +519,20 @@ func (s *Sim) push(at int64, ev event) {
 		idx = int32(len(s.slab))
 		s.slab = append(s.slab, ev)
 	}
+	if at-s.now < ringWidth {
+		b := &s.ring[at&(ringWidth-1)]
+		if b.head == 0 {
+			b.head = idx + 1
+		} else {
+			s.slab[b.tail-1].next = idx + 1
+		}
+		b.tail = idx + 1
+		s.ringLen++
+		return
+	}
 	s.seq++
-	s.queue = append(s.queue, heapItem{at: at, seq: s.seq, idx: idx})
-	q := s.queue
+	s.far = append(s.far, heapItem{at: at, seq: s.seq, idx: idx})
+	q := s.far
 	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !itemLess(q[i], q[parent]) {
@@ -511,16 +543,31 @@ func (s *Sim) push(at int64, ev event) {
 	}
 }
 
-// pop removes the minimum item (sift-down) and returns its payload, with
-// the event's timestamp. The slab slot is zeroed — so the pool does not
-// retain message payloads — and released to the free list.
-func (s *Sim) pop() (int64, event) {
-	q := s.queue
+// next locates the earliest queued event: its time, and whether it is the
+// far heap's top rather than the head of ring bucket at mod W. The queue must
+// not be empty.
+func (s *Sim) next() (at int64, far bool) {
+	if s.ringLen == 0 {
+		return s.far[0].at, true
+	}
+	at = s.now
+	for s.ring[at&(ringWidth-1)].head == 0 {
+		at++
+	}
+	if len(s.far) > 0 && s.far[0].at <= at {
+		return s.far[0].at, true
+	}
+	return at, false
+}
+
+// popFar removes the far heap's top (sift-down) and returns its slab index.
+func (s *Sim) popFar() int32 {
+	q := s.far
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
 	q = q[:n]
-	s.queue = q
+	s.far = q
 	for i := 0; ; {
 		c := 2*i + 1
 		if c >= n {
@@ -535,10 +582,29 @@ func (s *Sim) pop() (int64, event) {
 		q[i], q[c] = q[c], q[i]
 		i = c
 	}
-	ev := s.slab[top.idx]
-	s.slab[top.idx] = event{}
-	s.free = append(s.free, top.idx)
-	return top.at, ev
+	return top.idx
+}
+
+// step dequeues the event next located, advances now to its time and
+// dispatches it from its slab slot, returning whether a handler ran. The
+// slot is zeroed — so the pool does not retain message payloads — and
+// released to the free list only after the handler returns, because a
+// push from the handler may reuse a free slot.
+func (s *Sim) step(at int64, far bool) bool {
+	var idx int32
+	if far {
+		idx = s.popFar()
+	} else {
+		b := &s.ring[at&(ringWidth-1)]
+		idx = b.head - 1
+		b.head = s.slab[idx].next
+		s.ringLen--
+	}
+	s.now = at
+	ran := s.dispatch(idx)
+	s.slab[idx] = event{}
+	s.free = append(s.free, idx)
+	return ran
 }
 
 // Send transmits m (with From/To already set) through the link model. Loss
@@ -568,17 +634,19 @@ func (s *Sim) TimerAt(p history.ProcID, at int64, tag string) {
 }
 
 // Pending returns the number of queued (undelivered) events.
-func (s *Sim) Pending() int { return len(s.queue) }
+func (s *Sim) Pending() int { return s.ringLen + len(s.far) }
 
-// dispatch delivers one event to its handler, returning whether a handler
-// actually ran (crashed or unregistered processes consume the event
-// silently).
-func (s *Sim) dispatch(ev *event) bool {
-	if s.crashed[ev.proc] {
+// dispatch delivers the event in slab slot idx to its handler, returning
+// whether a handler actually ran (crashed or unregistered processes —
+// including ids outside the handler table — consume the event silently).
+func (s *Sim) dispatch(idx int32) bool {
+	ev := &s.slab[idx]
+	p := ev.proc
+	if uint(p) >= uint(len(s.handlers)) || s.Crashed(p) {
 		return false
 	}
-	h, ok := s.handlers[ev.proc]
-	if !ok {
+	h := s.handlers[p]
+	if h == nil {
 		return false
 	}
 	if ev.timer {
@@ -594,13 +662,12 @@ func (s *Sim) dispatch(ev *event) bool {
 // until. It returns the number of events processed.
 func (s *Sim) Run(until int64) int {
 	n := 0
-	for len(s.queue) > 0 {
-		if s.queue[0].at > until {
+	for s.Pending() > 0 {
+		at, far := s.next()
+		if at > until {
 			break
 		}
-		at, ev := s.pop()
-		s.now = at
-		if s.dispatch(&ev) {
+		if s.step(at, far) {
 			n++
 		}
 	}
@@ -620,13 +687,12 @@ func (s *Sim) Run(until int64) int {
 // than a legitimate tail, and panics instead of spinning forever.
 func (s *Sim) RunToIdle(safetyCap int64) int {
 	n := 0
-	for len(s.queue) > 0 {
-		if at := s.queue[0].at; at > safetyCap {
-			panic(fmt.Sprintf("netsim: RunToIdle exceeded safety cap %d: next event at t=%d with %d pending", safetyCap, at, len(s.queue)))
+	for s.Pending() > 0 {
+		at, far := s.next()
+		if at > safetyCap {
+			panic(fmt.Sprintf("netsim: RunToIdle exceeded safety cap %d: next event at t=%d with %d pending", safetyCap, at, s.Pending()))
 		}
-		at, ev := s.pop()
-		s.now = at
-		if s.dispatch(&ev) {
+		if s.step(at, far) {
 			n++
 		}
 	}
@@ -642,17 +708,19 @@ func (s *Sim) RunToIdle(safetyCap int64) int {
 // LRC properties of Definition 4.4 among correct processes.
 func (s *Sim) Broadcast(from history.ProcID, m Message) {
 	m.From = from
-	procs := s.sortedProcs()
 	if bp, ok := s.links.(BatchPlanner); ok {
-		s.broadcastBatched(from, m, procs, bp)
+		s.broadcastBatched(from, m, bp)
 		return
 	}
-	for _, p := range procs {
+	for p, h := range s.handlers {
+		if h == nil {
+			continue
+		}
 		cp := m
-		cp.To = p
-		if p == from {
+		cp.To = history.ProcID(p)
+		if cp.To == from {
 			// Self-delivery bypasses the wire: local, next instant.
-			s.push(s.now+1, event{msg: cp, proc: p})
+			s.push(s.now+1, event{msg: cp, proc: cp.To})
 			continue
 		}
 		s.Send(cp)
@@ -663,10 +731,10 @@ func (s *Sim) Broadcast(from history.ProcID, m Message) {
 // delays are drawn in ascending destination order — the same rng sequence
 // the per-send loop consumes — so batched and unbatched broadcasts yield
 // byte-identical executions.
-func (s *Sim) broadcastBatched(from history.ProcID, m Message, procs []history.ProcID, bp BatchPlanner) {
+func (s *Sim) broadcastBatched(from history.ProcID, m Message, bp BatchPlanner) {
 	wire := 0
-	for _, p := range procs {
-		if p != from {
+	for p, h := range s.handlers {
+		if h != nil && history.ProcID(p) != from {
 			wire++
 		}
 	}
@@ -677,12 +745,15 @@ func (s *Sim) broadcastBatched(from history.ProcID, m Message, procs []history.P
 	bp.PlanBatch(s.rng, m, s.now, delays)
 	ws := m.wireSize()
 	i := 0
-	for _, p := range procs {
+	for p, h := range s.handlers {
+		if h == nil {
+			continue
+		}
 		cp := m
-		cp.To = p
-		if p == from {
+		cp.To = history.ProcID(p)
+		if cp.To == from {
 			// Self-delivery bypasses the wire: local, next instant.
-			s.push(s.now+1, event{msg: cp, proc: p})
+			s.push(s.now+1, event{msg: cp, proc: cp.To})
 			continue
 		}
 		s.Bytes += ws
@@ -691,6 +762,6 @@ func (s *Sim) broadcastBatched(from history.ProcID, m Message, procs []history.P
 		if d < 1 {
 			d = 1
 		}
-		s.push(s.now+d, event{msg: cp, proc: p})
+		s.push(s.now+d, event{msg: cp, proc: cp.To})
 	}
 }
