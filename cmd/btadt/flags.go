@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"strconv"
 
 	"blockadt/pkg/blockadt"
 )
@@ -43,4 +45,49 @@ func (f *runFlags) metricNames() []string {
 	default:
 		return splitList(f.metrics)
 	}
+}
+
+// matrixFlags bundles the scenario-matrix flags sweep and stats share:
+// the axes, the root seed, the block target and the adversary's share.
+type matrixFlags struct {
+	systems, links, adversaries, topologies, ns string
+	rootSeed                                    uint64
+	blocks                                      int
+	alpha                                       float64
+}
+
+// addMatrixFlags registers the matrix flags on fs.
+func addMatrixFlags(fs *flag.FlagSet, f *matrixFlags) {
+	fs.StringVar(&f.systems, "systems", "", "comma-separated system names (default: all registered)")
+	fs.StringVar(&f.links, "links", "sync", "comma-separated link models: sync,async,psync,lossy,partition,jitter")
+	fs.StringVar(&f.adversaries, "adversaries", "none", "comma-separated adversaries: none,selfish")
+	fs.StringVar(&f.topologies, "topologies", "complete", "comma-separated dissemination topologies: complete,gossip3,clustered2")
+	fs.StringVar(&f.ns, "n", "8", "comma-separated process counts")
+	fs.Uint64Var(&f.rootSeed, "seed", 42, "root seed every per-config stream derives from")
+	fs.IntVar(&f.blocks, "blocks", 30, "target committed blocks per run")
+	fs.Float64Var(&f.alpha, "alpha", 0.34, "selfish adversary merit share")
+}
+
+// matrix builds the Matrix the flags describe, sweeping seeds seed
+// indices per point and collecting the named metrics.
+func (f *matrixFlags) matrix(seeds int, metrics []string) (blockadt.Matrix, error) {
+	m := blockadt.Matrix{
+		Systems:      splitList(f.systems),
+		Links:        splitList(f.links),
+		Adversaries:  splitList(f.adversaries),
+		Topologies:   splitList(f.topologies),
+		Seeds:        seeds,
+		RootSeed:     f.rootSeed,
+		TargetBlocks: f.blocks,
+		Alpha:        f.alpha,
+		Metrics:      metrics,
+	}
+	for _, s := range splitList(f.ns) {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 {
+			return blockadt.Matrix{}, fmt.Errorf("bad process count %q", s)
+		}
+		m.Ns = append(m.Ns, n)
+	}
+	return m, nil
 }

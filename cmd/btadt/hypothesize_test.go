@@ -2,40 +2,12 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"blockadt/pkg/blockadt/hypothesis"
 )
-
-// TestHypothesizeMatchesCommittedGolden runs the CLI end to end for the
-// fork-rate experiment and compares both written files byte for byte
-// against the checked-in goldens under hypotheses/ — the same gate the
-// CI hypothesize-smoke job applies via `btadt diff -tol 0`. Regenerate
-// intentionally with `go run ./cmd/btadt hypothesize -all`.
-func TestHypothesizeMatchesCommittedGolden(t *testing.T) {
-	dir := t.TempDir()
-	_ = captureStdout(t, func() error {
-		return cmdHypothesize(t.Context(), []string{"-name", "fork-rate-vs-delta", "-dir", dir})
-	})
-	for _, file := range []string{"verdict.json", "FINDINGS.md"} {
-		got, err := os.ReadFile(filepath.Join(dir, "fork-rate-vs-delta", file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("../../hypotheses/fork-rate-vs-delta", file))
-		if err != nil {
-			t.Fatalf("missing golden (regenerate with `go run ./cmd/btadt hypothesize -all`): %v", err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s diverged from the committed golden — if the engine change is intentional, "+
-				"regenerate with `go run ./cmd/btadt hypothesize -all` and review the drift", file)
-		}
-	}
-}
 
 // TestHypothesizeJSONByteIdenticalAcrossParallelism pins the CLI's
 // determinism contract at the -json boundary: serial and NumCPU-wide

@@ -7,17 +7,32 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"blockadt/pkg/blockadt/hypothesis"
 )
 
 // update regenerates the golden files: go test ./cmd/btadt -update
 var update = flag.Bool("update", false, "rewrite the golden files")
 
 // captureStdout runs fn with os.Stdout redirected into a pipe and
-// returns everything it printed. The reader drains concurrently so
-// outputs larger than the pipe buffer cannot deadlock the writer.
+// returns everything it printed, failing the test if fn fails.
 func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	out, err := captureStdoutErr(t, fn)
+	if err != nil {
+		t.Fatalf("command failed: %v\noutput so far:\n%s", err, out)
+	}
+	return out
+}
+
+// captureStdoutErr is captureStdout for commands whose error is part of
+// the expected outcome: it returns the output and fn's error. The reader
+// drains concurrently so outputs larger than the pipe buffer cannot
+// deadlock the writer.
+func captureStdoutErr(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -33,20 +48,23 @@ func captureStdout(t *testing.T, fn func() error) string {
 	ferr := fn()
 	w.Close()
 	os.Stdout = old
-	out := <-outc
-	if ferr != nil {
-		t.Fatalf("command failed: %v\noutput so far:\n%s", ferr, out)
-	}
-	return out
+	return <-outc, ferr
 }
 
 // checkGolden compares the output against testdata/<name>.golden,
 // rewriting the file under -update.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", name+".golden")
+	checkGoldenFile(t, filepath.Join("testdata", name+".golden"), got)
+}
+
+// checkGoldenFile compares the output against the golden file at path,
+// rewriting it under -update. A mismatch reports the first differing
+// line.
+func checkGoldenFile(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -58,9 +76,22 @@ func checkGolden(t *testing.T, name, got string) {
 	if err != nil {
 		t.Fatalf("missing golden file (regenerate with -update): %v", err)
 	}
-	if got != string(want) {
-		t.Errorf("output diverged from %s (regenerate with -update if intended)\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	if got == string(want) {
+		return
 	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of output>"
+	}
+	t.Errorf("output diverged from %s at line %d (regenerate with -update if intended)\n got: %s\nwant: %s",
+		path, i+1, line(gotLines), line(wantLines))
 }
 
 // TestListGolden pins the full `btadt list` output — and with it the
@@ -87,6 +118,78 @@ func TestClassifyGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestCommittedOutputsGolden byte-gates the committed outputs that no
+// other golden covers: the JSON of two sweeps, whose error must name
+// the documented number of missed configurations, and every directory
+// under hypotheses/, as `hypothesize -all` writes it. The 20-seed
+// adversity sweep is the gate that sees the netsim's order of same-tick
+// far-heap and ring events; the topology sweep is the only gated one
+// with a topology axis. Regenerate deliberately with
+//
+//	go test ./cmd/btadt -run TestCommittedOutputsGolden -update
+//
+// and review the diff (`btadt diff` renders a sweep's drift per config).
+func TestCommittedOutputsGolden(t *testing.T) {
+	sweep := func(golden string, misses int, args ...string) func(*testing.T) map[string]string {
+		return func(t *testing.T) map[string]string {
+			out, err := captureStdoutErr(t, func() error { return cmdSweep(t.Context(), append(args, "-json")) })
+			want := fmt.Sprintf("%d configurations missed their expected consistency level", misses)
+			if err == nil || err.Error() != want {
+				t.Errorf("sweep error = %v, want %q", err, want)
+			}
+			return map[string]string{filepath.Join("testdata", golden+".golden"): out}
+		}
+	}
+	hypotheses := func(t *testing.T) map[string]string {
+		dir := t.TempDir()
+		captureStdout(t, func() error { return cmdHypothesize(t.Context(), []string{"-all", "-dir", dir}) })
+		committed, err := os.ReadDir(hypothesesDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range committed {
+			names = append(names, e.Name())
+		}
+		out := map[string]string{}
+		var registered []string
+		for _, e := range hypothesis.All() {
+			registered = append(registered, e.Name)
+			for _, file := range []string{"verdict.json", "FINDINGS.md"} {
+				got, err := os.ReadFile(filepath.Join(dir, e.Name, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[filepath.Join(hypothesesDir, e.Name, file)] = string(got)
+			}
+		}
+		slices.Sort(registered)
+		if !*update && !slices.Equal(names, registered) {
+			t.Errorf("%s holds %v, but the registered experiments are %v", hypothesesDir, names, registered)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T) map[string]string
+	}{
+		{"sweep_adversity", sweep("sweep_adversity", 1, "-links", "partition,psync,jitter,async", "-seeds", "20")},
+		{"sweep_topology", sweep("sweep_topology", 4, "-topologies", "gossip3,clustered2",
+			"-links", "sync,async,psync,lossy,partition,jitter", "-seeds", "2")},
+		{"hypotheses", hypotheses},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for path, got := range tc.run(t) {
+				checkGoldenFile(t, path, got)
+			}
+		})
+	}
+}
+
+// hypothesesDir holds the committed hypothesis outcomes at the
+// repository root.
+const hypothesesDir = "../../hypotheses"
 
 // TestClassifyRejectsNegativeN: a negative process count is an error
 // naming the parameter, not a panic inside the simulator.

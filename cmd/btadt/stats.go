@@ -19,14 +19,8 @@ import (
 // -parallel value.
 func cmdStats(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	systems := fs.String("systems", "", "comma-separated system names (default: all registered)")
-	links := fs.String("links", "sync", "comma-separated link models: sync,async,psync,lossy,partition,jitter")
-	adversaries := fs.String("adversaries", "none", "comma-separated adversaries: none,selfish")
-	topologies := fs.String("topologies", "complete", "comma-separated dissemination topologies: complete,gossip3,clustered2")
-	ns := fs.String("n", "8", "comma-separated process counts")
-	rootSeed := fs.Uint64("seed", 42, "root seed every per-config stream derives from")
-	blocks := fs.Int("blocks", 30, "target committed blocks per run")
-	alpha := fs.Float64("alpha", 0.34, "selfish adversary merit share")
+	var mf matrixFlags
+	addMatrixFlags(fs, &mf)
 	format := fs.String("format", "table", "output format: table, json or csv")
 	var rf runFlags
 	addRunFlags(fs, &rf, 8, "seed indices per matrix point (the aggregation dimension)",
@@ -44,23 +38,9 @@ func cmdStats(ctx context.Context, args []string) error {
 	if len(metricOrder) == 0 {
 		metricOrder = blockadt.MetricNames()
 	}
-	m := blockadt.Matrix{
-		Systems:      splitList(*systems),
-		Links:        splitList(*links),
-		Adversaries:  splitList(*adversaries),
-		Topologies:   splitList(*topologies),
-		Seeds:        rf.seeds,
-		RootSeed:     *rootSeed,
-		TargetBlocks: *blocks,
-		Alpha:        *alpha,
-		Metrics:      metricOrder,
-	}
-	for _, s := range splitList(*ns) {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad process count %q", s)
-		}
-		m.Ns = append(m.Ns, n)
+	m, err := mf.matrix(rf.seeds, metricOrder)
+	if err != nil {
+		return err
 	}
 	// Validate before any output reaches stdout (same contract as sweep).
 	configs, err := m.Configs()

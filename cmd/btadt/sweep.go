@@ -28,14 +28,8 @@ import (
 // with a plain file copy and served back as the full sweep (docs/runstore.md).
 func cmdSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	systems := fs.String("systems", "", "comma-separated system names (default: all registered)")
-	links := fs.String("links", "sync", "comma-separated link models: sync,async,psync,lossy,partition,jitter")
-	adversaries := fs.String("adversaries", "none", "comma-separated adversaries: none,selfish")
-	topologies := fs.String("topologies", "complete", "comma-separated dissemination topologies: complete,gossip3,clustered2")
-	ns := fs.String("n", "8", "comma-separated process counts")
-	rootSeed := fs.Uint64("seed", 42, "root seed every per-config stream derives from")
-	blocks := fs.Int("blocks", 30, "target committed blocks per run")
-	alpha := fs.Float64("alpha", 0.34, "selfish adversary merit share")
+	var mf matrixFlags
+	addMatrixFlags(fs, &mf)
 	jsonOut := fs.Bool("json", false, "emit canonical JSON instead of the table")
 	shard := fs.String("shard", "", "run one deterministic partition of the matrix, as i/n (e.g. 0/2)")
 	storeGC := fs.Bool("store-gc", false, "after the sweep, delete store entries outside this matrix's full expansion")
@@ -49,23 +43,9 @@ func cmdSweep(ctx context.Context, args []string) error {
 		return err
 	}
 
-	m := blockadt.Matrix{
-		Systems:      splitList(*systems),
-		Links:        splitList(*links),
-		Adversaries:  splitList(*adversaries),
-		Topologies:   splitList(*topologies),
-		Seeds:        rf.seeds,
-		RootSeed:     *rootSeed,
-		TargetBlocks: *blocks,
-		Alpha:        *alpha,
-		Metrics:      rf.metricNames(),
-	}
-	for _, s := range splitList(*ns) {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad process count %q", s)
-		}
-		m.Ns = append(m.Ns, n)
+	m, err := mf.matrix(rf.seeds, rf.metricNames())
+	if err != nil {
+		return err
 	}
 	if *shard != "" {
 		index, count, err := parseShard(*shard)

@@ -27,27 +27,6 @@ func sweepArgs(extra ...string) []string {
 	return append(args, extra...)
 }
 
-// captureStdoutErr is captureStdout for commands that are expected to
-// fail: it returns the output and the command error instead of fataling.
-func captureStdoutErr(t *testing.T, fn func() error) (string, error) {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	outc := make(chan string, 1)
-	go func() {
-		b, _ := io.ReadAll(r)
-		outc <- string(b)
-	}()
-	ferr := fn()
-	w.Close()
-	os.Stdout = old
-	return <-outc, ferr
-}
-
 // TestSweepStoreResumeByteIdentical is the CLI reading of the tentpole
 // contract: a cold store-backed sweep and a -resume re-run from the
 // populated store emit byte-identical JSON, and the re-run simulates

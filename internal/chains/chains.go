@@ -117,11 +117,6 @@ type Result struct {
 	// healed at (0: the run had no partition). The partition_heal_lag
 	// metric measures reconvergence from it.
 	PartitionHeal int64
-	// Metrics holds the named collector values of this run when the
-	// caller requested collection (blockadt.WithMetrics); nil otherwise.
-	// The simulators never fill it themselves — the façade computes it
-	// from the rest of the result, so disabling metrics costs nothing.
-	Metrics map[string]float64
 	// Adversary carries the adversarial census when an AdversaryPlan
 	// drove the run; nil for honest runs.
 	Adversary *AdversaryStats

@@ -25,9 +25,7 @@ const DefaultLossRate = 0.10
 // apart: the Params default (0 → 8) plus the adversarial minimum of one
 // honest miner (n < 2 → 2).
 func NormalizeSelfishN(n int) int {
-	if n == 0 {
-		n = 8
-	}
+	n = Params{N: n}.withDefaults().N
 	if n < 2 {
 		n = 2
 	}

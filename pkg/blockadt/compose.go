@@ -8,7 +8,7 @@ import (
 )
 
 // compose is the one resolver behind every entry point — the sweep
-// engine, RunScenario, Simulate, SimulateAdversary and ExpectedLevel. It
+// engine, RunScenario, Simulate and SimulateAdversary. It
 // looks up each axis of a (system, link, adversary, topology) tuple,
 // rejects compositions the registrations do not support (supportErr, the
 // predicate Matrix.Configs prunes on), applies the axes' Plan hooks and

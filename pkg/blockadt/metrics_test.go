@@ -216,55 +216,11 @@ func TestMetricRegistryCollisionPanics(t *testing.T) {
 	})
 }
 
-// TestWithMetricsOnSimulate covers the single-run façade path: metric
-// collection on Simulate and SimulateAdversary, scope enforcement on
-// New, and unknown-name failure.
-func TestWithMetricsOnSimulate(t *testing.T) {
-	res, err := Simulate("Bitcoin", WithBlocks(15), WithSeed(7), WithMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Metrics) == 0 {
-		t.Fatal("WithMetrics() collected nothing")
-	}
-	if _, ok := res.Metrics[MetricAdversaryShare]; ok {
-		t.Fatal("honest Simulate reported adversary_share")
-	}
-	if res.Metrics[MetricMsgBytes] <= 0 {
-		t.Fatal("byte instrumentation missing from Simulate metrics")
-	}
-
-	sub, err := Simulate("Bitcoin", WithBlocks(15), WithSeed(7), WithMetrics(MetricForkRate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.Metrics) != 1 {
-		t.Fatalf("subset request returned %d metrics, want 1", len(sub.Metrics))
-	}
-
-	out, err := SimulateAdversary("Bitcoin", AdvSelfish, WithBlocks(30), WithSeed(31), WithAlpha(0.34), WithMetrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share, ok := out.Metrics[MetricAdversaryShare]; !ok || share != out.AdversaryShare {
-		t.Fatalf("adversarial metrics share %v, outcome share %v", share, out.AdversaryShare)
-	}
-
-	if _, err := New("Bitcoin", WithMetrics()); err == nil {
-		t.Error("New ignored WithMetrics instead of rejecting it")
-	}
-	if _, err := Simulate("Bitcoin", WithMetrics("nope")); err == nil {
-		t.Error("Simulate accepted an unregistered metric name")
-	}
-	if _, err := (Matrix{Metrics: []string{"nope"}}).Configs(); err == nil {
-		t.Error("Matrix expanded despite an unregistered metric name")
-	}
-}
-
-// TestMetricRunNormalizesDefaults pins the snapshot contract: every
-// metric-collecting entry point describes the run that actually happened
-// — a defaulted request ran 8 processes, so a collector that normalizes
-// by N must see 8, not 0, from Simulate and SimulateAdversary alike.
+// TestMetricRunNormalizesDefaults pins the snapshot contract: the
+// collectors see the run that actually happened — a scenario requesting
+// N = 0 ran 8 processes, so a collector that normalizes by N must see 8,
+// not 0, on honest and adversarial runs alike. An unregistered metric
+// name fails the matrix expansion.
 func TestMetricRunNormalizesDefaults(t *testing.T) {
 	const name = "test_msgs_per_proc"
 	// The registry is process-global with no unregistration; guard for
@@ -281,24 +237,31 @@ func TestMetricRunNormalizesDefaults(t *testing.T) {
 			},
 		})
 	}
-	res, err := Simulate("Bitcoin", WithSeed(31), WithBlocks(15), WithMetrics(name))
+	rep, err := Run(Matrix{
+		Systems:      []string{"Bitcoin"},
+		Adversaries:  []string{AdvNone, AdvSelfish},
+		Ns:           []int{0},
+		TargetBlocks: 15,
+		RootSeed:     31,
+		Metrics:      []string{name},
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest, ok := res.Metrics[name]
-	out, err := SimulateAdversary("Bitcoin", AdvSelfish, WithSeed(31), WithBlocks(15), WithMetrics(name))
-	if err != nil {
-		t.Fatal(err)
+	if rep.Total != 2 {
+		t.Fatalf("matrix ran %d scenarios, want an honest and a selfish one", rep.Total)
 	}
-	adv, advOK := out.Metrics[name]
-	if !ok || !advOK {
-		t.Fatalf("per-process collector inapplicable on a defaulted run (Simulate ok=%v, SimulateAdversary ok=%v) — N not normalized", ok, advOK)
+	for _, r := range rep.Results {
+		got, ok := r.Metrics[name]
+		if !ok {
+			t.Fatalf("%s: per-process collector inapplicable on a defaulted run — N not normalized", r.Config.Key())
+		}
+		if want := float64(r.Delivered) / 8; got != want {
+			t.Fatalf("%s: snapshot N mismatch: metric %v, want %v", r.Config.Key(), got, want)
+		}
 	}
-	if honest != float64(res.Delivered)/8 {
-		t.Fatalf("Simulate snapshot N mismatch: metric %v, want %v", honest, float64(res.Delivered)/8)
-	}
-	if adv != float64(out.Delivered)/8 {
-		t.Fatalf("SimulateAdversary snapshot N mismatch: metric %v, want %v", adv, float64(out.Delivered)/8)
+	if _, err := (Matrix{Metrics: []string{"nope"}}).Configs(); err == nil {
+		t.Error("Matrix expanded despite an unregistered metric name")
 	}
 }
 

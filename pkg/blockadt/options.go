@@ -8,18 +8,14 @@ type settings struct {
 	oracleInstance *Oracle
 	selector       string
 	link           string
-	adversary      string
 	topology       string
 	seed           uint64
 	n              int
 	writers        int
 	blocks         int
-	forkBound      int
 	alpha          float64
 	merits         []float64
 	finalityDepth  int
-	metricsOn      bool
-	metricNames    []string
 }
 
 // Option customizes New, Simulate and SimulateAdversary. Each option
@@ -54,11 +50,6 @@ func WithSelector(name string) Option { return func(s *settings) { s.selector = 
 // instance is a shared-memory object with no network.
 func WithLink(name string) Option { return func(s *settings) { s.link = name } }
 
-// WithAdversary selects a registered fault model by name. Applies to
-// Simulate, which rejects any value but "none" with a pointer to
-// SimulateAdversary (where the adversary is the positional argument).
-func WithAdversary(name string) Option { return func(s *settings) { s.adversary = name } }
-
 // WithTopology selects a registered dissemination topology by name
 // ("complete", "gossip3", "clustered2"). Applies to Simulate;
 // SimulateAdversary rejects non-default topologies (adversary models
@@ -81,10 +72,6 @@ func WithWriters(m int) Option { return func(s *settings) { s.writers = m } }
 // and SimulateAdversary.
 func WithBlocks(b int) Option { return func(s *settings) { s.blocks = b } }
 
-// WithForkBound sets the frugal oracle's k (ignored by prodigal oracles).
-// Applies to New.
-func WithForkBound(k int) Option { return func(s *settings) { s.forkBound = k } }
-
 // WithAlpha sets the adversary's merit share. Applies to
 // SimulateAdversary.
 func WithAlpha(alpha float64) Option { return func(s *settings) { s.alpha = alpha } }
@@ -102,18 +89,6 @@ func WithMerits(merits ...float64) Option {
 // WithFinalityDepth sets the depth-d finality gadget a live instance's
 // Finality() uses (default 6). Applies to New.
 func WithFinalityDepth(d int) Option { return func(s *settings) { s.finalityDepth = d } }
-
-// WithMetrics enables metric collection over the run: the named
-// registered collectors (none = every registered metric) are computed
-// from the completed simulation and returned in the result's Metrics
-// map. Applies to Simulate and SimulateAdversary; for sweeps, set
-// Matrix.Metrics instead.
-func WithMetrics(names ...string) Option {
-	return func(s *settings) {
-		s.metricsOn = true
-		s.metricNames = append([]string(nil), names...)
-	}
-}
 
 func applyOptions(opts []Option) settings {
 	var s settings
@@ -133,8 +108,6 @@ func (s settings) instanceOnlyErr(entry string) error {
 		return fmt.Errorf("blockadt: WithOracleInstance applies to New, not %s", entry)
 	case s.selector != "":
 		return fmt.Errorf("blockadt: WithSelector applies to New, not %s", entry)
-	case s.forkBound != 0:
-		return fmt.Errorf("blockadt: WithForkBound applies to New, not %s", entry)
 	case s.finalityDepth != 0:
 		return fmt.Errorf("blockadt: WithFinalityDepth applies to New, not %s", entry)
 	}
@@ -149,31 +122,14 @@ func (s settings) simulationOnlyErr() error {
 		return fmt.Errorf("blockadt: WithLink applies to Simulate, not New (a live instance has no network)")
 	case s.topology != "":
 		return fmt.Errorf("blockadt: WithTopology applies to Simulate, not New (a live instance has no network)")
-	case s.adversary != "":
-		return fmt.Errorf("blockadt: WithAdversary applies to Simulate, not New")
 	case s.blocks != 0:
 		return fmt.Errorf("blockadt: WithBlocks applies to Simulate, not New (a live instance grows by Append)")
 	case s.writers != 0:
 		return fmt.Errorf("blockadt: WithWriters applies to Simulate, not New")
 	case s.alpha != 0:
 		return fmt.Errorf("blockadt: WithAlpha applies to SimulateAdversary, not New")
-	case s.metricsOn:
-		return fmt.Errorf("blockadt: WithMetrics applies to Simulate and SimulateAdversary, not New (metrics measure completed runs)")
 	}
 	return nil
-}
-
-// metricSpecs resolves the WithMetrics request: the named collectors, or
-// every registered one when the option was given without names.
-func (s settings) metricSpecs() ([]MetricSpec, error) {
-	if !s.metricsOn {
-		return nil, nil
-	}
-	names := s.metricNames
-	if len(names) == 0 {
-		names = MetricNames()
-	}
-	return lookupAll(names, LookupMetric)
 }
 
 // linkName is the WithLink request, defaulting to the synchronous

@@ -36,19 +36,21 @@ func unequalScenarios(t *testing.T) []Scenario {
 
 // referenceResult computes a scenario's Result through the public
 // Simulate/SimulateAdversary and ClassifyRun, whose histories are
-// returned to the caller and so never recycled.
+// returned to the caller and so never recycled; the metrics are
+// collected from that unreleased history.
 func referenceResult(t *testing.T, cfg Scenario) Result {
 	t.Helper()
-	opts := []Option{WithN(cfg.N), WithBlocks(cfg.Blocks), WithSeed(cfg.Seed), WithLink(cfg.Link), WithMetrics(MetricNames()...)}
+	opts := []Option{WithN(cfg.N), WithBlocks(cfg.Blocks), WithSeed(cfg.Seed), WithLink(cfg.Link)}
 	out := Result{Config: cfg}
 	var res SimResult
 	var expected Level
-	if cfg.Adversary == AdvNone {
+	adversarial := cfg.Adversary != AdvNone
+	if !adversarial {
 		var err error
 		if res, err = Simulate(cfg.System, opts...); err != nil {
 			t.Fatal(err)
 		}
-		if expected, err = ExpectedLevel(cfg.System, cfg.Link); err != nil {
+		if expected, err = expectedLevel(cfg.System, cfg.Link); err != nil {
 			t.Fatal(err)
 		}
 		out.FairnessTVD = fairness.Analyze(res.History, equalMerits(cfg.N)).TVD
@@ -66,7 +68,11 @@ func referenceResult(t *testing.T, cfg Scenario) Result {
 	out.Delivered, out.Dropped = res.Delivered, res.Dropped
 	out.MaxReorg = metrics.MaxReorg(res.History)
 	out.FinalityDepth = out.MaxReorg + 1
-	out.Metrics = res.Metrics
+	specs, err := Matrix{Metrics: MetricNames()}.metricSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Metrics = computeMetrics(specs, metricRun(cfg, res, out, adversarial))
 	return out
 }
 

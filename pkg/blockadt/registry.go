@@ -295,7 +295,7 @@ func Topologies() []TopologySpec { return topologyRegistry.all() }
 func Metrics() []MetricSpec { return metricRegistry.all() }
 
 // MetricNames returns the registered metric names in registration order
-// — the "all metrics" set WithMetrics() and `btadt stats` default to.
+// — the "all metrics" set `-metrics all` and `btadt stats` default to.
 func MetricNames() []string { return metricRegistry.names() }
 
 // SystemNames returns the registered system names in registration order —

@@ -250,9 +250,6 @@ func TestOptionScopeEnforced(t *testing.T) {
 	if _, err := SimulateAdversary("Bitcoin", AdvSelfish, WithFinalityDepth(3)); err == nil {
 		t.Error("SimulateAdversary ignored WithFinalityDepth instead of rejecting it")
 	}
-	if _, err := SimulateAdversary("Bitcoin", AdvSelfish, WithAdversary(AdvSelfish)); err == nil {
-		t.Error("SimulateAdversary ignored a redundant WithAdversary instead of rejecting it")
-	}
 	orc := NewFrugalOracle(1, 1, 1)
 	if _, err := New("Bitcoin", WithOracleInstance(orc), WithSeed(42)); err == nil {
 		t.Error("New ignored WithSeed alongside WithOracleInstance instead of rejecting the conflict")
@@ -282,20 +279,28 @@ func TestOptionScopeEnforced(t *testing.T) {
 	}
 }
 
+// expectedLevel returns the consistency level compose predicts for the
+// named honest system under the named link model — the value the sweep
+// engine compares measured runs against.
+func expectedLevel(system, link string) (Level, error) {
+	_, expected, _, err := compose(system, link, AdvNone, "", 0, SimParams{})
+	return expected, err
+}
+
 // TestExpectedLevelFollowsLink pins the link-adjusted expectation the
-// sweep engine uses, exposed to Simulate callers via ExpectedLevel.
+// sweep engine uses.
 func TestExpectedLevelFollowsLink(t *testing.T) {
-	if lvl, err := ExpectedLevel("Hyperledger", LinkSync); err != nil || lvl != LevelSC {
-		t.Errorf("ExpectedLevel(Hyperledger, sync) = %v, %v; want SC", lvl, err)
+	if lvl, err := expectedLevel("Hyperledger", LinkSync); err != nil || lvl != LevelSC {
+		t.Errorf("expectedLevel(Hyperledger, sync) = %v, %v; want SC", lvl, err)
 	}
-	if lvl, err := ExpectedLevel("Bitcoin", LinkAsync); err != nil || lvl != LevelEC {
-		t.Errorf("ExpectedLevel(Bitcoin, async) = %v, %v; want EC", lvl, err)
+	if lvl, err := expectedLevel("Bitcoin", LinkAsync); err != nil || lvl != LevelEC {
+		t.Errorf("expectedLevel(Bitcoin, async) = %v, %v; want EC", lvl, err)
 	}
-	if _, err := ExpectedLevel("Hyperledger", LinkAsync); err == nil {
-		t.Error("ExpectedLevel accepted a link the system does not implement")
+	if _, err := expectedLevel("Hyperledger", LinkAsync); err == nil {
+		t.Error("expectedLevel accepted a link the system does not implement")
 	}
-	if _, err := ExpectedLevel("Bitcoin", "wormhole"); err == nil {
-		t.Error("ExpectedLevel accepted an unregistered link")
+	if _, err := expectedLevel("Bitcoin", "wormhole"); err == nil {
+		t.Error("expectedLevel accepted an unregistered link")
 	}
 }
 

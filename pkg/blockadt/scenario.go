@@ -501,34 +501,26 @@ func runScenario(cfg Scenario, mspecs []MetricSpec) (Result, error) {
 }
 
 // metricRun assembles the collector snapshot from a completed scenario.
+// N and TargetBlocks are normalized the way the simulators normalize them
+// (SimParams.WithDefaults), so the snapshot describes the run that
+// actually happened — an N=0 request ran 8 processes.
 func metricRun(cfg Scenario, res SimResult, out Result, adversarial bool) MetricRun {
-	run := newMetricRun(SimParams{N: cfg.N, TargetBlocks: cfg.Blocks}, res)
-	run.FairnessTVD = out.FairnessTVD
-	run.Adversarial = adversarial
-	run.AdversaryShare = out.AdversaryShare
-	run.AdversaryMerit = cfg.Alpha
-	return run
-}
-
-// newMetricRun is the one SimResult → MetricRun field mapping, shared by
-// every entry point that collects metrics (runScenario, Simulate,
-// SimulateAdversary). The params are normalized the way the simulators
-// normalize them (chains.Params.WithDefaults), so the snapshot describes
-// the run that actually happened — an N=0 request ran 8 processes.
-// Callers fill the fairness/adversary fields the result type carries.
-func newMetricRun(p SimParams, res SimResult) MetricRun {
-	p = p.WithDefaults()
+	p := SimParams{N: cfg.N, TargetBlocks: cfg.Blocks}.WithDefaults()
 	return MetricRun{
-		N:             p.N,
-		TargetBlocks:  p.TargetBlocks,
-		Blocks:        res.Blocks,
-		Forks:         res.Forks,
-		Ticks:         res.Ticks,
-		Delivered:     res.Delivered,
-		Dropped:       res.Dropped,
-		Bytes:         res.Bytes,
-		PartitionHeal: res.PartitionHeal,
-		History:       res.History,
+		N:              p.N,
+		TargetBlocks:   p.TargetBlocks,
+		Blocks:         res.Blocks,
+		Forks:          res.Forks,
+		Ticks:          res.Ticks,
+		Delivered:      res.Delivered,
+		Dropped:        res.Dropped,
+		Bytes:          res.Bytes,
+		PartitionHeal:  res.PartitionHeal,
+		History:        res.History,
+		FairnessTVD:    out.FairnessTVD,
+		Adversarial:    adversarial,
+		AdversaryShare: out.AdversaryShare,
+		AdversaryMerit: cfg.Alpha,
 	}
 }
 
@@ -549,14 +541,11 @@ func computeMetrics(specs []MetricSpec, r MetricRun) map[string]float64 {
 func Parallelism(requested int) int { return parallel.Workers(requested) }
 
 // equalMerits is the uniform entitlement used for honest runs. It
-// mirrors the simulators' process-count default (N = 0 → 8) so the
-// entitlement vector always lines up with the processes that actually
-// ran.
+// applies the simulators' process-count default (SimParams.WithDefaults)
+// so the entitlement vector always lines up with the processes that
+// actually ran.
 func equalMerits(n int) []float64 {
-	if n <= 0 {
-		n = 8
-	}
-	out := make([]float64, n)
+	out := make([]float64, SimParams{N: n}.WithDefaults().N)
 	for i := range out {
 		out[i] = 1
 	}

@@ -178,8 +178,8 @@ type AdversaryOutcome struct {
 	MainChainByProc map[history.ProcID]int
 }
 
-// asChainsSystem adapts a SystemSpec back to the internal simulator
-// interface so the Table 1 classifier can run registry entries.
+// specSystem adapts a SystemSpec to the internal simulator interface, so
+// compose can hand a registered system to the executor.
 type specSystem struct{ spec SystemSpec }
 
 func (s specSystem) Name() string       { return s.spec.Name }

@@ -48,6 +48,8 @@ var _ System = (*Instance)(nil)
 // tapes, WithN sets the merit count (default 1, every merit granting with
 // probability 1 so appends terminate deterministically — override with
 // WithMerits for probabilistic validation; a negative count is an error).
+// A frugal oracle built by name has fork bound k = 1; inject
+// NewFrugalOracle(k, …) with WithOracleInstance for another k.
 func New(name string, opts ...Option) (*Instance, error) {
 	spec, err := LookupSystem(name)
 	if err != nil {
@@ -72,8 +74,6 @@ func New(name string, opts ...Option) (*Instance, error) {
 		switch {
 		case s.oracle != "":
 			return nil, fmt.Errorf("blockadt: WithOracle conflicts with WithOracleInstance")
-		case s.forkBound != 0:
-			return nil, fmt.Errorf("blockadt: WithForkBound conflicts with WithOracleInstance (the injected oracle fixes k)")
 		case len(s.merits) != 0:
 			return nil, fmt.Errorf("blockadt: WithMerits conflicts with WithOracleInstance (the injected oracle fixes its merit tapes)")
 		case s.seed != 0:
@@ -102,11 +102,7 @@ func New(name string, opts ...Option) (*Instance, error) {
 				merits[i] = 1
 			}
 		}
-		k := s.forkBound
-		if k <= 0 {
-			k = 1
-		}
-		orc = ospec.New(OracleConfig{K: k, Merits: merits, Seed: s.seed})
+		orc = ospec.New(OracleConfig{K: 1, Merits: merits, Seed: s.seed})
 	}
 
 	selectorName := s.selector
