@@ -28,13 +28,13 @@ func init() {
 		"prodigal", "ghost", true)
 	register(chains.Algorand{},
 		"committee BA⋆ agreement, frugal Θ_F,k=1 w.h.p. (Section 5.3)",
-		"frugal", "longest", false)
+		"frugal", "single", false)
 	register(chains.ByzCoin{},
 		"PoW-elected committee + PBFT, frugal Θ_F,k=1 (Section 5.4)",
-		"frugal", "longest", false)
+		"frugal", "single", false)
 	register(chains.PeerCensus{},
 		"PoW identities + BFT consensus, frugal Θ_F,k=1 (Section 5.5)",
-		"frugal", "longest", false)
+		"frugal", "single", false)
 	register(chains.RedBelly{},
 		"deterministic binary consensus, one chain by construction (Section 5.6)",
 		"frugal", "single", false)

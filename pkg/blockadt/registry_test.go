@@ -419,13 +419,19 @@ func TestUserRegistrationExtends(t *testing.T) {
 }
 
 // TestProfileComposition pins the system → (oracle, selector) profiles a
-// live instance composes by default.
+// live instance composes by default, for every Table 1 system, and checks
+// that each registered system's live selector is the one its simulator
+// runs: the spec's Selector equals a one-seed Simulate's SelectorName.
 func TestProfileComposition(t *testing.T) {
 	cases := []struct {
 		system, oracleName, selectorName string
 	}{
 		{"Bitcoin", "Θ_P", "heaviest"},
 		{"Ethereum", "Θ_P", "ghost"},
+		{"Algorand", "Θ_F,k=1", "single"},
+		{"ByzCoin", "Θ_F,k=1", "single"},
+		{"PeerCensus", "Θ_F,k=1", "single"},
+		{"RedBelly", "Θ_F,k=1", "single"},
 		{"Hyperledger", "Θ_F,k=1", "single"},
 	}
 	for _, c := range cases {
@@ -438,6 +444,15 @@ func TestProfileComposition(t *testing.T) {
 		}
 		if got := sys.Selector().Name(); got != c.selectorName {
 			t.Errorf("%s composed selector %q, want %q", c.system, got, c.selectorName)
+		}
+	}
+	for _, spec := range Systems() {
+		res, err := Simulate(spec.Name, WithSeed(1), WithBlocks(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Selector != res.SelectorName {
+			t.Errorf("%s registers selector %q but its simulator runs %q", spec.Name, spec.Selector, res.SelectorName)
 		}
 	}
 }
