@@ -3,7 +3,6 @@ package chains
 import (
 	"blockadt/internal/blocktree"
 	"blockadt/internal/consistency"
-	"blockadt/internal/history"
 	"blockadt/internal/netsim"
 	"blockadt/internal/oracle"
 	"blockadt/internal/prng"
@@ -41,14 +40,13 @@ type roundPlan struct {
 }
 
 type bftNode struct {
-	rep    *netsim.Replica
-	orc    *oracle.Oracle
-	merit  int
-	params Params
-	plan   roundPlan
-	round  int
-	count  int
-	done   *bool
+	rep   *netsim.Replica
+	orc   *oracle.Oracle
+	merit int
+	plan  roundPlan
+	round int
+	count int
+	net   *network
 }
 
 const (
@@ -56,27 +54,22 @@ const (
 	proposeTimer = "propose"
 )
 
-func (n *bftNode) roundLen() int64 { return 3 * n.params.Delta }
-
 // OnTimer implements netsim.Handler.
 func (n *bftNode) OnTimer(s *netsim.Sim, tag string) {
 	switch tag {
 	case roundTimer:
 		r := n.round
 		n.round++
-		if ok, prio := n.plan.participate(r, n.merit); ok && !*n.done {
+		if ok, prio := n.plan.participate(r, n.merit); ok && !n.net.done {
 			s.TimerAt(n.rep.ID(), s.Now()+1+prio, proposeTimer)
 		}
-		if !*n.done {
-			s.TimerAt(n.rep.ID(), s.Now()+n.roundLen(), roundTimer)
+		if !n.net.done {
+			s.TimerAt(n.rep.ID(), s.Now()+3*n.net.p.Delta, roundTimer)
 		}
 	case proposeTimer:
 		n.propose(s)
 	case readTimer:
-		n.rep.ReadIDs()
-		if !*n.done {
-			s.TimerAt(n.rep.ID(), s.Now()+n.params.ReadEvery, readTimer)
-		}
+		n.net.read(s, n.rep)
 	}
 }
 
@@ -95,72 +88,26 @@ func (n *bftNode) propose(s *netsim.Sim) {
 	}
 	parent := n.rep.SelectedTip()
 	candidate := blockName(parent.Height+1, n.rep.ID(), n.count)
-	tok, granted := n.orc.GetToken(n.merit, parent.ID, candidate)
-	if !granted {
-		return
+	if b, ok := appendBlock(s, n.orc, n.rep.ID(), n.merit, &n.count, parent.ID, candidate); ok {
+		n.rep.CreateAndBroadcast(s, parent.ID, b)
 	}
-	n.count++
-	rec := s.Recorder()
-	op := rec.Invoke(n.rep.ID(), history.Label{Kind: history.KindAppend, Block: candidate})
-	_, inserted, err := n.orc.ConsumeToken(tok)
-	ok := err == nil && inserted
-	rec.Respond(op, history.Label{Kind: history.KindAppend, Block: candidate, Parent: parent.ID, OK: ok})
-	if !ok {
-		return
-	}
-	b := blocktree.Block{ID: candidate, Parent: parent.ID, Work: 1, Token: tok.ID, Proposer: n.merit}
-	n.rep.CreateAndBroadcast(s, parent.ID, b)
 }
 
 // runBFT drives a round-based k=1 network.
 func runBFT(name, refinement string, sel blocktree.Selector, plan roundPlan, p Params) Result {
 	p = p.withDefaults()
-	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
+	net := newNetwork(netsim.Synchronous{Delta: p.Delta}, p)
 	orc := oracle.NewFrugal(1, p.Seed, equalMerits(p.N, plan.tokenProb)...)
-	ops := p.TargetBlocks*p.N*5 + p.N*16
-	sim.Recorder().Reserve(ops)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
 	for i := 0; i < p.N; i++ {
-		id := history.ProcID(i)
-		rep := netsim.NewReplicaCap(id, sel, sim.Recorder(), p.TargetBlocks+p.TargetBlocks/2)
-		reps[id] = rep
-		node := &bftNode{rep: rep, orc: orc, merit: i, params: p, plan: plan, done: &done}
-		sim.Register(id, node)
-		sim.TimerAt(id, 1, roundTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
+		rep := net.replica(sel)
+		id := rep.ID()
+		net.sim.Register(id, &bftNode{rep: rep, orc: orc, merit: i, plan: plan, net: net})
+		net.sim.TimerAt(id, 1, roundTimer)
+		net.sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
 	}
-
-	var t int64
-	step := 3 * p.Delta
-	for t = 0; t < p.MaxTicks; t += step {
-		sim.Run(t + step)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
-	sim.Run(t + step + 16*p.Delta)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       name,
-		Refinement:   refinement,
-		OracleName:   orc.Name(),
-		SelectorName: sel.Name(),
-		K:            1,
-		History:      sim.Recorder().Finalize(),
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
-	}
+	t := net.mine(3 * p.Delta)
+	net.sim.Run(t + 3*p.Delta + 16*p.Delta)
+	return net.result(name, refinement, orc.Name(), sel, 1)
 }
 
 // powRacePlan is the ByzCoin/PeerCensus proposer discipline: everyone

@@ -19,7 +19,6 @@ import (
 	"blockadt/internal/blocktree"
 	"blockadt/internal/consistency"
 	"blockadt/internal/history"
-	"blockadt/internal/netsim"
 	"blockadt/internal/oracle"
 )
 
@@ -194,23 +193,6 @@ func equalMerits(n int, p float64) []float64 {
 // Zero-padding keeps lexicographic tie-breaks stable and readable.
 func blockName(height int, proc history.ProcID, n int) blocktree.BlockID {
 	return blocktree.BlockID(fmt.Sprintf("b%04d-p%02d-%04d", height, proc, n))
-}
-
-// bestReplica returns the replica stats over a set of replicas: the
-// maximal committed chain length and the maximal fork census. Both are
-// O(1) reads of counters the trees maintain on Insert — the progress check
-// runs every few ticks, so it must not materialize chains.
-func bestReplica(reps map[history.ProcID]*netsim.Replica) (blocks, forks int) {
-	for _, r := range reps {
-		t := r.Tree()
-		if n := t.Height(); n > blocks {
-			blocks = n
-		}
-		if f := t.Forks(); f > forks {
-			forks = f
-		}
-	}
-	return blocks, forks
 }
 
 // Options returns checker options sized for simulator runs: the process

@@ -8,7 +8,6 @@ import (
 	"blockadt/internal/history"
 	"blockadt/internal/netsim"
 	"blockadt/internal/oracle"
-	"blockadt/internal/prng"
 )
 
 // This file implements the FruitChain protocol (Pass & Shi), which
@@ -74,30 +73,26 @@ type fruitNode struct {
 	orc       *oracle.Oracle
 	fruitTape *oracle.Tape
 	merit     int
-	params    Params
 	counter   int
 	fruitSeq  int
 	// pending are fruits seen but not yet observed inside the local
 	// selected chain.
 	pending map[string]Fruit
-	done    *bool
+	net     *network
 }
 
 // OnTimer implements netsim.Handler.
 func (n *fruitNode) OnTimer(s *netsim.Sim, tag string) {
 	switch tag {
 	case mineTimer:
-		if *n.done {
+		if n.net.done {
 			return
 		}
 		n.mineFruit(s)
 		n.mineBlock(s)
-		s.TimerAt(n.rep.ID(), s.Now()+n.params.MineInterval, mineTimer)
+		s.TimerAt(n.rep.ID(), s.Now()+n.net.p.MineInterval, mineTimer)
 	case readTimer:
-		n.rep.ReadIDs()
-		if !*n.done {
-			s.TimerAt(n.rep.ID(), s.Now()+n.params.ReadEvery, readTimer)
-		}
+		n.net.read(s, n.rep)
 	}
 }
 
@@ -117,25 +112,12 @@ func (n *fruitNode) mineBlock(s *netsim.Sim) {
 	}
 	parent := n.rep.SelectedTip()
 	candidate := blockName(parent.Height+1, n.rep.ID(), n.counter)
-	tok, ok := n.orc.GetToken(n.merit, parent.ID, candidate)
+	b, ok := appendBlock(s, n.orc, n.rep.ID(), n.merit, &n.counter, parent.ID, candidate)
 	if !ok {
 		return
 	}
-	n.counter++
-	rec := s.Recorder()
-	op := rec.Invoke(n.rep.ID(), history.Label{Kind: history.KindAppend, Block: candidate})
-	_, inserted, err := n.orc.ConsumeToken(tok)
-	okAppend := err == nil && inserted
-	rec.Respond(op, history.Label{Kind: history.KindAppend, Block: candidate, Parent: parent.ID, OK: okAppend})
-	if !okAppend {
-		return
-	}
 	// Include every pending fruit not already on the selected chain.
-	included := n.harvest()
-	b := blocktree.Block{
-		ID: candidate, Parent: parent.ID, Work: 1, Token: tok.ID,
-		Proposer: n.merit, Payload: encodeFruits(included),
-	}
+	b.Payload = encodeFruits(n.harvest())
 	n.rep.CreateAndBroadcast(s, parent.ID, b)
 }
 
@@ -186,66 +168,36 @@ func (n *fruitNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 // Result.Adversary.
 func runFruitChainAttack(p Params, alpha float64) Result {
 	p = p.withDefaults()
-	total := p.TokenProb * float64(p.N)
-	merits := make([]float64, p.N)
-	merits[0] = total * alpha
-	for i := 1; i < p.N; i++ {
-		merits[i] = total * (1 - alpha) / float64(p.N-1)
-	}
-	p.Merits = merits
-
-	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
+	p.Merits = withholdingMerits(p, alpha)
+	net := newNetwork(netsim.Synchronous{Delta: p.Delta}, p)
 	orc := newProdigal(p)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
 
 	// The adversary: selfish block miner + own-fruit inclusion.
 	adv := &fruitSelfishMiner{
-		selfishMiner: selfishMiner{
-			rep:    netsim.NewReplica(0, blocktree.HeaviestChain{}, sim.Recorder()),
-			orc:    orc,
-			merit:  0,
-			params: p,
-			done:   &done,
-		},
-		fruitTape: oracle.NewTape(p.Seed^0xF007, 0, 10*merits[0]),
+		selfishMiner: selfishMiner{rep: net.replica(blocktree.HeaviestChain{}), orc: orc, net: net},
+		fruitTape:    oracle.NewTape(p.Seed^0xF007, 0, 10*p.Merits[0]),
 	}
 	adv.private = adv.rep.Tree().Clone()
-	reps[0] = adv.rep
-	sim.Register(0, adv)
-	sim.TimerAt(0, 1, mineTimer)
-
+	net.sim.Register(0, adv)
+	net.sim.TimerAt(0, 1, mineTimer)
 	for i := 1; i < p.N; i++ {
-		id := history.ProcID(i)
-		rep := netsim.NewReplica(id, blocktree.HeaviestChain{}, sim.Recorder())
-		reps[id] = rep
-		node := &fruitNode{
-			rep: rep, orc: orc, merit: i, params: p,
-			fruitTape: oracle.NewTape(p.Seed^0xF007, i, 10*merits[i]),
+		rep := net.replica(blocktree.HeaviestChain{})
+		id := rep.ID()
+		net.sim.Register(id, &fruitNode{
+			rep: rep, orc: orc, merit: i, net: net,
+			fruitTape: oracle.NewTape(p.Seed^0xF007, i, 10*p.Merits[i]),
 			pending:   map[string]Fruit{},
-			done:      &done,
-		}
-		sim.Register(id, node)
-		sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
+		})
+		net.sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
+		net.sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
 	}
+	t := net.mine(64)
+	adv.publish(net.sim, len(adv.withheld))
+	net.sim.Run(t + 64 + 16*p.Delta)
+	res := net.result(fmt.Sprintf("FruitChain+selfish(α=%.2f)", alpha), "R(BT-ADT_EC, Θ_P) — fair rewards via fruits",
+		orc.Name(), blocktree.HeaviestChain{}, oracle.Unbounded)
 
-	var t int64
-	for t = 0; t < p.MaxTicks; t += 64 {
-		sim.Run(t + 64)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
-	adv.publish(sim, len(adv.withheld))
-	sim.Run(t + 64 + 16*p.Delta)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	final := blocktree.HeaviestChain{}.Select(reps[1].Tree())
+	final := blocktree.HeaviestChain{}.Select(net.reps[1].Tree())
 	blockCensus := map[history.ProcID]int{}
 	rewardCensus := map[history.ProcID]int{}
 	for _, b := range final[1:] {
@@ -274,22 +226,8 @@ func runFruitChainAttack(p Params, alpha float64) Result {
 	if totalRewards > 0 {
 		stats.AdversaryRewardShare = float64(rewardCensus[0]) / float64(totalRewards)
 	}
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       fmt.Sprintf("FruitChain+selfish(α=%.2f)", alpha),
-		Refinement:   "R(BT-ADT_EC, Θ_P) — fair rewards via fruits",
-		OracleName:   orc.Name(),
-		SelectorName: "heaviest",
-		K:            oracle.Unbounded,
-		History:      sim.Recorder().Finalize(),
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
-		Adversary:    stats,
-	}
+	res.Adversary = stats
+	return res
 }
 
 // fruitSelfishMiner extends the selfish block miner with adversarial fruit
@@ -305,7 +243,7 @@ type fruitSelfishMiner struct {
 // OnTimer overrides the block-mining timer to also mine fruits and stuff
 // withheld blocks with the adversary's own fruits.
 func (m *fruitSelfishMiner) OnTimer(s *netsim.Sim, tag string) {
-	if tag == mineTimer && !*m.done {
+	if tag == mineTimer && !m.net.done {
 		if m.fruitTape.Pop() {
 			f := Fruit{ID: fmt.Sprintf("f-z%02d-%04d", m.rep.ID(), m.fruitSeq), Miner: m.rep.ID()}
 			m.fruitSeq++
@@ -332,6 +270,3 @@ func (m *fruitSelfishMiner) OnMessage(s *netsim.Sim, msg netsim.Message) {
 	}
 	m.selfishMiner.OnMessage(s, msg)
 }
-
-// hash helper kept for deterministic fruit jitter if needed later.
-var _ = prng.Mix

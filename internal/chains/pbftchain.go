@@ -27,14 +27,13 @@ import (
 type pbftChainNode struct {
 	bft     *pbft.Replica
 	tree    *netsim.Replica
-	params  Params
 	writers int
 	slot    int
 	// decided buffers out-of-order slot decisions until their
 	// predecessor slot has been applied.
 	decided map[int]pbft.Value
 	applied int
-	done    *bool
+	net     *network
 }
 
 // slotValue encodes (proposer, block id) so the decided value names its
@@ -59,7 +58,7 @@ const slotTimer = "slot"
 func (n *pbftChainNode) OnTimer(s *netsim.Sim, tag string) {
 	switch tag {
 	case slotTimer:
-		if *n.done {
+		if n.net.done {
 			return
 		}
 		slot := n.slot
@@ -71,12 +70,9 @@ func (n *pbftChainNode) OnTimer(s *netsim.Sim, tag string) {
 			// propose nothing.
 			n.bft.Propose(s, slot, "")
 		}
-		s.TimerAt(n.tree.ID(), s.Now()+3*n.params.Delta, slotTimer)
+		s.TimerAt(n.tree.ID(), s.Now()+3*n.net.p.Delta, slotTimer)
 	case readTimer:
-		n.tree.ReadIDs()
-		if !*n.done {
-			s.TimerAt(n.tree.ID(), s.Now()+n.params.ReadEvery, readTimer)
-		}
+		n.net.read(s, n.tree)
 	default:
 		n.bft.OnTimer(s, tag)
 	}
@@ -151,60 +147,21 @@ func (PBFTChain) Run(p Params) Result {
 	if writers <= 0 || writers > p.N {
 		writers = (p.N + 1) / 2
 	}
-	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
-	nodes := make([]*pbftChainNode, p.N)
+	net := newNetwork(netsim.Synchronous{Delta: p.Delta}, p)
 	for i := 0; i < p.N; i++ {
-		id := history.ProcID(i)
-		tree := netsim.NewReplica(id, blocktree.SingleChain{}, sim.Recorder())
-		reps[id] = tree
-		node := &pbftChainNode{
-			tree:    tree,
-			params:  p,
-			writers: writers,
-			decided: map[int]pbft.Value{},
-			done:    &done,
-		}
+		tree := net.replica(blocktree.SingleChain{})
+		id := tree.ID()
+		node := &pbftChainNode{tree: tree, writers: writers, decided: map[int]pbft.Value{}, net: net}
 		node.bft = pbft.NewReplica(id, pbft.Config{
 			N:           p.N,
 			ViewTimeout: 8 * p.Delta,
-			OnDecide:    func(r *pbft.Replica, slot int, v pbft.Value) { node.onDecide(sim, slot, v) },
+			OnDecide:    func(r *pbft.Replica, slot int, v pbft.Value) { node.onDecide(net.sim, slot, v) },
 		})
-		nodes[i] = node
-		sim.Register(id, node)
-		sim.TimerAt(id, 1, slotTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
+		net.sim.Register(id, node)
+		net.sim.TimerAt(id, 1, slotTimer)
+		net.sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
 	}
-
-	var t int64
-	step := 3 * p.Delta
-	for t = 0; t < p.MaxTicks; t += step {
-		sim.Run(t + step)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
-	sim.Run(t + step + 32*p.Delta)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       "PBFT-chain",
-		Refinement:   "R(BT-ADT_SC, Θ_F,k=1) — commit by real PBFT",
-		OracleName:   "pbft(n=" + fmt.Sprint(p.N) + ")",
-		SelectorName: blocktree.SingleChain{}.Name(),
-		K:            1,
-		History:      sim.Recorder().Finalize(),
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
-	}
+	t := net.mine(3 * p.Delta)
+	net.sim.Run(t + 3*p.Delta + 32*p.Delta)
+	return net.result(PBFTChain{}.Name(), PBFTChain{}.Refinement(), "pbft(n="+fmt.Sprint(p.N)+")", blocktree.SingleChain{}, 1)
 }

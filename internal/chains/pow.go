@@ -3,7 +3,6 @@ package chains
 import (
 	"blockadt/internal/blocktree"
 	"blockadt/internal/consistency"
-	"blockadt/internal/history"
 	"blockadt/internal/netsim"
 	"blockadt/internal/oracle"
 )
@@ -16,29 +15,22 @@ type powNode struct {
 	rep     *netsim.Replica
 	orc     *oracle.Oracle
 	merit   int
-	params  Params
 	counter int
-	done    *bool
+	net     *network
 }
 
-const (
-	mineTimer = "mine"
-	readTimer = "read"
-)
+const mineTimer = "mine"
 
 // OnTimer implements netsim.Handler.
 func (n *powNode) OnTimer(s *netsim.Sim, tag string) {
 	switch tag {
 	case mineTimer:
-		if !*n.done {
+		if !n.net.done {
 			n.mine(s)
-			s.TimerAt(n.rep.ID(), s.Now()+n.params.MineInterval, mineTimer)
+			s.TimerAt(n.rep.ID(), s.Now()+n.net.p.MineInterval, mineTimer)
 		}
 	case readTimer:
-		n.rep.ReadIDs()
-		if !*n.done {
-			s.TimerAt(n.rep.ID(), s.Now()+n.params.ReadEvery, readTimer)
-		}
+		n.net.read(s, n.rep)
 	}
 }
 
@@ -55,21 +47,9 @@ func (n *powNode) mine(s *netsim.Sim) {
 	}
 	parent := n.rep.SelectedTip()
 	candidate := blockName(parent.Height+1, n.rep.ID(), n.counter)
-	tok, ok := n.orc.GetToken(n.merit, parent.ID, candidate)
-	if !ok {
-		return
+	if b, ok := appendBlock(s, n.orc, n.rep.ID(), n.merit, &n.counter, parent.ID, candidate); ok {
+		n.rep.CreateAndBroadcast(s, parent.ID, b)
 	}
-	n.counter++
-	rec := s.Recorder()
-	op := rec.Invoke(n.rep.ID(), history.Label{Kind: history.KindAppend, Block: candidate})
-	_, inserted, err := n.orc.ConsumeToken(tok)
-	okAppend := err == nil && inserted
-	rec.Respond(op, history.Label{Kind: history.KindAppend, Block: candidate, Parent: parent.ID, OK: okAppend})
-	if !okAppend {
-		return
-	}
-	b := blocktree.Block{ID: candidate, Parent: parent.ID, Work: 1, Token: tok.ID, Proposer: n.merit}
-	n.rep.CreateAndBroadcast(s, parent.ID, b)
 }
 
 // runPoW drives a permissionless PoW network with the given selector over
@@ -88,41 +68,19 @@ func runPoWTopo(name, refinement string, sel blocktree.Selector, links netsim.Li
 	if links == nil {
 		links = netsim.Synchronous{Delta: p.Delta}
 	}
-	sim := netsim.New(links, p.Seed)
+	net := newNetwork(links, p)
 	orc := newProdigal(p)
-	// The history size is bounded by the run shape: per block roughly one
-	// append plus a (send, receive, update) record fan-out per replica, plus
-	// the periodic reads. Reserving up front keeps the recorder's append
-	// path reallocation-free.
-	ops := p.TargetBlocks*p.N*5 + p.N*16
-	sim.Recorder().Reserve(ops)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
 	for i := 0; i < p.N; i++ {
-		id := history.ProcID(i)
-		rep := netsim.NewReplicaCap(id, sel, sim.Recorder(), p.TargetBlocks+p.TargetBlocks/2)
+		rep := net.replica(sel)
 		if topo != nil {
 			rep.EnableGossip(topo)
 		}
-		reps[id] = rep
-		node := &powNode{rep: rep, orc: orc, merit: i, params: p, done: &done}
-		sim.Register(id, node)
-		sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
+		id := rep.ID()
+		net.sim.Register(id, &powNode{rep: rep, orc: orc, merit: i, net: net})
+		net.sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
+		net.sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
 	}
-
-	// Run in slices, stopping the mining phase once the target chain
-	// length is reached, then drain in-flight messages and take a final
-	// round of reads so the history exhibits convergence.
-	var t int64
-	for t = 0; t < p.MaxTicks; t += 64 {
-		sim.Run(t + 64)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
+	t := net.mine(64)
 	// Drain every in-flight message before the final convergence reads.
 	// A fixed window (the old `sim.Run(t + 64 + 16*p.Delta)`) is wrong
 	// under heavy-tail links: a Jitter straggler or an Asynchronous tail
@@ -130,26 +88,8 @@ func runPoWTopo(name, refinement string, sel blocktree.Selector, links netsim.Li
 	// pending when the reads run — a harness artifact the consistency
 	// checkers then misattribute to the model. RunToIdle stops at the last
 	// real delivery; the cap only bounds runaway schedules.
-	sim.RunToIdle(t + 64 + p.MaxTicks)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
-
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       name,
-		Refinement:   refinement,
-		OracleName:   orc.Name(),
-		SelectorName: sel.Name(),
-		K:            oracle.Unbounded,
-		History:      sim.Recorder().Finalize(),
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
-	}
+	net.sim.RunToIdle(t + 64 + p.MaxTicks)
+	return net.result(name, refinement, orc.Name(), sel, oracle.Unbounded)
 }
 
 // Bitcoin is Section 5.1: permissionless, merits are hashing power, the

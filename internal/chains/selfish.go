@@ -35,10 +35,9 @@ type selfishMiner struct {
 	private  *blocktree.Tree // public view + withheld private branch
 	orc      *oracle.Oracle
 	merit    int
-	params   Params
 	counter  int
 	withheld []blocktree.Block // private blocks not yet published
-	done     *bool
+	net      *network
 }
 
 func (m *selfishMiner) publicTip() blocktree.Block {
@@ -51,10 +50,10 @@ func (m *selfishMiner) privateTip() blocktree.Block {
 
 // OnTimer implements netsim.Handler.
 func (m *selfishMiner) OnTimer(s *netsim.Sim, tag string) {
-	if tag != mineTimer || *m.done {
+	if tag != mineTimer || m.net.done {
 		return
 	}
-	defer s.TimerAt(m.rep.ID(), s.Now()+m.params.MineInterval, mineTimer)
+	defer s.TimerAt(m.rep.ID(), s.Now()+m.net.p.MineInterval, mineTimer)
 
 	if m.orc.PopBottom(m.merit) {
 		return
@@ -65,21 +64,8 @@ func (m *selfishMiner) OnTimer(s *netsim.Sim, tag string) {
 	// Eyal–Sirer analysis (every honest miner that sees both blocks of a
 	// race mines on the adversary's), the strategy's best case.
 	candidate := blocktree.BlockID(fmt.Sprintf("b%04d-z%02d-%04d", parent.Height+1, m.rep.ID(), m.counter))
-	tok, ok := m.orc.GetToken(m.merit, parent.ID, candidate)
-	if !ok {
-		return
-	}
-	m.counter++
-	rec := s.Recorder()
-	op := rec.Invoke(m.rep.ID(), history.Label{Kind: history.KindAppend, Block: candidate})
-	_, inserted, err := m.orc.ConsumeToken(tok)
-	okAppend := err == nil && inserted
-	rec.Respond(op, history.Label{Kind: history.KindAppend, Block: candidate, Parent: parent.ID, OK: okAppend})
-	if !okAppend {
-		return
-	}
-	b := blocktree.Block{ID: candidate, Parent: parent.ID, Work: 1, Token: tok.ID, Proposer: m.merit}
-	if err := m.private.Insert(b); err != nil {
+	b, ok := appendBlock(s, m.orc, m.rep.ID(), m.merit, &m.counter, parent.ID, candidate)
+	if !ok || m.private.Insert(b) != nil {
 		return
 	}
 	m.withheld = append(m.withheld, b)
@@ -137,7 +123,18 @@ func (m *selfishMiner) publish(s *netsim.Sim, n int) {
 	m.withheld = m.withheld[n:]
 }
 
-// OnTimerRead is unused; reads come from honest observers.
+// withholdingMerits splits the aggregate attempt rate N·TokenProb of a
+// withholding run: the adversary at process 0 holds fraction alpha, the
+// N-1 honest miners share the rest equally.
+func withholdingMerits(p Params, alpha float64) []float64 {
+	total := p.TokenProb * float64(p.N)
+	merits := make([]float64, p.N)
+	merits[0] = total * alpha
+	for i := 1; i < p.N; i++ {
+		merits[i] = total * (1 - alpha) / float64(p.N-1)
+	}
+	return merits
+}
 
 // runSelfishMining is the SelfishWithholding plan's driver: N-1 honest
 // miners against one selfish miner (process 0) holding fraction alpha
@@ -145,107 +142,54 @@ func (m *selfishMiner) publish(s *netsim.Sim, n int) {
 func runSelfishMining(p Params, alpha float64) Result {
 	p.N = NormalizeSelfishN(p.N)
 	p = p.withDefaults()
-	// Merit tapes: adversary gets alpha of the aggregate attempt rate.
-	total := p.TokenProb * float64(p.N)
-	merits := make([]float64, p.N)
-	merits[0] = total * alpha
-	for i := 1; i < p.N; i++ {
-		merits[i] = total * (1 - alpha) / float64(p.N-1)
-	}
-	p.Merits = merits
-
-	sim := netsim.New(netsim.Synchronous{Delta: p.Delta}, p.Seed)
+	p.Merits = withholdingMerits(p, alpha)
+	net := newNetwork(netsim.Synchronous{Delta: p.Delta}, p)
 	orc := newProdigal(p)
-	done := false
-	reps := map[history.ProcID]*netsim.Replica{}
 
-	adv := &selfishMiner{
-		rep:    netsim.NewReplica(0, blocktree.HeaviestChain{}, sim.Recorder()),
-		orc:    orc,
-		merit:  0,
-		params: p,
-		done:   &done,
-	}
+	// The adversary reads nothing: reads come from honest observers.
+	adv := &selfishMiner{rep: net.replica(blocktree.HeaviestChain{}), orc: orc, net: net}
 	adv.private = adv.rep.Tree().Clone()
-	reps[0] = adv.rep
-	sim.Register(0, adv)
-	sim.TimerAt(0, 1, mineTimer)
-
+	net.sim.Register(0, adv)
+	net.sim.TimerAt(0, 1, mineTimer)
 	for i := 1; i < p.N; i++ {
-		id := history.ProcID(i)
-		rep := netsim.NewReplica(id, blocktree.HeaviestChain{}, sim.Recorder())
-		reps[id] = rep
-		node := &powNode{rep: rep, orc: orc, merit: i, params: p, done: &done}
-		sim.Register(id, node)
-		sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
-		sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
+		rep := net.replica(blocktree.HeaviestChain{})
+		id := rep.ID()
+		net.sim.Register(id, &powNode{rep: rep, orc: orc, merit: i, net: net})
+		net.sim.TimerAt(id, 1+int64(i)%p.MineInterval, mineTimer)
+		net.sim.TimerAt(id, 2+int64(i)%p.ReadEvery, readTimer)
 	}
-
-	var t int64
-	for t = 0; t < p.MaxTicks; t += 64 {
-		sim.Run(t + 64)
-		blocks, _ := bestReplica(reps)
-		if blocks >= p.TargetBlocks {
-			break
-		}
-	}
-	done = true
+	t := net.mine(64)
 	// Final reveal: the adversary publishes its remaining lead so the
 	// run ends in a quiescent state.
-	adv.publish(sim, len(adv.withheld))
-	sim.Run(t + 64 + 16*p.Delta)
-	for _, id := range sim.Procs() {
-		reps[id].ReadIDs()
-	}
+	adv.publish(net.sim, len(adv.withheld))
+	net.sim.Run(t + 64 + 16*p.Delta)
+	res := net.result(fmt.Sprintf("Bitcoin+selfish(α=%.2f)", alpha), "R(BT-ADT_EC, Θ_P) under adversarial withholding",
+		orc.Name(), blocktree.HeaviestChain{}, oracle.Unbounded)
 
-	// Count main-chain authorship at an honest replica.
-	final := blocktree.HeaviestChain{}.Select(reps[1].Tree())
-	advBlocks, honBlocks := 0, 0
-	byProc := map[history.ProcID]int{}
+	// Count main-chain authorship at an honest replica, and mined blocks
+	// from the history's successful appends.
+	final := blocktree.HeaviestChain{}.Select(net.reps[1].Tree())
+	stats := &AdversaryStats{AdversaryMerit: alpha, MainChainByProc: map[history.ProcID]int{}}
+	advBlocks := 0
 	for _, b := range final[1:] {
-		byProc[history.ProcID(b.Proposer)]++
+		stats.MainChainByProc[history.ProcID(b.Proposer)]++
 		if b.Proposer == 0 {
 			advBlocks++
-		} else {
-			honBlocks++
 		}
 	}
-	stats := &AdversaryStats{
-		AdversaryMerit:  alpha,
-		MainChainByProc: byProc,
-	}
-	h := sim.Recorder().Finalize()
-	mined := map[history.ProcID]int{}
-	for _, a := range h.SuccessfulAppends() {
-		mined[a.Op.Proc]++
-	}
-	for pID, n := range mined {
-		if pID == 0 {
-			stats.AdversaryMined += n
+	for _, a := range res.History.SuccessfulAppends() {
+		if a.Op.Proc == 0 {
+			stats.AdversaryMined++
 		} else {
-			stats.HonestMined += n
+			stats.HonestMined++
 		}
 	}
 	mainLen := len(final) - 1
 	if mainLen > 0 {
 		stats.AdversaryShare = float64(advBlocks) / float64(mainLen)
-		stats.HonestShare = float64(honBlocks) / float64(mainLen)
+		stats.HonestShare = float64(mainLen-advBlocks) / float64(mainLen)
 	}
 	stats.Orphaned = stats.AdversaryMined + stats.HonestMined - mainLen
-	blocks, forks := bestReplica(reps)
-	return Result{
-		System:       fmt.Sprintf("Bitcoin+selfish(α=%.2f)", alpha),
-		Refinement:   "R(BT-ADT_EC, Θ_P) under adversarial withholding",
-		OracleName:   orc.Name(),
-		SelectorName: "heaviest",
-		K:            oracle.Unbounded,
-		History:      h,
-		Blocks:       blocks,
-		Forks:        forks,
-		Ticks:        sim.Now(),
-		Delivered:    sim.Delivered,
-		Dropped:      sim.Dropped,
-		Bytes:        sim.Bytes,
-		Adversary:    stats,
-	}
+	res.Adversary = stats
+	return res
 }
