@@ -20,9 +20,8 @@ import (
 // stale tips and the recorded histories show divergence that outlives
 // any grace window; with mining much slower than the (bounded) delay,
 // the same protocol converges. The link plans themselves live in
-// execute.go; composing one with a system outside this support set is
-// an *UnknownSystemError, not a panic — the façade surfaces it as a
-// typed unknown-name error.
+// execute.go; Composes refuses one composed with a system outside this
+// support set, so Execute returns an error instead of panicking.
 
 // powSelectors maps each PoW system — the permissionless protocols whose
 // mining loop is link-model agnostic — to its selection function. This is
@@ -36,12 +35,4 @@ import (
 var powSelectors = map[string]blocktree.Selector{
 	"Bitcoin":  blocktree.HeaviestChain{},
 	"Ethereum": blocktree.GHOST{},
-}
-
-// SupportsPoWLinks reports whether the named system has a generic
-// netsim-backed PoW runner — the Supports predicate of every
-// non-synchronous link model and non-complete topology.
-func SupportsPoWLinks(system string) bool {
-	_, ok := powSelectors[system]
-	return ok
 }

@@ -2,7 +2,6 @@ package chains
 
 import (
 	"fmt"
-	"sort"
 
 	"blockadt/internal/history"
 	"blockadt/internal/netsim"
@@ -26,7 +25,7 @@ import (
 // simulator runs untouched.
 type LinkPlan struct {
 	// Regime tags the result's System field ("Bitcoin/async") and names
-	// the regime in unknown-system errors.
+	// the regime in composition errors.
 	Regime string
 	// Refinement replaces the system's refinement string on results.
 	Refinement string
@@ -44,7 +43,7 @@ type LinkPlan struct {
 // final chains, so they drive the simulation themselves and attach
 // their census to Result.Adversary. Adversary plans run over the
 // synchronous complete-graph network (their analyses assume it);
-// Execute rejects compositions with non-default links or topologies.
+// Composes refuses them with non-default links or topologies.
 type AdversaryPlan struct {
 	// Name labels the plan in composition errors.
 	Name string
@@ -109,69 +108,61 @@ type Scenario struct {
 	Params    Params
 }
 
-// UnknownSystemError reports a composition naming a system that has no
-// simulator for the requested axis: the non-default link and topology
-// plans run on the generic PoW driver, which only the permissionless
-// systems implement (SupportsPoWLinks — committee systems assume
-// synchronous rounds and complete dissemination).
-type UnknownSystemError struct {
-	// System is the name that missed.
-	System string
-	// Regime is the link regime (or "sync") that was requested.
-	Regime string
-	// Known lists the systems the generic driver does implement.
-	Known []string
-}
+// IsDefault reports whether the plan is the synchronous default, under
+// which the system's own simulator runs untouched.
+func (l LinkPlan) IsDefault() bool { return l.Build == nil && l.Regime == "" }
 
-// Error keeps the message of the panic this error replaced.
-func (e *UnknownSystemError) Error() string {
-	return "chains: no " + e.Regime + " runner for system " + e.System
-}
+// IsDefault reports whether the plan is the complete graph.
+func (t TopologyPlan) IsDefault() bool { return t.Graph == nil && t.WrapLinks == nil }
 
-// PoWSystems returns the sorted names of the systems the generic PoW
-// driver implements — the support set of every non-default link and
-// topology plan.
-func PoWSystems() []string {
-	out := make([]string, 0, len(powSelectors))
-	for name := range powSelectors {
-		out = append(out, name)
+// Composes reports whether Execute can run the named system under the
+// given link plan, an adversary plan or none, and the given topology
+// plan. It is the one statement of the executor's support rule:
+//   - the default axes run every system's own simulator;
+//   - a link or topology plan runs on the generic PoW driver, so it
+//     needs a PoW system (the committee systems assume synchronous
+//     rounds and complete dissemination);
+//   - an adversary plan owns the run and assumes the synchronous
+//     complete-graph network, so it needs the default link and topology.
+func Composes(system string, links LinkPlan, adversarial bool, topo TopologyPlan) bool {
+	if links.IsDefault() && topo.IsDefault() {
+		return true
 	}
-	sort.Strings(out)
-	return out
+	_, pow := powSelectors[system]
+	return pow && !adversarial
 }
 
 // Execute runs a composed scenario. Default-axes scenarios dispatch to
 // the system's own simulator (byte-identical to calling System.Run);
 // non-default links or topologies run the generic PoW driver; a
 // non-default adversary owns the run entirely. The one error surface is
-// composition: a system outside the generic driver's support set under
-// a non-default link/topology (*UnknownSystemError), an adversary
-// composed with a non-default network, or a scenario with no system.
+// composition: a tuple Composes refuses, or a scenario with no system.
 func Execute(sc Scenario) (Result, error) {
-	if sc.Adversary.Run != nil {
-		if sc.Links.Build != nil || sc.Links.Regime != "" || sc.Topology.Graph != nil || sc.Topology.WrapLinks != nil {
-			return Result{}, fmt.Errorf("chains: adversary %q composes only with synchronous complete-graph networks", sc.Adversary.Name)
-		}
-		return sc.Adversary.Run(sc.Params), nil
-	}
-	if sc.System == nil {
+	adversarial := sc.Adversary.Run != nil
+	if sc.System == nil && !adversarial {
 		return Result{}, fmt.Errorf("chains: scenario names no system")
 	}
-	defaultLinks := sc.Links.Build == nil && sc.Links.Regime == ""
-	defaultTopo := sc.Topology.Graph == nil && sc.Topology.WrapLinks == nil
-	if defaultLinks && defaultTopo {
-		// The Table 1 path: the system's own simulator, raw params (it
-		// applies its own defaults).
-		return sc.System.Run(sc.Params), nil
+	var name string
+	if sc.System != nil {
+		name = sc.System.Name()
 	}
-	name := sc.System.Name()
-	sel, ok := powSelectors[name]
-	if !ok {
+	if !Composes(name, sc.Links, adversarial, sc.Topology) {
+		if adversarial {
+			return Result{}, fmt.Errorf("chains: adversary %q composes only with synchronous complete-graph networks", sc.Adversary.Name)
+		}
 		regime := sc.Links.Regime
 		if regime == "" {
 			regime = "sync"
 		}
-		return Result{}, &UnknownSystemError{System: name, Regime: regime, Known: PoWSystems()}
+		return Result{}, fmt.Errorf("chains: no %s runner for system %s", regime, name)
+	}
+	if adversarial {
+		return sc.Adversary.Run(sc.Params), nil
+	}
+	if sc.Links.IsDefault() && sc.Topology.IsDefault() {
+		// The Table 1 path: the system's own simulator, raw params (it
+		// applies its own defaults).
+		return sc.System.Run(sc.Params), nil
 	}
 	p := sc.Params.withDefaults()
 	var links netsim.LinkModel
@@ -195,7 +186,7 @@ func Execute(sc Scenario) (Result, error) {
 	if sc.Topology.Name != "" {
 		resName += "@" + sc.Topology.Name
 	}
-	res := runPoWTopo(resName, refinement, sel, links, sc.Topology.Graph, p)
+	res := runPoWTopo(resName, refinement, powSelectors[name], links, sc.Topology.Graph, p)
 	if sc.Links.Heal != nil {
 		res.PartitionHeal = sc.Links.Heal(p)
 	}

@@ -1,7 +1,6 @@
 package chains
 
 import (
-	"errors"
 	"testing"
 
 	"blockadt/internal/consistency"
@@ -39,35 +38,57 @@ func TestExecuteDefaultAxesMatchesSystemRun(t *testing.T) {
 }
 
 // TestExecuteUnknownSystem: composing a committee system with a
-// non-default link (or topology) is a typed error, not a panic — the
-// message stays byte-identical to the panic it replaced so operators'
-// grep habits survive.
+// non-default link (or topology) is an error, not a panic — the message
+// stays byte-identical to the panic it replaced so operators' grep
+// habits survive.
 func TestExecuteUnknownSystem(t *testing.T) {
 	p := Params{N: 4, TargetBlocks: 10, Seed: 1}
 	_, err := Execute(Scenario{System: Hyperledger{}, Links: AsyncLinks(8), Params: p})
-	var ue *UnknownSystemError
-	if !errors.As(err, &ue) {
-		t.Fatalf("want *UnknownSystemError, got %v", err)
+	if err == nil {
+		t.Fatal("committee system ran under async links")
 	}
-	if got, want := ue.Error(), "chains: no async runner for system Hyperledger"; got != want {
+	if got, want := err.Error(), "chains: no async runner for system Hyperledger"; got != want {
 		t.Fatalf("message = %q, want %q", got, want)
-	}
-	if ue.System != "Hyperledger" || ue.Regime != "async" {
-		t.Fatalf("fields = %+v", ue)
-	}
-	if len(ue.Known) == 0 {
-		t.Fatal("Known list empty")
 	}
 
 	// A bare topology (sync links) reports the "sync" regime.
 	_, err = Execute(Scenario{System: Algorand{}, Topology: GossipTopology(3), Params: p})
-	if !errors.As(err, &ue) || ue.Regime != "sync" {
+	if err == nil || err.Error() != "chains: no sync runner for system Algorand" {
 		t.Fatalf("topology-only miss: %v", err)
 	}
 
 	// No system at all is its own error.
 	if _, err := Execute(Scenario{Params: p}); err == nil {
 		t.Fatal("scenario without a system must error")
+	}
+}
+
+// TestComposesIsExecutesRule: Execute refuses exactly the tuples
+// Composes refuses. The default axes run every system; a link or
+// topology plan needs a PoW system; an adversary plan needs the default
+// network.
+func TestComposesIsExecutesRule(t *testing.T) {
+	p := Params{N: 4, TargetBlocks: 8, Seed: 5}
+	links := []LinkPlan{{}, AsyncLinks(8), PsyncLinks}
+	topos := []TopologyPlan{{}, GossipTopology(3), ClusteredTopology(2, 4)}
+	for _, sys := range []System{Bitcoin{}, Ethereum{}, Algorand{}, Hyperledger{}} {
+		pow := sys.Name() == "Bitcoin" || sys.Name() == "Ethereum"
+		for _, l := range links {
+			for _, topo := range topos {
+				for _, adv := range []AdversaryPlan{{}, SelfishWithholding(0.34)} {
+					adversarial := adv.Run != nil
+					network := l.IsDefault() && topo.IsDefault()
+					want := network || (pow && !adversarial)
+					if got := Composes(sys.Name(), l, adversarial, topo); got != want {
+						t.Fatalf("Composes(%s, %q, %v, %q) = %v, want %v", sys.Name(), l.Regime, adversarial, topo.Name, got, want)
+					}
+					_, err := Execute(Scenario{System: sys, Links: l, Adversary: adv, Topology: topo, Params: p})
+					if (err == nil) != want {
+						t.Fatalf("%s/%q/%v@%q: Composes says %v, Execute returned %v", sys.Name(), l.Regime, adversarial, topo.Name, want, err)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -95,10 +95,10 @@ func TestJitterKeepsEC(t *testing.T) {
 // async and psync regimes beyond Bitcoin — Ethereum's GHOST selection
 // converges under the DLS-bounded weak synchrony too.
 func TestPoWLinkPlansCoverAllPoWSystems(t *testing.T) {
-	if !SupportsPoWLinks("Bitcoin") || !SupportsPoWLinks("Ethereum") {
+	if !Composes("Bitcoin", AsyncLinks(8), false, TopologyPlan{}) || !Composes("Ethereum", PsyncLinks, false, TopologyPlan{}) {
 		t.Fatal("PoW link support must cover Bitcoin and Ethereum")
 	}
-	if SupportsPoWLinks("Hyperledger") || SupportsPoWLinks("RedBelly") {
+	if Composes("Hyperledger", AsyncLinks(8), false, TopologyPlan{}) || Composes("RedBelly", PsyncLinks, false, TopologyPlan{}) {
 		t.Fatal("committee systems must not claim PoW link runners")
 	}
 	p := Params{N: 8, TargetBlocks: 30, Seed: 42}

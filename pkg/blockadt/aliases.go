@@ -53,12 +53,12 @@ type (
 	SimParams = chains.Params
 	// SimResult is the outcome of one simulated run.
 	SimResult = chains.Result
-	// Execution is the unified executor's composed scenario: a system,
-	// its SimParams and one strategy value per axis (links, adversary,
-	// topology). Link, adversary and topology specs compose themselves
-	// into it through their Plan hooks; each plan carries its own
-	// parameters.
-	Execution = chains.Scenario
+	// LinkPlan is the executor's link strategy a LinkSpec registers; the
+	// zero value is the synchronous default.
+	LinkPlan = chains.LinkPlan
+	// AdversaryPlan is the executor's fault strategy an AdversarySpec's
+	// Plan returns; it owns the run it drives.
+	AdversaryPlan = chains.AdversaryPlan
 	// AdversaryStats is the structured census an adversarial execution
 	// attaches to its result.
 	AdversaryStats = chains.AdversaryStats

@@ -1,25 +1,23 @@
 package blockadt
 
 import (
-	"errors"
 	"fmt"
 
 	"blockadt/internal/chains"
 )
 
 // compose is the one resolver behind every entry point — the sweep
-// engine, RunScenario, Simulate and SimulateAdversary. It
-// looks up each axis of a (system, link, adversary, topology) tuple,
-// rejects compositions the registrations do not support (supportErr, the
-// predicate Matrix.Configs prunes on), applies the axes' Plan hooks and
-// returns the Execution to run, the consistency level the theory
-// predicts for it and the adversary spec that owns the run (the honest
-// default, with a nil Plan, for honest runs). An empty topology is the
-// complete graph. alpha is read only when the adversary has a Plan, and
-// must then lie in (0,1). A negative process count or block target is an
-// error; zero selects the simulators' default. The writer count must lie
-// in [0, N] against the defaulted N (0 means every process writes).
-func compose(system, link, adversary, topology string, alpha float64, p SimParams) (ex Execution, expected Level, adv AdversarySpec, err error) {
+// engine, RunScenario, Simulate and SimulateAdversary. It looks up each
+// axis of a (system, link, adversary, topology) tuple, refuses a tuple
+// admits refuses (the predicate Matrix.Configs prunes on), and returns
+// the scenario to run, the consistency level the theory predicts for it
+// and the adversary spec that owns the run (the honest default, with a
+// nil Plan, for honest runs). An empty topology is the complete graph.
+// alpha is read only when the adversary has a Plan, and must then lie
+// in (0,1). A negative process count or block target is an error; zero
+// selects the simulators' default. The writer count must lie in [0, N]
+// against the defaulted N (0 means every process writes).
+func compose(system, link, adversary, topology string, alpha float64, p SimParams) (sc chains.Scenario, expected Level, adv AdversarySpec, err error) {
 	if err = checkN(p.N); err != nil {
 		return
 	}
@@ -50,63 +48,34 @@ func compose(system, link, adversary, topology string, alpha float64, p SimParam
 	if err != nil {
 		return
 	}
-	if err = supportErr(system, l, adv, t); err != nil {
+	if !admits(system, l, adv, t) {
+		err = fmt.Errorf("blockadt: system %q does not compose with link %q, adversary %q and topology %q", system, link, adversary, topology)
 		return
 	}
-	ex = Execution{System: specSystem{spec}, Params: p}
 	expected = spec.Expected
-	if l.Plan != nil {
-		l.Plan(&ex)
-	}
 	if l.Expected != nil {
 		expected = l.Expected(system, spec.Expected)
 	}
+	var plan AdversaryPlan
 	if adv.Plan != nil {
 		if alpha <= 0 || alpha >= 1 {
 			err = fmt.Errorf("blockadt: adversary merit share must be in (0,1), got %v", alpha)
 			return
 		}
-		adv.Plan(&ex, alpha)
+		plan = adv.Plan(alpha)
 		if adv.Expected != nil {
 			expected = adv.Expected(system, link, spec.Expected)
 		}
 	}
-	if t.Plan != nil {
-		t.Plan(&ex)
-		if t.Expected != nil {
-			expected = t.Expected(system, link, expected)
-		}
-	}
-	return ex, expected, adv, nil
+	return chains.Scenario{System: specSystem{spec}, Links: l.Link, Adversary: plan, Topology: t.Topology, Params: p}, expected, adv, nil
 }
 
-// supportErr is the one support predicate of the scenario space: nil
-// when the registrations admit the tuple, otherwise the reason they do
-// not. A nil Supports admits everything, and the nil-Plan defaults (the
-// honest adversary, the complete graph) are never excluded.
-func supportErr(system string, l LinkSpec, a AdversarySpec, t TopologySpec) error {
-	switch {
-	case l.Supports != nil && !l.Supports(system):
-		return fmt.Errorf("blockadt: system %q does not implement link model %q", system, l.Name)
-	case a.Plan != nil && a.Supports != nil && !a.Supports(system, l.Name):
-		return fmt.Errorf("blockadt: system %q does not implement adversary %q under link %q", system, a.Name, l.Name)
-	case t.Plan != nil && t.Supports != nil && !t.Supports(system, l.Name, a.Name):
-		return fmt.Errorf("blockadt: system %q does not implement topology %q under link %q and adversary %q", system, t.Name, l.Name, a.Name)
-	}
-	return nil
-}
-
-// execute runs a composed Execution, lifting the executor's typed
-// failures into the façade's error vocabulary: a system outside the
-// generic PoW driver's support set surfaces as the same *UnknownNameError
-// a registry miss produces (Kind "system", Registered = the driver's
-// support set). Other executor errors (composition mistakes) pass
-// through unchanged.
-func execute(ex Execution) (SimResult, error) {
-	res, err := chains.Execute(ex)
-	var ue *chains.UnknownSystemError
-	if errors.As(err, &ue) {
-		return res, &UnknownNameError{Kind: "system", Name: ue.System, Registered: ue.Known}
-	}
-	return res, err
+// admits is the one support predicate of the scenario space: what the
+// executor can run (chains.Composes), narrowed by the adversary's and
+// the topology's own Supports. The defaults (the honest adversary, the
+// complete graph) are never narrowed.
+func admits(system string, l LinkSpec, a AdversarySpec, t TopologySpec) bool {
+	return chains.Composes(system, l.Link, a.Plan != nil, t.Topology) &&
+		(a.Plan == nil || a.Supports == nil || a.Supports(system)) &&
+		(t.Topology.IsDefault() || t.Supports == nil || t.Supports(system))
 }

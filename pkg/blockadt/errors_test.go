@@ -94,18 +94,15 @@ func registerPanicLink() string {
 		RegisterLink(LinkSpec{
 			Name:        panicLink,
 			Description: "test-only link whose model panics while armed",
-			Supports:    chains.SupportsPoWLinks,
-			Plan: func(ex *Execution) {
-				ex.Links = chains.LinkPlan{Regime: "panic", Build: func(p chains.Params) netsim.LinkModel {
-					if panicArmed.Load() {
-						// Stay in flight a while, so concurrent identical
-						// sweeps coalesce on the panicking scenario.
-						time.Sleep(30 * time.Millisecond)
-						panic("link model exploded")
-					}
-					return netsim.Synchronous{Delta: p.Delta}
-				}}
-			},
+			Link: chains.LinkPlan{Regime: "panic", Build: func(p chains.Params) netsim.LinkModel {
+				if panicArmed.Load() {
+					// Stay in flight a while, so concurrent identical
+					// sweeps coalesce on the panicking scenario.
+					time.Sleep(30 * time.Millisecond)
+					panic("link model exploded")
+				}
+				return netsim.Synchronous{Delta: p.Delta}
+			}},
 			Hidden: true,
 		})
 	}

@@ -7,27 +7,25 @@ import (
 )
 
 // Example_registerAdversary is the extension recipe of docs/api.md: a
-// new fault model is one registration, and its Plan hook sets the
-// adversary axis of the Execution to a plan that captures its own
-// parameters — here the merit share alpha. Once registered, the model
-// composes by name everywhere: SimulateAdversary, sweep matrices, the
-// run store and `btadt list`.
+// new fault model is one registration, and its Plan returns the
+// executor's adversary plan for a merit share alpha — a value that
+// captures its own parameters. Once registered, the model composes by
+// name everywhere: SimulateAdversary, sweep matrices, the run store and
+// `btadt list`.
 func Example_registerAdversary() {
 	// A real extension registers in its package's init(). The lookup
 	// guard keeps this example re-runnable under go test -count=2.
 	if _, err := blockadt.LookupAdversary("whale"); err != nil {
+		bitcoin, _ := blockadt.LookupSystem("Bitcoin")
 		blockadt.RegisterAdversary(blockadt.AdversarySpec{
 			Name:        "whale",
 			Description: "process 0 holds merit share α but follows the protocol",
 			// Matrix expansion prunes, and SimulateAdversary rejects,
-			// every tuple this predicate refuses.
-			Supports: func(system, link string) bool {
-				return system == "Bitcoin" && link == blockadt.LinkSync
-			},
-			Plan: func(ex *blockadt.Execution, alpha float64) {
-				honest := ex.System
-				ex.Adversary.Name = "whale"
-				ex.Adversary.Run = func(p blockadt.SimParams) blockadt.SimResult {
+			// every system this predicate refuses. Like every adversary
+			// plan, the whale runs over the default network only.
+			Supports: func(system string) bool { return system == "Bitcoin" },
+			Plan: func(alpha float64) blockadt.AdversaryPlan {
+				return blockadt.AdversaryPlan{Name: "whale", Run: func(p blockadt.SimParams) blockadt.SimResult {
 					p = p.WithDefaults()
 					// Process 0 gets alpha of the aggregate token rate, the
 					// others split the rest evenly.
@@ -37,8 +35,8 @@ func Example_registerAdversary() {
 					for i := 1; i < p.N; i++ {
 						p.Merits[i] = total * (1 - alpha) / float64(p.N-1)
 					}
-					return honest.Run(p)
-				}
+					return bitcoin.Run(p)
+				}}
 			},
 			// Expected is nil: a rich but honest miner leaves the system's
 			// consistency level unchanged.

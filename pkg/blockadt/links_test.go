@@ -59,7 +59,7 @@ func TestEnlargedMatrixByteIdenticalAcrossParallelism(t *testing.T) {
 func TestRegisteredLinksDeterministic(t *testing.T) {
 	for _, spec := range Links() {
 		system := "Bitcoin"
-		if spec.Supports != nil && !spec.Supports(system) {
+		if !admits(system, spec, AdversarySpec{}, TopologySpec{}) {
 			t.Fatalf("link %q does not support %s", spec.Name, system)
 		}
 		cfg := Scenario{

@@ -16,22 +16,19 @@ const (
 )
 
 // The two fault models self-register. "none" is the honest default (nil
-// Plan); "selfish" composes the Eyal–Sirer withholding plan.
+// Plan); "selfish" returns the Eyal–Sirer withholding plan. Like every
+// adversary plan it runs only over the default network
+// (chains.Composes); its own narrowing is to Bitcoin.
 func init() {
 	RegisterAdversary(AdversarySpec{
 		Name:        AdvNone,
 		Description: "every process follows the protocol",
 	})
-	selfishSystems := map[string]bool{"Bitcoin": true}
 	RegisterAdversary(AdversarySpec{
 		Name:        AdvSelfish,
 		Description: "Eyal–Sirer block-withholding miner at process 0 with merit share α",
-		Supports: func(system, link string) bool {
-			return selfishSystems[system] && link == LinkSync
-		},
-		Plan: func(ex *Execution, alpha float64) {
-			ex.Adversary = chains.SelfishWithholding(alpha)
-		},
+		Supports:    func(system string) bool { return system == "Bitcoin" },
+		Plan:        chains.SelfishWithholding,
 		// Withholding skews chain quality, not consistency: the run is
 		// still predicted eventually consistent.
 		Expected: func(system, link string, honest Level) Level { return consistency.LevelEC },

@@ -36,10 +36,10 @@ const (
 )
 
 // The six scenario link models self-register. "sync" is the default
-// (nil Plan: the system's own simulator is used); the rest compose one
-// of the executor's link plans, all supporting every PoW system
-// (chains.SupportsPoWLinks — the committee systems assume synchronous
-// rounds). Each spec's Params string is the canonical encoding of its
+// (the zero Link: the system's own simulator is used); the rest hold one
+// of the executor's link plans, which run on every PoW system and on no
+// committee system (chains.Composes — the committee systems assume
+// synchronous rounds). Each spec's Params string is the canonical encoding of its
 // fixed parameters; it joins scenario keys and run-store cache keys, so
 // retuning a model changes scenario identity instead of reusing stale
 // caches. Expected encodes the theory's prediction: every adversity
@@ -55,34 +55,25 @@ func init() {
 		Name:        LinkAsync,
 		Description: "asynchronous slow-mining regime with bounded common case (Section 4.2 TBC)",
 		Params:      "maxDelay=8",
-		Supports:    chains.SupportsPoWLinks,
-		Plan: func(ex *Execution) {
-			// Slow-mining asynchronous regime: common-case delay equal to
-			// the synchronous bound, no stragglers — the configuration the
-			// Section 4.2 conjecture predicts still converges to EC.
-			ex.Links = chains.AsyncLinks(8)
-		},
+		// Slow-mining asynchronous regime: common-case delay equal to the
+		// synchronous bound, no stragglers — the configuration the
+		// Section 4.2 conjecture predicts still converges to EC.
+		Link:     chains.AsyncLinks(8),
 		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
 	})
 	RegisterLink(LinkSpec{
 		Name:        LinkPsync,
 		Description: "weakly synchronous: async before GST, δ-bounded after, pre-GST sends delivered by GST+δ (Section 4.2)",
-		Supports:    chains.SupportsPoWLinks,
-		Plan: func(ex *Execution) {
-			// GST = 8δ: the run outlives stabilization by a wide margin,
-			// so the theory still predicts (eventual) convergence.
-			ex.Links = chains.PsyncLinks
-		},
+		// GST = 8δ: the run outlives stabilization by a wide margin, so
+		// the theory still predicts (eventual) convergence.
+		Link:     chains.PsyncLinks,
 		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
 	})
 	RegisterLink(LinkSpec{
 		Name:        LinkLossy,
 		Description: "seeded per-message drops, no retransmission — the Theorem 4.7 lossy channels",
 		Params:      "p=0.10",
-		Supports:    chains.SupportsPoWLinks,
-		Plan: func(ex *Execution) {
-			ex.Links = chains.LossyLinks
-		},
+		Link:        chains.LossyLinks,
 		// Theorem 4.7: dropping even one correct process's message makes
 		// Eventual Prefix unimplementable — the run retains no criterion
 		// of the hierarchy.
@@ -92,12 +83,9 @@ func init() {
 		Name:        LinkPartition,
 		Description: "transient bisection [8δ,24δ), cross-cut traffic deferred until heal",
 		Params:      "start=8δ,heal=24δ,defer",
-		Supports:    chains.SupportsPoWLinks,
-		Plan: func(ex *Execution) {
-			// The [8δ, 24δ) window and the N/2 bisection; the result
-			// carries the heal time for the partition_heal_lag metric.
-			ex.Links = chains.PartitionLinks
-		},
+		// The [8δ, 24δ) window and the N/2 bisection; the result carries
+		// the heal time for the partition_heal_lag metric.
+		Link: chains.PartitionLinks,
 		// The cut heals and deferred traffic arrives, so convergence is
 		// delayed, not destroyed: still EC.
 		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
@@ -106,10 +94,7 @@ func init() {
 		Name:        LinkJitter,
 		Description: "heavy-tail stragglers: 5% of deliveries stretched 10× over synchronous links",
 		Params:      "tail=0.05,x=10",
-		Supports:    chains.SupportsPoWLinks,
-		Plan: func(ex *Execution) {
-			ex.Links = chains.JitterLinks
-		},
+		Link:        chains.JitterLinks,
 		// Every message still arrives: stragglers inflate forks and
 		// finality depth but never break eventual consistency.
 		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
@@ -133,11 +118,8 @@ func EnsureAsyncLink(maxDelay int64) string {
 		Name:        name,
 		Description: fmt.Sprintf("asynchronous slow-mining variant: common-case delay bound %d ticks", maxDelay),
 		Params:      fmt.Sprintf("maxDelay=%d", maxDelay),
-		Supports:    chains.SupportsPoWLinks,
+		Link:        chains.AsyncLinks(maxDelay),
 		Hidden:      true,
-		Plan: func(ex *Execution) {
-			ex.Links = chains.AsyncLinks(maxDelay)
-		},
 		// Slower links delay convergence without destroying it: still EC.
 		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
 	})
@@ -170,12 +152,9 @@ func EnsureLossyPsyncLink(rate float64, gstDeltas int) string {
 		Name:        name,
 		Description: fmt.Sprintf("lossy weakly-synchronous variant: drop rate %.2f over GST=%dδ links (Theorem 4.7 boundary)", rate, gstDeltas),
 		Params:      fmt.Sprintf("p=%.2f,gst=%dδ", rate, gstDeltas),
-		Supports:    chains.SupportsPoWLinks,
+		Link:        chains.LossyPsyncLinks(rate, int64(gstDeltas)),
 		Hidden:      true,
-		Plan: func(ex *Execution) {
-			ex.Links = chains.LossyPsyncLinks(rate, int64(gstDeltas))
-		},
-		Expected: func(system string, sync Level) Level { return expected },
+		Expected:    func(system string, sync Level) Level { return expected },
 	})
 	return name
 }

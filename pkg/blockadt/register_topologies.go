@@ -23,11 +23,12 @@ const (
 )
 
 // The three dissemination topologies self-register. "complete" is the
-// default (nil Plan: the system's own broadcast runs untouched); the
-// non-default topologies compose the executor's gossip and clustered
-// plans. Both run on the generic PoW driver and model honest
-// dissemination, so they support the PoW systems under any link model
-// but no adversary (the adversarial strategies assume direct broadcast).
+// default (the zero Topology: the system's own broadcast runs
+// untouched); the non-default topologies hold the executor's gossip and
+// clustered plans. Both run on the generic PoW driver and model honest
+// dissemination, so chains.Composes admits them for the PoW systems
+// under any link model but under no adversary (the adversarial
+// strategies assume direct broadcast).
 func init() {
 	RegisterTopology(TopologySpec{
 		Name:        TopoComplete,
@@ -37,12 +38,7 @@ func init() {
 		Name:        TopoGossip,
 		Description: "degree-3 ring-gossip overlay: direct copies to 3 ring successors, flooding relays the rest",
 		Params:      "k=3",
-		Supports: func(system, link, adversary string) bool {
-			return chains.SupportsPoWLinks(system) && adversary == AdvNone
-		},
-		Plan: func(ex *Execution) {
-			ex.Topology = chains.GossipTopology(3)
-		},
+		Topology:    chains.GossipTopology(3),
 		// Flooding still delivers every update to every process (relays
 		// ride the same links), so the link model's prediction stands.
 	})
@@ -56,12 +52,8 @@ func init() {
 		// stretches and the finite-run checker (rightly) flags the
 		// divergence on a seed-dependent fraction of runs, which would
 		// turn the sweep's expected-level verdict into a coin flip.
-		Supports: func(system, link, adversary string) bool {
-			return system == "Bitcoin" && adversary == AdvNone
-		},
-		Plan: func(ex *Execution) {
-			ex.Topology = chains.ClusteredTopology(2, 4)
-		},
+		Supports: func(system string) bool { return system == "Bitcoin" },
+		Topology: chains.ClusteredTopology(2, 4),
 		// Extra latency delays convergence without destroying it: the
 		// link model's prediction stands.
 	})

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"blockadt/internal/chains"
 	"blockadt/internal/fairness"
 	"blockadt/internal/metrics"
 	"blockadt/internal/parallel"
@@ -294,7 +295,7 @@ func (m Matrix) expand() ([]Scenario, []MetricSpec, error) {
 		for _, lspec := range lspecs {
 			for _, aspec := range aspecs {
 				for _, tspec := range tspecs {
-					if supportErr(sys, lspec, aspec, tspec) != nil {
+					if !admits(sys, lspec, aspec, tspec) {
 						continue
 					}
 					for _, n := range m.Ns {
@@ -307,7 +308,7 @@ func (m Matrix) expand() ([]Scenario, []MetricSpec, error) {
 							if aspec.Plan != nil {
 								cfg.Alpha = m.Alpha
 							}
-							if tspec.Plan != nil {
+							if !tspec.Topology.IsDefault() {
 								// The default complete graph stays out of
 								// the scenario entirely: its keys, JSON
 								// and derived seeds predate the topology
@@ -451,20 +452,18 @@ func RunScenario(cfg Scenario) (Result, error) {
 }
 
 // runScenario is RunScenario's engine-side core, shared with the sweep
-// runner. compose resolves and validates the scenario; a composition the
-// registrations admit but the executor cannot run (a custom link whose
-// Supports claims a system its plan cannot drive) is an error, never a
-// panic. mspecs are the resolved metric collectors to run over the
+// runner. compose resolves and validates the scenario, refusing what the
+// executor cannot run before anything simulates. mspecs are the resolved metric collectors to run over the
 // result (nil disables collection).
 func runScenario(cfg Scenario, mspecs []MetricSpec) (Result, error) {
 	start := time.Now()
 	p := SimParams{N: cfg.N, TargetBlocks: cfg.Blocks, Seed: cfg.Seed}
-	ex, expected, aspec, err := compose(cfg.System, cfg.Link, cfg.Adversary, cfg.Topology, cfg.Alpha, p)
+	sc, expected, aspec, err := compose(cfg.System, cfg.Link, cfg.Adversary, cfg.Topology, cfg.Alpha, p)
 	if err != nil {
 		return Result{}, err
 	}
 	scenarioRuns.Add(1)
-	res, err := execute(ex)
+	res, err := chains.Execute(sc)
 	if err != nil {
 		return Result{}, err
 	}

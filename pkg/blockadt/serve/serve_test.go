@@ -368,14 +368,15 @@ func registerGatedLink() {
 		blockadt.RegisterLink(blockadt.LinkSpec{
 			Name:        gatedLink,
 			Description: "test-only synchronous link that waits on a gate",
-			Plan: func(*blockadt.Execution) {
+			Link: blockadt.LinkPlan{Build: func(p blockadt.SimParams) blockadt.NetLinkModel {
 				linkGate.Lock()
 				ch := linkGate.ch
 				linkGate.Unlock()
 				if ch != nil {
 					<-ch
 				}
-			},
+				return blockadt.SynchronousLink{Delta: p.Delta}
+			}},
 			Hidden: true,
 		})
 	})
@@ -617,8 +618,10 @@ func registerPanicLink() {
 		blockadt.RegisterLink(blockadt.LinkSpec{
 			Name:        panicLink,
 			Description: "test-only link whose plan panics",
-			Plan:        func(*blockadt.Execution) { panic("link model exploded") },
-			Hidden:      true,
+			Link: blockadt.LinkPlan{Build: func(blockadt.SimParams) blockadt.NetLinkModel {
+				panic("link model exploded")
+			}},
+			Hidden: true,
 		})
 	})
 }

@@ -26,11 +26,11 @@ func Simulate(name string, opts ...Option) (SimResult, error) {
 	if err := meritsErr(spec, s); err != nil {
 		return SimResult{}, err
 	}
-	ex, _, _, err := compose(name, s.linkName(), AdvNone, s.topology, 0, s.simParams())
+	sc, _, _, err := compose(name, s.linkName(), AdvNone, s.topology, 0, s.simParams())
 	if err != nil {
 		return SimResult{}, err
 	}
-	return execute(ex)
+	return chains.Execute(sc)
 }
 
 // meritsErr rejects a WithMerits vector the simulation would silently
@@ -104,11 +104,11 @@ func SimulateAdversary(system, adversary string, opts ...Option) (AdversaryOutco
 		alpha = 0.34
 	}
 	p := s.simParams()
-	ex, expected, aspec, err := compose(system, s.linkName(), adversary, "", alpha, p)
+	sc, expected, aspec, err := compose(system, s.linkName(), adversary, "", alpha, p)
 	if err != nil {
 		return AdversaryOutcome{}, err
 	}
-	res, err := execute(ex)
+	res, err := chains.Execute(sc)
 	if err != nil {
 		return AdversaryOutcome{}, err
 	}

@@ -2,6 +2,7 @@ package blockadt
 
 import (
 	"blockadt/internal/blocktree"
+	"blockadt/internal/chains"
 	"blockadt/internal/history"
 	"blockadt/internal/oracle"
 )
@@ -61,15 +62,13 @@ type LinkSpec struct {
 	// changes scenario identity instead of silently serving results the
 	// new parameters would not produce.
 	Params string
-	// Supports reports whether the named system implements this link
-	// model in scenario runs; nil means every system does.
-	Supports func(system string) bool
-	// Plan composes the model into an execution: it sets the executor's
-	// link strategy to a plan that captures its own parameters
-	// (chains.AsyncLinks(8), chains.LossyLinks, …). A nil Plan marks the
-	// default model: the system's own synchronous simulator runs
-	// untouched.
-	Plan func(ex *Execution)
+	// Link is the executor's link plan, which captures its own
+	// parameters (chains.AsyncLinks(8), chains.LossyLinks, …). The zero
+	// value marks the default model: the system's own synchronous
+	// simulator runs untouched. A non-default plan runs on the generic
+	// PoW driver, so matrices prune it for every other system
+	// (chains.Composes).
+	Link LinkPlan
 	// Expected returns the consistency level the theory predicts for
 	// the named system under this link model, given the system's
 	// default (synchronous) level; nil means the level is unchanged.
@@ -87,14 +86,13 @@ type LinkSpec struct {
 type AdversarySpec struct {
 	Name        string
 	Description string
-	// Supports reports whether the named system implements this
-	// adversary under the named link model; nil means every combination.
-	Supports func(system, link string) bool
-	// Plan composes the fault model into an execution: it sets the
-	// executor's adversary strategy to a plan that captures the
-	// adversary's merit share alpha (chains.SelfishWithholding(alpha)).
-	// A nil Plan marks the honest default.
-	Plan func(ex *Execution, alpha float64)
+	// Supports narrows the systems the model runs against; nil means
+	// every system. Whatever it admits, an adversary plan runs only over
+	// the default network (chains.Composes).
+	Supports func(system string) bool
+	// Plan returns the executor's adversary plan for merit share alpha
+	// (chains.SelfishWithholding). A nil Plan marks the honest default.
+	Plan func(alpha float64) AdversaryPlan
 	// Expected returns the consistency level the adversarial run is
 	// predicted to retain, given the system's honest synchronous level;
 	// nil means the level is unchanged.
@@ -109,8 +107,8 @@ type AdversarySpec struct {
 
 // TopologySpec describes a registered dissemination topology — one value
 // of the scenario matrix's topology dimension. The default complete
-// graph is the nil-Plan entry: every pre-existing scenario runs exactly
-// as before, and only non-default topologies join scenario keys.
+// graph is the zero-Topology entry: every pre-existing scenario runs
+// exactly as before, and only non-default topologies join scenario keys.
 type TopologySpec struct {
 	Name        string
 	Description string
@@ -119,17 +117,14 @@ type TopologySpec struct {
 	// joins scenario keys and run-store cache keys — but only for
 	// non-default topologies, so pre-existing keys are unchanged.
 	Params string
-	// Supports reports whether the (system, link, adversary) composition
-	// implements this topology; nil means every combination.
-	Supports func(system, link, adversary string) bool
-	// Plan composes the topology into an execution: it sets the
-	// executor's topology strategy (gossip graph, link decoration, or
-	// both). A nil Plan marks the default complete graph.
-	Plan func(ex *Execution)
-	// Expected returns the consistency level the theory predicts under
-	// this topology, given the level predicted by the system and link
-	// model; nil means the level is unchanged.
-	Expected func(system, link string, honest Level) Level
+	// Supports narrows the systems the topology runs on; nil means every
+	// system the executor can run it on (chains.Composes: PoW systems,
+	// honest runs).
+	Supports func(system string) bool
+	// Topology is the executor's topology plan (gossip graph, link
+	// decoration, or both). The zero value marks the default complete
+	// graph.
+	Topology chains.TopologyPlan
 	// Hidden excludes the topology from Registries() enumeration, like
 	// hidden link variants.
 	Hidden bool

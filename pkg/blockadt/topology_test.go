@@ -2,7 +2,6 @@ package blockadt
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -14,8 +13,8 @@ import (
 
 // TestRegistryCrossProductNoThirdState is the composition property test
 // of the unified executor: every registered (system, link, adversary,
-// topology) tuple either executes deterministically or is excluded by a
-// Supports predicate during matrix expansion — there is no third state
+// topology) tuple either executes deterministically or is excluded by
+// admits during matrix expansion — there is no third state
 // where expansion admits a tuple the engine then rejects (or vice
 // versa). The registries are enumerated live, so user registrations from
 // other tests are held to the same contract as the built-ins.
@@ -25,11 +24,6 @@ func TestRegistryCrossProductNoThirdState(t *testing.T) {
 	}
 	for _, sys := range SystemNames() {
 		for _, lspec := range Links() {
-			if lspec.Name == claimsEverythingLink {
-				// The deliberately lying fixture of the tests below; with
-				// -count>1 it is already registered here.
-				continue
-			}
 			for _, aspec := range Adversaries() {
 				for _, tspec := range Topologies() {
 					m := Matrix{
@@ -44,11 +38,9 @@ func TestRegistryCrossProductNoThirdState(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s×%s×%s×%s: expansion error: %v", sys, lspec.Name, aspec.Name, tspec.Name, err)
 					}
-					supported := (lspec.Supports == nil || lspec.Supports(sys)) &&
-						(aspec.Plan == nil || aspec.Supports == nil || aspec.Supports(sys, lspec.Name)) &&
-						(tspec.Plan == nil || tspec.Supports == nil || tspec.Supports(sys, lspec.Name, aspec.Name))
+					supported := admits(sys, lspec, aspec, tspec)
 					if supported != (len(configs) == 1) {
-						t.Fatalf("%s×%s×%s×%s: Supports says %v but expansion produced %d configs",
+						t.Fatalf("%s×%s×%s×%s: admits says %v but expansion produced %d configs",
 							sys, lspec.Name, aspec.Name, tspec.Name, supported, len(configs))
 					}
 					if !supported {
@@ -58,7 +50,7 @@ func TestRegistryCrossProductNoThirdState(t *testing.T) {
 							System: sys, Link: lspec.Name, Adversary: aspec.Name,
 							N: 8, Blocks: 10,
 						}
-						if tspec.Plan != nil {
+						if !tspec.Topology.IsDefault() {
 							cfg.Topology = tspec.Name
 						}
 						if aspec.Plan != nil {
@@ -89,7 +81,7 @@ func TestRegistryCrossProductNoThirdState(t *testing.T) {
 					// direct simulation entry points, given the scenario's
 					// coordinates and derived seed, reproduce its run and
 					// its verdict.
-					if aspec.Plan != nil && tspec.Plan != nil {
+					if aspec.Plan != nil && !tspec.Topology.IsDefault() {
 						continue // SimulateAdversary has no topology option
 					}
 					direct := directRun(t, configs[0], aspec.Plan != nil)
@@ -262,68 +254,42 @@ func TestSimulateWithTopology(t *testing.T) {
 	}
 }
 
-// TestUnknownSystemSurfacesAsUnknownNameError pins satellite contract:
-// when the executor rejects a composition the registries admitted (a
-// custom link spec whose nil Supports claims every system), the façade
-// converts the internal *chains.UnknownSystemError into its public typed
-// error — callers handle one error surface, *UnknownNameError.
-func TestUnknownSystemSurfacesAsUnknownNameError(t *testing.T) {
-	_, err := Simulate("Algorand", WithLink(registerClaimsEverythingLink()))
-	var unknown *UnknownNameError
-	if !errors.As(err, &unknown) {
-		t.Fatalf("want *UnknownNameError, got %v", err)
+// TestPlanOnlyLinkPrunesCommitteeSystems: a custom link registers only
+// its plan, and the executor's support rule (chains.Composes) decides
+// where it runs — expansion keeps Bitcoin and prunes Algorand, and a
+// direct Simulate of Algorand over it is refused before anything
+// simulates.
+func TestPlanOnlyLinkPrunesCommitteeSystems(t *testing.T) {
+	link := registerPlanOnlyLink()
+	configs, err := Matrix{Systems: []string{"Algorand", "Bitcoin"}, Links: []string{link}, TargetBlocks: 5}.Configs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrUnknownName) {
-		t.Fatalf("errors.Is(err, ErrUnknownName) = false for %v", err)
+	if len(configs) != 1 || configs[0].System != "Bitcoin" {
+		t.Fatalf("expanded %+v, want the one Bitcoin scenario", configs)
 	}
-	if unknown.Kind != "system" || unknown.Name != "Algorand" {
-		t.Fatalf("got Kind %q Name %q, want system/Algorand", unknown.Kind, unknown.Name)
+	_, err = Simulate("Algorand", WithLink(link))
+	if err == nil || !strings.Contains(err.Error(), `"Algorand"`) || !strings.Contains(err.Error(), link) {
+		t.Fatalf("Simulate(Algorand) over a PoW-only link: %v", err)
 	}
-	if len(unknown.Registered) == 0 {
-		t.Fatal("Registered alternatives empty")
-	}
-}
-
-// TestSweepReturnsLyingRegistrationError: the sweep engine meets the
-// same lying registration with the same typed error instead of a panic —
-// at parallelism 1, where the pool runs inline, and in a worker pool,
-// where a panic would kill the process. Stream yields it too.
-func TestSweepReturnsLyingRegistrationError(t *testing.T) {
-	m := Matrix{Systems: []string{"Algorand"}, Links: []string{registerClaimsEverythingLink()}}
-	for _, parallelism := range []int{1, 2} {
-		rep, err := Run(m, parallelism)
-		var unknown *UnknownNameError
-		if !errors.As(err, &unknown) || unknown.Kind != "system" || unknown.Name != "Algorand" {
-			t.Fatalf("parallelism %d: want *UnknownNameError for system Algorand, got %v", parallelism, err)
-		}
-		if rep != nil {
-			t.Fatalf("parallelism %d: failed sweep returned a report", parallelism)
-		}
-	}
-	for _, err := range Stream(context.Background(), m, 2) {
-		if !errors.Is(err, ErrUnknownName) {
-			t.Fatalf("Stream: want an unknown-name error first, got %v", err)
-		}
-		break
+	if _, err := Simulate("Bitcoin", WithLink(link), WithBlocks(5)); err != nil {
+		t.Fatalf("Simulate(Bitcoin): %v", err)
 	}
 }
 
-// claimsEverythingLink is a hidden async link whose nil Supports claims
-// every system although its plan runs only on the PoW driver.
-const claimsEverythingLink = "test-claims-everything"
+// planOnlyLink is a hidden async link that registers nothing but its
+// executor plan.
+const planOnlyLink = "test-plan-only"
 
-// registerClaimsEverythingLink registers claimsEverythingLink once and
-// returns its name.
-func registerClaimsEverythingLink() string {
-	if _, err := LookupLink(claimsEverythingLink); err != nil {
+// registerPlanOnlyLink registers planOnlyLink once and returns its name.
+func registerPlanOnlyLink() string {
+	if _, err := LookupLink(planOnlyLink); err != nil {
 		RegisterLink(LinkSpec{
-			Name:        claimsEverythingLink,
-			Description: "test-only async variant with no Supports predicate",
-			Plan: func(ex *Execution) {
-				ex.Links = chains.AsyncLinks(8)
-			},
-			Hidden: true,
+			Name:        planOnlyLink,
+			Description: "test-only async variant that registers only its plan",
+			Link:        chains.AsyncLinks(8),
+			Hidden:      true,
 		})
 	}
-	return claimsEverythingLink
+	return planOnlyLink
 }
