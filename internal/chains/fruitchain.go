@@ -167,8 +167,7 @@ func (n *fruitNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 // The census (block authorship vs fruit rewards) lands on
 // Result.Adversary.
 func runFruitChainAttack(p Params, alpha float64) Result {
-	p = p.withDefaults()
-	p.Merits = withholdingMerits(p, alpha)
+	p = withholdingParams(p, alpha)
 	net := newNetwork(netsim.Synchronous{Delta: p.Delta}, p)
 	orc := newProdigal(p)
 

@@ -120,7 +120,7 @@ func TestPoWLinkPlansCoverAllPoWSystems(t *testing.T) {
 	}
 }
 
-// TestNormalizeSelfishN pins the shared clamp both the withholding plan
+// TestNormalizeSelfishN pins the shared clamp both withholding plans
 // and the façade's merit-vector reconstruction use.
 func TestNormalizeSelfishN(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{0, 8}, {1, 2}, {2, 2}, {5, 5}} {
@@ -130,20 +130,22 @@ func TestNormalizeSelfishN(t *testing.T) {
 	}
 	// The degenerate requests really run with the normalized counts: no
 	// main-chain author can sit outside [0, NormalizeSelfishN(n)).
-	for _, n := range []int{0, 1} {
-		res := execScenario(t, Scenario{
-			Adversary: SelfishWithholding(0.34),
-			Params:    Params{N: n, TargetBlocks: 20, Seed: 42},
-		})
-		stats := res.Adversary
-		limit := NormalizeSelfishN(n)
-		for proc := range stats.MainChainByProc {
-			if int(proc) >= limit {
-				t.Fatalf("N=%d run credits process %d, outside the normalized count %d", n, proc, limit)
+	for _, plan := range []AdversaryPlan{SelfishWithholding(0.34), FruitWithholding(0.34)} {
+		for _, n := range []int{0, 1} {
+			res := execScenario(t, Scenario{
+				Adversary: plan,
+				Params:    Params{N: n, TargetBlocks: 20, Seed: 42},
+			})
+			stats := res.Adversary
+			limit := NormalizeSelfishN(n)
+			for proc := range stats.MainChainByProc {
+				if int(proc) >= limit {
+					t.Fatalf("%s N=%d run credits process %d, outside the normalized count %d", plan.Name, n, proc, limit)
+				}
 			}
-		}
-		if stats.AdversaryMined == 0 && stats.HonestMined == 0 {
-			t.Fatalf("N=%d run mined nothing", n)
+			if len(stats.MainChainByProc) == 0 {
+				t.Fatalf("%s N=%d run has an empty main chain", plan.Name, n)
+			}
 		}
 	}
 }

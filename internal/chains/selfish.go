@@ -123,26 +123,28 @@ func (m *selfishMiner) publish(s *netsim.Sim, n int) {
 	m.withheld = m.withheld[n:]
 }
 
-// withholdingMerits splits the aggregate attempt rate N·TokenProb of a
-// withholding run: the adversary at process 0 holds fraction alpha, the
-// N-1 honest miners share the rest equally.
-func withholdingMerits(p Params, alpha float64) []float64 {
+// withholdingParams is the one run shape of both withholding drivers:
+// the selfish process-count normalization (NormalizeSelfishN), the
+// Params defaults, and a merit split of the aggregate attempt rate
+// N·TokenProb in which the adversary at process 0 holds fraction alpha
+// and the N-1 honest miners share the rest equally.
+func withholdingParams(p Params, alpha float64) Params {
+	p.N = NormalizeSelfishN(p.N)
+	p = p.withDefaults()
 	total := p.TokenProb * float64(p.N)
-	merits := make([]float64, p.N)
-	merits[0] = total * alpha
+	p.Merits = make([]float64, p.N)
+	p.Merits[0] = total * alpha
 	for i := 1; i < p.N; i++ {
-		merits[i] = total * (1 - alpha) / float64(p.N-1)
+		p.Merits[i] = total * (1 - alpha) / float64(p.N-1)
 	}
-	return merits
+	return p
 }
 
 // runSelfishMining is the SelfishWithholding plan's driver: N-1 honest
 // miners against one selfish miner (process 0) holding fraction alpha
 // of the total mining power. The census lands on Result.Adversary.
 func runSelfishMining(p Params, alpha float64) Result {
-	p.N = NormalizeSelfishN(p.N)
-	p = p.withDefaults()
-	p.Merits = withholdingMerits(p, alpha)
+	p = withholdingParams(p, alpha)
 	net := newNetwork(netsim.Synchronous{Delta: p.Delta}, p)
 	orc := newProdigal(p)
 
