@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"blockadt/internal/consistency"
 	"blockadt/internal/history"
 )
 
@@ -18,7 +19,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // TestDriversGolden byte-gates the drivers no sweep golden covers: the
 // fruit and selfish withholding runs at N=6 and the PBFT-committed chain,
 // three seeds each. Each run prints every scalar Result field, the
-// history's op count, the classified level and the full adversary census.
+// history's op count, the classified level, the Update Agreement and
+// LRC verdicts and the full adversary census.
 // Regenerate deliberately with
 //
 //	go test ./internal/chains -run TestDriversGolden -update
@@ -40,13 +42,16 @@ func TestDriversGolden(t *testing.T) {
 			p := r.p
 			p.Seed = seed
 			res := r.run(p)
-			level := res.Classify(Options(p, res.History)).Level
+			opts := Options(p, res.History)
+			level := res.Classify(opts).Level
+			ua := consistency.UpdateAgreement(res.History, opts).Satisfied
+			lrc := consistency.LRC(res.History, opts).Satisfied
 			fmt.Fprintf(&b, "%s seed=%d\n", r.name, seed)
 			fmt.Fprintf(&b, "  system=%q refinement=%q oracle=%q selector=%q k=%d\n",
 				res.System, res.Refinement, res.OracleName, res.SelectorName, res.K)
-			fmt.Fprintf(&b, "  blocks=%d forks=%d ticks=%d delivered=%d dropped=%d bytes=%d heal=%d ops=%d level=%s\n",
+			fmt.Fprintf(&b, "  blocks=%d forks=%d ticks=%d delivered=%d dropped=%d bytes=%d heal=%d ops=%d level=%s ua=%v lrc=%v\n",
 				res.Blocks, res.Forks, res.Ticks, res.Delivered, res.Dropped, res.Bytes, res.PartitionHeal,
-				len(res.History.Ops()), level)
+				len(res.History.Ops()), level, ua, lrc)
 			if a := res.Adversary; a != nil {
 				fmt.Fprintf(&b, "  mined adv=%d honest=%d share adv=%v honest=%v merit=%v orphaned=%d\n",
 					a.AdversaryMined, a.HonestMined, a.AdversaryShare, a.HonestShare, a.AdversaryMerit, a.Orphaned)
