@@ -123,7 +123,9 @@ type Result struct {
 
 // AdversaryStats is the structured census of an adversarial run: who
 // mined, who made the main chain, and (for fruit-bearing protocols) who
-// was paid. The fruit fields stay nil/zero for plain withholding runs.
+// was paid. Both withholding plans fill the block fields; the fruit
+// fields (BlockShareByProc through FinalChain) stay nil/zero for plain
+// withholding runs.
 type AdversaryStats struct {
 	// AdversaryMined / HonestMined count oracle-validated blocks.
 	AdversaryMined, HonestMined int

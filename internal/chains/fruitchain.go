@@ -164,8 +164,9 @@ func (n *fruitNode) OnMessage(s *netsim.Sim, m netsim.Message) {
 // as runSelfishMining, with alpha as the merit share. The
 // adversary also mines fruits (at its merit rate) but its withheld
 // blocks include only its own fruits, the worst case for honest rewards.
-// The census (block authorship vs fruit rewards) lands on
-// Result.Adversary.
+// The census lands on Result.Adversary: the block census both
+// withholding drivers take (withholdingCensus), plus block authorship
+// vs fruit rewards.
 func runFruitChainAttack(p Params, alpha float64) Result {
 	p = withholdingParams(p, alpha)
 	net := newNetwork(netsim.Synchronous{Delta: p.Delta}, p)
@@ -196,34 +197,20 @@ func runFruitChainAttack(p Params, alpha float64) Result {
 	res := net.result(fmt.Sprintf("FruitChain+selfish(α=%.2f)", alpha), "R(BT-ADT_EC, Θ_P) — fair rewards via fruits",
 		orc.Name(), blocktree.HeaviestChain{}, oracle.Unbounded)
 
-	final := blocktree.HeaviestChain{}.Select(net.reps[1].Tree())
-	blockCensus := map[history.ProcID]int{}
-	rewardCensus := map[history.ProcID]int{}
+	stats, final := withholdingCensus(net, res, alpha)
+	stats.BlockShareByProc = stats.MainChainByProc
+	stats.FruitRewardByProc = map[history.ProcID]int{}
+	stats.FinalChain = final
+	stats.AdversaryBlockShare = stats.AdversaryShare
+	totalRewards := 0
 	for _, b := range final[1:] {
-		blockCensus[history.ProcID(b.Proposer)]++
 		for _, f := range DecodeFruits(b.Payload) {
-			rewardCensus[f.Miner]++
+			stats.FruitRewardByProc[f.Miner]++
+			totalRewards++
 		}
 	}
-	stats := &AdversaryStats{
-		AdversaryMerit:    alpha,
-		MainChainByProc:   blockCensus,
-		BlockShareByProc:  blockCensus,
-		FruitRewardByProc: rewardCensus,
-		FinalChain:        final,
-	}
-	totalBlocks, totalRewards := 0, 0
-	for _, n := range blockCensus {
-		totalBlocks += n
-	}
-	for _, n := range rewardCensus {
-		totalRewards += n
-	}
-	if totalBlocks > 0 {
-		stats.AdversaryBlockShare = float64(blockCensus[0]) / float64(totalBlocks)
-	}
 	if totalRewards > 0 {
-		stats.AdversaryRewardShare = float64(rewardCensus[0]) / float64(totalRewards)
+		stats.AdversaryRewardShare = float64(stats.FruitRewardByProc[0]) / float64(totalRewards)
 	}
 	res.Adversary = stats
 	return res

@@ -143,8 +143,8 @@ func TestNormalizeSelfishN(t *testing.T) {
 					t.Fatalf("%s N=%d run credits process %d, outside the normalized count %d", plan.Name, n, proc, limit)
 				}
 			}
-			if len(stats.MainChainByProc) == 0 {
-				t.Fatalf("%s N=%d run has an empty main chain", plan.Name, n)
+			if stats.AdversaryMined == 0 && stats.HonestMined == 0 {
+				t.Fatalf("%s N=%d run mined nothing", plan.Name, n)
 			}
 		}
 	}

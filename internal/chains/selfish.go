@@ -168,16 +168,21 @@ func runSelfishMining(p Params, alpha float64) Result {
 	res := net.result(fmt.Sprintf("Bitcoin+selfish(α=%.2f)", alpha), "R(BT-ADT_EC, Θ_P) under adversarial withholding",
 		orc.Name(), blocktree.HeaviestChain{}, oracle.Unbounded)
 
-	// Count main-chain authorship at an honest replica, and mined blocks
-	// from the history's successful appends.
+	res.Adversary, _ = withholdingCensus(net, res, alpha)
+	return res
+}
+
+// withholdingCensus is the block census both withholding drivers take
+// when their run ends: the main chain at the honest process 1 under
+// HeaviestChain and its authorship per process, mined blocks from the
+// history's successful appends (process 0 is the adversary), the
+// realized main-chain shares and the orphaned blocks. It returns the
+// main chain too, for the fruit driver's reward census.
+func withholdingCensus(net *network, res Result, alpha float64) (*AdversaryStats, blocktree.Chain) {
 	final := blocktree.HeaviestChain{}.Select(net.reps[1].Tree())
 	stats := &AdversaryStats{AdversaryMerit: alpha, MainChainByProc: map[history.ProcID]int{}}
-	advBlocks := 0
 	for _, b := range final[1:] {
 		stats.MainChainByProc[history.ProcID(b.Proposer)]++
-		if b.Proposer == 0 {
-			advBlocks++
-		}
 	}
 	for _, a := range res.History.SuccessfulAppends() {
 		if a.Op.Proc == 0 {
@@ -186,12 +191,11 @@ func runSelfishMining(p Params, alpha float64) Result {
 			stats.HonestMined++
 		}
 	}
-	mainLen := len(final) - 1
-	if mainLen > 0 {
+	if mainLen := len(final) - 1; mainLen > 0 {
+		advBlocks := stats.MainChainByProc[0]
 		stats.AdversaryShare = float64(advBlocks) / float64(mainLen)
 		stats.HonestShare = float64(mainLen-advBlocks) / float64(mainLen)
 	}
-	stats.Orphaned = stats.AdversaryMined + stats.HonestMined - mainLen
-	res.Adversary = stats
-	return res
+	stats.Orphaned = stats.AdversaryMined + stats.HonestMined - (len(final) - 1)
+	return stats, final
 }
