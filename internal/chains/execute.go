@@ -108,9 +108,9 @@ type Scenario struct {
 	Params    Params
 }
 
-// IsDefault reports whether the plan is the synchronous default, under
+// isDefault reports whether the plan is the synchronous default, under
 // which the system's own simulator runs untouched.
-func (l LinkPlan) IsDefault() bool { return l.Build == nil && l.Regime == "" }
+func (l LinkPlan) isDefault() bool { return l.Build == nil && l.Regime == "" }
 
 // IsDefault reports whether the plan is the complete graph.
 func (t TopologyPlan) IsDefault() bool { return t.Graph == nil && t.WrapLinks == nil }
@@ -125,7 +125,7 @@ func (t TopologyPlan) IsDefault() bool { return t.Graph == nil && t.WrapLinks ==
 //   - an adversary plan owns the run and assumes the synchronous
 //     complete-graph network, so it needs the default link and topology.
 func Composes(system string, links LinkPlan, adversarial bool, topo TopologyPlan) bool {
-	if links.IsDefault() && topo.IsDefault() {
+	if links.isDefault() && topo.IsDefault() {
 		return true
 	}
 	_, pow := powSelectors[system]
@@ -159,7 +159,7 @@ func Execute(sc Scenario) (Result, error) {
 	if adversarial {
 		return sc.Adversary.Run(sc.Params), nil
 	}
-	if sc.Links.IsDefault() && sc.Topology.IsDefault() {
+	if sc.Links.isDefault() && sc.Topology.IsDefault() {
 		// The Table 1 path: the system's own simulator, raw params (it
 		// applies its own defaults).
 		return sc.System.Run(sc.Params), nil

@@ -77,7 +77,7 @@ func TestComposesIsExecutesRule(t *testing.T) {
 			for _, topo := range topos {
 				for _, adv := range []AdversaryPlan{{}, SelfishWithholding(0.34)} {
 					adversarial := adv.Run != nil
-					network := l.IsDefault() && topo.IsDefault()
+					network := l.isDefault() && topo.IsDefault()
 					want := network || (pow && !adversarial)
 					if got := Composes(sys.Name(), l, adversarial, topo); got != want {
 						t.Fatalf("Composes(%s, %q, %v, %q) = %v, want %v", sys.Name(), l.Regime, adversarial, topo.Name, got, want)

@@ -191,11 +191,12 @@ func withholdingCensus(net *network, res Result, alpha float64) (*AdversaryStats
 			stats.HonestMined++
 		}
 	}
-	if mainLen := len(final) - 1; mainLen > 0 {
+	mainLen := len(final) - 1
+	if mainLen > 0 {
 		advBlocks := stats.MainChainByProc[0]
 		stats.AdversaryShare = float64(advBlocks) / float64(mainLen)
 		stats.HonestShare = float64(mainLen-advBlocks) / float64(mainLen)
 	}
-	stats.Orphaned = stats.AdversaryMined + stats.HonestMined - (len(final) - 1)
+	stats.Orphaned = stats.AdversaryMined + stats.HonestMined - mainLen
 	return stats, final
 }

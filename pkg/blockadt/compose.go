@@ -8,8 +8,8 @@ import (
 
 // compose is the one resolver behind every entry point — the sweep
 // engine, RunScenario, Simulate and SimulateAdversary. It looks up each
-// axis of a (system, link, adversary, topology) tuple, refuses a tuple
-// admits refuses (the predicate Matrix.Configs prunes on), and returns
+// axis of a (system, link, adversary, topology) tuple, refuses the tuple
+// unless admits it (the predicate Matrix.Configs prunes on), and returns
 // the scenario to run, the consistency level the theory predicts for it
 // and the adversary spec that owns the run (the honest default, with a
 // nil Plan, for honest runs). An empty topology is the complete graph.

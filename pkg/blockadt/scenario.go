@@ -453,8 +453,8 @@ func RunScenario(cfg Scenario) (Result, error) {
 
 // runScenario is RunScenario's engine-side core, shared with the sweep
 // runner. compose resolves and validates the scenario, refusing what the
-// executor cannot run before anything simulates. mspecs are the resolved metric collectors to run over the
-// result (nil disables collection).
+// executor cannot run before anything simulates. mspecs are the resolved
+// metric collectors to run over the result (nil disables collection).
 func runScenario(cfg Scenario, mspecs []MetricSpec) (Result, error) {
 	start := time.Now()
 	p := SimParams{N: cfg.N, TargetBlocks: cfg.Blocks, Seed: cfg.Seed}
