@@ -39,13 +39,13 @@ const (
 // (the zero Link: the system's own simulator is used); the rest hold one
 // of the executor's link plans, which run on every PoW system and on no
 // committee system (chains.Composes — the committee systems assume
-// synchronous rounds). Each spec's Params string is the canonical encoding of its
-// fixed parameters; it joins scenario keys and run-store cache keys, so
-// retuning a model changes scenario identity instead of reusing stale
-// caches. Expected encodes the theory's prediction: every adversity
-// model except lossy preserves eventual consistency; lossy drops
-// messages from correct processes, so by Theorem 4.7 not even Eventual
-// Prefix survives.
+// synchronous rounds). Each spec's Params string is the canonical
+// encoding of its fixed parameters; it joins scenario keys and run-store
+// cache keys, so retuning a model changes scenario identity instead of
+// reusing stale caches. Expected encodes the theory's prediction: every
+// adversity model except lossy preserves eventual consistency; lossy
+// drops messages from correct processes, so by Theorem 4.7 not even
+// Eventual Prefix survives.
 func init() {
 	RegisterLink(LinkSpec{
 		Name:        LinkSync,
