@@ -2,6 +2,7 @@ package blockadt
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -254,27 +255,103 @@ func TestSimulateWithTopology(t *testing.T) {
 	}
 }
 
-// TestPlanOnlyLinkPrunesCommitteeSystems: a custom link registers only
-// its plan, and the executor's support rule (chains.Composes) decides
-// where it runs — expansion keeps Bitcoin and prunes Algorand, and a
-// direct Simulate of Algorand over it is refused before anything
-// simulates.
-func TestPlanOnlyLinkPrunesCommitteeSystems(t *testing.T) {
+// TestUnknownSystemSurfacesAsUnknownNameError pins the façade's error
+// surface for systems: a name no registry knows is an *UnknownNameError
+// from every entry point, while a known system that a custom link's
+// plan cannot run (a plan-only link: chains.Composes keeps it to PoW
+// systems) is refused by compose, naming the tuple, before anything
+// simulates — never mislabelled as an unknown system.
+func TestUnknownSystemSurfacesAsUnknownNameError(t *testing.T) {
 	link := registerPlanOnlyLink()
-	configs, err := Matrix{Systems: []string{"Algorand", "Bitcoin"}, Links: []string{link}, TargetBlocks: 5}.Configs()
-	if err != nil {
-		t.Fatal(err)
+	entries := map[string]error{}
+	_, entries["Simulate"] = Simulate("NoSuchSystem")
+	_, entries["SimulateAdversary"] = SimulateAdversary("NoSuchSystem", AdvSelfish)
+	_, entries["RunScenario"] = RunScenario(Scenario{System: "NoSuchSystem", Link: LinkSync, N: 4, Blocks: 5})
+	_, entries["Run"] = Run(Matrix{Systems: []string{"NoSuchSystem"}}, 1)
+	for entry, err := range entries {
+		var unknown *UnknownNameError
+		if !errors.As(err, &unknown) || !errors.Is(err, ErrUnknownName) {
+			t.Fatalf("%s: want *UnknownNameError, got %v", entry, err)
+		}
+		if unknown.Kind != "system" || unknown.Name != "NoSuchSystem" {
+			t.Fatalf("%s: got Kind %q Name %q, want system/NoSuchSystem", entry, unknown.Kind, unknown.Name)
+		}
+		if len(unknown.Registered) == 0 {
+			t.Fatalf("%s: Registered alternatives empty", entry)
+		}
 	}
-	if len(configs) != 1 || configs[0].System != "Bitcoin" {
-		t.Fatalf("expanded %+v, want the one Bitcoin scenario", configs)
+
+	_, err := Simulate("Algorand", WithLink(link))
+	if err == nil || errors.Is(err, ErrUnknownName) {
+		t.Fatalf("Simulate(Algorand) over a PoW-only link: want a composition refusal, got %v", err)
 	}
-	_, err = Simulate("Algorand", WithLink(link))
-	if err == nil || !strings.Contains(err.Error(), `"Algorand"`) || !strings.Contains(err.Error(), link) {
-		t.Fatalf("Simulate(Algorand) over a PoW-only link: %v", err)
+	if !strings.Contains(err.Error(), `"Algorand"`) || !strings.Contains(err.Error(), link) {
+		t.Fatalf("refusal %q should name the system and the link", err)
 	}
 	if _, err := Simulate("Bitcoin", WithLink(link), WithBlocks(5)); err != nil {
 		t.Fatalf("Simulate(Bitcoin): %v", err)
 	}
+}
+
+// TestSweepReturnsLyingRegistrationError: a registration whose Supports
+// claims a system the executor cannot run (a topology plan on a
+// committee system) cannot get that tuple run. The sweep engine prunes
+// it during expansion — at parallelism 1, where the pool runs inline,
+// and in a worker pool, from Run and from Stream — and the scenario
+// runner, handed the pruned tuple directly, returns the composition
+// error instead of simulating or panicking.
+func TestSweepReturnsLyingRegistrationError(t *testing.T) {
+	topo := registerClaimsEverythingTopology()
+	m := Matrix{Systems: []string{"Algorand", "Bitcoin"}, Topologies: []string{topo}, TargetBlocks: 5, RootSeed: 4}
+	for _, parallelism := range []int{1, 2} {
+		rep, err := Run(m, parallelism)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", parallelism, err)
+		}
+		if rep.Total != 1 || rep.Results[0].Config.System != "Bitcoin" {
+			t.Fatalf("parallelism %d: ran %+v, want the one Bitcoin scenario", parallelism, rep.Results)
+		}
+	}
+	var streamed []Result
+	for r, err := range Stream(context.Background(), m, 2) {
+		if err != nil {
+			t.Fatalf("Stream: %v", err)
+		}
+		streamed = append(streamed, r)
+	}
+	if len(streamed) != 1 || streamed[0].Config.System != "Bitcoin" {
+		t.Fatalf("Stream yielded %+v, want the one Bitcoin scenario", streamed)
+	}
+
+	pruned := streamed[0].Config
+	pruned.System = "Algorand"
+	_, err := RunScenario(pruned)
+	if err == nil || errors.Is(err, ErrUnknownName) {
+		t.Fatalf("RunScenario(Algorand over %s): want a composition refusal, got %v", topo, err)
+	}
+	if !strings.Contains(err.Error(), `"Algorand"`) || !strings.Contains(err.Error(), topo) {
+		t.Fatalf("refusal %q should name the system and the topology", err)
+	}
+}
+
+// claimsEverythingTopology is a hidden gossip topology whose Supports
+// claims every system, although its plan runs only on the PoW driver.
+const claimsEverythingTopology = "test-claims-everything"
+
+// registerClaimsEverythingTopology registers claimsEverythingTopology
+// once and returns its name.
+func registerClaimsEverythingTopology() string {
+	if _, err := LookupTopology(claimsEverythingTopology); err != nil {
+		RegisterTopology(TopologySpec{
+			Name:        claimsEverythingTopology,
+			Description: "test-only gossip variant whose Supports claims every system",
+			Params:      "k=2",
+			Supports:    func(string) bool { return true },
+			Topology:    chains.GossipTopology(2),
+			Hidden:      true,
+		})
+	}
+	return claimsEverythingTopology
 }
 
 // planOnlyLink is a hidden async link that registers nothing but its
