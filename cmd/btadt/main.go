@@ -209,7 +209,7 @@ func cmdClassify(args []string) error {
 			return err
 		}
 		match := "yes"
-		if cls.Level != spec.Expected {
+		if !cls.Level.AtLeast(spec.Expected) {
 			match = "NO"
 			if mismatch == nil {
 				mismatch = fmt.Errorf("%s classified %s, paper says %s", spec.Name, cls.Level, spec.Expected)

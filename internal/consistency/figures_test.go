@@ -113,3 +113,16 @@ func TestLevelString(t *testing.T) {
 		t.Fatal("level names")
 	}
 }
+
+// TestLevelAtLeast pins the order of Theorem 3.1's hierarchy: a level
+// satisfies itself and every weaker one, never a stronger one.
+func TestLevelAtLeast(t *testing.T) {
+	order := []Level{LevelSC, LevelEC, LevelNone} // strongest first
+	for i, l := range order {
+		for j, want := range order {
+			if got := l.AtLeast(want); got != (i <= j) {
+				t.Errorf("%s.AtLeast(%s) = %v, want %v", l, want, got, i <= j)
+			}
+		}
+	}
+}

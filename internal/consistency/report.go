@@ -108,6 +108,10 @@ func (l Level) String() string {
 	}
 }
 
+// AtLeast reports whether l is at least as strong as want: SC satisfies
+// every level, EC satisfies EC and none, and none satisfies only none.
+func (l Level) AtLeast(want Level) bool { return l <= want }
+
 // Classification is the result of Classify.
 type Classification struct {
 	Level Level

@@ -166,12 +166,15 @@ func (r *Replica) ReadIDs() history.Chain {
 	return ids
 }
 
-// ApplyDecided applies a block this replica learned through an agreement
-// protocol (rather than a network update message): the decision
-// certificate replaces the wire hop, so the block is inserted directly and
-// recorded as an update event. Used by the PBFT-committed chains.
+// ApplyDecided applies a block this replica proposed and an agreement
+// protocol decided (rather than a network update message): the decision
+// certificate replaces the wire hop, so the block is inserted directly,
+// recorded as an update event, and recorded as the proposer's send — the
+// dissemination Update Agreement's R1 requires of a locally generated
+// block (Definition 4.3). Used by the PBFT-committed chains.
 func (r *Replica) ApplyDecided(parent blocktree.BlockID, b blocktree.Block, origin history.ProcID) {
 	r.applyUpdate(parent, b, origin)
+	r.rec.Record(r.id, history.Label{Kind: history.KindSend, Parent: parent, Block: b.ID, Origin: origin})
 }
 
 // Selected applies the replica's selection function f to the local tree

@@ -10,14 +10,14 @@ import (
 // engine, RunScenario, Simulate and SimulateAdversary. It looks up each
 // axis of a (system, link, adversary, topology) tuple, refuses the tuple
 // unless admits it (the predicate Matrix.Configs prunes on), and returns
-// the scenario to run, the consistency level the theory predicts for it
-// and the adversary spec that owns the run (the honest default, with a
-// nil Plan, for honest runs). An empty topology is the complete graph.
-// alpha is read only when the adversary has a Plan, and must then lie
-// in (0,1). A negative process count or block target is an error; zero
-// selects the simulators' default. The writer count must lie in [0, N]
-// against the defaulted N (0 means every process writes).
-func compose(system, link, adversary, topology string, alpha float64, p SimParams) (sc chains.Scenario, expected Level, adv AdversarySpec, err error) {
+// the scenario to run and the adversary spec that owns the run (the
+// honest default, with a nil Plan, for honest runs). An empty topology
+// is the complete graph. alpha is read only when the adversary has a
+// Plan, and must then lie in (0,1). A negative process count or block
+// target is an error; zero selects the simulators' default. The writer
+// count must lie in [0, N] against the defaulted N (0 means every
+// process writes).
+func compose(system, link, adversary, topology string, alpha float64, p SimParams) (sc chains.Scenario, adv AdversarySpec, err error) {
 	if err = checkN(p.N); err != nil {
 		return
 	}
@@ -52,10 +52,6 @@ func compose(system, link, adversary, topology string, alpha float64, p SimParam
 		err = fmt.Errorf("blockadt: system %q does not compose with link %q, adversary %q and topology %q", system, link, adversary, topology)
 		return
 	}
-	expected = spec.Expected
-	if l.Expected != nil {
-		expected = l.Expected(system, spec.Expected)
-	}
 	var plan AdversaryPlan
 	if adv.Plan != nil {
 		if alpha <= 0 || alpha >= 1 {
@@ -63,11 +59,8 @@ func compose(system, link, adversary, topology string, alpha float64, p SimParam
 			return
 		}
 		plan = adv.Plan(alpha)
-		if adv.Expected != nil {
-			expected = adv.Expected(system, link, spec.Expected)
-		}
 	}
-	return chains.Scenario{System: specSystem{spec}, Links: l.Link, Adversary: plan, Topology: t.Topology, Params: p}, expected, adv, nil
+	return chains.Scenario{System: specSystem{spec}, Links: l.Link, Adversary: plan, Topology: t.Topology, Params: p}, adv, nil
 }
 
 // admits is the one support predicate of the scenario space: what the

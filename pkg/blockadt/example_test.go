@@ -38,17 +38,13 @@ func Example_registerAdversary() {
 					return bitcoin.Run(p)
 				}}
 			},
-			// Expected is nil: a rich but honest miner leaves the system's
-			// consistency level unchanged.
 		})
 	}
 
-	out, err := blockadt.SimulateAdversary("Bitcoin", "whale", blockadt.WithAlpha(0.5), blockadt.WithBlocks(20), blockadt.WithSeed(1))
-	if err != nil {
+	if _, err := blockadt.SimulateAdversary("Bitcoin", "whale", blockadt.WithAlpha(0.5), blockadt.WithBlocks(20), blockadt.WithSeed(1)); err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println("whale run expects", out.Expected)
 
 	rep, err := blockadt.Run(blockadt.Matrix{
 		Systems:     []string{"Bitcoin", "Hyperledger"},
@@ -63,7 +59,6 @@ func Example_registerAdversary() {
 		fmt.Printf("%s/%s α=%.2f expected %s\n", r.Config.System, r.Config.Adversary, r.Config.Alpha, r.Expected)
 	}
 	// Output:
-	// whale run expects EC
 	// Bitcoin/none α=0.00 expected EC
 	// Bitcoin/whale α=0.34 expected EC
 	// Hyperledger/none α=0.00 expected SC

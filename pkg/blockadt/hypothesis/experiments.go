@@ -90,6 +90,13 @@ func init() {
 	phaseArms := make([]Arm, 0, len(phaseGrid))
 	for _, cell := range phaseGrid {
 		link := blockadt.EnsureLossyPsyncLink(cell.Rate, cell.GSTDeltas)
+		// Reliable channels (p = 0) converge after stabilization; any
+		// drop of a correct process's message breaks LRC, and with it
+		// every criterion of the hierarchy (Theorem 4.7).
+		level := blockadt.LevelNone
+		if cell.Rate == 0 {
+			level = blockadt.LevelEC
+		}
 		phaseArms = append(phaseArms, Arm{
 			Label: fmt.Sprintf("p=%.2f gst=%dδ", cell.Rate, cell.GSTDeltas),
 			Matrix: blockadt.Matrix{
@@ -98,6 +105,7 @@ func init() {
 				Ns:           []int{8},
 				TargetBlocks: 30,
 			},
+			Level: level,
 		})
 	}
 	Register(Experiment{

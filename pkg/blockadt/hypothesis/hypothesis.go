@@ -31,8 +31,9 @@ import (
 type Class string
 
 const (
-	// Deterministic claims each arm's per-run expected consistency level
-	// is realized by every run — no statistics, every row must match.
+	// Deterministic claims every run of each arm measures the arm's
+	// claimed consistency level (Arm.Level) — no statistics, every row
+	// must measure it.
 	Deterministic Class = "Deterministic"
 	// Dominance claims arm B's metric exceeds arm A's (Direction +1; -1
 	// for the reverse), consistently enough to pass the paired sign test.
@@ -80,6 +81,11 @@ type Arm struct {
 	// differ in exactly one comparable dimension (blockadt.Compare's
 	// contract) so their scenarios pair seed-for-seed.
 	Matrix blockadt.Matrix
+	// Level is the consistency level a Deterministic arm claims each of
+	// its runs measures — exactly that level, not merely one at least as
+	// strong, so an arm claiming none is refuted by a run that converges.
+	// Unused by the statistical classes.
+	Level blockadt.Level
 }
 
 // Experiment declares one hypothesis: a claim, the arms that probe it,

@@ -59,15 +59,15 @@ type ArmOutcome struct {
 	Determinism *DeterminismOutcome `json:"determinism,omitempty"`
 }
 
-// DeterminismOutcome is one arm's expected-vs-measured consistency
-// tally: how many of the arm's runs realized the predicted level.
+// DeterminismOutcome is one arm's claimed-vs-measured consistency
+// tally: how many of the arm's runs measured the level the arm claims.
 type DeterminismOutcome struct {
 	// Rows and Matched count the arm's scenario runs and how many
-	// matched their predicted level.
+	// measured the claimed level.
 	Rows    int `json:"rows"`
 	Matched int `json:"matched"`
-	// Expected is the predicted consistency level ("SC", "EC", "none");
-	// Levels histograms the measured ones.
+	// Expected is the arm's claimed consistency level (Arm.Level: "SC",
+	// "EC", "none"); Levels histograms the measured ones.
 	Expected string         `json:"expectedLevel"`
 	Levels   map[string]int `json:"levels"`
 }

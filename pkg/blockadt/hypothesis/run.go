@@ -229,29 +229,22 @@ func runMonotonic(ctx context.Context, e Experiment, seeds int, cfg Config, out 
 	return out, nil
 }
 
-// runDeterministic handles Deterministic: every arm's runs must realize
-// their predicted consistency level, at every seed — no statistics,
-// one mismatched row refutes.
+// runDeterministic handles Deterministic: every arm's runs must measure
+// the arm's claimed level, at every seed — no statistics, one row at
+// another level refutes.
 func runDeterministic(ctx context.Context, e Experiment, seeds int, cfg Config, out *Outcome) (*Outcome, error) {
 	confirmed := true
 	for _, arm := range e.Arms {
-		det := &DeterminismOutcome{Levels: map[string]int{}}
+		det := &DeterminismOutcome{Expected: arm.Level.String(), Levels: map[string]int{}}
 		for r, err := range blockadt.Stream(ctx, armMatrix(e, arm, seeds, cfg), cfg.Parallelism, cfg.Options...) {
 			if err != nil {
 				return nil, err
 			}
 			det.Rows++
-			if r.Match {
+			if r.Level == det.Expected {
 				det.Matched++
 			}
 			det.Levels[r.Level]++
-			switch det.Expected {
-			case "":
-				det.Expected = r.Expected
-			case r.Expected:
-			default:
-				det.Expected = "mixed"
-			}
 		}
 		if det.Rows == 0 {
 			return nil, fmt.Errorf("hypothesis: experiment %q arm %q expands to no scenarios", e.Name, arm.Label)

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"blockadt/internal/chains"
 )
 
 // adversityMatrix spans the full enlarged link dimension over every
@@ -84,9 +86,9 @@ func TestRegisteredLinksDeterministic(t *testing.T) {
 }
 
 // TestLossyLinkWitnessesTheorem47 pins the façade-level shape of the
-// necessity result: every lossy scenario drops messages, is predicted
-// LevelNone (Theorem 4.7: Eventual Prefix unimplementable under loss),
-// and the measured classification agrees.
+// necessity result: every lossy scenario drops messages, breaks LRC and
+// falls short of its Table 1 level, so it is held to none (Theorem 4.7:
+// Eventual Prefix unimplementable under loss).
 func TestLossyLinkWitnessesTheorem47(t *testing.T) {
 	m := Matrix{Links: []string{LinkLossy}, Seeds: 2, TargetBlocks: 20, RootSeed: 42}
 	rep, err := Run(m, 0)
@@ -102,6 +104,46 @@ func TestLossyLinkWitnessesTheorem47(t *testing.T) {
 		}
 		if r.Expected != "none" || r.Level != "none" || !r.Match {
 			t.Errorf("%s: expected=%s level=%s match=%v — want the Theorem 4.7 violation", r.Config.Key(), r.Expected, r.Level, r.Match)
+		}
+	}
+}
+
+// TestMatchFollowsPremise replays every lossy scenario over the complete
+// graph and over gossip, whose relays re-deliver what a drop lost, and
+// checks the engine's expected level against the rule stated from the
+// replayed run: the system's Table 1 level, unless the run measured
+// weaker and broke LRC or Update Agreement, which the theory needs for
+// any guarantee (Theorems 4.6, 4.7). Every row must then match.
+func TestMatchFollowsPremise(t *testing.T) {
+	m := Matrix{Links: []string{LinkLossy}, Topologies: []string{TopoComplete, TopoGossip}, Seeds: 3, TargetBlocks: 30, RootSeed: 42}
+	rep, err := Run(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total != 12 { // Bitcoin, Ethereum × 2 topologies × 3 seeds
+		t.Fatalf("matrix expanded to %d scenarios, want 12", rep.Total)
+	}
+	for _, r := range rep.Results {
+		cfg := r.Config
+		spec, err := LookupSystem(cfg.System)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Simulate(cfg.System, WithLink(cfg.Link), WithTopology(cfg.Topology), WithN(cfg.N), WithBlocks(cfg.Blocks), WithSeed(cfg.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := SimParams{N: cfg.N, TargetBlocks: cfg.Blocks, Seed: cfg.Seed}
+		opts := chains.Options(p, res.History)
+		level := ClassifyRun(p, res).Level
+		premise := LRC(res.History, opts).Satisfied && UpdateAgreement(res.History, opts).Satisfied
+		want := spec.Expected
+		if !level.AtLeast(spec.Expected) && !premise {
+			want = LevelNone
+		}
+		if r.Level != level.String() || r.Expected != want.String() || !r.Match {
+			t.Errorf("%s: expected=%s level=%s match=%v; the replay measured %s with LRC∧UA=%v, so want expected=%s and a match",
+				cfg.Key(), r.Expected, r.Level, r.Match, level, premise, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package blockadt
 
 import (
 	"blockadt/internal/chains"
-	"blockadt/internal/consistency"
 	"blockadt/internal/fairness"
 )
 
@@ -29,9 +28,6 @@ func init() {
 		Description: "Eyal–Sirer block-withholding miner at process 0 with merit share α",
 		Supports:    func(system string) bool { return system == "Bitcoin" },
 		Plan:        chains.SelfishWithholding,
-		// Withholding skews chain quality, not consistency: the run is
-		// still predicted eventually consistent.
-		Expected: func(system, link string, honest Level) Level { return consistency.LevelEC },
 		// Chain quality against this model's entitlement: the adversary
 		// at process 0 holds alpha, the honest miners split the
 		// remainder equally. The process count comes from the same
@@ -50,12 +46,11 @@ func init() {
 }
 
 // adversaryOutcome assembles the structured outcome of an adversarial
-// execution from the census the plan attached to the result and the
-// level compose predicted. It is the one place AdversaryStats maps onto
-// the façade's AdversaryOutcome, shared by the sweep engine and
-// SimulateAdversary.
-func adversaryOutcome(spec AdversarySpec, p SimParams, alpha float64, expected Level, res SimResult) AdversaryOutcome {
-	out := AdversaryOutcome{SimResult: res, Expected: expected}
+// execution from the census the plan attached to the result. It is the
+// one place AdversaryStats maps onto the façade's AdversaryOutcome,
+// shared by the sweep engine and SimulateAdversary.
+func adversaryOutcome(spec AdversarySpec, p SimParams, alpha float64, res SimResult) AdversaryOutcome {
+	out := AdversaryOutcome{SimResult: res}
 	stats := res.Adversary
 	if stats == nil {
 		return out

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"blockadt/internal/chains"
-	"blockadt/internal/consistency"
 )
 
 // Link model names of the scenario matrix's network dimension.
@@ -42,10 +41,9 @@ const (
 // synchronous rounds). Each spec's Params string is the canonical
 // encoding of its fixed parameters; it joins scenario keys and run-store
 // cache keys, so retuning a model changes scenario identity instead of
-// reusing stale caches. Expected encodes the theory's prediction: every
-// adversity model except lossy preserves eventual consistency; lossy
-// drops messages from correct processes, so by Theorem 4.7 not even
-// Eventual Prefix survives.
+// reusing stale caches. No link states a prediction: every run is held
+// to its system's Table 1 level unless it breaks the premise of
+// Theorems 4.6 and 4.7 (expectedLevel).
 func init() {
 	RegisterLink(LinkSpec{
 		Name:        LinkSync,
@@ -58,26 +56,19 @@ func init() {
 		// Slow-mining asynchronous regime: common-case delay equal to the
 		// synchronous bound, no stragglers — the configuration the
 		// Section 4.2 conjecture predicts still converges to EC.
-		Link:     chains.AsyncLinks(8),
-		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
+		Link: chains.AsyncLinks(8),
 	})
 	RegisterLink(LinkSpec{
 		Name:        LinkPsync,
 		Description: "weakly synchronous: async before GST, δ-bounded after, pre-GST sends delivered by GST+δ (Section 4.2)",
-		// GST = 8δ: the run outlives stabilization by a wide margin, so
-		// the theory still predicts (eventual) convergence.
-		Link:     chains.PsyncLinks,
-		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
+		// GST = 8δ: the run outlives stabilization by a wide margin.
+		Link: chains.PsyncLinks,
 	})
 	RegisterLink(LinkSpec{
 		Name:        LinkLossy,
 		Description: "seeded per-message drops, no retransmission — the Theorem 4.7 lossy channels",
 		Params:      "p=0.10",
 		Link:        chains.LossyLinks,
-		// Theorem 4.7: dropping even one correct process's message makes
-		// Eventual Prefix unimplementable — the run retains no criterion
-		// of the hierarchy.
-		Expected: func(system string, sync Level) Level { return consistency.LevelNone },
 	})
 	RegisterLink(LinkSpec{
 		Name:        LinkPartition,
@@ -86,18 +77,12 @@ func init() {
 		// The [8δ, 24δ) window and the N/2 bisection; the result carries
 		// the heal time for the partition_heal_lag metric.
 		Link: chains.PartitionLinks,
-		// The cut heals and deferred traffic arrives, so convergence is
-		// delayed, not destroyed: still EC.
-		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
 	})
 	RegisterLink(LinkSpec{
 		Name:        LinkJitter,
 		Description: "heavy-tail stragglers: 5% of deliveries stretched 10× over synchronous links",
 		Params:      "tail=0.05,x=10",
 		Link:        chains.JitterLinks,
-		// Every message still arrives: stragglers inflate forks and
-		// finality depth but never break eventual consistency.
-		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
 	})
 }
 
@@ -120,8 +105,6 @@ func EnsureAsyncLink(maxDelay int64) string {
 		Params:      fmt.Sprintf("maxDelay=%d", maxDelay),
 		Link:        chains.AsyncLinks(maxDelay),
 		Hidden:      true,
-		// Slower links delay convergence without destroying it: still EC.
-		Expected: func(system string, sync Level) Level { return consistency.LevelEC },
 	})
 	return name
 }
@@ -141,20 +124,12 @@ func EnsureLossyPsyncLink(rate float64, gstDeltas int) string {
 		gstDeltas = 8
 	}
 	name := fmt.Sprintf("lossy+psync:p=%.2f,gst=%dδ", rate, gstDeltas)
-	expected := consistency.LevelNone
-	if rate == 0 {
-		// Rate 0 restores reliable channels: plain weak synchrony, which
-		// converges back to EC after stabilization (Theorem 4.7's
-		// hypothesis — a dropped correct-process message — never holds).
-		expected = consistency.LevelEC
-	}
 	linkRegistry.ensure(name, LinkSpec{
 		Name:        name,
 		Description: fmt.Sprintf("lossy weakly-synchronous variant: drop rate %.2f over GST=%dδ links (Theorem 4.7 boundary)", rate, gstDeltas),
 		Params:      fmt.Sprintf("p=%.2f,gst=%dδ", rate, gstDeltas),
 		Link:        chains.LossyPsyncLinks(rate, int64(gstDeltas)),
 		Hidden:      true,
-		Expected:    func(system string, sync Level) Level { return expected },
 	})
 	return name
 }

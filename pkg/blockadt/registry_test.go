@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"blockadt/internal/chains"
 )
 
 // TestRegistrationOrderIsTable1 pins the registration order of the
@@ -279,28 +281,50 @@ func TestOptionScopeEnforced(t *testing.T) {
 	}
 }
 
-// expectedLevel returns the consistency level compose predicts for the
-// named honest system under the named link model — the value the sweep
-// engine compares measured runs against.
-func expectedLevel(system, link string) (Level, error) {
-	_, expected, _, err := compose(system, link, AdvNone, "", 0, SimParams{})
-	return expected, err
-}
-
-// TestExpectedLevelFollowsLink pins the link-adjusted expectation the
-// sweep engine uses.
+// TestExpectedLevelFollowsLink pins what the link contributes to a run's
+// expected level: its composition with the system, and nothing else.
+// compose refuses a link the system does not run on or no registry
+// knows; the expected level is the system's Table 1 level unless the run
+// falls short of it and breaks LRC or Update Agreement — a property of
+// the run, not of the link's name.
 func TestExpectedLevelFollowsLink(t *testing.T) {
-	if lvl, err := expectedLevel("Hyperledger", LinkSync); err != nil || lvl != LevelSC {
-		t.Errorf("expectedLevel(Hyperledger, sync) = %v, %v; want SC", lvl, err)
+	for _, c := range []struct{ system, link string }{{"Hyperledger", LinkAsync}, {"Bitcoin", "wormhole"}} {
+		if _, _, err := compose(c.system, c.link, AdvNone, "", 0, SimParams{}); err == nil {
+			t.Errorf("compose accepted %s over link %q", c.system, c.link)
+		}
 	}
-	if lvl, err := expectedLevel("Bitcoin", LinkAsync); err != nil || lvl != LevelEC {
-		t.Errorf("expectedLevel(Bitcoin, async) = %v, %v; want EC", lvl, err)
+	for _, c := range []struct{ system, link, want string }{{"Hyperledger", LinkSync, "SC"}, {"Bitcoin", LinkAsync, "EC"}} {
+		r, err := RunScenario(Scenario{System: c.system, Link: c.link, Adversary: AdvNone, N: 8, Blocks: 20, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Expected != c.want || !r.Match {
+			t.Errorf("%s over %s: expected=%s level=%s match=%v; want expected=%s and a match", c.system, c.link, r.Expected, r.Level, r.Match, c.want)
+		}
 	}
-	if _, err := expectedLevel("Hyperledger", LinkAsync); err == nil {
-		t.Error("expectedLevel accepted a link the system does not implement")
+	run := func(link string) (*History, CheckOptions) {
+		p := SimParams{N: 8, TargetBlocks: 20, Seed: 1}
+		res, err := Simulate("Bitcoin", WithLink(link), WithN(p.N), WithBlocks(p.TargetBlocks), WithSeed(p.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.History, chains.Options(p, res.History)
 	}
-	if _, err := expectedLevel("Bitcoin", "wormhole"); err == nil {
-		t.Error("expectedLevel accepted an unregistered link")
+	h, opts := run(LinkSync)
+	for _, measured := range []Level{LevelSC, LevelEC, LevelNone} {
+		if got := expectedLevel(LevelEC, measured, h, opts); got != LevelEC {
+			t.Errorf("sync run measured %s: expected %s, want EC (the premise holds)", measured, got)
+		}
+	}
+	h, opts = run(LinkLossy)
+	if LRC(h, opts).Satisfied {
+		t.Fatal("the lossy run satisfies LRC; the rule's none branch is not exercised")
+	}
+	if got := expectedLevel(LevelEC, LevelNone, h, opts); got != LevelNone {
+		t.Errorf("lossy run measured none: expected %s, want none (LRC broken)", got)
+	}
+	if got := expectedLevel(LevelEC, LevelEC, h, opts); got != LevelEC {
+		t.Errorf("lossy run measured EC: expected %s, want EC (it reached its level)", got)
 	}
 }
 

@@ -210,21 +210,21 @@ func ciMatrix() Matrix {
 // EngineVersion bump, never silently.
 func TestAddressesPinned(t *testing.T) {
 	ci := mustExpand(t, ciMatrix())
-	if got, want := ci.Fingerprint(), "8cea99212bf31875af9843be48feb771d5929ccf81979ddac7ba5096a5308975"; got != want {
+	if got, want := ci.Fingerprint(), "2f9e1331a01248bdfd4817d3bf2538d7c5ce4c870954a3598150e2eb848f3780"; got != want {
 		t.Errorf("CI matrix fingerprint = %s, want %s", got, want)
 	}
 	table1 := Table1(8, 30, 42)
 	table1.Systems = ciMatrix().Systems
-	if got, want := mustExpand(t, table1).Fingerprint(), "85d125b8a2929e1210b238a426e364774982371e04d1d3ec9f775524ae093707"; got != want {
+	if got, want := mustExpand(t, table1).Fingerprint(), "6221d23ef9da30b8976cc3b122a047e522935cf39a16c7cca0bb0f7dd3a19d19"; got != want {
 		t.Errorf("Table 1 fingerprint = %s, want %s", got, want)
 	}
-	const key0 = "btadt-engine-v3|root=42|Bitcoin|sync|none|a=0.0000|n=8|b=30|s=0|seed=8502013113552945509|" +
+	const key0 = "btadt-engine-v4|root=42|Bitcoin|sync|none|a=0.0000|n=8|b=30|s=0|seed=8502013113552945509|" +
 		"metrics=adversary_share,chain_quality,fairness_tvd,finality_depth,finality_latency,fork_rate," +
 		"growth_rate,msg_bytes,msgs_delivered,msgs_dropped,partition_heal_lag,rounds_to_agreement"
 	if got := ci.Keys()[0]; got != key0 {
 		t.Errorf("CI matrix first store key = %q, want %q", got, key0)
 	}
-	if got, want := runstore.Hash(ci.Keys()[0]), "fa3cfc1fcfb354271d80662277a6b1688f9643bcae76d96582833bb9c60a11c4"; got != want {
+	if got, want := runstore.Hash(ci.Keys()[0]), "031a366e146ee4c71d4fa974b598d75ebe733b9276d366374ccbc086d085a7f7"; got != want {
 		t.Errorf("CI matrix first object hash = %s, want %s", got, want)
 	}
 }

@@ -26,7 +26,7 @@ func Simulate(name string, opts ...Option) (SimResult, error) {
 	if err := meritsErr(spec, s); err != nil {
 		return SimResult{}, err
 	}
-	sc, _, _, err := compose(name, s.linkName(), AdvNone, s.topology, 0, s.simParams())
+	sc, _, err := compose(name, s.linkName(), AdvNone, s.topology, 0, s.simParams())
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -104,7 +104,7 @@ func SimulateAdversary(system, adversary string, opts ...Option) (AdversaryOutco
 		alpha = 0.34
 	}
 	p := s.simParams()
-	sc, expected, aspec, err := compose(system, s.linkName(), adversary, "", alpha, p)
+	sc, aspec, err := compose(system, s.linkName(), adversary, "", alpha, p)
 	if err != nil {
 		return AdversaryOutcome{}, err
 	}
@@ -112,7 +112,7 @@ func SimulateAdversary(system, adversary string, opts ...Option) (AdversaryOutco
 	if err != nil {
 		return AdversaryOutcome{}, err
 	}
-	return adversaryOutcome(aspec, p, alpha, expected, res), nil
+	return adversaryOutcome(aspec, p, alpha, res), nil
 }
 
 // ClassifyRun classifies a simulated run's recorded history with

@@ -69,10 +69,6 @@ type LinkSpec struct {
 	// PoW driver, so matrices prune it for every other system
 	// (chains.Composes).
 	Link LinkPlan
-	// Expected returns the consistency level the theory predicts for
-	// the named system under this link model, given the system's
-	// default (synchronous) level; nil means the level is unchanged.
-	Expected func(system string, sync Level) Level
 	// Hidden excludes the model from Registries() enumeration (and so
 	// from `btadt list`). Hypothesis experiments register parameterized
 	// variants of the built-in models on demand; hiding them keeps the
@@ -93,10 +89,6 @@ type AdversarySpec struct {
 	// Plan returns the executor's adversary plan for merit share alpha
 	// (chains.SelfishWithholding). A nil Plan marks the honest default.
 	Plan func(alpha float64) AdversaryPlan
-	// Expected returns the consistency level the adversarial run is
-	// predicted to retain, given the system's honest synchronous level;
-	// nil means the level is unchanged.
-	Expected func(system, link string, honest Level) Level
 	// Entitlement returns the per-process merit entitlement vector this
 	// model defines (the chain-quality baseline the fairness TVD is
 	// measured against). Only the model knows its merit layout — e.g.
@@ -152,9 +144,6 @@ type MetricSpec struct {
 // AdversaryOutcome is the structured result of an adversarial run.
 type AdversaryOutcome struct {
 	SimResult
-	// Expected is the consistency level the adversarial run is predicted
-	// to retain.
-	Expected Level
 	// FairnessTVD is the chain-quality total variation distance between
 	// realized and entitled block shares, as this adversary model
 	// defines entitlement (AdversarySpec.Entitlement — only the model

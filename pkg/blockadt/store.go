@@ -26,7 +26,11 @@ import (
 // convergence reads instead of running a fixed 64+16δ window, so Ticks now
 // ends at the last real delivery (and heavy-tail stragglers are no longer
 // read past) — Ticks-derived metrics shifted for every PoW scenario.
-const EngineVersion = "btadt-engine-v3"
+// v4: a run's expected level is its system's Table 1 level unless it
+// falls short of it and breaks LRC or Update Agreement, and it matches
+// when it measures at least as strong — lossy runs over gossip that
+// converge now expect and match EC.
+const EngineVersion = "btadt-engine-v4"
 
 // RunOption customizes Run and Stream (the sweep engine's entry
 // points), as Option customizes New/Simulate. The zero set of options
