@@ -119,7 +119,7 @@ func (n *pbftChainNode) applyLocal(s *netsim.Sim, parent blocktree.BlockID, b bl
 	if origin == n.tree.ID() {
 		// Self-origin updates are skipped by OnMessage (they assume
 		// CreateAndBroadcast applied them); apply directly.
-		n.tree.ApplyDecided(parent, b, origin)
+		n.tree.ApplyDecided(parent, b)
 	}
 }
 

@@ -172,9 +172,9 @@ func (r *Replica) ReadIDs() history.Chain {
 // recorded as an update event, and recorded as the proposer's send — the
 // dissemination Update Agreement's R1 requires of a locally generated
 // block (Definition 4.3). Used by the PBFT-committed chains.
-func (r *Replica) ApplyDecided(parent blocktree.BlockID, b blocktree.Block, origin history.ProcID) {
-	r.applyUpdate(parent, b, origin)
-	r.rec.Record(r.id, history.Label{Kind: history.KindSend, Parent: parent, Block: b.ID, Origin: origin})
+func (r *Replica) ApplyDecided(parent blocktree.BlockID, b blocktree.Block) {
+	r.applyUpdate(parent, b, r.id)
+	r.rec.Record(r.id, history.Label{Kind: history.KindSend, Parent: parent, Block: b.ID, Origin: r.id})
 }
 
 // Selected applies the replica's selection function f to the local tree
