@@ -117,47 +117,57 @@ func UpdateAgreement(h *history.History, opts Options) Verdict {
 func LRC(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 	procs := procUniverse(h, opts)
+	slot := make(map[history.ProcID]int, len(procs))
+	for i, p := range procs {
+		slot[p] = i
+	}
 
-	received := map[history.ProcID]map[msgKey]bool{}
-	for _, p := range procs {
-		received[p] = map[msgKey]bool{}
-	}
-	var anyReceived []msgKey
-	seen := map[msgKey]bool{}
-	type sendEvt struct {
-		proc history.ProcID
-		key  msgKey
-	}
-	var sendEvents []sendEvt
+	// Each message some process received gets a dense index in the order
+	// of its first receive and a row of len(procs) flags in received.
+	index := map[msgKey]int{}
+	var (
+		keys     []msgKey
+		received []bool
+		sends    []int // indices into ops
+	)
 	ops := h.Ops()
 	for i := range ops {
 		op := &ops[i]
-		k := msgKey{parent: op.Label.Parent, block: op.Label.Block}
 		switch op.Label.Kind {
 		case history.KindSend:
-			sendEvents = append(sendEvents, sendEvt{proc: op.Proc, key: k})
+			sends = append(sends, i)
 		case history.KindReceive:
-			if m, ok := received[op.Proc]; ok {
-				m[k] = true
+			k := msgKey{parent: op.Label.Parent, block: op.Label.Block}
+			idx, ok := index[k]
+			if !ok {
+				idx = len(keys)
+				index[k] = idx
+				keys = append(keys, k)
+				received = append(received, make([]bool, len(procs))...)
 			}
-			if !seen[k] {
-				seen[k] = true
-				anyReceived = append(anyReceived, k)
+			if s, ok := slot[op.Proc]; ok {
+				received[idx*len(procs)+s] = true
 			}
 		}
 	}
 
 	checked := 0
-	for _, s := range sendEvents {
+	for _, i := range sends {
+		op := &ops[i]
 		checked++
-		if m, ok := received[s.proc]; ok && !m[s.key] {
-			sink.addf("Validity: send_%d(%s,%s) never received by sender", s.proc, string(s.key.parent), string(s.key.block))
+		s, ok := slot[op.Proc]
+		if !ok {
+			continue
+		}
+		idx, ok := index[msgKey{parent: op.Label.Parent, block: op.Label.Block}]
+		if !ok || !received[idx*len(procs)+s] {
+			sink.addf("Validity: send_%d(%s,%s) never received by sender", op.Proc, string(op.Label.Parent), string(op.Label.Block))
 		}
 	}
-	for _, k := range anyReceived {
+	for idx, k := range keys {
 		for _, p := range procs {
 			checked++
-			if !received[p][k] {
+			if !received[idx*len(procs)+slot[p]] {
 				sink.addf("Agreement: (%s,%s) received by some process but not by p%d", string(k.parent), string(k.block), p)
 			}
 		}

@@ -126,6 +126,29 @@ func TestLRCAgreementViolation(t *testing.T) {
 	}
 }
 
+// TestLRCCountsPastRecordedViolations checks the verdict's counts when
+// there are more violations than MaxViolations keeps: a message received
+// only by p3, outside the universe, still counts as received by some
+// process, and the messages kept are the first ones in order.
+func TestLRCCountsPastRecordedViolations(t *testing.T) {
+	h := figures.NewCustom().
+		At(1).Record(0, history.Label{Kind: history.KindSend, Parent: "b0", Block: "a", Origin: 0}).
+		At(2).Record(0, history.Label{Kind: history.KindReceive, Parent: "b0", Block: "a", Origin: 0}).
+		At(3).Record(3, history.Label{Kind: history.KindReceive, Parent: "b0", Block: "x", Origin: 3}).
+		At(4).Record(1, history.Label{Kind: history.KindSend, Parent: "a", Block: "b", Origin: 1}).
+		History()
+	v := LRC(h, Options{Procs: []history.ProcID{0, 1, 2}, MaxViolations: 2})
+	want := []string{
+		"Validity: send_1(a,b) never received by sender",
+		"Agreement: (b0,a) received by some process but not by p1",
+	}
+	// Validity: 1 (b by p1); Agreement: a misses p1, p2; x misses p0, p1, p2.
+	if v.Satisfied || v.TotalViolations != 6 || v.Checked != 2+2*3 || len(v.Violations) != 2 ||
+		v.Violations[0] != want[0] || v.Violations[1] != want[1] {
+		t.Fatalf("verdict = %+v, want 6 violations over 8 checks, first %q", v, want)
+	}
+}
+
 func TestProcUniverseDerivation(t *testing.T) {
 	h := fig13History()
 	procs := procUniverse(h, Options{})
