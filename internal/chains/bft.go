@@ -87,7 +87,7 @@ func (n *bftNode) propose(s *netsim.Sim) {
 		return
 	}
 	parent := n.rep.SelectedTip()
-	candidate := blockName(parent.Height+1, n.rep.ID(), n.count)
+	candidate := blockName(parent.Height+1, 'p', n.rep.ID(), n.count)
 	if b, ok := appendBlock(s, n.orc, n.rep.ID(), n.merit, &n.count, parent.ID, candidate); ok {
 		n.rep.CreateAndBroadcast(s, parent.ID, b)
 	}

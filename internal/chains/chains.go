@@ -14,7 +14,7 @@
 package chains
 
 import (
-	"fmt"
+	"strconv"
 
 	"blockadt/internal/blocktree"
 	"blockadt/internal/consistency"
@@ -191,10 +191,45 @@ func equalMerits(n int, p float64) []float64 {
 	return out
 }
 
-// blockName builds the deterministic block id "b<height>-p<proc>-<n>".
-// Zero-padding keeps lexicographic tie-breaks stable and readable.
-func blockName(height int, proc history.ProcID, n int) blocktree.BlockID {
-	return blocktree.BlockID(fmt.Sprintf("b%04d-p%02d-%04d", height, proc, n))
+// blockName builds the deterministic block id "b<height>-<tag><proc>-<n>",
+// padded as fmt pads "b%04d-%c%02d-%04d", in one buffer. The tag is 'p'
+// for honest miners and 'z' for the selfish adversary. Zero-padding keeps
+// lexicographic tie-breaks stable and readable.
+func blockName(height int, tag byte, proc history.ProcID, n int) blocktree.BlockID {
+	var buf [32]byte
+	b := appendPadded(append(buf[:0], 'b'), height, 4)
+	return blocktree.BlockID(appendMinerSeq(append(b, '-'), tag, proc, n))
+}
+
+// fruitName builds the fruit id "f-<tag><proc>-<n>", padded as fmt pads
+// "f-%c%02d-%04d".
+func fruitName(tag byte, proc history.ProcID, n int) string {
+	var buf [24]byte
+	return string(appendMinerSeq(append(buf[:0], "f-"...), tag, proc, n))
+}
+
+// appendMinerSeq appends "<tag><proc>-<n>" with proc zero-padded to two
+// characters and n to four: the part of a block or fruit id that names
+// its miner and the miner's sequence number.
+func appendMinerSeq(b []byte, tag byte, proc history.ProcID, n int) []byte {
+	b = appendPadded(append(b, tag), int(proc), 2)
+	return appendPadded(append(b, '-'), n, 4)
+}
+
+// appendPadded appends n in decimal, zero-padded to width characters,
+// sign included, as fmt's %0<width>d pads it.
+func appendPadded(b []byte, n, width int) []byte {
+	u := uint64(n)
+	if n < 0 {
+		b = append(b, '-')
+		u, width = -u, width-1
+	}
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], u, 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // Options returns checker options sized for simulator runs: the process

@@ -100,7 +100,7 @@ func (n *fruitNode) mineFruit(s *netsim.Sim) {
 	if !n.fruitTape.Pop() {
 		return
 	}
-	f := Fruit{ID: fmt.Sprintf("f-p%02d-%04d", n.rep.ID(), n.fruitSeq), Miner: n.rep.ID()}
+	f := Fruit{ID: fruitName('p', n.rep.ID(), n.fruitSeq), Miner: n.rep.ID()}
 	n.fruitSeq++
 	n.pending[f.ID] = f
 	s.Broadcast(n.rep.ID(), netsim.Message{Kind: fruitMsg, Origin: n.rep.ID(), Payload: f})
@@ -111,7 +111,7 @@ func (n *fruitNode) mineBlock(s *netsim.Sim) {
 		return
 	}
 	parent := n.rep.SelectedTip()
-	candidate := blockName(parent.Height+1, n.rep.ID(), n.counter)
+	candidate := blockName(parent.Height+1, 'p', n.rep.ID(), n.counter)
 	b, ok := appendBlock(s, n.orc, n.rep.ID(), n.merit, &n.counter, parent.ID, candidate)
 	if !ok {
 		return
@@ -231,7 +231,7 @@ type fruitSelfishMiner struct {
 func (m *fruitSelfishMiner) OnTimer(s *netsim.Sim, tag string) {
 	if tag == mineTimer && !m.net.done {
 		if m.fruitTape.Pop() {
-			f := Fruit{ID: fmt.Sprintf("f-z%02d-%04d", m.rep.ID(), m.fruitSeq), Miner: m.rep.ID()}
+			f := Fruit{ID: fruitName('z', m.rep.ID(), m.fruitSeq), Miner: m.rep.ID()}
 			m.fruitSeq++
 			m.ownFruits = append(m.ownFruits, f)
 		}

@@ -39,7 +39,7 @@ type pbftChainNode struct {
 // slotValue encodes (proposer, block id) so the decided value names its
 // block unambiguously.
 func slotValue(slot int, proposer history.ProcID) pbft.Value {
-	return fmt.Sprintf("p%02d|%s", proposer, blockName(slot+1, proposer, slot))
+	return fmt.Sprintf("p%02d|%s", proposer, blockName(slot+1, 'p', proposer, slot))
 }
 
 func parseSlotValue(v pbft.Value) (history.ProcID, blocktree.BlockID) {

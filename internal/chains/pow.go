@@ -46,7 +46,7 @@ func (n *powNode) mine(s *netsim.Sim) {
 		return
 	}
 	parent := n.rep.SelectedTip()
-	candidate := blockName(parent.Height+1, n.rep.ID(), n.counter)
+	candidate := blockName(parent.Height+1, 'p', n.rep.ID(), n.counter)
 	if b, ok := appendBlock(s, n.orc, n.rep.ID(), n.merit, &n.counter, parent.ID, candidate); ok {
 		n.rep.CreateAndBroadcast(s, parent.ID, b)
 	}

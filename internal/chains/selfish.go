@@ -63,7 +63,7 @@ func (m *selfishMiner) OnTimer(s *netsim.Sim, tag string) {
 	// lexicographic tie-break of the selectors: this models γ = 1 of the
 	// Eyal–Sirer analysis (every honest miner that sees both blocks of a
 	// race mines on the adversary's), the strategy's best case.
-	candidate := blocktree.BlockID(fmt.Sprintf("b%04d-z%02d-%04d", parent.Height+1, m.rep.ID(), m.counter))
+	candidate := blockName(parent.Height+1, 'z', m.rep.ID(), m.counter)
 	b, ok := appendBlock(s, m.orc, m.rep.ID(), m.merit, &m.counter, parent.ID, candidate)
 	if !ok || m.private.Insert(b) != nil {
 		return

@@ -18,26 +18,9 @@ import (
 func BlockValidity(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 
-	// earliest[b] = earliest time the block entered the system via an
-	// append invocation or an update event.
-	earliest := map[history.BlockRef]int64{}
-	note := func(b history.BlockRef, t int64) {
-		if b == "" {
-			return
-		}
-		if old, ok := earliest[b]; !ok || t < old {
-			earliest[b] = t
-		}
-	}
-	ops := h.Ops()
-	for i := range ops {
-		switch op := &ops[i]; op.Label.Kind {
-		case history.KindAppend:
-			note(op.Label.Block, op.InvTime)
-		case history.KindUpdate:
-			note(op.Label.Block, op.InvTime)
-		}
-	}
+	// earliest[id] is the earliest time block id entered the system via
+	// an append invocation or an update event (History.Earliest).
+	earliest := h.Earliest()
 
 	// last[p] is process p's previous read. When a read's chain starts at
 	// the same element in memory as that read's (ReadIDs shares the
@@ -68,13 +51,14 @@ func BlockValidity(h *history.History, opts Options) Verdict {
 			&r.Chain[0] == &prev.chain[0] && prev.rsp <= r.Op.RspTime {
 			from, n = len(prev.chain), prev.checked
 		}
-		for _, b := range r.Chain[from:] {
+		for k := from; k < len(r.Chain); k++ {
+			b := r.Chain[k]
 			if b == blocktree.GenesisID {
 				continue
 			}
 			n++
-			t, ok := earliest[b]
-			if !ok {
+			t := earliest[r.IDs[k]]
+			if t == history.NotInserted {
 				sink.addf("read by p%d returned %s containing %s, never appended", r.Op.Proc, r.Chain, string(b))
 				continue
 			}
@@ -256,22 +240,7 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 		scores[i] = score(r.Chain)
 	}
 	// growthTimes holds the invocation times of growth events, sorted.
-	// Collected in one pass over the raw operations — building the
-	// per-kind cached views just to read invocation times would copy far
-	// more than this check needs.
-	var growthTimes []int64
-	ops := h.Ops()
-	for i := range ops {
-		switch op := &ops[i]; op.Label.Kind {
-		case history.KindAppend:
-			if op.Complete && op.Result().OK {
-				growthTimes = append(growthTimes, op.InvTime)
-			}
-		case history.KindUpdate:
-			growthTimes = append(growthTimes, op.InvTime)
-		}
-	}
-	sort.Slice(growthTimes, func(a, b int) bool { return growthTimes[a] < growthTimes[b] })
+	growthTimes := h.GrowthTimes()
 	growthAfter := func(t int64) int {
 		// Number of growth events invoked strictly after t.
 		lo, hi := 0, len(growthTimes)

@@ -16,15 +16,7 @@ import (
 // prefix-aware checker must agree with.
 func refBlockValidity(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
-	earliest := map[history.BlockRef]int64{}
-	for _, op := range h.Ops() {
-		if op.Label.Kind != history.KindAppend && op.Label.Kind != history.KindUpdate || op.Label.Block == "" {
-			continue
-		}
-		if old, ok := earliest[op.Label.Block]; !ok || op.InvTime < old {
-			earliest[op.Label.Block] = op.InvTime
-		}
-	}
+	earliest := refEarliest(h)
 	checked := 0
 	for _, r := range h.Reads() {
 		for _, b := range r.Chain {
@@ -52,13 +44,7 @@ func refEverGrowingTree(h *history.History, opts Options) Verdict {
 	score := opts.score()
 	reads := h.Reads()
 	w := opts.window(len(reads))
-	var growthTimes []int64
-	for _, op := range h.Ops() {
-		if op.Label.Kind == history.KindAppend && op.Complete && op.Response.OK || op.Label.Kind == history.KindUpdate {
-			growthTimes = append(growthTimes, op.InvTime)
-		}
-	}
-	sort.Slice(growthTimes, func(a, b int) bool { return growthTimes[a] < growthTimes[b] })
+	growthTimes := refGrowthTimes(h)
 	checked := 0
 	for i := range reads {
 		after := len(growthTimes) - sort.Search(len(growthTimes), func(k int) bool { return growthTimes[k] > reads[i].Op.RspTime })
@@ -339,6 +325,9 @@ var injections = []struct {
 	{"root-reappears", injectRootReappears, true},
 	{"empty-chain", injectEmptyChain, true},
 	{"mixed-clones", injectMixedClones, true},
+	{"out-of-range-procs", injectOutOfRangeProcs, true},
+	{"fresh-buffer-reorg", injectFreshBufferReorg, true},
+	{"procs-disagree", injectProcsDisagree, false},
 }
 
 // TestDifferentialCheckers checks the prefix-aware BlockValidity, the

@@ -65,12 +65,12 @@ func (r Report) String() string {
 // selfish mining attacks — count main-chain authorship and use FromCounts.
 func Analyze(h *history.History, merits []float64) Report {
 	counts := map[history.ProcID]int{}
-	seen := map[history.BlockRef]bool{}
+	seen := make([]bool, len(h.Earliest())) // one flag per block id
 	for _, a := range h.SuccessfulAppends() {
-		if seen[a.Block] {
+		if seen[a.ID] {
 			continue
 		}
-		seen[a.Block] = true
+		seen[a.ID] = true
 		counts[a.Op.Proc]++
 	}
 	return FromCounts(counts, merits)

@@ -19,9 +19,11 @@ package history
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ProcID identifies a sequential process.
@@ -236,12 +238,21 @@ func (op *Op) Result() *Label {
 // derived from the ops (Events), since each op carries its invocation's
 // and response's sequence numbers, times and labels.
 //
-// Because the history never changes after Snapshot, the derived views the
-// consistency checkers and metric collectors iterate (Reads, Appends,
-// OpsOfKind) are computed once and cached: every checker of a
-// classification pass walks the same slices instead of re-filtering and
-// re-sorting the operations per call. The views of Reads and Appends hold
-// *Op pointers into the history's own ops. The cached slices and the ops
+// Because the history never changes after Snapshot, everything the
+// consistency checkers and metric collectors derive from the ops is
+// computed once and cached. The analysis index comes from one pass over
+// the ops, built by the first caller of any of its accessors:
+//   - the views Reads, Appends and SuccessfulAppends, sized exactly
+//     (len == cap), whose records hold *Op pointers into the history's own
+//     ops;
+//   - a dense block id for every block an append, an update or a read
+//     chain names (ReadOp.IDs, AppendOp.ID), with each id's earliest
+//     insertion time (Earliest);
+//   - the sorted growth times (GrowthTimes), the parent agreement of the
+//     reads (ReadsAgreeOnParents) and the deepest rollback any process saw
+//     (MaxReorg).
+//
+// OpsOfKind is cached per kind beside it. The cached slices and the ops
 // they point at are shared — callers must not mutate or reorder them, nor
 // write through the pointers (order a permutation instead, as
 // readsByProcessOrder in internal/consistency does).
@@ -254,13 +265,30 @@ type History struct {
 	// history was taken; Release recycles it with ops.
 	resp []Label
 
-	mu          sync.Mutex
-	readsCache  []ReadOp
-	readParents int8 // ReadsAgreeOnParents: 0 not yet computed, 1 yes, -1 no
-	appendCache []AppendOp
-	okAppends   []AppendOp
-	kindCache   map[Kind][]Op
+	mu        sync.Mutex
+	ix        *index
+	kindCache map[Kind][]Op
 }
+
+// index is the analysis index of a history (see History): built by
+// buildIndex, dropped by Release.
+type index struct {
+	reads     []ReadOp
+	appends   []AppendOp
+	okAppends []AppendOp
+	// growth holds the invocation times of the growth events (successful
+	// appends and updates), sorted.
+	growth []int64
+	// earliest[id] is the earliest invocation time of an append or update
+	// of block id, or NotInserted.
+	earliest []int64
+	agree    bool
+	maxReorg int
+}
+
+// NotInserted is Earliest's entry for a block id that no append or update
+// inserted: a block only reads name.
+const NotInserted int64 = math.MaxInt64
 
 // Events returns the event set E in global (Seq) order, derived from the
 // ops on each call: every op contributes its invocation event and, when
@@ -294,31 +322,20 @@ func (h *History) Len() int {
 }
 
 // ReadOp is a completed read() operation together with its returned chain.
-// Op points into the history's ops.
+// Op points into the history's ops. IDs[k] is the block id of Chain[k];
+// like Chain, it is a capped view that may share memory with the IDs of
+// the same process's earlier reads.
 type ReadOp struct {
 	Op    *Op
 	Chain Chain
+	IDs   []int32
 }
 
 // Reads returns the completed read() operations in response order (the
 // order their responses occurred), which is the order the consistency
 // criteria quantify over. The slice is computed once and shared across
 // calls; callers must not mutate or reorder it.
-func (h *History) Reads() []ReadOp {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.readsCache == nil {
-		out := make([]ReadOp, 0, h.countOps(KindRead))
-		for i := range h.ops {
-			if op := &h.ops[i]; op.Label.Kind == KindRead && op.Complete {
-				out = append(out, ReadOp{Op: op, Chain: op.Result().Chain})
-			}
-		}
-		slices.SortFunc(out, func(a, b ReadOp) int { return cmp.Compare(a.Op.RspSeq, b.Op.RspSeq) })
-		h.readsCache = out
-	}
-	return h.readsCache
-}
+func (h *History) Reads() []ReadOp { return h.index().reads }
 
 // ReadsAgreeOnParents reports whether the completed reads agree on one
 // predecessor per block id: an id found past position 0 of any returned
@@ -327,95 +344,200 @@ func (h *History) Reads() []ReadOp {
 // every position before it (walk both back through the shared
 // predecessors). So p ⊑ c exactly when p is empty or c holds p's last id
 // at p's last position, and the positions where two chains agree form a
-// prefix, which a binary search finds.
-//
-// The answer is computed once and cached. Each read is checked only past
-// its common prefix with the same process's previous read, whose
-// positions were checked with that read; for reads that share memory
-// (views of one read buffer) that prefix costs O(1), so the pass costs
-// about one map lookup per block new to each process.
-func (h *History) ReadsAgreeOnParents() bool {
-	h.mu.Lock()
-	known := h.readParents
-	h.mu.Unlock()
-	if known == 0 {
-		known = -1
-		if readsAgreeOnParents(h.Reads()) {
-			known = 1
-		}
-		h.mu.Lock()
-		h.readParents = known
-		h.mu.Unlock()
-	}
-	return known > 0
-}
+// prefix, which a binary search finds. The answer is computed with the
+// index.
+func (h *History) ReadsAgreeOnParents() bool { return h.index().agree }
 
-func readsAgreeOnParents(reads []ReadOp) bool {
-	pred := map[BlockRef]BlockRef{}
-	last := map[ProcID]Chain{}
-	for _, r := range reads {
-		c := r.Chain
-		for i := max(1, len(last[r.Op.Proc].CommonPrefix(c))); i < len(c); i++ {
-			if p, ok := pred[c[i]]; !ok {
-				pred[c[i]] = c[i-1]
-			} else if p != c[i-1] {
-				return false
-			}
-		}
-		last[r.Op.Proc] = c
-	}
-	return true
-}
+// MaxReorg returns the deepest observed rollback: the largest number of
+// blocks a process saw leave its chain between two of its consecutive
+// reads. It is computed with the index.
+func (h *History) MaxReorg() int { return h.index().maxReorg }
+
+// GrowthTimes returns the invocation times of the growth events — the
+// successful appends and the updates — sorted. The slice is computed with
+// the index and shared; callers must not mutate it.
+func (h *History) GrowthTimes() []int64 { return h.index().growth }
+
+// Earliest returns, per block id, the earliest invocation time of an
+// append or update of the block, or NotInserted. It has one entry per id,
+// so the ids of a history are [0, len(Earliest())). The slice is computed
+// with the index and shared; callers must not mutate it.
+func (h *History) Earliest() []int64 { return h.index().earliest }
 
 // AppendOp is a completed append() operation. Op points into the
-// history's ops.
+// history's ops; ID is Block's block id.
 type AppendOp struct {
 	Op    *Op
 	Block BlockRef
 	OK    bool
+	ID    int32
 }
 
 // Appends returns the completed append() operations in invocation order.
 // The slice is computed once and shared; callers must not mutate it.
-func (h *History) Appends() []AppendOp {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.appendCache == nil {
-		out := make([]AppendOp, 0, h.countOps(KindAppend))
-		for i := range h.ops {
-			if op := &h.ops[i]; op.Label.Kind == KindAppend && op.Complete {
-				out = append(out, AppendOp{Op: op, Block: op.Label.Block, OK: op.Result().OK})
-			}
-		}
-		h.appendCache = out
-	}
-	return h.appendCache
-}
+func (h *History) Appends() []AppendOp { return h.index().appends }
 
 // SuccessfulAppends returns the appends whose response is true. The
 // hierarchy results (Section 3.4) consider histories purged of unsuccessful
 // append responses; this accessor implements that purge. The slice is
 // computed once and shared; callers must not mutate it.
-func (h *History) SuccessfulAppends() []AppendOp {
-	appends := h.Appends()
+func (h *History) SuccessfulAppends() []AppendOp { return h.index().okAppends }
+
+// index returns the history's analysis index, building it on first use.
+func (h *History) index() *index {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.okAppends == nil {
-		n := 0
-		for _, a := range appends {
-			if a.OK {
-				n++
-			}
-		}
-		out := make([]AppendOp, 0, n)
-		for _, a := range appends {
-			if a.OK {
-				out = append(out, a)
-			}
-		}
-		h.okAppends = out
+	if h.ix == nil {
+		h.ix = buildIndex(h.ops)
 	}
-	return h.okAppends
+	return h.ix
+}
+
+// buildIndex builds the analysis index of ops: one pass counts the views'
+// sizes, one fills the views and interns the blocks appends and updates
+// name, and the reads, once in response order, intern their chains.
+func buildIndex(ops []Op) *index {
+	var reads, appends, ok, updates int
+	for i := range ops {
+		switch op := &ops[i]; op.Label.Kind {
+		case KindRead:
+			if op.Complete {
+				reads++
+			}
+		case KindAppend:
+			if op.Complete {
+				appends++
+				if op.Result().OK {
+					ok++
+				}
+			}
+		case KindUpdate:
+			updates++
+		}
+	}
+	ix := &index{
+		reads:     make([]ReadOp, 0, reads),
+		appends:   make([]AppendOp, 0, appends),
+		okAppends: make([]AppendOp, 0, ok),
+		growth:    make([]int64, 0, ok+updates),
+	}
+	in := interner{ids: make(map[BlockRef]int32, appends)}
+	sorted := true // the reads are already in response order
+	for i := range ops {
+		switch op := &ops[i]; op.Label.Kind {
+		case KindRead:
+			if op.Complete {
+				sorted = sorted && (len(ix.reads) == 0 || ix.reads[len(ix.reads)-1].Op.RspSeq < op.RspSeq)
+				ix.reads = append(ix.reads, ReadOp{Op: op, Chain: op.Result().Chain})
+			}
+		case KindAppend:
+			id := in.insert(op.Label.Block, op.InvTime)
+			if op.Complete {
+				a := AppendOp{Op: op, Block: op.Label.Block, OK: op.Result().OK, ID: id}
+				ix.appends = append(ix.appends, a)
+				if a.OK {
+					ix.okAppends = append(ix.okAppends, a)
+					ix.growth = append(ix.growth, op.InvTime)
+				}
+			}
+		case KindUpdate:
+			in.insert(op.Label.Block, op.InvTime)
+			ix.growth = append(ix.growth, op.InvTime)
+		}
+	}
+	slices.Sort(ix.growth)
+	if !sorted {
+		slices.SortFunc(ix.reads, func(a, b ReadOp) int { return cmp.Compare(a.Op.RspSeq, b.Op.RspSeq) })
+	}
+	ix.internReads(&in)
+	ix.earliest = in.earliest
+	return ix
+}
+
+// interner hands out dense block ids in first-seen order and keeps each
+// id's earliest insertion time. The name map lives only while the index
+// is built.
+type interner struct {
+	ids      map[BlockRef]int32
+	earliest []int64
+}
+
+// id returns b's id, assigning the next one to a block not seen before.
+func (in *interner) id(b BlockRef) int32 {
+	id, ok := in.ids[b]
+	if !ok {
+		id = int32(len(in.earliest))
+		in.ids[b] = id
+		in.earliest = append(in.earliest, NotInserted)
+	}
+	return id
+}
+
+// insert returns b's id and records an insertion of b at time t. The
+// empty name is "no block": it gets an id but is never inserted.
+func (in *interner) insert(b BlockRef, t int64) int32 {
+	id := in.id(b)
+	if b != "" && t < in.earliest[id] {
+		in.earliest[id] = t
+	}
+	return id
+}
+
+// internReads fills the IDs of the reads, which are in response order,
+// and computes the parent agreement and the deepest rollback from them.
+//
+// Each process keeps the previous read's chain and an id buffer whose
+// prefix holds that chain's ids. A read keeps the ids of its common
+// prefix with the previous one and interns only the blocks past it,
+// appended to the buffer; its IDs is a capped view of the buffer, so
+// views of one process share memory as ReadIDs's chains do. For chains
+// that share memory the common prefix costs O(1). A read that rolls back
+// caps the buffer at the common prefix first, so its new ids go to a
+// fresh buffer and never overwrite an earlier view. The rollback depth is
+// the previous length past the common prefix, and parent agreement is
+// checked on the positions past it: the earlier ones were checked with
+// the previous read.
+func (ix *index) internReads(in *interner) {
+	type procIDs struct {
+		chain Chain
+		ids   []int32
+	}
+	procs := map[ProcID]*procIDs{}
+	var pred []int32 // pred[id]: the id before id in the reads, or -1
+	ix.agree = true
+	for k := range ix.reads {
+		r := &ix.reads[k]
+		last := procs[r.Op.Proc]
+		if last == nil {
+			last = &procIDs{}
+			procs[r.Op.Proc] = last
+		}
+		c, ids := r.Chain, last.ids
+		cp := len(last.chain.CommonPrefix(c))
+		ix.maxReorg = max(ix.maxReorg, len(last.chain)-cp)
+		if cp < len(ids) {
+			ids = ids[:cp:cp]
+		}
+		for _, b := range c[cp:] {
+			ids = append(ids, in.id(b))
+		}
+		r.IDs = ids[:len(c):len(c)]
+		last.chain, last.ids = c, ids
+		if !ix.agree {
+			continue
+		}
+		for len(pred) < len(in.earliest) {
+			pred = append(pred, -1)
+		}
+		for i := max(1, cp); i < len(ids); i++ {
+			if p := pred[ids[i]]; p < 0 {
+				pred[ids[i]] = ids[i-1]
+			} else if p != ids[i-1] {
+				ix.agree = false
+				break
+			}
+		}
+	}
 }
 
 // OpsOfKind returns completed operations with the given kind, in invocation
@@ -457,14 +579,15 @@ func (h *History) Release() {
 	if h.ops == nil {
 		return
 	}
-	bufPool.Put(&buffers{ops: h.ops[:0], resp: h.resp[:0]})
+	if old := spare.Swap(&buffers{ops: h.ops[:0], resp: h.resp[:0]}); old != nil {
+		bufPool.Put(old)
+	}
 	h.ops, h.resp = nil, nil
-	h.readsCache, h.readParents = nil, 0
-	h.appendCache, h.okAppends, h.kindCache = nil, nil, nil
+	h.ix, h.kindCache = nil, nil
 }
 
-// countOps returns the number of completed operations of kind k, so the
-// views above allocate their exact size once.
+// countOps returns the number of completed operations of kind k, so
+// OpsOfKind allocates its exact size once.
 func (h *History) countOps(k Kind) int {
 	n := 0
 	for i := range h.ops {
@@ -534,16 +657,25 @@ type Recorder struct {
 }
 
 // buffers is the storage of one history: its op buffer and the
-// response-label chunk it was filling. History.Release puts it in
-// bufPool, and the next Reserve it fits reuses it instead of faulting in
-// fresh memory. The recycled entries are not cleared: every op and label
+// response-label chunk it was filling. History.Release puts it in spare,
+// and the next Reserve it fits reuses it instead of faulting in fresh
+// memory. The recycled entries are not cleared: every op and label
 // appended later overwrites its slot whole.
 type buffers struct {
 	ops  []Op
 	resp []Label
 }
 
-var bufPool sync.Pool // of *buffers
+// spare holds the most recently released buffers, and bufPool those it
+// displaced (parallel runners release several). A pool alone loses a
+// buffer whenever two collections pass before the next Reserve or that
+// Reserve runs on another processor than the Release (a pool's
+// per-processor private entry cannot be taken elsewhere), and each loss
+// faults in a fresh op buffer, megabytes for a long run.
+var (
+	spare   atomic.Pointer[buffers]
+	bufPool sync.Pool // of *buffers
+)
 
 // Clock supplies timestamps for the operation order ≺. Virtual-time
 // simulators supply their own clock; real concurrent runs use a monotonic
@@ -594,7 +726,11 @@ func (r *Recorder) Reserve(ops int) {
 	if len(r.ops) == 0 && cap(r.ops) < ops {
 		// An empty recorder holds no response pointers either, so both
 		// buffers can be swapped for recycled ones.
-		if b, ok := bufPool.Get().(*buffers); ok && cap(b.ops) >= ops {
+		b := spare.Swap(nil)
+		if b == nil {
+			b, _ = bufPool.Get().(*buffers)
+		}
+		if b != nil && cap(b.ops) >= ops {
 			r.ops, r.respSlab = b.ops, b.resp
 		}
 	}

@@ -410,7 +410,9 @@ func TestOpsOfKindExcludesPending(t *testing.T) {
 }
 
 // TestViewsPointIntoOps: Reads and Appends hold pointers into the
-// history's own ops, and every view is allocated at its exact size.
+// history's own ops, Reads is in response order although the reads were
+// answered out of invocation order, and every view is allocated at its
+// exact size.
 func TestViewsPointIntoOps(t *testing.T) {
 	r := NewRecorder()
 	rng := rand.New(rand.NewSource(3))
@@ -438,9 +440,12 @@ func TestViewsPointIntoOps(t *testing.T) {
 	if len(reads) == 0 || len(appends) == 0 || len(pending) == 0 {
 		t.Fatalf("degenerate history: %d reads, %d appends, %d pending", len(reads), len(appends), len(pending))
 	}
-	for _, rd := range reads {
+	for k, rd := range reads {
 		if rd.Op != &ops[rd.Op.ID] {
 			t.Fatalf("read view of op %d does not point into Ops()", rd.Op.ID)
+		}
+		if k > 0 && reads[k-1].Op.RspSeq >= rd.Op.RspSeq {
+			t.Fatalf("Reads()[%d] responded at seq %d, after Reads()[%d] at %d", k-1, reads[k-1].Op.RspSeq, k, rd.Op.RspSeq)
 		}
 	}
 	for _, a := range appends {
@@ -518,9 +523,10 @@ func recordMixed(r *Recorder, n int, tag string) {
 // released history's buffers yields exactly the ops and events a fresh
 // recorder yields for the same sequence, although the recycled buffers
 // still hold a longer, different history's ops past the new length; and
-// the released history reads as empty. sync.Pool may drop a buffer (the
-// race detector makes it do so at random), so the reuse is retried until
-// it is observed.
+// the released history reads as empty. A buffer that a later release
+// displaces goes to a sync.Pool, which may drop it (the race detector
+// makes it do so at random), so the reuse is retried until it is
+// observed.
 func TestReleasedBufferReuseIsInvisible(t *testing.T) {
 	const reserve = 128
 	fresh := NewRecorder()

@@ -183,24 +183,12 @@ func PartitionHealLag(r Run) (float64, bool) {
 	return float64(r.Ticks - r.PartitionHeal), true
 }
 
-// MaxReorg scans each process's read sequence and returns the deepest
-// observed rollback: the largest number of blocks a process saw leave its
-// selected chain between two consecutive reads.
-func MaxReorg(h *history.History) int {
-	last := map[history.ProcID]history.Chain{}
-	deepest := 0
-	for _, r := range h.Reads() {
-		prev, ok := last[r.Op.Proc]
-		if ok {
-			cp := prev.CommonPrefix(r.Chain)
-			if d := len(prev) - len(cp); d > deepest {
-				deepest = d
-			}
-		}
-		last[r.Op.Proc] = r.Chain
-	}
-	return deepest
-}
+// MaxReorg returns the deepest observed rollback: the largest number of
+// blocks a process saw leave its selected chain between two consecutive
+// reads. The history computes it once, with its analysis index
+// (History.MaxReorg), so every collector and the scenario runner share
+// one pass.
+func MaxReorg(h *history.History) int { return h.MaxReorg() }
 
 // TVD is the total variation distance ½·Σ|observedᵢ−expectedᵢ| between
 // two distributions given pointwise (callers align and normalize the
