@@ -227,21 +227,24 @@ func BenchmarkRunStore(b *testing.B) {
 }
 
 // BenchmarkMetricCollectors measures the collector pass alone: every
-// registered metric over one completed mid-size run, the marginal cost a
-// metrics-enabled scenario pays after its simulation finishes.
+// registered metric over a completed mid-size run, the marginal cost a
+// metrics-enabled scenario pays after its simulation finishes. Each
+// iteration gets a fresh history, simulated untimed, so the pass pays
+// for building the history's analysis index as every scenario does.
 func BenchmarkMetricCollectors(b *testing.B) {
-	res, err := blockadt.Simulate("Bitcoin", blockadt.WithBlocks(30), blockadt.WithSeed(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := blockadt.MetricRun{
-		N: 8, TargetBlocks: 30, Blocks: res.Blocks, Forks: res.Forks,
-		Ticks: res.Ticks, Delivered: res.Delivered, Dropped: res.Dropped,
-		Bytes: res.Bytes, History: res.History,
-	}
 	specs := blockadt.Metrics()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		res, err := blockadt.Simulate("Bitcoin", blockadt.WithBlocks(30), blockadt.WithSeed(42))
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := blockadt.MetricRun{
+			N: 8, TargetBlocks: 30, Blocks: res.Blocks, Forks: res.Forks,
+			Ticks: res.Ticks, Delivered: res.Delivered, Dropped: res.Dropped,
+			Bytes: res.Bytes, History: res.History,
+		}
+		b.StartTimer()
 		n := 0
 		for _, spec := range specs {
 			if _, ok := spec.Compute(run); ok {
@@ -525,11 +528,14 @@ func BenchmarkCheckerEventualPrefix(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckerFullSC measures the complete SC report.
+// BenchmarkCheckerFullSC measures the complete SC report. Each iteration
+// gets a fresh history, built untimed, so the report pays for building
+// the history's analysis index as every scenario does.
 func BenchmarkCheckerFullSC(b *testing.B) {
-	h := syntheticHistory(1000, 200)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := syntheticHistory(1000, 200)
+		b.StartTimer()
 		if !consistency.CheckSC(h, consistency.Options{}).Satisfied() {
 			b.Fatal("violated")
 		}
@@ -797,7 +803,7 @@ func BenchmarkLinearizabilitySearch(b *testing.B) {
 // BenchmarkFairnessAnalyze measures the chain-quality analysis of a
 // 150-block run history.
 func BenchmarkFairnessAnalyze(b *testing.B) {
-	res := chains.Bitcoin{}.Run(chains.Params{N: 5, TargetBlocks: 150, Seed: 13})
+	res := chains.Bitcoin.Run(chains.Params{N: 5, TargetBlocks: 150, Seed: 13})
 	merits := []float64{1, 1, 1, 1, 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -30,7 +30,7 @@ func TestOpenIssueEventualPrefixUnderAsynchrony(t *testing.T) {
 	// mine dozens of blocks per delivered update, so their trees diverge
 	// persistently — the conjecture-(iii) regime.
 	fast := execScenario(t, Scenario{
-		System: Bitcoin{},
+		System: Bitcoin,
 		Links:  stragglingAsyncLinks,
 		Params: Params{N: 6, TargetBlocks: 60, Seed: 23, MineInterval: 1, TokenProb: 0.5, ReadEvery: 4},
 	})
@@ -47,7 +47,7 @@ func TestOpenIssueEventualPrefixUnderAsynchrony(t *testing.T) {
 	// relative to delivery, the network quiesces between blocks, and
 	// Eventual Prefix holds.
 	slow := execScenario(t, Scenario{
-		System: Bitcoin{},
+		System: Bitcoin,
 		Links:  AsyncLinks(8),
 		Params: Params{N: 6, TargetBlocks: 25, Seed: 23, MineInterval: 64, TokenProb: 0.04, ReadEvery: 32},
 	})
@@ -62,7 +62,7 @@ func TestOpenIssueEventualPrefixUnderAsynchrony(t *testing.T) {
 // lost, matching the shape of the paper's conjecture.
 func TestAsyncRunStillSatisfiesSafetyCore(t *testing.T) {
 	res := execScenario(t, Scenario{
-		System: Bitcoin{},
+		System: Bitcoin,
 		Links:  stragglingAsyncLinks,
 		Params: Params{N: 6, TargetBlocks: 60, Seed: 23, MineInterval: 1, TokenProb: 0.5, ReadEvery: 4},
 	})

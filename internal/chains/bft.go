@@ -110,167 +110,121 @@ func runBFT(name, refinement string, sel blocktree.Selector, plan roundPlan, p P
 	return net.result(name, refinement, orc.Name(), sel, 1)
 }
 
-// powRacePlan is the ByzCoin/PeerCensus proposer discipline: everyone
-// races; intra-round order follows a digest-derived jitter.
-func powRacePlan(seed uint64, tokenProb float64) roundPlan {
+// powRace is the ByzCoin/PeerCensus proposer discipline: everyone races;
+// intra-round order follows a digest-derived jitter. The PoW race needs a
+// realistic per-round hit rate, so the tape probability is scaled so that
+// a round finds a winner more often than not.
+func powRace(p Params) roundPlan {
 	return roundPlan{
-		tokenProb: tokenProb,
+		tokenProb: min(p.TokenProb*8, 0.9),
 		participate: func(r, i int) (bool, int64) {
-			return true, int64(prng.Mix(seed, 0xD16E57, uint64(r), uint64(i)) % 8)
+			return true, int64(prng.Mix(p.Seed, 0xD16E57, uint64(r), uint64(i)) % 8)
 		},
 	}
 }
 
-// ByzCoin is Section 5.3: keyblock creation by proof-of-work, commitment by
-// a PBFT variant that appends a single keyblock per predecessor — a
-// strongly consistent BlockTree composed with a frugal oracle, k = 1.
-type ByzCoin struct{}
-
-// Name implements System.
-func (ByzCoin) Name() string { return "ByzCoin" }
-
-// Refinement implements System.
-func (ByzCoin) Refinement() string { return "R(BT-ADT_SC, Θ_F,k=1)" }
-
-// Expected implements System.
-func (ByzCoin) Expected() consistency.Level { return consistency.LevelSC }
-
-// Run implements System.
-func (ByzCoin) Run(p Params) Result {
-	p = p.withDefaults()
-	// The PoW race needs a realistic per-round hit rate; scale the tape
-	// probability so that a round finds a winner more often than not.
-	prob := p.TokenProb * 8
-	if prob > 0.9 {
-		prob = 0.9
+// writerCount is the consortium's number of writers |M|: Params.Writers
+// when it names a proper subset of the N processes, N/2+ otherwise.
+func writerCount(p Params) int {
+	if p.Writers <= 0 || p.Writers > p.N {
+		return (p.N + 1) / 2
 	}
-	return runBFT("ByzCoin", ByzCoin{}.Refinement(), blocktree.SingleChain{}, powRacePlan(p.Seed, prob), p)
+	return p.Writers
 }
 
-// PeerCensus is Section 5.5: proof-of-work identity plus a dynamic
-// Byzantine-tolerant consensus committing a single keyblock among the
-// concurrent ones — again R(BT-ADT_SC, Θ_F,k=1) under the secure-state
-// assumption (adversarial power below 1/3).
-type PeerCensus struct{}
-
-// Name implements System.
-func (PeerCensus) Name() string { return "PeerCensus" }
-
-// Refinement implements System.
-func (PeerCensus) Refinement() string { return "R(BT-ADT_SC, Θ_F,k=1)" }
-
-// Expected implements System.
-func (PeerCensus) Expected() consistency.Level { return consistency.LevelSC }
-
-// Run implements System.
-func (PeerCensus) Run(p Params) Result {
-	p = p.withDefaults()
-	prob := p.TokenProb * 8
-	if prob > 0.9 {
-		prob = 0.9
-	}
-	return runBFT("PeerCensus", PeerCensus{}.Refinement(), blocktree.SingleChain{}, powRacePlan(p.Seed, prob), p)
-}
-
-// Algorand is Section 5.4: cryptographic sortition selects a committee
-// weighted by stake; the highest-priority member proposes and the BA*
-// Byzantine agreement commits that block — a probabilistic implementation
-// of a strongly consistent BlockTree with a frugal oracle, k = 1 (SC with
-// high probability; the fork probability is below 10⁻⁷ and is not injected
-// here).
-type Algorand struct{}
-
-// Name implements System.
-func (Algorand) Name() string { return "Algorand" }
-
-// Refinement implements System.
-func (Algorand) Refinement() string { return "R(BT-ADT_SC, Θ_F,k=1) w.h.p." }
-
-// Expected implements System.
-func (Algorand) Expected() consistency.Level { return consistency.LevelSC }
-
-// Run implements System.
-func (Algorand) Run(p Params) Result {
-	p = p.withDefaults()
-	committeeProb := 0.5
-	plan := roundPlan{
-		tokenProb: 1,
-		participate: func(r, i int) (bool, int64) {
-			draw := prng.Mix(p.Seed, 0xA160, uint64(r), uint64(i))
-			if !prng.Bernoulli(draw, committeeProb) {
-				return false, 0
+var (
+	// Algorand is Section 5.3: cryptographic sortition selects a
+	// committee weighted by stake; the highest-priority member proposes
+	// and the BA* Byzantine agreement commits that block — a
+	// probabilistic implementation of a strongly consistent BlockTree
+	// with a frugal oracle, k = 1 (SC with high probability; the fork
+	// probability is below 10⁻⁷ and is not injected here).
+	Algorand = System{
+		Name:       "Algorand",
+		Refinement: "R(BT-ADT_SC, Θ_F,k=1) w.h.p.",
+		Expected:   consistency.LevelSC,
+		Selector:   blocktree.SingleChain{},
+		Rounds: func(p Params) roundPlan {
+			const committeeProb = 0.5
+			return roundPlan{
+				tokenProb: 1,
+				participate: func(r, i int) (bool, int64) {
+					draw := prng.Mix(p.Seed, 0xA160, uint64(r), uint64(i))
+					if !prng.Bernoulli(draw, committeeProb) {
+						return false, 0
+					}
+					// Sortition priority: smaller value proposes
+					// earlier, so the consume picks the
+					// highest-priority member.
+					prio := int64(prng.Mix(p.Seed, 0xB42A, uint64(r), uint64(i)) % 16)
+					return true, prio
+				},
 			}
-			// Sortition priority: smaller value proposes earlier,
-			// so the consume picks the highest-priority member.
-			prio := int64(prng.Mix(p.Seed, 0xB42A, uint64(r), uint64(i)) % 16)
-			return true, prio
 		},
 	}
-	return runBFT("Algorand", Algorand{}.Refinement(), blocktree.SingleChain{}, plan, p)
-}
-
-// RedBelly is Section 5.6: a consortium blockchain where only the M
-// predefined writers append; every writer can obtain a token and the
-// Byzantine consensus run by all processes decides a unique block, so the
-// BlockTree contains a unique chain: R(BT-ADT_SC, Θ_F,k=1) with the trivial
-// projection as selection function.
-type RedBelly struct{}
-
-// Name implements System.
-func (RedBelly) Name() string { return "RedBelly" }
-
-// Refinement implements System.
-func (RedBelly) Refinement() string { return "R(BT-ADT_SC, Θ_F,k=1)" }
-
-// Expected implements System.
-func (RedBelly) Expected() consistency.Level { return consistency.LevelSC }
-
-// Run implements System.
-func (RedBelly) Run(p Params) Result {
-	p = p.withDefaults()
-	writers := p.Writers
-	if writers <= 0 || writers > p.N {
-		writers = (p.N + 1) / 2
+	// ByzCoin is Section 5.4: keyblock creation by proof-of-work,
+	// commitment by a PBFT variant that appends a single keyblock per
+	// predecessor — a strongly consistent BlockTree composed with a
+	// frugal oracle, k = 1.
+	ByzCoin = System{
+		Name:       "ByzCoin",
+		Refinement: "R(BT-ADT_SC, Θ_F,k=1)",
+		Expected:   consistency.LevelSC,
+		Selector:   blocktree.SingleChain{},
+		Rounds:     powRace,
 	}
-	plan := roundPlan{
-		tokenProb: 1,
-		participate: func(r, i int) (bool, int64) {
-			if i >= writers {
-				return false, 0
+	// PeerCensus is Section 5.5: proof-of-work identity plus a dynamic
+	// Byzantine-tolerant consensus committing a single keyblock among the
+	// concurrent ones — again R(BT-ADT_SC, Θ_F,k=1) under the
+	// secure-state assumption (adversarial power below 1/3).
+	PeerCensus = System{
+		Name:       "PeerCensus",
+		Refinement: "R(BT-ADT_SC, Θ_F,k=1)",
+		Expected:   consistency.LevelSC,
+		Selector:   blocktree.SingleChain{},
+		Rounds:     powRace,
+	}
+	// RedBelly is Section 5.6: a consortium blockchain where only the M
+	// predefined writers append; every writer can obtain a token and the
+	// Byzantine consensus run by all processes decides a unique block, so
+	// the BlockTree contains a unique chain: R(BT-ADT_SC, Θ_F,k=1) with
+	// the trivial projection as selection function.
+	RedBelly = System{
+		Name:       "RedBelly",
+		Refinement: "R(BT-ADT_SC, Θ_F,k=1)",
+		Expected:   consistency.LevelSC,
+		Selector:   blocktree.SingleChain{},
+		Rounds: func(p Params) roundPlan {
+			writers := writerCount(p)
+			return roundPlan{
+				tokenProb: 1,
+				participate: func(r, i int) (bool, int64) {
+					if i >= writers {
+						return false, 0
+					}
+					return true, int64(prng.Mix(p.Seed, 0x2EDB, uint64(r), uint64(i)) % 8)
+				},
 			}
-			return true, int64(prng.Mix(p.Seed, 0x2EDB, uint64(r), uint64(i)) % 8)
 		},
 	}
-	return runBFT("RedBelly", RedBelly{}.Refinement(), blocktree.SingleChain{}, plan, p)
-}
-
-// Hyperledger is Section 5.7 (Hyperledger Fabric): a permissioned system
-// where a leader among the M writers gathers transactions into the next
-// block and the ordering service delivers it to everyone — by construction
-// a unique token is consumed per height: R(BT-ADT_SC, Θ_F,k=1).
-type Hyperledger struct{}
-
-// Name implements System.
-func (Hyperledger) Name() string { return "Hyperledger" }
-
-// Refinement implements System.
-func (Hyperledger) Refinement() string { return "R(BT-ADT_SC, Θ_F,k=1)" }
-
-// Expected implements System.
-func (Hyperledger) Expected() consistency.Level { return consistency.LevelSC }
-
-// Run implements System.
-func (Hyperledger) Run(p Params) Result {
-	p = p.withDefaults()
-	writers := p.Writers
-	if writers <= 0 || writers > p.N {
-		writers = (p.N + 1) / 2
-	}
-	plan := roundPlan{
-		tokenProb: 1,
-		participate: func(r, i int) (bool, int64) {
-			return i == r%writers, 0
+	// Hyperledger is Section 5.7 (Hyperledger Fabric): a permissioned
+	// system where a leader among the M writers gathers transactions into
+	// the next block and the ordering service delivers it to everyone —
+	// by construction a unique token is consumed per height:
+	// R(BT-ADT_SC, Θ_F,k=1).
+	Hyperledger = System{
+		Name:       "Hyperledger",
+		Refinement: "R(BT-ADT_SC, Θ_F,k=1)",
+		Expected:   consistency.LevelSC,
+		Selector:   blocktree.SingleChain{},
+		Rounds: func(p Params) roundPlan {
+			writers := writerCount(p)
+			return roundPlan{
+				tokenProb: 1,
+				participate: func(r, i int) (bool, int64) {
+					return i == r%writers, 0
+				},
+			}
 		},
 	}
-	return runBFT("Hyperledger", Hyperledger{}.Refinement(), blocktree.SingleChain{}, plan, p)
-}
+)

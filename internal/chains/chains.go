@@ -155,30 +155,43 @@ func (r Result) Classify(opts consistency.Options) consistency.Classification {
 	return consistency.Classify(r.History, opts)
 }
 
-// System is one row generator of Table 1.
-type System interface {
-	// Name returns the system's name as in Table 1.
-	Name() string
-	// Refinement returns the paper's classification, e.g.
+// System is one row of Table 1: a refinement R(BT-ADT_C, Θ) read through
+// a selection function f. A row with no Rounds is a PoW system: its
+// prodigal oracle is drawn from Params.Merits and its mining loop is
+// link-model agnostic, so it runs under every link and topology plan. A
+// row with Rounds is a committee system: a frugal Θ_F,k=1 oracle commits
+// one block per round under that proposer discipline, over synchronous
+// complete-graph rounds.
+type System struct {
+	// Name is the system's name as in Table 1.
+	Name string
+	// Refinement is the paper's classification, e.g.
 	// "R(BT-ADT_SC, Θ_F,k=1)".
-	Refinement() string
-	// Expected returns the consistency level the paper assigns.
-	Expected() consistency.Level
-	// Run simulates the system.
-	Run(p Params) Result
+	Refinement string
+	// Expected is the consistency level the paper assigns.
+	Expected consistency.Level
+	// Selector is the selection function f.
+	Selector blocktree.Selector
+	// Rounds builds the committee's proposer discipline from the
+	// defaulted params; nil for a PoW row.
+	Rounds func(p Params) roundPlan
+}
+
+// PoW reports whether the row is a proof-of-work system.
+func (s System) PoW() bool { return s.Rounds == nil }
+
+// Run simulates the system over its default synchronous network.
+func (s System) Run(p Params) Result {
+	if s.PoW() {
+		return runPoWTopo(s.Name, s.Refinement, s.Selector, nil, nil, p)
+	}
+	p = p.withDefaults()
+	return runBFT(s.Name, s.Refinement, s.Selector, s.Rounds(p), p)
 }
 
 // All returns the seven systems of Table 1 in the paper's order.
 func All() []System {
-	return []System{
-		Bitcoin{},
-		Ethereum{},
-		Algorand{},
-		ByzCoin{},
-		PeerCensus{},
-		RedBelly{},
-		Hyperledger{},
-	}
+	return []System{Bitcoin, Ethereum, Algorand, ByzCoin, PeerCensus, RedBelly, Hyperledger}
 }
 
 // equalMerits returns n merit probabilities of p each: the normalized

@@ -20,9 +20,9 @@ func TestTable1Classification(t *testing.T) {
 		for _, sys := range All() {
 			res := sys.Run(p)
 			cls := res.Classify(Options(p, res.History))
-			if cls.Level != sys.Expected() {
+			if cls.Level != sys.Expected {
 				t.Errorf("seed=%d: %s: measured %s, paper says %s\nSC: %sEC: %s",
-					seed, sys.Name(), cls.Level, sys.Expected(), cls.SC, cls.EC)
+					seed, sys.Name, cls.Level, sys.Expected, cls.SC, cls.EC)
 			}
 		}
 	}
@@ -32,11 +32,11 @@ func TestTable1Classification(t *testing.T) {
 // EC, and the SC property that fails is Strong Prefix — the paper's
 // rationale for the weaker criterion.
 func TestPoWSystemsViolateStrongPrefixSpecifically(t *testing.T) {
-	for _, sys := range []System{Bitcoin{}, Ethereum{}} {
+	for _, sys := range []System{Bitcoin, Ethereum} {
 		res := sys.Run(table1Params)
 		cls := res.Classify(Options(table1Params.withDefaults(), res.History))
 		if cls.Level != consistency.LevelEC {
-			t.Fatalf("%s level = %s", sys.Name(), cls.Level)
+			t.Fatalf("%s level = %s", sys.Name, cls.Level)
 		}
 		failed := cls.SC.Failed()
 		hasSP := false
@@ -46,26 +46,26 @@ func TestPoWSystemsViolateStrongPrefixSpecifically(t *testing.T) {
 			}
 		}
 		if !hasSP {
-			t.Fatalf("%s: SC failures = %v, want StrongPrefix among them", sys.Name(), failed)
+			t.Fatalf("%s: SC failures = %v, want StrongPrefix among them", sys.Name, failed)
 		}
 		if res.Forks == 0 {
-			t.Fatalf("%s: no forks realized — the run does not exercise divergence", sys.Name())
+			t.Fatalf("%s: no forks realized — the run does not exercise divergence", sys.Name)
 		}
 	}
 }
 
 // TestConsensusSystemsNeverFork: every k=1 system commits a single chain.
 func TestConsensusSystemsNeverFork(t *testing.T) {
-	for _, sys := range []System{Algorand{}, ByzCoin{}, PeerCensus{}, RedBelly{}, Hyperledger{}} {
+	for _, sys := range []System{Algorand, ByzCoin, PeerCensus, RedBelly, Hyperledger} {
 		res := sys.Run(table1Params)
 		if res.Forks != 0 {
-			t.Errorf("%s forked %d times under Θ_F,k=1", sys.Name(), res.Forks)
+			t.Errorf("%s forked %d times under Θ_F,k=1", sys.Name, res.Forks)
 		}
 		if res.Blocks < table1Params.TargetBlocks {
-			t.Errorf("%s committed only %d blocks", sys.Name(), res.Blocks)
+			t.Errorf("%s committed only %d blocks", sys.Name, res.Blocks)
 		}
 		if res.K != 1 {
-			t.Errorf("%s oracle K = %d", sys.Name(), res.K)
+			t.Errorf("%s oracle K = %d", sys.Name, res.K)
 		}
 	}
 }
@@ -78,7 +78,7 @@ func TestKForkCoherenceAcrossSystems(t *testing.T) {
 		k := res.K
 		v := consistency.KForkCoherence(res.History, k, Options(table1Params.withDefaults(), res.History))
 		if !v.Satisfied {
-			t.Errorf("%s: %s", sys.Name(), v)
+			t.Errorf("%s: %s", sys.Name, v)
 		}
 	}
 }
@@ -93,10 +93,10 @@ func TestUpdateAgreementHoldsOnAllSystems(t *testing.T) {
 			res := sys.Run(small)
 			opts := Options(small.withDefaults(), res.History)
 			if v := consistency.UpdateAgreement(res.History, opts); !v.Satisfied {
-				t.Errorf("seed=%d: %s: %s", seed, sys.Name(), v)
+				t.Errorf("seed=%d: %s: %s", seed, sys.Name, v)
 			}
 			if v := consistency.LRC(res.History, opts); !v.Satisfied {
-				t.Errorf("seed=%d: %s LRC: %s", seed, sys.Name(), v)
+				t.Errorf("seed=%d: %s LRC: %s", seed, sys.Name, v)
 			}
 		}
 	}
@@ -104,8 +104,8 @@ func TestUpdateAgreementHoldsOnAllSystems(t *testing.T) {
 
 // TestDeterministicRuns: the same seed reproduces the same result exactly.
 func TestDeterministicRuns(t *testing.T) {
-	a := Bitcoin{}.Run(table1Params)
-	b := Bitcoin{}.Run(table1Params)
+	a := Bitcoin.Run(table1Params)
+	b := Bitcoin.Run(table1Params)
 	if a.Blocks != b.Blocks || a.Forks != b.Forks || a.Ticks != b.Ticks || a.Delivered != b.Delivered {
 		t.Fatalf("nondeterministic runs: %+v vs %+v", a, b)
 	}
@@ -124,8 +124,8 @@ func TestDeterministicRuns(t *testing.T) {
 // TestSeedChangesRun: a different seed yields a different execution (the
 // simulator actually uses its randomness).
 func TestSeedChangesRun(t *testing.T) {
-	a := Bitcoin{}.Run(Params{N: 8, TargetBlocks: 20, Seed: 1})
-	b := Bitcoin{}.Run(Params{N: 8, TargetBlocks: 20, Seed: 2})
+	a := Bitcoin.Run(Params{N: 8, TargetBlocks: 20, Seed: 1})
+	b := Bitcoin.Run(Params{N: 8, TargetBlocks: 20, Seed: 2})
 	if a.Ticks == b.Ticks && a.Delivered == b.Delivered && a.Forks == b.Forks {
 		t.Fatal("two seeds produced identical executions — suspicious")
 	}
@@ -134,7 +134,7 @@ func TestSeedChangesRun(t *testing.T) {
 func TestWritersParameter(t *testing.T) {
 	// A consortium with 2 writers: all blocks must be proposed by procs
 	// 0 or 1.
-	res := RedBelly{}.Run(Params{N: 6, Writers: 2, TargetBlocks: 12, Seed: 3})
+	res := RedBelly.Run(Params{N: 6, Writers: 2, TargetBlocks: 12, Seed: 3})
 	tree := treeOfBest(t, res)
 	for _, a := range res.History.SuccessfulAppends() {
 		if a.Op.Proc > 1 {
@@ -161,7 +161,7 @@ func treeOfBest(t *testing.T, res Result) map[string]bool {
 // TestHyperledgerRoundRobin: with the leader rotating over 3 writers,
 // successive blocks come from successive leaders.
 func TestHyperledgerRoundRobin(t *testing.T) {
-	res := Hyperledger{}.Run(Params{N: 6, Writers: 3, TargetBlocks: 9, Seed: 5})
+	res := Hyperledger.Run(Params{N: 6, Writers: 3, TargetBlocks: 9, Seed: 5})
 	appends := res.History.SuccessfulAppends()
 	if len(appends) < 6 {
 		t.Fatalf("appends = %d", len(appends))

@@ -26,7 +26,7 @@ func TestDrainOutlastsJitterTails(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		p := Params{N: n, TargetBlocks: 12, Delta: 8, Seed: seed}
-		res := runPoWTopo("Bitcoin", Bitcoin{}.Refinement(), blocktree.HeaviestChain{}, links, nil, p)
+		res := runPoWTopo("Bitcoin", Bitcoin.Refinement, blocktree.HeaviestChain{}, links, nil, p)
 		if res.Blocks < p.TargetBlocks {
 			t.Fatalf("seed %d: run ended with %d blocks, want ≥ %d", seed, res.Blocks, p.TargetBlocks)
 		}

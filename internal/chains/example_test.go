@@ -10,9 +10,9 @@ import (
 // its recorded history.
 func Example() {
 	p := chains.Params{N: 8, TargetBlocks: 30, Seed: 42}
-	res := chains.Bitcoin{}.Run(p)
+	res := chains.Bitcoin.Run(p)
 	cls := res.Classify(chains.Options(p, res.History))
-	fmt.Println("paper:", chains.Bitcoin{}.Refinement())
+	fmt.Println("paper:", chains.Bitcoin.Refinement)
 	fmt.Println("measured:", cls.Level)
 	fmt.Println("forked:", res.Forks > 0)
 	// Output:
@@ -29,7 +29,7 @@ func ExampleResult_Classify() {
 	allMatch := true
 	for _, sys := range systems {
 		res := sys.Run(p)
-		if res.Classify(chains.Options(p, res.History)).Level != sys.Expected() {
+		if res.Classify(chains.Options(p, res.History)).Level != sys.Expected {
 			allMatch = false
 		}
 	}

@@ -115,21 +115,26 @@ func (l LinkPlan) isDefault() bool { return l.Build == nil && l.Regime == "" }
 // IsDefault reports whether the plan is the complete graph.
 func (t TopologyPlan) IsDefault() bool { return t.Graph == nil && t.WrapLinks == nil }
 
-// Composes reports whether Execute can run the named system under the
+// Composes reports whether Execute can run the system row under the
 // given link plan, an adversary plan or none, and the given topology
 // plan. It is the one statement of the executor's support rule:
 //   - the default axes run every system's own simulator;
 //   - a link or topology plan runs on the generic PoW driver, so it
-//     needs a PoW system (the committee systems assume synchronous
-//     rounds and complete dissemination);
+//     needs a PoW row, whose mining loop is link-model agnostic (the
+//     committee systems assume synchronous rounds and complete
+//     dissemination);
 //   - an adversary plan owns the run and assumes the synchronous
 //     complete-graph network, so it needs the default link and topology.
-func Composes(system string, links LinkPlan, adversarial bool, topo TopologyPlan) bool {
+//
+// (GHOST's pre-GST oscillation, which used to exclude Ethereum from
+// psync, is gone now that WeaklySynchronous honors the DLS "delivered by
+// GST+δ" bound: no stale pre-GST straggler can arrive arbitrarily late
+// and flip the subtree weights after stabilization.)
+func Composes(system System, links LinkPlan, adversarial bool, topo TopologyPlan) bool {
 	if links.isDefault() && topo.IsDefault() {
 		return true
 	}
-	_, pow := powSelectors[system]
-	return pow && !adversarial
+	return system.PoW() && !adversarial
 }
 
 // Execute runs a composed scenario. Default-axes scenarios dispatch to
@@ -139,14 +144,10 @@ func Composes(system string, links LinkPlan, adversarial bool, topo TopologyPlan
 // composition: a tuple Composes refuses, or a scenario with no system.
 func Execute(sc Scenario) (Result, error) {
 	adversarial := sc.Adversary.Run != nil
-	if sc.System == nil && !adversarial {
+	if sc.System.Selector == nil && !adversarial {
 		return Result{}, fmt.Errorf("chains: scenario names no system")
 	}
-	var name string
-	if sc.System != nil {
-		name = sc.System.Name()
-	}
-	if !Composes(name, sc.Links, adversarial, sc.Topology) {
+	if !Composes(sc.System, sc.Links, adversarial, sc.Topology) {
 		if adversarial {
 			return Result{}, fmt.Errorf("chains: adversary %q composes only with synchronous complete-graph networks", sc.Adversary.Name)
 		}
@@ -154,7 +155,7 @@ func Execute(sc Scenario) (Result, error) {
 		if regime == "" {
 			regime = "sync"
 		}
-		return Result{}, fmt.Errorf("chains: no %s runner for system %s", regime, name)
+		return Result{}, fmt.Errorf("chains: no %s runner for system %s", regime, sc.System.Name)
 	}
 	if adversarial {
 		return sc.Adversary.Run(sc.Params), nil
@@ -175,8 +176,8 @@ func Execute(sc Scenario) (Result, error) {
 	if sc.Topology.WrapLinks != nil {
 		links = sc.Topology.WrapLinks(links, p)
 	}
-	resName := name
-	refinement := sc.System.Refinement()
+	resName := sc.System.Name
+	refinement := sc.System.Refinement
 	if sc.Links.Regime != "" {
 		resName += "/" + sc.Links.Regime
 	}
@@ -186,17 +187,34 @@ func Execute(sc Scenario) (Result, error) {
 	if sc.Topology.Name != "" {
 		resName += "@" + sc.Topology.Name
 	}
-	res := runPoWTopo(resName, refinement, powSelectors[name], links, sc.Topology.Graph, p)
+	res := runPoWTopo(resName, refinement, sc.System.Selector, links, sc.Topology.Graph, p)
 	if sc.Links.Heal != nil {
 		res.PartitionHeal = sc.Links.Heal(p)
 	}
 	return res, nil
 }
 
-// The link plans of the Section 4.2 channel models. Each captures its
-// own parameters — the two parameterized regimes are constructors — and
-// fixes every other knob at the constant the registered scenario links
-// use, so each registered link is configured in one place. Each Build
+// The link plans of the Section 4.2 channel models — the executable
+// counterpart of the open issues the paper lists at the end of Section
+// 4.2 ("TBC"): the solvability of Eventual Prefix under asynchrony and
+// under block intervals shorter than the message-delay bound. The paper
+// states the conjectures:
+//
+//	(ii)  Eventual Prefix is impossible in an asynchronous system;
+//	(iii) Eventual Prefix is impossible if the interval between the
+//	      generation of two successive blocks is less than the upper
+//	      bound on the message delay.
+//
+// Executing a PoW system under AsyncLinks exhibits finite-run witnesses
+// for both: with mining much faster than delivery, replicas build on
+// stale tips and the recorded histories show divergence that outlives
+// any grace window; with mining much slower than the (bounded) delay,
+// the same protocol converges.
+//
+// Each plan captures its own parameters — the two parameterized regimes
+// are constructors — and fixes every other knob at the constant the
+// registered scenario links use, so each registered link is configured
+// in one place. Each Build
 // reproduces the netsim construction of the Run* runner it replaced, so
 // results — and the rng streams behind them — are byte-identical.
 

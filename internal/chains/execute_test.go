@@ -22,17 +22,17 @@ func execScenario(t *testing.T, sc Scenario) Result {
 // results are identical to calling System.Run directly, which is what
 // keeps the sweep baseline byte-stable across the refactor.
 func TestExecuteDefaultAxesMatchesSystemRun(t *testing.T) {
-	for _, sys := range []System{Bitcoin{}, Ethereum{}, Algorand{}, Hyperledger{}} {
+	for _, sys := range []System{Bitcoin, Ethereum, Algorand, Hyperledger} {
 		p := Params{N: 5, TargetBlocks: 20, Seed: 17}
 		direct := sys.Run(p)
 		via := execScenario(t, Scenario{System: sys, Params: p})
 		if direct.Blocks != via.Blocks || direct.Ticks != via.Ticks ||
 			direct.Delivered != via.Delivered || direct.Forks != via.Forks ||
 			direct.System != via.System || direct.Refinement != via.Refinement {
-			t.Fatalf("%s: Execute diverged from System.Run:\n direct: %+v\n via:    %+v", sys.Name(), direct, via)
+			t.Fatalf("%s: Execute diverged from System.Run:\n direct: %+v\n via:    %+v", sys.Name, direct, via)
 		}
 		if len(direct.History.Events()) != len(via.History.Events()) {
-			t.Fatalf("%s: history lengths differ: %d vs %d", sys.Name(), len(direct.History.Events()), len(via.History.Events()))
+			t.Fatalf("%s: history lengths differ: %d vs %d", sys.Name, len(direct.History.Events()), len(via.History.Events()))
 		}
 	}
 }
@@ -43,7 +43,7 @@ func TestExecuteDefaultAxesMatchesSystemRun(t *testing.T) {
 // habits survive.
 func TestExecuteUnknownSystem(t *testing.T) {
 	p := Params{N: 4, TargetBlocks: 10, Seed: 1}
-	_, err := Execute(Scenario{System: Hyperledger{}, Links: AsyncLinks(8), Params: p})
+	_, err := Execute(Scenario{System: Hyperledger, Links: AsyncLinks(8), Params: p})
 	if err == nil {
 		t.Fatal("committee system ran under async links")
 	}
@@ -52,7 +52,7 @@ func TestExecuteUnknownSystem(t *testing.T) {
 	}
 
 	// A bare topology (sync links) reports the "sync" regime.
-	_, err = Execute(Scenario{System: Algorand{}, Topology: GossipTopology(3), Params: p})
+	_, err = Execute(Scenario{System: Algorand, Topology: GossipTopology(3), Params: p})
 	if err == nil || err.Error() != "chains: no sync runner for system Algorand" {
 		t.Fatalf("topology-only miss: %v", err)
 	}
@@ -71,20 +71,20 @@ func TestComposesIsExecutesRule(t *testing.T) {
 	p := Params{N: 4, TargetBlocks: 8, Seed: 5}
 	links := []LinkPlan{{}, AsyncLinks(8), PsyncLinks}
 	topos := []TopologyPlan{{}, GossipTopology(3), ClusteredTopology(2, 4)}
-	for _, sys := range []System{Bitcoin{}, Ethereum{}, Algorand{}, Hyperledger{}} {
-		pow := sys.Name() == "Bitcoin" || sys.Name() == "Ethereum"
+	for _, sys := range []System{Bitcoin, Ethereum, Algorand, Hyperledger} {
+		pow := sys.Name == "Bitcoin" || sys.Name == "Ethereum"
 		for _, l := range links {
 			for _, topo := range topos {
 				for _, adv := range []AdversaryPlan{{}, SelfishWithholding(0.34)} {
 					adversarial := adv.Run != nil
 					network := l.isDefault() && topo.IsDefault()
 					want := network || (pow && !adversarial)
-					if got := Composes(sys.Name(), l, adversarial, topo); got != want {
-						t.Fatalf("Composes(%s, %q, %v, %q) = %v, want %v", sys.Name(), l.Regime, adversarial, topo.Name, got, want)
+					if got := Composes(sys, l, adversarial, topo); got != want {
+						t.Fatalf("Composes(%s, %q, %v, %q) = %v, want %v", sys.Name, l.Regime, adversarial, topo.Name, got, want)
 					}
 					_, err := Execute(Scenario{System: sys, Links: l, Adversary: adv, Topology: topo, Params: p})
 					if (err == nil) != want {
-						t.Fatalf("%s/%q/%v@%q: Composes says %v, Execute returned %v", sys.Name(), l.Regime, adversarial, topo.Name, want, err)
+						t.Fatalf("%s/%q/%v@%q: Composes says %v, Execute returned %v", sys.Name, l.Regime, adversarial, topo.Name, want, err)
 					}
 				}
 			}
@@ -118,7 +118,7 @@ func TestExecuteRejectsAdversaryNetworkCompositions(t *testing.T) {
 // k=3) runs deterministically and still converges — restricting direct
 // sends to the neighbor set only reroutes updates, it loses none.
 func TestGossipTopologyDeterministicEC(t *testing.T) {
-	for _, sys := range []System{Bitcoin{}, Ethereum{}} {
+	for _, sys := range []System{Bitcoin, Ethereum} {
 		sc := Scenario{
 			System:   sys,
 			Topology: GossipTopology(3),
@@ -127,18 +127,18 @@ func TestGossipTopologyDeterministicEC(t *testing.T) {
 		a := execScenario(t, sc)
 		b := execScenario(t, sc)
 		if a.Blocks != b.Blocks || a.Ticks != b.Ticks || a.Delivered != b.Delivered || a.Forks != b.Forks {
-			t.Fatalf("%s@gossip3 nondeterministic:\n a: %+v\n b: %+v", sys.Name(), a, b)
+			t.Fatalf("%s@gossip3 nondeterministic:\n a: %+v\n b: %+v", sys.Name, a, b)
 		}
-		if want := sys.Name() + "@gossip3"; a.System != want {
+		if want := sys.Name + "@gossip3"; a.System != want {
 			t.Fatalf("result system = %q, want %q", a.System, want)
 		}
 		opts := Options(Params{N: 8}.withDefaults(), a.History)
 		if lvl := a.Classify(opts).Level; lvl != consistency.LevelEC {
-			t.Fatalf("%s@gossip3 classified %s, want EC", sys.Name(), lvl)
+			t.Fatalf("%s@gossip3 classified %s, want EC", sys.Name, lvl)
 		}
 		// Gossip relays multiply deliveries relative to one-hop broadcast.
 		if a.Delivered == 0 {
-			t.Fatalf("%s@gossip3 delivered nothing", sys.Name())
+			t.Fatalf("%s@gossip3 delivered nothing", sys.Name)
 		}
 	}
 }
@@ -149,7 +149,7 @@ func TestGossipTopologyDeterministicEC(t *testing.T) {
 // non-default link plan.
 func TestClusteredTopologyDeterministicEC(t *testing.T) {
 	sc := Scenario{
-		System:   Bitcoin{},
+		System:   Bitcoin,
 		Topology: ClusteredTopology(2, 4),
 		Params:   Params{N: 8, TargetBlocks: 30, Seed: 42},
 	}
@@ -172,7 +172,7 @@ func TestClusteredTopologyDeterministicEC(t *testing.T) {
 	// Cross-cluster delay is observable: the clustered run takes at least
 	// as many ticks as the flat run on the same seed.
 	flat := execScenario(t, Scenario{
-		System: Bitcoin{},
+		System: Bitcoin,
 		Params: Params{N: 8, TargetBlocks: 30, Seed: 42},
 	})
 	if a.Ticks < flat.Ticks {
@@ -181,7 +181,7 @@ func TestClusteredTopologyDeterministicEC(t *testing.T) {
 
 	// Topology wraps compose with link plans: jitter inside clusters.
 	composed := Scenario{
-		System:   Ethereum{},
+		System:   Ethereum,
 		Links:    JitterLinks,
 		Topology: ClusteredTopology(2, 4),
 		Params:   Params{N: 8, TargetBlocks: 20, Seed: 7},
@@ -210,7 +210,7 @@ func TestExecuteCrossProductDeterminism(t *testing.T) {
 	topos := map[string]TopologyPlan{
 		"complete": {}, "gossip3": GossipTopology(3), "clustered2": ClusteredTopology(2, 4),
 	}
-	for _, sys := range []System{Bitcoin{}, Ethereum{}} {
+	for _, sys := range []System{Bitcoin, Ethereum} {
 		for ln, link := range links {
 			for tn, topo := range topos {
 				sc := Scenario{
@@ -223,7 +223,7 @@ func TestExecuteCrossProductDeterminism(t *testing.T) {
 				b := execScenario(t, sc)
 				if a.Blocks != b.Blocks || a.Ticks != b.Ticks || a.Delivered != b.Delivered ||
 					a.Dropped != b.Dropped || a.Forks != b.Forks {
-					t.Errorf("%s × %s × %s nondeterministic", sys.Name(), ln, tn)
+					t.Errorf("%s × %s × %s nondeterministic", sys.Name, ln, tn)
 				}
 			}
 		}

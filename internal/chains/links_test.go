@@ -21,7 +21,7 @@ func classifyLevel(res Result, n int) consistency.Level {
 // communication guarantees Theorems 4.6 and 4.7 name as necessary:
 // Update Agreement and Light Reliable Communication.
 func TestLossyWitnessesTheorem47(t *testing.T) {
-	for _, sys := range []System{Bitcoin{}, Ethereum{}} {
+	for _, sys := range []System{Bitcoin, Ethereum} {
 		for _, seed := range []uint64{1, 42, 12345} {
 			res := execScenario(t, Scenario{
 				System: sys,
@@ -29,24 +29,24 @@ func TestLossyWitnessesTheorem47(t *testing.T) {
 				Params: Params{N: 8, TargetBlocks: 30, Seed: seed},
 			})
 			if res.Dropped == 0 {
-				t.Fatalf("%s seed=%d: lossy run dropped nothing — no Theorem 4.7 hypothesis", sys.Name(), seed)
+				t.Fatalf("%s seed=%d: lossy run dropped nothing — no Theorem 4.7 hypothesis", sys.Name, seed)
 			}
 			opts := Options(Params{N: 8}.withDefaults(), res.History)
 			v := consistency.EventualPrefix(res.History, opts)
 			if v.Satisfied {
-				t.Fatalf("%s seed=%d: lossy run satisfies Eventual Prefix despite %d drops", sys.Name(), seed, res.Dropped)
+				t.Fatalf("%s seed=%d: lossy run satisfies Eventual Prefix despite %d drops", sys.Name, seed, res.Dropped)
 			}
 			if len(v.Violations) == 0 {
-				t.Fatalf("%s seed=%d: Eventual Prefix violated but no witness recorded", sys.Name(), seed)
+				t.Fatalf("%s seed=%d: Eventual Prefix violated but no witness recorded", sys.Name, seed)
 			}
 			if consistency.UpdateAgreement(res.History, opts).Satisfied {
-				t.Fatalf("%s seed=%d: lossy run satisfies Update Agreement despite %d drops", sys.Name(), seed, res.Dropped)
+				t.Fatalf("%s seed=%d: lossy run satisfies Update Agreement despite %d drops", sys.Name, seed, res.Dropped)
 			}
 			if consistency.LRC(res.History, opts).Satisfied {
-				t.Fatalf("%s seed=%d: lossy run satisfies LRC despite %d drops", sys.Name(), seed, res.Dropped)
+				t.Fatalf("%s seed=%d: lossy run satisfies LRC despite %d drops", sys.Name, seed, res.Dropped)
 			}
 			if lvl := classifyLevel(res, 8); lvl != consistency.LevelNone {
-				t.Fatalf("%s seed=%d: lossy run classified %s, want none", sys.Name(), seed, lvl)
+				t.Fatalf("%s seed=%d: lossy run classified %s, want none", sys.Name, seed, lvl)
 			}
 		}
 	}
@@ -56,7 +56,7 @@ func TestLossyWitnessesTheorem47(t *testing.T) {
 // tree while the cut is up, then reconverges — the run classifies EC and
 // carries the heal time for the partition_heal_lag metric.
 func TestPartitionHealsBackToEC(t *testing.T) {
-	for _, sys := range []System{Bitcoin{}, Ethereum{}} {
+	for _, sys := range []System{Bitcoin, Ethereum} {
 		for _, seed := range []uint64{1, 42, 12345} {
 			res := execScenario(t, Scenario{
 				System: sys,
@@ -64,10 +64,10 @@ func TestPartitionHealsBackToEC(t *testing.T) {
 				Params: Params{N: 8, TargetBlocks: 30, Seed: seed},
 			})
 			if res.PartitionHeal == 0 {
-				t.Fatalf("%s seed=%d: partition run lost its heal time", sys.Name(), seed)
+				t.Fatalf("%s seed=%d: partition run lost its heal time", sys.Name, seed)
 			}
 			if lvl := classifyLevel(res, 8); lvl != consistency.LevelEC {
-				t.Fatalf("%s seed=%d: healed partition classified %s, want EC", sys.Name(), seed, lvl)
+				t.Fatalf("%s seed=%d: healed partition classified %s, want EC", sys.Name, seed, lvl)
 			}
 		}
 	}
@@ -76,17 +76,17 @@ func TestPartitionHealsBackToEC(t *testing.T) {
 // TestJitterKeepsEC: heavy-tail stragglers alone never break eventual
 // consistency — every message still arrives.
 func TestJitterKeepsEC(t *testing.T) {
-	for _, sys := range []System{Bitcoin{}, Ethereum{}} {
+	for _, sys := range []System{Bitcoin, Ethereum} {
 		res := execScenario(t, Scenario{
 			System: sys,
 			Links:  JitterLinks,
 			Params: Params{N: 8, TargetBlocks: 30, Seed: 42},
 		})
 		if res.Dropped != 0 {
-			t.Fatalf("%s: jitter dropped %d messages", sys.Name(), res.Dropped)
+			t.Fatalf("%s: jitter dropped %d messages", sys.Name, res.Dropped)
 		}
 		if lvl := classifyLevel(res, 8); lvl != consistency.LevelEC {
-			t.Fatalf("%s: jitter run classified %s, want EC", sys.Name(), lvl)
+			t.Fatalf("%s: jitter run classified %s, want EC", sys.Name, lvl)
 		}
 	}
 }
@@ -95,15 +95,15 @@ func TestJitterKeepsEC(t *testing.T) {
 // async and psync regimes beyond Bitcoin — Ethereum's GHOST selection
 // converges under the DLS-bounded weak synchrony too.
 func TestPoWLinkPlansCoverAllPoWSystems(t *testing.T) {
-	if !Composes("Bitcoin", AsyncLinks(8), false, TopologyPlan{}) || !Composes("Ethereum", PsyncLinks, false, TopologyPlan{}) {
+	if !Composes(Bitcoin, AsyncLinks(8), false, TopologyPlan{}) || !Composes(Ethereum, PsyncLinks, false, TopologyPlan{}) {
 		t.Fatal("PoW link support must cover Bitcoin and Ethereum")
 	}
-	if Composes("Hyperledger", AsyncLinks(8), false, TopologyPlan{}) || Composes("RedBelly", PsyncLinks, false, TopologyPlan{}) {
+	if Composes(Hyperledger, AsyncLinks(8), false, TopologyPlan{}) || Composes(RedBelly, PsyncLinks, false, TopologyPlan{}) {
 		t.Fatal("committee systems must not claim PoW link runners")
 	}
 	p := Params{N: 8, TargetBlocks: 30, Seed: 42}
 	async := execScenario(t, Scenario{
-		System: Ethereum{},
+		System: Ethereum,
 		Links:  AsyncLinks(8),
 		Params: p,
 	})
@@ -111,7 +111,7 @@ func TestPoWLinkPlansCoverAllPoWSystems(t *testing.T) {
 		t.Fatalf("Ethereum/async classified %s, want EC", lvl)
 	}
 	psync := execScenario(t, Scenario{
-		System: Ethereum{},
+		System: Ethereum,
 		Links:  PsyncLinks,
 		Params: p,
 	})

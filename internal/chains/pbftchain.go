@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"blockadt/internal/blocktree"
-	"blockadt/internal/consistency"
 	"blockadt/internal/history"
 	"blockadt/internal/netsim"
 	"blockadt/internal/pbft"
@@ -125,28 +124,16 @@ func (n *pbftChainNode) applyLocal(s *netsim.Sim, parent blocktree.BlockID, b bl
 
 // PBFTChain is the consortium chain whose per-slot commit is the real
 // three-phase PBFT protocol (writers = Params.Writers, default N/2+). It
-// is a System value — experiments and benchmarks run it like a Table 1
-// row (deliberately unregistered in the façade: the registered committee
-// systems commit through the Θ_F,k=1 oracle reading; this one exists to
-// discharge that abstraction).
+// is the reference driver for the committee rows, deliberately not a
+// Table 1 row: the registered committee systems commit through the
+// Θ_F,k=1 oracle reading, and this one exists to discharge that
+// abstraction.
 type PBFTChain struct{}
 
-// Name implements System.
-func (PBFTChain) Name() string { return "PBFT-chain" }
-
-// Refinement implements System.
-func (PBFTChain) Refinement() string { return "R(BT-ADT_SC, Θ_F,k=1) — commit by real PBFT" }
-
-// Expected implements System.
-func (PBFTChain) Expected() consistency.Level { return consistency.LevelSC }
-
-// Run implements System.
+// Run simulates the PBFT-committed chain over synchronous links.
 func (PBFTChain) Run(p Params) Result {
 	p = p.withDefaults()
-	writers := p.Writers
-	if writers <= 0 || writers > p.N {
-		writers = (p.N + 1) / 2
-	}
+	writers := writerCount(p)
 	net := newNetwork(netsim.Synchronous{Delta: p.Delta}, p)
 	for i := 0; i < p.N; i++ {
 		tree := net.replica(blocktree.SingleChain{})
@@ -163,5 +150,5 @@ func (PBFTChain) Run(p Params) Result {
 	}
 	t := net.mine(3 * p.Delta)
 	net.sim.Run(t + 3*p.Delta + 32*p.Delta)
-	return net.result(PBFTChain{}.Name(), PBFTChain{}.Refinement(), "pbft(n="+fmt.Sprint(p.N)+")", blocktree.SingleChain{}, 1)
+	return net.result("PBFT-chain", "R(BT-ADT_SC, Θ_F,k=1) — commit by real PBFT", "pbft(n="+fmt.Sprint(p.N)+")", blocktree.SingleChain{}, 1)
 }

@@ -30,7 +30,7 @@ func TestPBFTChainIsStronglyConsistent(t *testing.T) {
 // Θ_F,k=1.
 func TestPBFTChainMatchesOracleAbstraction(t *testing.T) {
 	p := Params{N: 4, TargetBlocks: 15, Seed: 10}
-	oracleRun := Hyperledger{}.Run(p)
+	oracleRun := Hyperledger.Run(p)
 	pbftRun := PBFTChain{}.Run(p)
 
 	oracleCls := oracleRun.Classify(Options(p.withDefaults(), oracleRun.History))

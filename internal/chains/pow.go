@@ -52,15 +52,10 @@ func (n *powNode) mine(s *netsim.Sim) {
 	}
 }
 
-// runPoW drives a permissionless PoW network with the given selector over
-// synchronous links and returns its result.
-func runPoW(name, refinement string, sel blocktree.Selector, p Params) Result {
-	return runPoWTopo(name, refinement, sel, nil, nil, p)
-}
-
-// runPoWTopo is runPoW with an explicit link model (nil = synchronous with
-// bound Delta) and dissemination topology (nil = complete-graph broadcast;
-// non-nil switches replicas to Gossiper flooding over the topology). The
+// runPoWTopo drives a permissionless PoW network with the given selector
+// over an explicit link model (nil = synchronous with bound Delta) and
+// dissemination topology (nil = complete-graph broadcast; non-nil
+// switches replicas to Gossiper flooding over the topology). The
 // asynchronous variants back the Section 4.2 open-issue experiments:
 // Eventual Prefix under unbounded delay.
 func runPoWTopo(name, refinement string, sel blocktree.Selector, links netsim.LinkModel, topo netsim.Topology, p Params) Result {
@@ -92,42 +87,25 @@ func runPoWTopo(name, refinement string, sel blocktree.Selector, links netsim.Li
 	return net.result(name, refinement, orc.Name(), sel, oracle.Unbounded)
 }
 
-// Bitcoin is Section 5.1: permissionless, merits are hashing power, the
-// getToken operation is proof-of-work, consumeToken returns true for all
-// valid blocks (no bound on consumed tokens ⇒ prodigal oracle Θ_P), and f
-// selects the chain that required the most work. Bitcoin implements
-// R(BT-ADT_EC, Θ_P): Eventual consistency only.
-type Bitcoin struct{}
-
-// Name implements System.
-func (Bitcoin) Name() string { return "Bitcoin" }
-
-// Refinement implements System.
-func (Bitcoin) Refinement() string { return "R(BT-ADT_EC, Θ_P)" }
-
-// Expected implements System.
-func (Bitcoin) Expected() consistency.Level { return consistency.LevelEC }
-
-// Run implements System.
-func (Bitcoin) Run(p Params) Result {
-	return runPoW("Bitcoin", Bitcoin{}.Refinement(), blocktree.HeaviestChain{}, p)
-}
-
-// Ethereum is Section 5.2: as Bitcoin but the merit parameter models
-// memory-bound work and f is implemented through the GHOST algorithm.
-// Ethereum implements R(BT-ADT_EC, Θ_P).
-type Ethereum struct{}
-
-// Name implements System.
-func (Ethereum) Name() string { return "Ethereum" }
-
-// Refinement implements System.
-func (Ethereum) Refinement() string { return "R(BT-ADT_EC, Θ_P)" }
-
-// Expected implements System.
-func (Ethereum) Expected() consistency.Level { return consistency.LevelEC }
-
-// Run implements System.
-func (Ethereum) Run(p Params) Result {
-	return runPoW("Ethereum", Ethereum{}.Refinement(), blocktree.GHOST{}, p)
-}
+var (
+	// Bitcoin is Section 5.1: permissionless, merits are hashing power,
+	// the getToken operation is proof-of-work, consumeToken returns true
+	// for all valid blocks (no bound on consumed tokens ⇒ prodigal oracle
+	// Θ_P), and f selects the chain that required the most work. Bitcoin
+	// implements R(BT-ADT_EC, Θ_P): Eventual consistency only.
+	Bitcoin = System{
+		Name:       "Bitcoin",
+		Refinement: "R(BT-ADT_EC, Θ_P)",
+		Expected:   consistency.LevelEC,
+		Selector:   blocktree.HeaviestChain{},
+	}
+	// Ethereum is Section 5.2: as Bitcoin but the merit parameter models
+	// memory-bound work and f is implemented through the GHOST algorithm.
+	// Ethereum implements R(BT-ADT_EC, Θ_P).
+	Ethereum = System{
+		Name:       "Ethereum",
+		Refinement: "R(BT-ADT_EC, Θ_P)",
+		Expected:   consistency.LevelEC,
+		Selector:   blocktree.GHOST{},
+	}
+)

@@ -33,7 +33,9 @@ func TestMinersSelectOnlyOnTokenCells(t *testing.T) {
 	p := Params{N: 6, TargetBlocks: 25, Seed: 5}
 	for _, sel := range []blocktree.Selector{blocktree.HeaviestChain{}, blocktree.GHOST{}} {
 		calls := 0
-		res := runPoW("Bitcoin", Bitcoin{}.Refinement(), countingSelector{sel, &calls}, p)
+		counted, plainRow := Bitcoin, Bitcoin
+		counted.Selector, plainRow.Selector = countingSelector{sel, &calls}, sel
+		res := counted.Run(p)
 		appends, reads := len(res.History.Appends()), len(res.History.Reads())
 		if appends < p.TargetBlocks {
 			t.Fatalf("%s: %d appends, want ≥ %d", sel.Name(), appends, p.TargetBlocks)
@@ -41,7 +43,7 @@ func TestMinersSelectOnlyOnTokenCells(t *testing.T) {
 		if calls != appends+reads {
 			t.Fatalf("%s: %d selections, want %d appends + %d reads", sel.Name(), calls, appends, reads)
 		}
-		plain := runPoW("Bitcoin", Bitcoin{}.Refinement(), sel, p)
+		plain := plainRow.Run(p)
 		if plain.Ticks != res.Ticks || plain.Delivered != res.Delivered || plain.History.Len() != res.History.Len() {
 			t.Fatalf("%s: counted run differs from plain run", sel.Name())
 		}

@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"math"
 	"sort"
 
 	"blockadt/internal/blocktree"
@@ -226,10 +227,13 @@ func commonPrefix(agree bool, a, b history.Chain) history.Chain {
 //
 // The paper quantifies the property over E(a∗, r∗) — histories with
 // infinitely many appends. A finite recorded prefix inevitably ends with a
-// plateau (reads after the final append legitimately stop growing), so the
-// checker constrains only reads followed by at least W growth events
-// (successful appends or updates): those are the reads for which the
-// recorded prefix still witnesses the infinite-append regime.
+// plateau: reads after the final successful append legitimately stop
+// growing, so those reads, and only those, are exempt. Every read that
+// responds before the last successful append is invoked is constrained,
+// however few appends follow it: a process that stops receiving while
+// the others still append is a violation, not a plateau. Updates are not
+// growth — a replica that misses a block records no more of them, so
+// counting them would exempt more reads the worse liveness fails.
 func EverGrowingTree(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 	score := opts.score()
@@ -239,20 +243,9 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 	for i, r := range reads {
 		scores[i] = score(r.Chain)
 	}
-	// growthTimes holds the invocation times of growth events, sorted.
-	growthTimes := h.GrowthTimes()
-	growthAfter := func(t int64) int {
-		// Number of growth events invoked strictly after t.
-		lo, hi := 0, len(growthTimes)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if growthTimes[mid] <= t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return len(growthTimes) - lo
+	lastGrowth := int64(math.MinInt64)
+	for _, a := range h.SuccessfulAppends() {
+		lastGrowth = max(lastGrowth, a.Op.InvTime)
 	}
 	// sufMin[j] = min(scores[j..n-1]): a read whose score is below every
 	// score past its grace window cannot be matched, so its scan is
@@ -264,8 +257,8 @@ func EverGrowingTree(h *history.History, opts Options) Verdict {
 	}
 	checked := 0
 	for i := range reads {
-		if growthAfter(reads[i].Op.RspTime) < w {
-			continue // plateau region of the finite prefix: exempt
+		if reads[i].Op.RspTime >= lastGrowth {
+			continue // plateau after the last append: exempt
 		}
 		checked++
 		if i+w >= len(reads) || sufMin[i+w] > scores[i] {

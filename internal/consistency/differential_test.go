@@ -37,18 +37,27 @@ func refBlockValidity(h *history.History, opts Options) Verdict {
 	return sink.verdict("BlockValidity", checked)
 }
 
-// refEverGrowingTree is the quadratic EverGrowingTree: it scans every
-// j ≥ i+W for every non-exempt read, with no suffix-minimum skip.
+// refEverGrowingTree is the quadratic EverGrowingTree, stated from the
+// finitization directly: read i is constrained unless no successful
+// append is invoked after it responds (the plateau of the finite prefix),
+// found by scanning the raw ops for such an append, and a constrained
+// read is checked against every j ≥ i+W, with no suffix-minimum skip.
 func refEverGrowingTree(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 	score := opts.score()
 	reads := h.Reads()
 	w := opts.window(len(reads))
-	growthTimes := refGrowthTimes(h)
+	growsLater := func(t int64) bool {
+		for _, op := range h.Ops() {
+			if op.Label.Kind == history.KindAppend && op.Complete && op.Result().OK && op.InvTime > t {
+				return true
+			}
+		}
+		return false
+	}
 	checked := 0
 	for i := range reads {
-		after := len(growthTimes) - sort.Search(len(growthTimes), func(k int) bool { return growthTimes[k] > reads[i].Op.RspTime })
-		if after < w {
+		if !growsLater(reads[i].Op.RspTime) {
 			continue
 		}
 		checked++

@@ -87,6 +87,28 @@ func TestClassifyLevels(t *testing.T) {
 	}
 }
 
+// TestStallViolatesEverGrowingTree: process j stops receiving while i
+// makes 3 more appends, fewer than the grace window of 8. Only reads
+// after i's last append are the plateau of the finite prefix, so j's
+// stalled reads before it are constrained and Ever Growing Tree fails.
+// Every other SC property holds, which is how a rule that exempted reads
+// followed by fewer than W growth events classified this stall SC.
+func TestStallViolatesEverGrowingTree(t *testing.T) {
+	h := figures.Stall(3)
+	v := EverGrowingTree(h, figOpts)
+	if v.Satisfied || v.Checked == 0 {
+		t.Fatalf("a stalled reader passed Ever Growing Tree (%d reads checked): %s", v.Checked, v)
+	}
+	for _, v := range CheckSC(h, figOpts).Verdicts {
+		if v.Property != "EverGrowingTree" && !v.Satisfied {
+			t.Fatalf("unexpected violation: %s", v)
+		}
+	}
+	if got := Classify(h, figOpts).Level; got != LevelNone {
+		t.Fatalf("Stall level = %s, want none", got)
+	}
+}
+
 // TestTheorem31SCSubsetOfEC is the executable Theorem 3.1: H_SC ⊂ H_EC —
 // every SC history is EC (checked on Figure 2 and on a family of growing
 // tails) and some EC history is not SC (Figure 3).

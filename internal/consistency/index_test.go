@@ -2,7 +2,6 @@ package consistency
 
 import (
 	"slices"
-	"sort"
 	"testing"
 
 	"blockadt/internal/blocktree"
@@ -26,19 +25,6 @@ func refEarliest(h *history.History) map[history.BlockRef]int64 {
 		}
 	}
 	return earliest
-}
-
-// refGrowthTimes is EverGrowingTree's op scan: the invocation times of
-// the successful appends and the updates, sorted.
-func refGrowthTimes(h *history.History) []int64 {
-	var growthTimes []int64
-	for _, op := range h.Ops() {
-		if op.Label.Kind == history.KindAppend && op.Complete && op.Response.OK || op.Label.Kind == history.KindUpdate {
-			growthTimes = append(growthTimes, op.InvTime)
-		}
-	}
-	sort.Slice(growthTimes, func(a, b int) bool { return growthTimes[a] < growthTimes[b] })
-	return growthTimes
 }
 
 // refReadsAgreeOnParents is the parent-agreement pass over two maps: one
@@ -78,7 +64,7 @@ func refMaxReorg(h *history.History) int {
 }
 
 // checkIndex compares h's analysis index with the references: parent
-// agreement, rollback depth, growth times, and ids that are dense, name
+// agreement, rollback depth, and ids that are dense, name
 // one block each (so no read's IDs was overwritten by a later read's),
 // and carry the earliest insertion time of the block they name.
 func checkIndex(t *testing.T, name string, h *history.History) {
@@ -88,9 +74,6 @@ func checkIndex(t *testing.T, name string, h *history.History) {
 	}
 	if got, want := h.MaxReorg(), refMaxReorg(h); got != want {
 		t.Fatalf("%s: MaxReorg = %d, want %d", name, got, want)
-	}
-	if got, want := h.GrowthTimes(), refGrowthTimes(h); !slices.Equal(got, want) {
-		t.Fatalf("%s: GrowthTimes = %v, want %v", name, got, want)
 	}
 	earliest := h.Earliest()
 	names := make([]history.BlockRef, len(earliest))

@@ -71,7 +71,7 @@ func TestAnalyzeEmptyHistory(t *testing.T) {
 // tapes provide by construction.
 func TestBitcoinChainQualityUniform(t *testing.T) {
 	p := chains.Params{N: 4, TargetBlocks: 150, Seed: 11}
-	res := chains.Bitcoin{}.Run(p)
+	res := chains.Bitcoin.Run(p)
 	merits := []float64{1, 1, 1, 1}
 	rep := Analyze(res.History, merits)
 	if rep.Total < 100 {
@@ -88,7 +88,7 @@ func TestBitcoinChainQualitySkewed(t *testing.T) {
 	// Process 0 has 4× everyone else's per-attempt probability.
 	merits := []float64{0.16, 0.04, 0.04, 0.04, 0.04}
 	p := chains.Params{N: 5, TargetBlocks: 150, Seed: 13, Merits: merits}
-	res := chains.Bitcoin{}.Run(p)
+	res := chains.Bitcoin.Run(p)
 	rep := Analyze(res.History, merits)
 	if rep.Total < 100 {
 		t.Fatalf("too few blocks: %d", rep.Total)

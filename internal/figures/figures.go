@@ -11,7 +11,11 @@
 //   - Figure 4: a history satisfying no BT consistency criterion (the
 //     divergence persists forever).
 //
-// The constructors also accept a tail length: the figures' histories are
+// Stall adds a history the paper does not draw: a process that stops
+// receiving while another still appends, which Ever Growing Tree must
+// reject rather than forgive as the plateau of a finite prefix.
+//
+// The figure constructors also accept a tail length: the figures' histories are
 // infinite, so tests extend the convergent suffix far enough to outlast any
 // finitization grace window.
 package figures
@@ -183,6 +187,43 @@ func Fig4(tail int) *history.History {
 		b.at(t).read(ProcJ, odd...)
 		t += 2
 	}
+	return b.done()
+}
+
+// Stall builds a history in which process j stops receiving while i keeps
+// appending: both read the single chain b0⌢1⌢…⌢6 as it grows, then i
+// appends `appends` more blocks, each after four reads by j that all
+// return the stalled chain b0⌢1⌢…⌢6, and each process reads once more
+// after i's last append. Every chain is a prefix of i's final chain, so
+// Strong and Eventual Prefix hold; what fails is Ever Growing Tree: j's
+// stalled reads precede i's last append, yet no later read of j grows.
+// With fewer appends than the checker's grace window W the stall used to
+// pass as the plateau of a finite prefix.
+func Stall(appends int) *history.History {
+	b := newBuilder()
+	cur := chain("b0")
+	t := int64(1)
+	for i := 1; i <= 6; i++ {
+		next := history.BlockRef(fmt.Sprintf("%d", i))
+		b.at(t).appendOK(ProcI, cur[len(cur)-1], next)
+		cur = append(cur, next)
+		b.at(t+2).read(ProcI, cur...)
+		b.at(t+4).read(ProcJ, cur...)
+		t += 6
+	}
+	stalled := cur
+	for i := 0; i < appends; i++ {
+		for k := 0; k < 4; k++ {
+			b.at(t).read(ProcJ, stalled...)
+			t += 2
+		}
+		next := history.BlockRef(fmt.Sprintf("%d", 7+i))
+		b.at(t).appendOK(ProcI, cur[len(cur)-1], next)
+		cur = append(cur, next)
+		t += 2
+	}
+	b.at(t).read(ProcI, cur...)
+	b.at(t+2).read(ProcJ, stalled...)
 	return b.done()
 }
 

@@ -101,3 +101,23 @@ func TestCustomBuilder(t *testing.T) {
 		t.Fatalf("appends = %+v", appends)
 	}
 }
+
+func TestStallShape(t *testing.T) {
+	const appends = 3
+	h := Stall(appends)
+	if got := len(h.SuccessfulAppends()); got != 6+appends {
+		t.Fatalf("appends = %d, want %d", got, 6+appends)
+	}
+	reads := h.Reads()
+	if got := len(reads); got != 2*6+4*appends+2 {
+		t.Fatalf("reads = %d, want %d", got, 2*6+4*appends+2)
+	}
+	// The last two reads: i on the grown chain, j still on b0⌢1⌢…⌢6.
+	i, j := reads[len(reads)-2], reads[len(reads)-1]
+	if i.Op.Proc != ProcI || len(i.Chain) != 1+6+appends {
+		t.Fatalf("i's last read = p%d %s", i.Op.Proc, i.Chain)
+	}
+	if j.Op.Proc != ProcJ || len(j.Chain) != 1+6 || !i.Chain.HasPrefix(j.Chain) {
+		t.Fatalf("j's last read = p%d %s, want the stalled prefix of %s", j.Op.Proc, j.Chain, i.Chain)
+	}
+}

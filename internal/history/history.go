@@ -248,9 +248,8 @@ func (op *Op) Result() *Label {
 //   - a dense block id for every block an append, an update or a read
 //     chain names (ReadOp.IDs, AppendOp.ID), with each id's earliest
 //     insertion time (Earliest);
-//   - the sorted growth times (GrowthTimes), the parent agreement of the
-//     reads (ReadsAgreeOnParents) and the deepest rollback any process saw
-//     (MaxReorg).
+//   - the parent agreement of the reads (ReadsAgreeOnParents) and the
+//     deepest rollback any process saw (MaxReorg).
 //
 // OpsOfKind is cached per kind beside it. The cached slices and the ops
 // they point at are shared — callers must not mutate or reorder them, nor
@@ -276,9 +275,6 @@ type index struct {
 	reads     []ReadOp
 	appends   []AppendOp
 	okAppends []AppendOp
-	// growth holds the invocation times of the growth events (successful
-	// appends and updates), sorted.
-	growth []int64
 	// earliest[id] is the earliest invocation time of an append or update
 	// of block id, or NotInserted.
 	earliest []int64
@@ -353,11 +349,6 @@ func (h *History) ReadsAgreeOnParents() bool { return h.index().agree }
 // reads. It is computed with the index.
 func (h *History) MaxReorg() int { return h.index().maxReorg }
 
-// GrowthTimes returns the invocation times of the growth events — the
-// successful appends and the updates — sorted. The slice is computed with
-// the index and shared; callers must not mutate it.
-func (h *History) GrowthTimes() []int64 { return h.index().growth }
-
 // Earliest returns, per block id, the earliest invocation time of an
 // append or update of the block, or NotInserted. It has one entry per id,
 // so the ids of a history are [0, len(Earliest())). The slice is computed
@@ -397,7 +388,7 @@ func (h *History) index() *index {
 // sizes, one fills the views and interns the blocks appends and updates
 // name, and the reads, once in response order, intern their chains.
 func buildIndex(ops []Op) *index {
-	var reads, appends, ok, updates int
+	var reads, appends, ok int
 	for i := range ops {
 		switch op := &ops[i]; op.Label.Kind {
 		case KindRead:
@@ -411,15 +402,12 @@ func buildIndex(ops []Op) *index {
 					ok++
 				}
 			}
-		case KindUpdate:
-			updates++
 		}
 	}
 	ix := &index{
 		reads:     make([]ReadOp, 0, reads),
 		appends:   make([]AppendOp, 0, appends),
 		okAppends: make([]AppendOp, 0, ok),
-		growth:    make([]int64, 0, ok+updates),
 	}
 	in := interner{ids: make(map[BlockRef]int32, appends)}
 	sorted := true // the reads are already in response order
@@ -437,15 +425,12 @@ func buildIndex(ops []Op) *index {
 				ix.appends = append(ix.appends, a)
 				if a.OK {
 					ix.okAppends = append(ix.okAppends, a)
-					ix.growth = append(ix.growth, op.InvTime)
 				}
 			}
 		case KindUpdate:
 			in.insert(op.Label.Block, op.InvTime)
-			ix.growth = append(ix.growth, op.InvTime)
 		}
 	}
-	slices.Sort(ix.growth)
 	if !sorted {
 		slices.SortFunc(ix.reads, func(a, b ReadOp) int { return cmp.Compare(a.Op.RspSeq, b.Op.RspSeq) })
 	}

@@ -51,6 +51,9 @@ type (
 	// SimParams configures a full network simulation of a registered
 	// system.
 	SimParams = chains.Params
+	// SimSystem is one Table 1 row: a refinement R(BT-ADT_C, Θ) read
+	// through a selection function f, simulated by its Run.
+	SimSystem = chains.System
 	// SimResult is the outcome of one simulated run.
 	SimResult = chains.Result
 	// LinkPlan is the executor's link strategy a LinkSpec registers; the

@@ -48,7 +48,7 @@ func compose(system, link, adversary, topology string, alpha float64, p SimParam
 	if err != nil {
 		return
 	}
-	if !admits(system, l, adv, t) {
+	if !admits(spec.SimSystem, l, adv, t) {
 		err = fmt.Errorf("blockadt: system %q does not compose with link %q, adversary %q and topology %q", system, link, adversary, topology)
 		return
 	}
@@ -60,15 +60,15 @@ func compose(system, link, adversary, topology string, alpha float64, p SimParam
 		}
 		plan = adv.Plan(alpha)
 	}
-	return chains.Scenario{System: specSystem{spec}, Links: l.Link, Adversary: plan, Topology: t.Topology, Params: p}, adv, nil
+	return chains.Scenario{System: spec.SimSystem, Links: l.Link, Adversary: plan, Topology: t.Topology, Params: p}, adv, nil
 }
 
 // admits is the one support predicate of the scenario space: what the
 // executor can run (chains.Composes), narrowed by the adversary's and
 // the topology's own Supports. The defaults (the honest adversary, the
 // complete graph) are never narrowed.
-func admits(system string, l LinkSpec, a AdversarySpec, t TopologySpec) bool {
+func admits(system SimSystem, l LinkSpec, a AdversarySpec, t TopologySpec) bool {
 	return chains.Composes(system, l.Link, a.Plan != nil, t.Topology) &&
-		(a.Plan == nil || a.Supports == nil || a.Supports(system)) &&
-		(t.Topology.IsDefault() || t.Supports == nil || t.Supports(system))
+		(a.Plan == nil || a.Supports == nil || a.Supports(system.Name)) &&
+		(t.Topology.IsDefault() || t.Supports == nil || t.Supports(system.Name))
 }

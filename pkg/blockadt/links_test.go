@@ -60,12 +60,12 @@ func TestEnlargedMatrixByteIdenticalAcrossParallelism(t *testing.T) {
 // everything derived from it, is a pure function of (topology, seed).
 func TestRegisteredLinksDeterministic(t *testing.T) {
 	for _, spec := range Links() {
-		system := "Bitcoin"
+		system := chains.Bitcoin
 		if !admits(system, spec, AdversarySpec{}, TopologySpec{}) {
-			t.Fatalf("link %q does not support %s", spec.Name, system)
+			t.Fatalf("link %q does not support %s", spec.Name, system.Name)
 		}
 		cfg := Scenario{
-			System: system, Link: spec.Name, Adversary: AdvNone,
+			System: system.Name, Link: spec.Name, Adversary: AdvNone,
 			LinkParams: spec.Params, N: 8, Blocks: 15, SeedIndex: 0,
 		}
 		cfg.Seed = cfg.DeriveSeed(42)

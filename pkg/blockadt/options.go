@@ -23,8 +23,8 @@ type settings struct {
 // entry point outside its scope is an error — the façade fails loudly
 // rather than silently ignoring a knob (a WithSelector passed to Simulate
 // would otherwise look honored while the simulator used its own rule).
-// Unset options fall back to the system spec's profile (oracle, selector)
-// and the repository-wide simulation defaults.
+// Unset options fall back to the oracle and selector the system's row
+// implies and the repository-wide simulation defaults.
 //
 // Zero values are the "unset" sentinel throughout (the convention the
 // whole repository uses): WithSeed(0), WithBlocks(0) or WithAlpha(0) are

@@ -193,12 +193,12 @@ func Registries() []RegistryInfo {
 }
 
 // RegisterSystem adds a system to the registry. It panics on an empty or
-// duplicate name or a nil Run, mirroring database/sql's driver contract:
-// registration happens in init functions, where failing loudly beats
-// failing later by name lookup.
+// duplicate name or a row without a selection function, mirroring
+// database/sql's driver contract: registration happens in init
+// functions, where failing loudly beats failing later by name lookup.
 func RegisterSystem(s SystemSpec) {
-	if s.Run == nil {
-		panic(fmt.Sprintf("blockadt: system %q registered without a Run function", s.Name))
+	if s.Selector == nil {
+		panic(fmt.Sprintf("blockadt: system %q registered without a selection function", s.Name))
 	}
 	systemRegistry.register(s.Name, s)
 }

@@ -37,14 +37,11 @@ func TestRegistriesPopulated(t *testing.T) {
 		t.Fatal("a registry is empty: a registration init() did not run")
 	}
 	for _, s := range Systems() {
-		if s.Description == "" || s.Refinement == "" || s.Oracle == "" || s.Selector == "" {
+		if s.Description == "" || s.Refinement == "" || s.Selector == nil {
 			t.Errorf("system %q registered with incomplete spec", s.Name)
 		}
-		if _, err := LookupOracle(s.Oracle); err != nil {
-			t.Errorf("system %q names unregistered oracle %q", s.Name, s.Oracle)
-		}
-		if _, err := LookupSelector(s.Selector); err != nil {
-			t.Errorf("system %q names unregistered selector %q", s.Name, s.Selector)
+		if _, err := LookupSelector(s.Selector.Name()); err != nil {
+			t.Errorf("system %q selects by unregistered selector %q", s.Name, s.Selector.Name())
 		}
 	}
 }
@@ -366,24 +363,21 @@ func TestRunScenarioMatchesSweep(t *testing.T) {
 
 // TestUserRegistrationExtends registers a toy system/link/adversary and
 // asserts the registries make them constructible and sweepable by name —
-// the plug-in contract docs/api.md documents.
+// the plug-in contract docs/api.md documents. A registered system is a
+// Table 1 row: a PoW row built under a new name composes with every link
+// and topology like the built-in PoW rows, and its runs carry its own
+// name.
 func TestUserRegistrationExtends(t *testing.T) {
-	bitcoin, err := LookupSystem("Bitcoin")
-	if err != nil {
-		t.Fatal(err)
+	testCoin := SimSystem{
+		Name:       "TestCoin",
+		Refinement: chains.Bitcoin.Refinement,
+		Expected:   chains.Bitcoin.Expected,
+		Selector:   chains.Bitcoin.Selector,
 	}
 	// The registry is process-global and offers no unregistration (like
 	// database/sql drivers), so guard for repeated runs (-count=2).
 	if _, err := LookupSystem("TestCoin"); err != nil {
-		RegisterSystem(SystemSpec{
-			Name:        "TestCoin",
-			Description: "test-only clone of Bitcoin",
-			Refinement:  bitcoin.Refinement,
-			Expected:    bitcoin.Expected,
-			Oracle:      bitcoin.Oracle,
-			Selector:    bitcoin.Selector,
-			Run:         bitcoin.Run,
-		})
+		RegisterSystem(SystemSpec{SimSystem: testCoin, Description: "test-only clone of Bitcoin"})
 	}
 	if _, err := New("TestCoin"); err != nil {
 		t.Fatalf("registered system not constructible: %v", err)
@@ -405,12 +399,29 @@ func TestUserRegistrationExtends(t *testing.T) {
 	if bitRep.Results[0].Config.Seed == rep.Results[0].Config.Seed {
 		t.Fatal("distinct system names derived the same scenario seed")
 	}
+	links := []string{"sync", "async", "psync", "lossy", "partition", "jitter"}
+	configs, err := Matrix{Systems: []string{"TestCoin"}, Links: links, Adversaries: []string{AdvNone}, Seeds: 1}.Configs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(configs) != len(links) {
+		t.Fatalf("the registered PoW row expanded to %d scenarios over %d links, want one per link", len(configs), len(links))
+	}
+	res, err := Simulate("TestCoin", WithBlocks(5), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.System != "TestCoin" {
+		t.Fatalf("Simulate(TestCoin) reports system %q", res.System)
+	}
 
 	// A '|' in a name or in link/topology Params would let two
 	// scenarios share one key; registration refuses it, like an empty
 	// name, before touching the registry.
 	for what, register := range map[string]func(){
-		"system name":     func() { RegisterSystem(SystemSpec{Name: "Test|Coin", Run: bitcoin.Run}) },
+		"system name": func() {
+			RegisterSystem(SystemSpec{SimSystem: SimSystem{Name: "Test|Coin", Selector: chains.Bitcoin.Selector}})
+		},
 		"link name":       func() { RegisterLink(LinkSpec{Name: "test|link"}) },
 		"link params":     func() { RegisterLink(LinkSpec{Name: "test-link-pipe", Params: "p=0.1|x"}) },
 		"topology params": func() { RegisterTopology(TopologySpec{Name: "test-topo-pipe", Params: "k=3|b=1"}) },
@@ -439,7 +450,7 @@ func TestUserRegistrationExtends(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	RegisterSystem(SystemSpec{Name: "TestCoin", Run: bitcoin.Run})
+	RegisterSystem(SystemSpec{SimSystem: testCoin})
 }
 
 // TestProfileComposition pins the system → (oracle, selector) profiles a
@@ -475,8 +486,8 @@ func TestProfileComposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec.Selector != res.SelectorName {
-			t.Errorf("%s registers selector %q but its simulator runs %q", spec.Name, spec.Selector, res.SelectorName)
+		if spec.Selector.Name() != res.SelectorName {
+			t.Errorf("%s registers selector %q but its simulator runs %q", spec.Name, spec.Selector.Name(), res.SelectorName)
 		}
 	}
 }

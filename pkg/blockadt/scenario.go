@@ -242,7 +242,8 @@ func (m Matrix) Configs() ([]Scenario, error) {
 // metric list is validated here like every other dimension.
 func (m Matrix) expand() ([]Scenario, []MetricSpec, error) {
 	m = m.withDefaults()
-	if _, err := lookupAll(m.Systems, LookupSystem); err != nil {
+	systems, err := lookupAll(m.Systems, LookupSystem)
+	if err != nil {
 		return nil, nil, err
 	}
 	// withDefaults remapped 0 to 0.34, so anything outside (0,1) here is
@@ -291,17 +292,17 @@ func (m Matrix) expand() ([]Scenario, []MetricSpec, error) {
 	}
 	var out []Scenario
 	var kb []byte
-	for _, sys := range m.Systems {
+	for _, sys := range systems {
 		for _, lspec := range lspecs {
 			for _, aspec := range aspecs {
 				for _, tspec := range tspecs {
-					if !admits(sys, lspec, aspec, tspec) {
+					if !admits(sys.SimSystem, lspec, aspec, tspec) {
 						continue
 					}
 					for _, n := range m.Ns {
 						for s := 0; s < m.Seeds; s++ {
 							cfg := Scenario{
-								System: sys, Link: lspec.Name, Adversary: aspec.Name,
+								System: sys.Name, Link: lspec.Name, Adversary: aspec.Name,
 								LinkParams: lspec.Params,
 								N:          n, Blocks: m.TargetBlocks, SeedIndex: s,
 							}
@@ -480,7 +481,7 @@ func runScenario(cfg Scenario, mspecs []MetricSpec) (Result, error) {
 
 	opts := chains.Options(p, res.History)
 	level := res.Classify(opts).Level
-	expected := expectedLevel(sc.System.Expected(), level, res.History, opts)
+	expected := expectedLevel(sc.System.Expected, level, res.History, opts)
 	out.Refinement = res.Refinement
 	out.Expected = expected.String()
 	out.Level = level.String()

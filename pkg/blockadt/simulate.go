@@ -42,7 +42,9 @@ func meritsErr(spec SystemSpec, s settings) error {
 	if err := meritRangeErr(s.merits); err != nil {
 		return err
 	}
-	if !spec.MeritAware {
+	// Only a PoW row draws its prodigal tapes from the merits; a
+	// committee row grants deterministically and would run uniform.
+	if !spec.PoW() {
 		return fmt.Errorf("blockadt: system %q grants tokens deterministically and ignores WithMerits", spec.Name)
 	}
 	n := s.simParams().WithDefaults().N

@@ -7,28 +7,20 @@ import (
 	"blockadt/internal/oracle"
 )
 
-// SystemSpec describes one registered blockchain system: how the paper
-// classifies it, which oracle/selector profile a live New() instance uses,
-// and how to simulate a full network run of it.
+// SystemSpec describes one registered blockchain system: its Table 1
+// row and the one-line summary `btadt list` prints. A live New() instance
+// derives its profile from the row — the prodigal oracle for a PoW row,
+// the frugal one otherwise, and the row's selection function — and
+// chains.Composes admits a registered PoW row with every link and
+// topology plan.
 type SystemSpec struct {
-	// Name is the registry key (for the built-ins, the Table 1 row name).
-	Name string
+	// SimSystem is the row: Name (the registry key), Refinement,
+	// Expected, Selector and, for a committee row, its proposer
+	// discipline. Copy a built-in row (chains' Bitcoin, …, through
+	// LookupSystem) to register a variant under another name.
+	SimSystem
 	// Description is the one-line summary `btadt list` prints.
 	Description string
-	// Refinement is the paper's claimed refinement, e.g. "R(BT-ADT_EC, Θ_P)".
-	Refinement string
-	// Expected is the consistency level the paper assigns.
-	Expected Level
-	// Oracle and Selector name the registry entries a live instance
-	// (blockadt.New) composes by default.
-	Oracle, Selector string
-	// MeritAware reports that the simulator honors SimParams.Merits
-	// (per-process token probabilities). Committee systems grant
-	// deterministically and ignore merits; Simulate rejects WithMerits
-	// for them instead of silently running uniform.
-	MeritAware bool
-	// Run simulates the system over its default (synchronous) network.
-	Run func(p SimParams) SimResult
 }
 
 // OracleSpec describes a registered token-oracle family of the Θ
@@ -160,17 +152,6 @@ type AdversaryOutcome struct {
 	// MainChainByProc is the main-chain authorship census, the input to
 	// chain-quality fairness analysis.
 	MainChainByProc map[history.ProcID]int
-}
-
-// specSystem adapts a SystemSpec to the internal simulator interface, so
-// compose can hand a registered system to the executor.
-type specSystem struct{ spec SystemSpec }
-
-func (s specSystem) Name() string       { return s.spec.Name }
-func (s specSystem) Refinement() string { return s.spec.Refinement }
-func (s specSystem) Expected() Level    { return s.spec.Expected }
-func (s specSystem) Run(p SimParams) SimResult {
-	return s.spec.Run(p)
 }
 
 // Selector is the selection function interface f ∈ F : BT → BC.

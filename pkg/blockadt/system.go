@@ -42,12 +42,14 @@ type Instance struct {
 
 var _ System = (*Instance)(nil)
 
-// New composes a live System from the registry: the named system's profile
-// picks the oracle family and selection function (overridable via
-// WithOracle/WithSelector/WithOracleInstance), WithSeed seeds the oracle
-// tapes, WithN sets the merit count (default 1, every merit granting with
-// probability 1 so appends terminate deterministically — override with
-// WithMerits for probabilistic validation; a negative count is an error).
+// New composes a live System from the registry: the named system's row
+// picks the oracle family — prodigal for a PoW row, frugal otherwise —
+// and the selection function registered under its selector's name
+// (overridable via WithOracle/WithSelector/WithOracleInstance), WithSeed
+// seeds the oracle tapes, WithN sets the merit count (default 1, every
+// merit granting with probability 1 so appends terminate
+// deterministically — override with WithMerits for probabilistic
+// validation; a negative count is an error).
 // A frugal oracle built by name has fork bound k = 1; inject
 // NewFrugalOracle(k, …) with WithOracleInstance for another k.
 func New(name string, opts ...Option) (*Instance, error) {
@@ -85,7 +87,10 @@ func New(name string, opts ...Option) (*Instance, error) {
 	if orc == nil {
 		oracleName := s.oracle
 		if oracleName == "" {
-			oracleName = spec.Oracle
+			oracleName = "frugal"
+			if spec.PoW() {
+				oracleName = "prodigal"
+			}
 		}
 		ospec, err := LookupOracle(oracleName)
 		if err != nil {
@@ -107,7 +112,7 @@ func New(name string, opts ...Option) (*Instance, error) {
 
 	selectorName := s.selector
 	if selectorName == "" {
-		selectorName = spec.Selector
+		selectorName = spec.Selector.Name()
 	}
 	sel, err := NewSelector(selectorName)
 	if err != nil {
@@ -130,9 +135,6 @@ func (in *Instance) Name() string { return in.spec.Name }
 
 // Refinement implements System.
 func (in *Instance) Refinement() string { return in.spec.Refinement }
-
-// Expected returns the consistency level the paper assigns to the system.
-func (in *Instance) Expected() Level { return in.spec.Expected }
 
 // Append implements System.
 func (in *Instance) Append(proc ProcID, b Block) (bool, error) {

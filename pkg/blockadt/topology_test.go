@@ -39,7 +39,11 @@ func TestRegistryCrossProductNoThirdState(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s×%s×%s×%s: expansion error: %v", sys, lspec.Name, aspec.Name, tspec.Name, err)
 					}
-					supported := admits(sys, lspec, aspec, tspec)
+					spec, err := LookupSystem(sys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					supported := admits(spec.SimSystem, lspec, aspec, tspec)
 					if supported != (len(configs) == 1) {
 						t.Fatalf("%s×%s×%s×%s: admits says %v but expansion produced %d configs",
 							sys, lspec.Name, aspec.Name, tspec.Name, supported, len(configs))
