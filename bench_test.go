@@ -148,6 +148,57 @@ func BenchmarkSelectTip(b *testing.B) {
 	}
 }
 
+// BenchmarkGHOSTForkInsert measures the GHOST fold, which
+// BenchmarkSelectTip/ghost never reaches on its static tree. Each op
+// inserts one block off the selected path, 1 to 16 blocks below the tip of
+// a 600-block chain (an uncle, the fork a GHOST replica sees most), and
+// selects the GHOST tip: the selection folds the block's work in and
+// re-descends from the height where it joins the path. The tree is
+// rebuilt, untimed, every 256 ops, so fan-out and memory stay bounded at
+// any b.N.
+func BenchmarkGHOSTForkInsert(b *testing.B) {
+	const height, rebuild = 600, 256
+	chain := make([]blocktree.BlockID, height+1)
+	chain[0] = blocktree.GenesisID
+	for h := 1; h <= height; h++ {
+		chain[h] = blocktree.BlockID(fmt.Sprintf("b%04d", h))
+	}
+	uncles := make([]blocktree.BlockID, rebuild)
+	for i := range uncles {
+		// "a…" sorts below "b…", so an uncle tying its sibling loses.
+		uncles[i] = blocktree.BlockID(fmt.Sprintf("a%04d", i))
+	}
+	var tr *blocktree.Tree
+	build := func() {
+		tr = blocktree.NewCap(height + rebuild)
+		for h := 1; h <= height; h++ {
+			if err := tr.Insert(blocktree.Block{ID: chain[h], Parent: chain[h-1], Work: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if blocktree.SelectTip(blocktree.GHOST{}, tr).ID != chain[height] {
+			b.Fatal("GHOST did not select the chain's tip")
+		}
+	}
+	build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%rebuild == 0 {
+			b.StopTimer()
+			build()
+			b.StartTimer()
+		}
+		uncle := blocktree.Block{ID: uncles[i%rebuild], Parent: chain[height-1-i%16], Work: 1}
+		if err := tr.Insert(uncle); err != nil {
+			b.Fatal(err)
+		}
+		if blocktree.SelectTip(blocktree.GHOST{}, tr).ID != chain[height] {
+			b.Fatal("an uncle moved the GHOST tip")
+		}
+	}
+}
+
 // BenchmarkRunStore measures sweeps through one shared run-store handle,
 // as btadt serve holds it, over a store pre-filled with 2,000 entries.
 // warm serves the CI matrix from the store: 36 cache hits per op. cold

@@ -203,17 +203,20 @@ func checkSelectors(t *testing.T, tr *Tree, ref *refTree, what string) {
 // at random with Select, SelectTip and SubtreeWork, and at random replaced
 // by a clone, so inserts land on trees in every mix of followed, stale and
 // truncated GHOST paths and of folded and pending subtree work.
+//
+// A second family is shaped like a partition: two branches, each at least
+// 60 blocks deep, race from a common ancestor, so the GHOST path follows
+// one branch long enough to carry lazy path adds and then flips to the
+// other, truncating the path at the fork. At the end of every trial the
+// subtree work of every block must match the model.
 func TestPropertySelectorsMatchBruteForce(t *testing.T) {
 	sels := allSelectors()
 	for trial := 0; trial < 60; trial++ {
 		src := prng.New(uint64(9100 + trial))
-		tr := New()
-		if trial%2 == 1 {
-			tr = NewCap(8)
-		}
-		ref := newRefTree()
+		pr := newProbe(t, src, trial)
 		n := 40 + src.Intn(100)
 		for i := 0; i < n; i++ {
+			ref := pr.ref
 			var p BlockID
 			w := src.Intn(4)
 			switch r := src.Intn(10); {
@@ -227,38 +230,101 @@ func TestPropertySelectorsMatchBruteForce(t *testing.T) {
 			default:
 				p = ref.ids[src.Intn(len(ref.ids))]
 			}
-			id := BlockID(fmt.Sprintf("%c%03d", 'a'+src.Intn(4), i))
-			if err := tr.Insert(Block{ID: id, Parent: p, Work: w}); err != nil {
-				t.Fatalf("trial %d: insert %s under %s: %v", trial, id, p, err)
-			}
-			ref.add(id, p, w)
-			what := fmt.Sprintf("trial %d after %s", trial, id)
-
-			c := tr.Clone()
-			checkSelectors(t, c, ref, what+" (clone)")
-			switch src.Intn(6) {
-			case 0:
-				sel := sels[src.Intn(len(sels))]
-				if got, want := sel.Select(tr).Tip().ID, ref.tip(sel); got != want {
-					t.Fatalf("%s: %s Select tip = %s, want %s", what, sel.Name(), got, want)
-				}
-			case 1:
-				sel := sels[src.Intn(len(sels))]
-				if got, want := SelectTip(sel, tr).ID, ref.tip(sel); got != want {
-					t.Fatalf("%s: %s SelectTip = %s, want %s", what, sel.Name(), got, want)
-				}
-			case 2:
-				b := ref.ids[src.Intn(len(ref.ids))]
-				if got, want := tr.SubtreeWork(b), ref.sums()[b]; got != want {
-					t.Fatalf("%s: SubtreeWork(%s) = %d, want %d", what, b, got, want)
-				}
-			case 3:
-				tr = c
-			}
+			pr.insert(BlockID(fmt.Sprintf("%c%03d", 'a'+src.Intn(4), i)), p, w)
 		}
-		checkSelectors(t, tr, ref, fmt.Sprintf("trial %d end", trial))
-		if got, want := tr.Leaves(), ref.leaves(); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: Leaves = %v, want %v", trial, got, want)
+		pr.finish()
+	}
+	for trial := 0; trial < 12; trial++ {
+		src := prng.New(uint64(9300 + trial))
+		pr := newProbe(t, src, 100+trial)
+		tip, trunk := GenesisID, 5+src.Intn(20)
+		for i := 0; i < trunk; i++ {
+			id := BlockID(fmt.Sprintf("t%03d", i))
+			pr.insert(id, tip, 1+src.Intn(3))
+			tip = id
+		}
+		ends, depth := [2]BlockID{tip, tip}, [2]int{}
+		for i := 0; depth[0] < 60 || depth[1] < 60; i++ {
+			side := src.Intn(2)
+			id := BlockID(fmt.Sprintf("%c%03d", 'p'+side, i))
+			if p := pr.ref.parent[ends[side]]; depth[side] > 0 && src.Intn(8) == 0 {
+				// an uncle: a sibling of the branch's end, off its path
+				pr.insert(id, p, 1+src.Intn(3))
+				continue
+			}
+			pr.insert(id, ends[side], 1+src.Intn(3))
+			ends[side] = id
+			depth[side]++
+		}
+		pr.finish()
+	}
+}
+
+// probe drives one trial of TestPropertySelectorsMatchBruteForce: a live
+// tree and the model it must agree with.
+type probe struct {
+	t     *testing.T
+	src   *prng.Source
+	trial int
+	tr    *Tree
+	ref   *refTree
+}
+
+func newProbe(t *testing.T, src *prng.Source, trial int) *probe {
+	tr := New()
+	if trial%2 == 1 {
+		tr = NewCap(8)
+	}
+	return &probe{t: t, src: src, trial: trial, tr: tr, ref: newRefTree()}
+}
+
+// insert adds block id under p with work w to both trees, checks a clone
+// of the live tree, and then queries or replaces the live tree at random.
+func (pr *probe) insert(id, p BlockID, w int) {
+	t, src, ref, sels := pr.t, pr.src, pr.ref, allSelectors()
+	t.Helper()
+	if err := pr.tr.Insert(Block{ID: id, Parent: p, Work: w}); err != nil {
+		t.Fatalf("trial %d: insert %s under %s: %v", pr.trial, id, p, err)
+	}
+	ref.add(id, p, w)
+	what := fmt.Sprintf("trial %d after %s", pr.trial, id)
+
+	c := pr.tr.Clone()
+	checkSelectors(t, c, ref, what+" (clone)")
+	switch src.Intn(6) {
+	case 0:
+		sel := sels[src.Intn(len(sels))]
+		if got, want := sel.Select(pr.tr).Tip().ID, ref.tip(sel); got != want {
+			t.Fatalf("%s: %s Select tip = %s, want %s", what, sel.Name(), got, want)
+		}
+	case 1:
+		sel := sels[src.Intn(len(sels))]
+		if got, want := SelectTip(sel, pr.tr).ID, ref.tip(sel); got != want {
+			t.Fatalf("%s: %s SelectTip = %s, want %s", what, sel.Name(), got, want)
+		}
+	case 2:
+		b := ref.ids[src.Intn(len(ref.ids))]
+		if got, want := pr.tr.SubtreeWork(b), ref.sums()[b]; got != want {
+			t.Fatalf("%s: SubtreeWork(%s) = %d, want %d", what, b, got, want)
+		}
+	case 3:
+		pr.tr = c
+	}
+}
+
+// finish checks the live tree's selectors, leaves and every block's
+// subtree work against the model.
+func (pr *probe) finish() {
+	t := pr.t
+	t.Helper()
+	checkSelectors(t, pr.tr, pr.ref, fmt.Sprintf("trial %d end", pr.trial))
+	if got, want := pr.tr.Leaves(), pr.ref.leaves(); !slices.Equal(got, want) {
+		t.Fatalf("trial %d: Leaves = %v, want %v", pr.trial, got, want)
+	}
+	sums := pr.ref.sums()
+	for _, b := range pr.ref.ids {
+		if got := pr.tr.SubtreeWork(b); got != sums[b] {
+			t.Fatalf("trial %d end: SubtreeWork(%s) = %d, want %d", pr.trial, b, got, sums[b])
 		}
 	}
 }

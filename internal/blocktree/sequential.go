@@ -167,14 +167,16 @@ func (s *SeqBlockTree) Append(b Block) bool {
 
 // Update implements the update_i(bg, b) operation of Section 4.2: it
 // inserts b with the explicit predecessor bg (as received from the network)
-// rather than the locally selected tip. It returns false when P(b) fails or
-// bg is unknown.
-func (s *SeqBlockTree) Update(parent BlockID, b Block) bool {
-	if !s.p(b) || s.tree.Has(b.ID) {
-		return false
+// rather than the locally selected tip, under one lock acquisition. It
+// returns nil when b was inserted, the bare ErrUnknownParent when bg is not
+// in the tree yet (a replica buffers the block until bg arrives),
+// ErrDuplicate when b is already present, and ErrRejected when P(b) fails.
+func (s *SeqBlockTree) Update(parent BlockID, b Block) error {
+	if !s.p(b) {
+		return ErrRejected
 	}
 	b.Parent = parent
-	return s.tree.Insert(b) == nil
+	return s.tree.attach(b)
 }
 
 // Read implements read(): it returns {b0}⌢f(bt).
@@ -193,7 +195,7 @@ func (s *SeqBlockTree) Read() Chain { return s.f.Select(s.tree) }
 // every returned chain is immutable, and since cap == len an append by the
 // caller reallocates instead of writing into the buffer.
 func (s *SeqBlockTree) ReadIDs() history.Chain {
-	s.ids = s.tree.appendRootPathIDs(s.ids, SelectTip(s.f, s.tree).ID)
+	s.ids = s.tree.appendSelectedIDs(s.ids, s.f)
 	return s.ids[:len(s.ids):len(s.ids)]
 }
 

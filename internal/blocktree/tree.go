@@ -20,10 +20,14 @@ type node struct {
 	parent int32 // slab index of the parent; -1 for genesis
 	// children holds the slab indexes of the blocks chained to this one,
 	// sorted by block id so selectors walk them in deterministic order.
+	// A first child is a one-slot window of the tree's kidChunk (cap 1,
+	// so a second child reallocates instead of writing into the chunk).
 	children []int32
 	// subtree caches the cumulative work of the subtree rooted here (for
-	// GHOST). It is exact for every block once Tree.foldLocked has run;
-	// until then it omits the work of blocks inserted since the last fold.
+	// GHOST). Once Tree.foldLocked has run it is exact for every block off
+	// the GHOST path; a path block at height h is owed, on top of it, the
+	// lazy adds Tree.pathAdd holds at heights h and above. Until the fold
+	// it also omits the work of blocks inserted since the last fold.
 	subtree int
 	// chainW caches the cumulative work of the root path ending here (the
 	// heaviest-chain score of ChainTo), set once on insert.
@@ -40,16 +44,20 @@ type node struct {
 // rebuilt per read: children slices stay sorted, the fork census is a
 // counter, each block's cumulative chain work is carried forward, and the
 // longest and heaviest tips are memos updated with one comparison each —
-// Insert pays O(k) for a block with k siblings, and the longest and
-// heaviest selections are O(1). Subtree work, which only GHOST reads, is
-// folded in lazily: the first GHOST descent or SubtreeWork call after a
-// run of inserts adds the pending blocks' work to their ancestors, so trees
-// under the other selectors never walk to the root. GHOST keeps the root
-// path of its last selection; inserts on its end extend it, and after any
-// other insert the next selection re-descends only from the lowest height
-// where a new block joins the path. The only hash lookups are the id→index
-// translations at the API boundary; everything below it runs on slab
-// indexes.
+// Insert pays O(k) for a block with k siblings and allocates nothing for a
+// first child, and the longest and heaviest selections are O(1). Subtree
+// work, which only GHOST reads, is folded in lazily: the first GHOST
+// descent or SubtreeWork call after a run of inserts adds the pending
+// blocks' work to their ancestors, so trees under the other selectors
+// never walk at all. GHOST keeps the root path of its last selection;
+// inserts on its end extend it, and after any other insert the next
+// selection re-descends only from the lowest height where a new block
+// joins the path. The fold stops each pending block's walk at the first
+// ancestor on that path and records the work there once, in pathAdd, for
+// every path block at or below that height; so a fold costs the off-path
+// branches plus the part of the path it truncates, not the height. The
+// only hash lookups are the id→index translations at the API boundary;
+// everything below it runs on slab indexes.
 type Tree struct {
 	mu    sync.RWMutex
 	nodes []node
@@ -74,6 +82,15 @@ type Tree struct {
 	// stored only under the write lock.
 	ghostPath  []int32
 	ghostStale bool
+	// pathAdd[h] is folded work owed to every ghostPath block at height
+	// ≤ h: a path block's subtree sum is its subtree field plus
+	// pathAdd[h:]. It is never longer than ghostPath; missing entries are
+	// zero. A fold that truncates the path pays the dropped blocks what
+	// they are owed and carries the dropped entries' total to the new end,
+	// so every block off the path holds its exact sum.
+	pathAdd []int
+	// kidChunk is the chunk first-child windows are cut from.
+	kidChunk []int32
 }
 
 // Errors returned by Tree operations.
@@ -85,14 +102,18 @@ var (
 	ErrDuplicate = errors.New("blocktree: duplicate block")
 	// ErrSelfParent reports a block naming itself as predecessor.
 	ErrSelfParent = errors.New("blocktree: block cannot be its own parent")
+	// ErrRejected reports a block the validity predicate P refuses
+	// (SeqBlockTree.Update).
+	ErrRejected = errors.New("blocktree: block fails the validity predicate")
 )
 
 // New returns a tree containing only the genesis block b0.
 func New() *Tree { return NewCap(0) }
 
 // NewCap returns a tree containing only the genesis block, with the block
-// slab and id index pre-sized for about n blocks so simulators with a known
-// target chain length avoid incremental growth on the insert path.
+// slab, id index and first-child chunk pre-sized for about n blocks so
+// simulators with a known target chain length avoid incremental growth on
+// the insert path.
 func NewCap(n int) *Tree {
 	if n < 1 {
 		n = 1
@@ -102,6 +123,7 @@ func NewCap(n int) *Tree {
 		index:     make(map[BlockID]int32, n+1),
 		folded:    1,
 		ghostPath: make([]int32, 1, n+1),
+		kidChunk:  make([]int32, 0, n),
 	}
 	t.nodes[0] = node{block: Genesis(), parent: -1}
 	t.index[GenesisID] = 0
@@ -124,6 +146,32 @@ func (t *Tree) Insert(b Block) error {
 	if !ok {
 		return fmt.Errorf("%w: %s for block %s", ErrUnknownParent, string(b.Parent), string(b.ID))
 	}
+	t.insertLocked(b, pi)
+	return nil
+}
+
+// attach is Insert for update_i(bg, b) (SeqBlockTree.Update): it checks
+// the parent first and reports an absent one as the bare ErrUnknownParent,
+// so a replica learns in one locked call, without an allocation, whether
+// to buffer a delivery. A block naming itself as parent is either a
+// duplicate or waits on an unknown parent, never inserted.
+func (t *Tree) attach(b Block) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pi, ok := t.index[b.Parent]
+	if !ok {
+		return ErrUnknownParent
+	}
+	if _, dup := t.index[b.ID]; dup {
+		return ErrDuplicate
+	}
+	t.insertLocked(b, pi)
+	return nil
+}
+
+// insertLocked appends b as a child of slab entry pi. Caller holds the
+// write lock and has checked that b is new.
+func (t *Tree) insertLocked(b Block, pi int32) {
 	b.Height = t.nodes[pi].block.Height + 1
 	w := b.work()
 	cw := t.nodes[pi].chainW + w
@@ -154,10 +202,19 @@ func (t *Tree) Insert(b Block) error {
 	// Keep the children slice sorted at insert time so reads never sort:
 	// selectors walk them in deterministic order directly.
 	kids := t.nodes[pi].children
-	pos := sort.Search(len(kids), func(i int) bool { return t.nodes[kids[i]].block.ID >= b.ID })
-	kids = append(kids, 0)
-	copy(kids[pos+1:], kids[pos:])
-	kids[pos] = idx
+	if len(kids) == 0 {
+		if len(t.kidChunk) == cap(t.kidChunk) {
+			t.kidChunk = make([]int32, 0, max(64, len(t.nodes)))
+		}
+		t.kidChunk = append(t.kidChunk, idx)
+		n := len(t.kidChunk)
+		kids = t.kidChunk[n-1 : n : n]
+	} else {
+		pos := sort.Search(len(kids), func(i int) bool { return t.nodes[kids[i]].block.ID >= b.ID })
+		kids = append(kids, 0)
+		copy(kids[pos+1:], kids[pos:])
+		kids[pos] = idx
+	}
 	t.nodes[pi].children = kids
 	if len(kids) == 2 {
 		t.forkCount++
@@ -165,28 +222,34 @@ func (t *Tree) Insert(b Block) error {
 	if len(kids) > t.maxFanout {
 		t.maxFanout = len(kids)
 	}
-	return nil
 }
 
 // foldLocked adds the work of every block inserted since the last fold to
 // its ancestors' subtree sums. A parent always precedes its children in
 // the slab, so one pass from the newest pending block down finishes each
-// pending block's sum before carrying it into its parent; only a sum that
-// reaches an already folded parent walks on to the root, once per pending
-// block hanging off the folded part of the tree rather than once per
-// block.
+// pending block's sum before carrying it into its parent. A sum that
+// reaches an already folded parent walks on only to the first ancestor on
+// the GHOST path and is added there to pathAdd, once for the whole path
+// below; the walk costs the length of the off-path branch, not the height.
 //
 // The same pass finds, for each pending block off the GHOST path, the
 // height where its ancestors join the path, and truncates the path above
 // the lowest such height: below it, every fork's chosen child is an
 // ancestor of the new blocks and only gained work, so those choices stand.
-// Caller holds the write lock.
+// The truncation pays each dropped path block the pathAdd entries at and
+// above its height and carries their total to the new end, so the
+// descent that follows compares only exact sums. Caller holds the write
+// lock.
 func (t *Tree) foldLocked() {
 	n := int32(len(t.nodes))
-	join := len(t.ghostPath) - 1
+	top := len(t.ghostPath)
+	if grow := top - len(t.pathAdd); grow > 0 {
+		t.pathAdd = append(t.pathAdd, make([]int, grow)...)
+	}
+	join := top - 1
 	onPath := func(i int32) bool {
 		h := t.nodes[i].block.Height
-		return h < len(t.ghostPath) && t.ghostPath[h] == i
+		return h < top && t.ghostPath[h] == i
 	}
 	for i := n - 1; i >= t.folded; i-- {
 		s, p := t.nodes[i].subtree, t.nodes[i].parent
@@ -200,16 +263,26 @@ func (t *Tree) foldLocked() {
 			}
 			continue
 		}
-		for ; p >= 0; p = t.nodes[p].parent {
+		for !onPath(p) {
 			t.nodes[p].subtree += s
-			if off && onPath(p) {
-				join = min(join, t.nodes[p].block.Height)
-				off = false
-			}
+			p = t.nodes[p].parent
+		}
+		h := t.nodes[p].block.Height
+		t.pathAdd[h] += s
+		if off {
+			join = min(join, h)
 		}
 	}
 	t.folded = n
+	owed := 0
+	for h := top - 1; h > join; h-- {
+		owed += t.pathAdd[h]
+		t.pathAdd[h] = 0
+		t.nodes[t.ghostPath[h]].subtree += owed
+	}
+	t.pathAdd[join] += owed
 	t.ghostPath = t.ghostPath[:join+1]
+	t.pathAdd = t.pathAdd[:join+1]
 }
 
 // Has reports whether the tree contains the block.
@@ -277,21 +350,43 @@ func (t *Tree) chainToLocked(idx int32) Chain {
 	return chain
 }
 
-// appendRootPathIDs returns buf extended to the ids of the root path
-// {b0}⌢…⌢{id}, the id-only view read responses are recorded with. The
-// walk stops at the highest block buf already holds at its height — the
-// tree is append-only, so a block's root path never changes — and only
-// the ids above it are written. Positions below len(buf) are never
-// written: when the path leaves buf before its end (a reorg, or a tip
-// that is an ancestor of buf's), the shared prefix is copied into a fresh
-// buffer instead. Views of buf taken earlier therefore never change.
-func (t *Tree) appendRootPathIDs(buf history.Chain, id BlockID) history.Chain {
+// appendSelectedIDs returns buf extended to the ids of the root path of
+// sel's chosen chain, the id-only view read responses are recorded with
+// (appendRootPathIDsLocked). A built-in selector names its tip by slab
+// index under the same lock that extends buf: the read lock, or the write
+// lock when a stale GHOST path must fold first. Any other Selector goes
+// through SelectTip and the id index.
+func (t *Tree) appendSelectedIDs(buf history.Chain, sel Selector) history.Chain {
+	t.mu.RLock()
+	if tip, ok := tipRLocked(sel, t); ok {
+		defer t.mu.RUnlock()
+		return t.appendRootPathIDsLocked(buf, tip)
+	}
+	t.mu.RUnlock()
+	if _, ok := sel.(GHOST); ok {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return t.appendRootPathIDsLocked(buf, ghostTipLocked(t))
+	}
+	id := SelectTip(sel, t).ID
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	tip, ok := t.index[id]
 	if !ok {
 		return history.Chain{GenesisID}
 	}
+	return t.appendRootPathIDsLocked(buf, tip)
+}
+
+// appendRootPathIDsLocked returns buf extended to the ids of the root path
+// ending at slab index tip. The walk stops at the highest block buf
+// already holds at its height — the tree is append-only, so a block's root
+// path never changes — and only the ids above it are written. Positions
+// below len(buf) are never written: when the path leaves buf before its
+// end (a reorg, or a tip that is an ancestor of buf's), the shared prefix
+// is copied into a fresh buffer instead. Views of buf taken earlier
+// therefore never change. Caller holds the lock.
+func (t *Tree) appendRootPathIDsLocked(buf history.Chain, tip int32) history.Chain {
 	keep := 0
 	for i := tip; i >= 0; i = t.nodes[i].parent {
 		if h := t.nodes[i].block.Height; h < len(buf) && buf[h] == t.nodes[i].block.ID {
@@ -380,7 +475,13 @@ func (t *Tree) SubtreeWork(id BlockID) int {
 		return 0
 	}
 	t.foldLocked()
-	return t.nodes[i].subtree
+	w := t.nodes[i].subtree
+	if h := t.nodes[i].block.Height; h < len(t.ghostPath) && t.ghostPath[h] == i {
+		for _, a := range t.pathAdd[h:] {
+			w += a
+		}
+	}
+	return w
 }
 
 // ChainWork returns the cumulative work of the root path ending at id —
@@ -409,13 +510,17 @@ func (t *Tree) Clone() *Tree {
 		folded:     t.folded,
 		ghostPath:  append(make([]int32, 0, cap(t.ghostPath)), t.ghostPath...),
 		ghostStale: t.ghostStale,
+		pathAdd:    slices.Clone(t.pathAdd),
 	}
 	copy(c.nodes, t.nodes)
+	// Every block but genesis is one child, so one buffer holds all the
+	// children slices; each is capped at its length, so an insert into the
+	// clone reallocates instead of writing into its neighbour.
+	kids := make([]int32, 0, len(t.nodes)-1)
 	for i := range c.nodes {
-		if kids := c.nodes[i].children; kids != nil {
-			cp := make([]int32, len(kids))
-			copy(cp, kids)
-			c.nodes[i].children = cp
+		if n := len(c.nodes[i].children); n > 0 {
+			kids = append(kids, c.nodes[i].children...)
+			c.nodes[i].children = kids[len(kids)-n : len(kids) : len(kids)]
 		}
 	}
 	for id, i := range t.index {

@@ -178,18 +178,14 @@ func StrongPrefix(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 	reads := h.Reads()
 	agree := h.ReadsAgreeOnParents()
-	chains := make([]history.Chain, len(reads))
-	for i, r := range reads {
-		chains[i] = r.Chain
-	}
-	order := make([]int, len(chains))
+	order := make([]int, len(reads))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return len(chains[order[a]]) < len(chains[order[b]]) })
+	sort.Slice(order, func(a, b int) bool { return len(reads[order[a]].Chain) < len(reads[order[b]].Chain) })
 	checked := 0
 	for i := 1; i < len(order); i++ {
-		a, b := chains[order[i-1]], chains[order[i]]
+		a, b := reads[order[i-1]].Chain, reads[order[i]].Chain
 		checked++
 		if !hasPrefix(agree, b, a) {
 			sink.addf("neither of %s and %s prefixes the other", a, b)

@@ -200,7 +200,7 @@ func simulateTwin(w *twin, seed uint64, n, ticks int, sel blocktree.Selector) {
 		var later []delivery
 		for _, d := range inflight {
 			if d.at <= t && trees[d.to].Tree().Has(d.parent) {
-				if trees[d.to].Update(d.parent, blocktree.Block{ID: d.block, Work: 1}) {
+				if trees[d.to].Update(d.parent, blocktree.Block{ID: d.block, Work: 1}) == nil {
 					w.update(history.ProcID(d.to), history.BlockRef(d.parent), history.BlockRef(d.block))
 				}
 				continue

@@ -127,13 +127,15 @@ func (r *Replica) OnMessage(s *Sim, m Message) {
 	r.applyUpdate(m.Parent, b, m.Origin)
 }
 
+// applyUpdate runs update_i(parent, b), buffering b when its parent has not
+// arrived yet; one locked tree call decides which.
 func (r *Replica) applyUpdate(parent blocktree.BlockID, b blocktree.Block, origin history.ProcID) {
-	if !r.bt.Tree().Has(parent) {
+	switch err := r.bt.Update(parent, b); err {
+	case nil:
+		r.rec.Record(r.id, history.Label{Kind: history.KindUpdate, Parent: parent, Block: b.ID, Origin: origin})
+	case blocktree.ErrUnknownParent:
 		r.pending[parent] = append(r.pending[parent], pendingBlock{block: b, origin: origin})
 		return
-	}
-	if r.bt.Update(parent, b) {
-		r.rec.Record(r.id, history.Label{Kind: history.KindUpdate, Parent: parent, Block: b.ID, Origin: origin})
 	}
 	// Drain blocks that were waiting for b.
 	waiting := r.pending[b.ID]

@@ -69,6 +69,6 @@ func compose(system, link, adversary, topology string, alpha float64, p SimParam
 // complete graph) are never narrowed.
 func admits(system SimSystem, l LinkSpec, a AdversarySpec, t TopologySpec) bool {
 	return chains.Composes(system, l.Link, a.Plan != nil, t.Topology) &&
-		(a.Plan == nil || a.Supports == nil || a.Supports(system.Name)) &&
-		(t.Topology.IsDefault() || t.Supports == nil || t.Supports(system.Name))
+		(a.Plan == nil || a.Supports == nil || a.Supports(system)) &&
+		(t.Topology.IsDefault() || t.Supports == nil || t.Supports(system))
 }

@@ -23,7 +23,7 @@ func Example_registerAdversary() {
 			// Matrix expansion prunes, and SimulateAdversary rejects,
 			// every system this predicate refuses. Like every adversary
 			// plan, the whale runs over the default network only.
-			Supports: func(system string) bool { return system == "Bitcoin" },
+			Supports: func(system blockadt.SimSystem) bool { return system.Name == "Bitcoin" },
 			Plan: func(alpha float64) blockadt.AdversaryPlan {
 				return blockadt.AdversaryPlan{Name: "whale", Run: func(p blockadt.SimParams) blockadt.SimResult {
 					p = p.WithDefaults()

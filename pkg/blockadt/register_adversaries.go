@@ -17,7 +17,8 @@ const (
 // The two fault models self-register. "none" is the honest default (nil
 // Plan); "selfish" returns the Eyal–Sirer withholding plan. Like every
 // adversary plan it runs only over the default network
-// (chains.Composes); its own narrowing is to Bitcoin.
+// (chains.Composes); its own narrowing is to the heaviest-chain rows
+// (Bitcoin's rule), the selection the withholding strategy races.
 func init() {
 	RegisterAdversary(AdversarySpec{
 		Name:        AdvNone,
@@ -26,7 +27,7 @@ func init() {
 	RegisterAdversary(AdversarySpec{
 		Name:        AdvSelfish,
 		Description: "Eyal–Sirer block-withholding miner at process 0 with merit share α",
-		Supports:    func(system string) bool { return system == "Bitcoin" },
+		Supports:    heaviestChain,
 		Plan:        chains.SelfishWithholding,
 		// Chain quality against this model's entitlement: the adversary
 		// at process 0 holds alpha, the honest miners split the

@@ -2,6 +2,13 @@ package blockadt
 
 import "blockadt/internal/blocktree"
 
+// heaviestChain reports whether a Table 1 row selects by the heaviest-chain
+// rule, the narrowing of the selfish adversary and of clustered2.
+func heaviestChain(system SimSystem) bool {
+	_, ok := system.Selector.(blocktree.HeaviestChain)
+	return ok
+}
+
 // The four selection functions f : BT → BC self-register.
 func init() {
 	RegisterSelector(SelectorSpec{

@@ -46,13 +46,13 @@ func init() {
 		Name:        TopoClustered,
 		Description: "two latency clusters: cross-cluster deliveries pay 4δ extra on top of the link model",
 		Params:      "clusters=2,x=4δ",
-		// Bitcoin only: heaviest-chain selection absorbs the cluster
-		// divergence quickly, so the EC prediction holds across seeds.
-		// GHOST keeps both clusters' subtrees competitive for long
+		// Heaviest-chain rows only (Bitcoin's rule): heaviest-chain
+		// selection absorbs the cluster divergence quickly, so the EC
+		// prediction holds across seeds. GHOST keeps both clusters' subtrees competitive for long
 		// stretches and the finite-run checker (rightly) flags the
 		// divergence on a seed-dependent fraction of runs, which would
 		// turn the sweep's expected-level verdict into a coin flip.
-		Supports: func(system string) bool { return system == "Bitcoin" },
+		Supports: heaviestChain,
 		Topology: chains.ClusteredTopology(2, 4),
 		// Extra latency delays convergence without destroying it: the
 		// link model's prediction stands.

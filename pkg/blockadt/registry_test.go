@@ -407,6 +407,24 @@ func TestUserRegistrationExtends(t *testing.T) {
 	if len(configs) != len(links) {
 		t.Fatalf("the registered PoW row expanded to %d scenarios over %d links, want one per link", len(configs), len(links))
 	}
+	// The selfish and clustered2 narrowings decide on the row's selector,
+	// not its name: a row with Bitcoin's fields expands over topologies
+	// and adversaries exactly like Bitcoin.
+	narrowed := func(system string) []string {
+		t.Helper()
+		cs, err := Matrix{Systems: []string{system}, Topologies: []string{TopoComplete, TopoGossip, TopoClustered}, Adversaries: []string{AdvNone, AdvSelfish}, Seeds: 1}.Configs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, c := range cs {
+			out = append(out, c.Topology+"/"+c.Adversary)
+		}
+		return out
+	}
+	if got, want := narrowed("TestCoin"), narrowed("Bitcoin"); !reflect.DeepEqual(got, want) || len(want) != 4 {
+		t.Fatalf("TestCoin expanded over topologies × adversaries to %v, Bitcoin to %v (want 4 each)", got, want)
+	}
 	res, err := Simulate("TestCoin", WithBlocks(5), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)

@@ -74,10 +74,11 @@ type LinkSpec struct {
 type AdversarySpec struct {
 	Name        string
 	Description string
-	// Supports narrows the systems the model runs against; nil means
-	// every system. Whatever it admits, an adversary plan runs only over
-	// the default network (chains.Composes).
-	Supports func(system string) bool
+	// Supports narrows the systems the model runs against, deciding on
+	// the system's Table 1 row; nil means every system. Whatever it
+	// admits, an adversary plan runs only over the default network
+	// (chains.Composes).
+	Supports func(system SimSystem) bool
 	// Plan returns the executor's adversary plan for merit share alpha
 	// (chains.SelfishWithholding). A nil Plan marks the honest default.
 	Plan func(alpha float64) AdversaryPlan
@@ -101,10 +102,10 @@ type TopologySpec struct {
 	// joins scenario keys and run-store cache keys — but only for
 	// non-default topologies, so pre-existing keys are unchanged.
 	Params string
-	// Supports narrows the systems the topology runs on; nil means every
-	// system the executor can run it on (chains.Composes: PoW systems,
-	// honest runs).
-	Supports func(system string) bool
+	// Supports narrows the systems the topology runs on, deciding on the
+	// system's Table 1 row; nil means every system the executor can run
+	// it on (chains.Composes: PoW systems, honest runs).
+	Supports func(system SimSystem) bool
 	// Topology is the executor's topology plan (gossip graph, link
 	// decoration, or both). The zero value marks the default complete
 	// graph.

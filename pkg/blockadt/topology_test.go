@@ -350,7 +350,7 @@ func registerClaimsEverythingTopology() string {
 			Name:        claimsEverythingTopology,
 			Description: "test-only gossip variant whose Supports claims every system",
 			Params:      "k=2",
-			Supports:    func(string) bool { return true },
+			Supports:    func(SimSystem) bool { return true },
 			Topology:    chains.GossipTopology(2),
 			Hidden:      true,
 		})
