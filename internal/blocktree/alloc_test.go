@@ -71,7 +71,7 @@ func TestReadIDsAllocs(t *testing.T) {
 	parent := GenesisID
 	for i := 0; i < n; i++ {
 		id := BlockID(fmt.Sprintf("b%04d", i))
-		if s.Update(parent, Block{ID: id, Work: 1}) != nil {
+		if s.Update(parent, &Block{ID: id, Work: 1}) != nil {
 			t.Fatalf("update %s failed", id)
 		}
 		parent = id
@@ -88,7 +88,7 @@ func TestReadIDsAllocs(t *testing.T) {
 	var before, after runtime.MemStats
 	var mallocs uint64
 	for _, id := range ids {
-		if s.Update(parent, Block{ID: id, Work: 1}) != nil {
+		if s.Update(parent, &Block{ID: id, Work: 1}) != nil {
 			t.Fatalf("update %s failed", id)
 		}
 		parent = id

@@ -121,20 +121,18 @@ func (GHOST) SelectTip(t *Tree) Block {
 	return t.nodes[ghostTipLocked(t)].block
 }
 
-// tipRLocked returns the slab index of the tip a built-in selector
-// chooses, answered under the read lock. ok is false for a stale GHOST
-// path, which must fold under the write lock first, and for any other
-// Selector.
-func tipRLocked(sel Selector, t *Tree) (tip int32, ok bool) {
+// ownedTip returns the slab index of the tip a built-in selector
+// chooses, folding a stale GHOST path first; ok is false for any other
+// Selector. It takes no lock: the caller holds the write lock or owns the
+// tree, as a SeqBlockTree does.
+func ownedTip(sel Selector, t *Tree) (tip int32, ok bool) {
 	switch sel.(type) {
 	case LongestChain, SingleChain:
 		return t.longest, true
 	case HeaviestChain:
 		return t.heaviest, true
 	case GHOST:
-		if !t.ghostStale {
-			return t.ghostPath[len(t.ghostPath)-1], true
-		}
+		return ghostTipLocked(t), true
 	}
 	return 0, false
 }
@@ -142,7 +140,7 @@ func tipRLocked(sel Selector, t *Tree) (tip int32, ok bool) {
 // ghostTipLocked returns the GHOST tip's slab index. A stale path is
 // folded, which truncates it to the choices that still stand, and then
 // extended by a descent over the folded sums from its end. Caller holds
-// the write lock.
+// the write lock or owns the tree.
 func ghostTipLocked(t *Tree) int32 {
 	if t.ghostStale {
 		t.foldLocked()

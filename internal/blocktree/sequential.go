@@ -122,6 +122,12 @@ func ADT(f Selector, p Predicate) *adt.ADT[State, Input, Output] {
 // counterpart of ADT used by single-process code and as each replica's local
 // copy bt_i in the message-passing model (Section 4.2). It is not safe for
 // concurrent use; the concurrent object lives in internal/core.
+//
+// A SeqBlockTree owns its tree: Update, ReadIDs and Tip reach the tree's
+// slab without its lock for the four built-in selectors, so no other
+// goroutine may use the tree (Tree, NewSeqFromTree's argument) while the
+// SeqBlockTree is in use. The Tree's exported methods still lock, and
+// calling them from the owning goroutine is safe.
 type SeqBlockTree struct {
 	tree *Tree
 	f    Selector
@@ -152,7 +158,12 @@ func NewSeqFromTree(t *Tree, f Selector) *SeqBlockTree {
 // Tip returns the tip block of the currently selected chain without
 // recording a read or materializing the chain — the protocol-internal
 // selection miners run on every granted token.
-func (s *SeqBlockTree) Tip() Block { return SelectTip(s.f, s.tree) }
+func (s *SeqBlockTree) Tip() Block {
+	if tip, ok := ownedTip(s.f, s.tree); ok {
+		return s.tree.nodes[tip].block
+	}
+	return SelectTip(s.f, s.tree)
+}
 
 // Append implements the append(b) operation of Definition 3.1: if P(b)
 // holds, b is chained to the tip of the selected chain and true is
@@ -166,17 +177,18 @@ func (s *SeqBlockTree) Append(b Block) bool {
 }
 
 // Update implements the update_i(bg, b) operation of Section 4.2: it
-// inserts b with the explicit predecessor bg (as received from the network)
-// rather than the locally selected tip, under one lock acquisition. It
-// returns nil when b was inserted, the bare ErrUnknownParent when bg is not
-// in the tree yet (a replica buffers the block until bg arrives),
+// inserts *b with the explicit predecessor bg (as received from the
+// network) rather than the locally selected tip, in one call on the tree.
+// It returns nil when b was inserted, the bare ErrUnknownParent when bg is
+// not in the tree yet (a replica buffers the block until bg arrives),
 // ErrDuplicate when b is already present, and ErrRejected when P(b) fails.
-func (s *SeqBlockTree) Update(parent BlockID, b Block) error {
-	if !s.p(b) {
+// *b is only read, so every replica a message reaches can be handed the
+// same block: the tree keeps its own copy, with Parent set to bg.
+func (s *SeqBlockTree) Update(parent BlockID, b *Block) error {
+	if !s.p(*b) {
 		return ErrRejected
 	}
-	b.Parent = parent
-	return s.tree.attach(b)
+	return s.tree.attach(parent, b)
 }
 
 // Read implements read(): it returns {b0}⌢f(bt).

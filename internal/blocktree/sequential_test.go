@@ -133,7 +133,7 @@ func TestSeqBlockTreeUpdateExplicitParent(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	// Update attaches to the named predecessor, forking below the tip.
-	if s.Update("a", Block{ID: "fork"}) != nil {
+	if s.Update("a", &Block{ID: "fork"}) != nil {
 		t.Fatal("update failed")
 	}
 	blk, _ := s.Tree().Get("fork")
@@ -142,10 +142,10 @@ func TestSeqBlockTreeUpdateExplicitParent(t *testing.T) {
 	}
 	// A replica buffers on the unknown-parent report, so it is the bare
 	// sentinel, distinct from a duplicate.
-	if err := s.Update("ghost-parent", Block{ID: "orphan"}); err != ErrUnknownParent {
+	if err := s.Update("ghost-parent", &Block{ID: "orphan"}); err != ErrUnknownParent {
 		t.Fatalf("update with unknown parent: err = %v, want ErrUnknownParent", err)
 	}
-	if err := s.Update("a", Block{ID: "fork"}); err != ErrDuplicate {
+	if err := s.Update("a", &Block{ID: "fork"}); err != ErrDuplicate {
 		t.Fatalf("repeated update: err = %v, want ErrDuplicate", err)
 	}
 }
@@ -232,7 +232,7 @@ func TestReadIDsNeverRewritesReturnedChains(t *testing.T) {
 	}
 	grow := func(parent BlockID, ids ...BlockID) {
 		for _, id := range ids {
-			if s.Update(parent, Block{ID: id, Work: 1}) != nil {
+			if s.Update(parent, &Block{ID: id, Work: 1}) != nil {
 				t.Fatalf("update %s under %s failed", id, parent)
 			}
 			parent = id

@@ -35,8 +35,9 @@ type node struct {
 }
 
 // Tree is the BlockTree bt = (V_bt, E_bt): an append-only directed rooted
-// tree whose edges point backward to the genesis block. Tree is safe for
-// concurrent use.
+// tree whose edges point backward to the genesis block. Tree's exported
+// methods are safe for concurrent use; a SeqBlockTree reaches its own tree
+// without the lock, so a tree it owns is for its goroutine alone.
 //
 // The tree is the read hot path of every simulator (selectors run on every
 // successful mining attempt and every read), so the structures the
@@ -110,24 +111,76 @@ var (
 // New returns a tree containing only the genesis block b0.
 func New() *Tree { return NewCap(0) }
 
+// treePool holds released trees (Tree.Release) for NewCap to reuse: each
+// entry is a fresh header over a released tree's node slab, emptied id
+// index, GHOST path and first-child chunk. A pool, not a fixed slot: a
+// run releases one tree per replica, and parallel runners release
+// several runs' trees at once.
+var treePool sync.Pool // of *Tree
+
 // NewCap returns a tree containing only the genesis block, with the block
 // slab, id index and first-child chunk pre-sized for about n blocks so
 // simulators with a known target chain length avoid incremental growth on
-// the insert path.
+// the insert path. A positive hint first takes a released tree from the
+// pool (Release): its slab is reused when it holds n+1 blocks, its GHOST
+// path and child chunk when they are large enough, and a slab too small
+// for n is dropped. A zero hint (New) never draws from the pool, so a
+// small tree never pins a large slab.
 func NewCap(n int) *Tree {
-	if n < 1 {
-		n = 1
+	if n > 0 {
+		if t, _ := treePool.Get().(*Tree); t != nil && cap(t.nodes) > n {
+			if cap(t.ghostPath) <= n {
+				t.ghostPath = make([]int32, 0, n+1)
+			}
+			if cap(t.kidChunk) < n {
+				t.kidChunk = make([]int32, 0, n)
+			}
+			t.plant()
+			return t
+		}
 	}
+	n = max(n, 1)
 	t := &Tree{
-		nodes:     make([]node, 1, n+1),
+		nodes:     make([]node, 0, n+1),
 		index:     make(map[BlockID]int32, n+1),
-		folded:    1,
-		ghostPath: make([]int32, 1, n+1),
+		ghostPath: make([]int32, 0, n+1),
 		kidChunk:  make([]int32, 0, n),
 	}
-	t.nodes[0] = node{block: Genesis(), parent: -1}
-	t.index[GenesisID] = 0
+	t.plant()
 	return t
+}
+
+// plant makes the empty buffers of a new or recycled tree the tree
+// holding only the genesis block. A recycled slab keeps the previous
+// tree's nodes past its length; every later insert overwrites its slot
+// whole.
+func (t *Tree) plant() {
+	t.nodes = append(t.nodes[:0], node{block: Genesis(), parent: -1})
+	t.index[GenesisID] = 0
+	t.folded = 1
+	t.ghostPath = append(t.ghostPath[:0], 0)
+	t.pathAdd = t.pathAdd[:0]
+	t.kidChunk = t.kidChunk[:0]
+}
+
+// Release hands the tree's buffers to the next NewCap with a positive
+// hint: the node slab, the id index (cleared here), the GHOST path and
+// the first-child chunk. It is the end of the tree's life. Only the
+// network that built a replica may call it on the replica's tree, after
+// its last read of the tree, and nothing may touch the tree afterwards:
+// the next tree overwrites the same memory. The released tree itself is
+// left empty, so a stray use panics instead of reading another run's
+// blocks. What the tree returned before — blocks, chains, children, and
+// SeqBlockTree.ReadIDs views — are copies and stay valid.
+func (t *Tree) Release() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.nodes == nil {
+		return
+	}
+	clear(t.index)
+	treePool.Put(&Tree{nodes: t.nodes, index: t.index, ghostPath: t.ghostPath, pathAdd: t.pathAdd, kidChunk: t.kidChunk})
+	t.nodes, t.index, t.ghostPath, t.pathAdd, t.kidChunk = nil, nil, nil, nil, nil
 }
 
 // Insert attaches b to its parent. The block's Height is derived from the
@@ -146,19 +199,20 @@ func (t *Tree) Insert(b Block) error {
 	if !ok {
 		return fmt.Errorf("%w: %s for block %s", ErrUnknownParent, string(b.Parent), string(b.ID))
 	}
-	t.insertLocked(b, pi)
+	t.insertLocked(&b, pi)
 	return nil
 }
 
-// attach is Insert for update_i(bg, b) (SeqBlockTree.Update): it checks
-// the parent first and reports an absent one as the bare ErrUnknownParent,
-// so a replica learns in one locked call, without an allocation, whether
-// to buffer a delivery. A block naming itself as parent is either a
-// duplicate or waits on an unknown parent, never inserted.
-func (t *Tree) attach(b Block) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	pi, ok := t.index[b.Parent]
+// attach is Insert for update_i(bg, b) (SeqBlockTree.Update), chaining
+// *b to parent whatever b.Parent says. It takes no lock: the
+// SeqBlockTree owns its tree, and no other goroutine may use the tree
+// meanwhile. It checks the parent first and reports an absent one as the
+// bare ErrUnknownParent, so a replica learns in one call, without an
+// allocation, whether to buffer a delivery. A block naming itself as
+// parent is either a duplicate or waits on an unknown parent, never
+// inserted. *b is only read: the one copy of the block is the tree's.
+func (t *Tree) attach(parent BlockID, b *Block) error {
+	pi, ok := t.index[parent]
 	if !ok {
 		return ErrUnknownParent
 	}
@@ -169,26 +223,31 @@ func (t *Tree) attach(b Block) error {
 	return nil
 }
 
-// insertLocked appends b as a child of slab entry pi. Caller holds the
-// write lock and has checked that b is new.
-func (t *Tree) insertLocked(b Block, pi int32) {
-	b.Height = t.nodes[pi].block.Height + 1
-	w := b.work()
-	cw := t.nodes[pi].chainW + w
+// insertLocked appends a copy of *b as a child of slab entry pi, setting
+// the copy's Parent and Height from the parent; *b itself is not written.
+// Caller holds the write lock, or owns the tree, and has checked that b is
+// new.
+func (t *Tree) insertLocked(b *Block, pi int32) {
 	idx := int32(len(t.nodes))
-	if l := &t.nodes[t.longest].block; b.Height > l.Height || (b.Height == l.Height && b.ID > l.ID) {
+	// Grow and fill the slot in place: appending a node literal would
+	// build it in a temporary and copy the block twice. Every field is
+	// written, since a recycled slab holds an old node here.
+	t.nodes = slices.Grow(t.nodes, 1)[:idx+1]
+	nd := &t.nodes[idx]
+	nd.block = *b
+	nb := &nd.block
+	nb.Parent = t.nodes[pi].block.ID
+	nb.Height = t.nodes[pi].block.Height + 1
+	w := nb.work()
+	cw := t.nodes[pi].chainW + w
+	nd.parent, nd.children, nd.subtree, nd.chainW = pi, nil, w, cw
+	if l := &t.nodes[t.longest].block; nb.Height > l.Height || (nb.Height == l.Height && nb.ID > l.ID) {
 		t.longest = idx
 	}
-	if h := &t.nodes[t.heaviest]; cw > h.chainW || (cw == h.chainW && b.ID > h.block.ID) {
+	if h := &t.nodes[t.heaviest]; cw > h.chainW || (cw == h.chainW && nb.ID > h.block.ID) {
 		t.heaviest = idx
 	}
-	t.nodes = append(t.nodes, node{
-		block:   b,
-		parent:  pi,
-		subtree: w,
-		chainW:  cw,
-	})
-	t.index[b.ID] = idx
+	t.index[nb.ID] = idx
 	// A block on the GHOST tip is the tip's only child, and every subtree
 	// on the tip's path only gains work, so each fork's choice stands and
 	// the new block is the new tip. Any other insert may move the
@@ -210,7 +269,7 @@ func (t *Tree) insertLocked(b Block, pi int32) {
 		n := len(t.kidChunk)
 		kids = t.kidChunk[n-1 : n : n]
 	} else {
-		pos := sort.Search(len(kids), func(i int) bool { return t.nodes[kids[i]].block.ID >= b.ID })
+		pos := sort.Search(len(kids), func(i int) bool { return t.nodes[kids[i]].block.ID >= nb.ID })
 		kids = append(kids, 0)
 		copy(kids[pos+1:], kids[pos:])
 		kids[pos] = idx
@@ -239,7 +298,7 @@ func (t *Tree) insertLocked(b Block, pi int32) {
 // The truncation pays each dropped path block the pathAdd entries at and
 // above its height and carries their total to the new end, so the
 // descent that follows compares only exact sums. Caller holds the write
-// lock.
+// lock or owns the tree.
 func (t *Tree) foldLocked() {
 	n := int32(len(t.nodes))
 	top := len(t.ghostPath)
@@ -352,28 +411,16 @@ func (t *Tree) chainToLocked(idx int32) Chain {
 
 // appendSelectedIDs returns buf extended to the ids of the root path of
 // sel's chosen chain, the id-only view read responses are recorded with
-// (appendRootPathIDsLocked). A built-in selector names its tip by slab
-// index under the same lock that extends buf: the read lock, or the write
-// lock when a stale GHOST path must fold first. Any other Selector goes
-// through SelectTip and the id index.
+// (appendRootPathIDsLocked). It takes no lock for a built-in selector,
+// which names its tip by slab index (ownedTip): the SeqBlockTree owns its
+// tree. Any other Selector goes through SelectTip, which locks, and the
+// id index.
 func (t *Tree) appendSelectedIDs(buf history.Chain, sel Selector) history.Chain {
-	t.mu.RLock()
-	if tip, ok := tipRLocked(sel, t); ok {
-		defer t.mu.RUnlock()
-		return t.appendRootPathIDsLocked(buf, tip)
-	}
-	t.mu.RUnlock()
-	if _, ok := sel.(GHOST); ok {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return t.appendRootPathIDsLocked(buf, ghostTipLocked(t))
-	}
-	id := SelectTip(sel, t).ID
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	tip, ok := t.index[id]
+	tip, ok := ownedTip(sel, t)
 	if !ok {
-		return history.Chain{GenesisID}
+		if tip, ok = t.index[SelectTip(sel, t).ID]; !ok {
+			return history.Chain{GenesisID}
+		}
 	}
 	return t.appendRootPathIDsLocked(buf, tip)
 }
@@ -385,7 +432,7 @@ func (t *Tree) appendSelectedIDs(buf history.Chain, sel Selector) history.Chain 
 // below len(buf) are never written: when the path leaves buf before its
 // end (a reorg, or a tip that is an ancestor of buf's), the shared prefix
 // is copied into a fresh buffer instead. Views of buf taken earlier
-// therefore never change. Caller holds the lock.
+// therefore never change. Caller holds the lock or owns the tree.
 func (t *Tree) appendRootPathIDsLocked(buf history.Chain, tip int32) history.Chain {
 	keep := 0
 	for i := tip; i >= 0; i = t.nodes[i].parent {

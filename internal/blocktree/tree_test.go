@@ -298,3 +298,22 @@ func TestProperty_AppendOnlyInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReleasedTreeIsEmptied: Release leaves nothing behind in the tree it
+// ends, so a stray use fails loudly instead of reading the blocks of the
+// tree that reuses its buffers; a second Release is a no-op.
+func TestReleasedTreeIsEmptied(t *testing.T) {
+	tr := NewCap(4)
+	mustInsert(t, tr, "a", GenesisID, 1)
+	tr.Release()
+	tr.Release()
+	if tr.Has("a") || tr.Has(GenesisID) {
+		t.Fatal("released tree still answers lookups")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reading a released tree's tip did not panic")
+		}
+	}()
+	tr.Height()
+}

@@ -107,7 +107,9 @@ func runBFT(name, refinement string, sel blocktree.Selector, plan roundPlan, p P
 	}
 	t := net.mine(3 * p.Delta)
 	net.sim.Run(t + 3*p.Delta + 16*p.Delta)
-	return net.result(name, refinement, orc.Name(), sel, 1)
+	res := net.result(name, refinement, orc.Name(), sel, 1)
+	net.release()
+	return res
 }
 
 // powRace is the ByzCoin/PeerCensus proposer discipline: everyone races;

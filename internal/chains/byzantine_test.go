@@ -40,7 +40,7 @@ func equivocationRun(t *testing.T, orc *oracle.Oracle) (*netsim.Sim, map[history
 			if _, inserted, err := orc.ConsumeToken(tok); err != nil || !inserted {
 				return // the frugal oracle stops the second block here
 			}
-			b := blocktree.Block{ID: id, Parent: "b0", Token: tok.ID, Proposer: 0}
+			b := &blocktree.Block{ID: id, Parent: "b0", Token: tok.ID, Proposer: 0}
 			s.Send(netsim.Message{From: 0, To: to, Kind: netsim.UpdateMsg, Parent: "b0", Block: id, Origin: 0, Payload: b})
 		}
 		mint("evil-x", 1)

@@ -198,6 +198,7 @@ func runFruitChainAttack(p Params, alpha float64) Result {
 		orc.Name(), blocktree.HeaviestChain{}, oracle.Unbounded)
 
 	stats, final := withholdingCensus(net, res, alpha)
+	net.release()
 	stats.BlockShareByProc = stats.MainChainByProc
 	stats.FruitRewardByProc = map[history.ProcID]int{}
 	stats.FinalChain = final

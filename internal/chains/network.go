@@ -107,6 +107,17 @@ func (n *network) result(system, refinement, oracleName string, sel blocktree.Se
 	}
 }
 
+// release hands every replica's tree back to blocktree.NewCap for the
+// next run to reuse (blocktree.Tree.Release). A Result keeps only the
+// history and counters, so a driver calls it once it is done: after
+// result, and for the withholding drivers after withholdingCensus, the
+// last reader of a tree. Nothing may touch a replica afterwards.
+func (n *network) release() {
+	for _, rep := range n.reps {
+		rep.Tree().Release()
+	}
+}
+
 // appendBlock is the token race every oracle-driven miner runs on a tkn
 // cell (the caller has already drawn it with PopBottom): getToken for
 // candidate on parent; on a grant, count the attempt, record the append

@@ -112,13 +112,14 @@ func (n *pbftChainNode) onDecide(s *netsim.Sim, slot int, v pbft.Value) {
 }
 
 func (n *pbftChainNode) applyLocal(s *netsim.Sim, parent blocktree.BlockID, b blocktree.Block, origin history.ProcID) {
+	pb := &b
 	// Reuse the replica's update path without a network hop: the PBFT
 	// decision certificate *is* the dissemination.
-	n.tree.OnMessage(s, netsim.Message{Kind: netsim.UpdateMsg, Parent: parent, Block: b.ID, Origin: origin, Payload: b})
+	n.tree.OnMessage(s, netsim.Message{Kind: netsim.UpdateMsg, Parent: parent, Block: b.ID, Origin: origin, Payload: pb})
 	if origin == n.tree.ID() {
 		// Self-origin updates are skipped by OnMessage (they assume
 		// CreateAndBroadcast applied them); apply directly.
-		n.tree.ApplyDecided(parent, b)
+		n.tree.ApplyDecided(parent, pb)
 	}
 }
 
@@ -150,5 +151,7 @@ func (PBFTChain) Run(p Params) Result {
 	}
 	t := net.mine(3 * p.Delta)
 	net.sim.Run(t + 3*p.Delta + 32*p.Delta)
-	return net.result("PBFT-chain", "R(BT-ADT_SC, Θ_F,k=1) — commit by real PBFT", "pbft(n="+fmt.Sprint(p.N)+")", blocktree.SingleChain{}, 1)
+	res := net.result("PBFT-chain", "R(BT-ADT_SC, Θ_F,k=1) — commit by real PBFT", "pbft(n="+fmt.Sprint(p.N)+")", blocktree.SingleChain{}, 1)
+	net.release()
+	return res
 }

@@ -84,7 +84,9 @@ func runPoWTopo(name, refinement string, sel blocktree.Selector, links netsim.Li
 	// checkers then misattribute to the model. RunToIdle stops at the last
 	// real delivery; the cap only bounds runaway schedules.
 	net.sim.RunToIdle(t + 64 + p.MaxTicks)
-	return net.result(name, refinement, orc.Name(), sel, oracle.Unbounded)
+	res := net.result(name, refinement, orc.Name(), sel, oracle.Unbounded)
+	net.release()
+	return res
 }
 
 var (

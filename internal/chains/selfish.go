@@ -77,7 +77,7 @@ func (m *selfishMiner) OnMessage(s *netsim.Sim, msg netsim.Message) {
 	if msg.Kind != netsim.UpdateMsg {
 		return
 	}
-	b, ok := msg.Payload.(blocktree.Block)
+	b, ok := msg.Payload.(*blocktree.Block)
 	if !ok {
 		return
 	}
@@ -88,8 +88,7 @@ func (m *selfishMiner) OnMessage(s *netsim.Sim, msg netsim.Message) {
 	leadBefore := m.privateTip().Height - m.publicTip().Height
 	m.rep.OnMessage(s, msg)
 	if m.private.Has(b.Parent) && !m.private.Has(b.ID) {
-		bb := b
-		m.private.Insert(bb)
+		m.private.Insert(*b)
 	}
 
 	switch {
@@ -169,6 +168,7 @@ func runSelfishMining(p Params, alpha float64) Result {
 		orc.Name(), blocktree.HeaviestChain{}, oracle.Unbounded)
 
 	res.Adversary, _ = withholdingCensus(net, res, alpha)
+	net.release()
 	return res
 }
 

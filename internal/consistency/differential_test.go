@@ -200,7 +200,7 @@ func simulateTwin(w *twin, seed uint64, n, ticks int, sel blocktree.Selector) {
 		var later []delivery
 		for _, d := range inflight {
 			if d.at <= t && trees[d.to].Tree().Has(d.parent) {
-				if trees[d.to].Update(d.parent, blocktree.Block{ID: d.block, Work: 1}) == nil {
+				if trees[d.to].Update(d.parent, &blocktree.Block{ID: d.block, Work: 1}) == nil {
 					w.update(history.ProcID(d.to), history.BlockRef(d.parent), history.BlockRef(d.block))
 				}
 				continue
@@ -214,7 +214,7 @@ func simulateTwin(w *twin, seed uint64, n, ticks int, sel blocktree.Selector) {
 				id := blocktree.BlockID(fmt.Sprintf("s%d-%d", seed%100, mined))
 				mined++
 				w.append(history.ProcID(p), history.BlockRef(parent), history.BlockRef(id))
-				trees[p].Update(parent, blocktree.Block{ID: id, Work: 1})
+				trees[p].Update(parent, &blocktree.Block{ID: id, Work: 1})
 				for q := 0; q < n; q++ {
 					if q != p {
 						inflight = append(inflight, delivery{at: t + 1 + int64(src.Intn(6)), to: q, parent: parent, block: id})

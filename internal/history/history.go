@@ -622,12 +622,16 @@ func RespondedBefore(a, b Op) bool {
 	return a.RspTime < b.InvTime
 }
 
-// Recorder accumulates operations concurrently. It stores one Op per
-// operation and numbers events with a counter; the events themselves are
-// derived by History.Events. The zero value is not usable; create one
-// with NewRecorder.
+// Recorder accumulates operations. It stores one Op per operation and
+// numbers events with a counter; the events themselves are derived by
+// History.Events. The zero value is not usable: NewRecorder returns a
+// recorder safe for concurrent use, NewRecorderWithClock one for a single
+// goroutine.
 type Recorder struct {
-	mu sync.Mutex
+	// mu serializes a shared recorder's methods; a recorder with
+	// shared false (NewRecorderWithClock) never takes it.
+	mu     sync.Mutex
+	shared bool
 	// seq is the number of events recorded so far: the Seq of the next.
 	seq   int
 	ops   []Op
@@ -684,13 +688,19 @@ func (c *counterClock) Now() int64 {
 	return c.t
 }
 
-// NewRecorder returns a recorder using a monotonic logical clock.
+// NewRecorder returns a recorder using a monotonic logical clock. It is
+// the concurrent recorder: any number of goroutines may record into it
+// (core.Blockchain and the façade's NewRecorder use it).
 func NewRecorder() *Recorder {
-	return &Recorder{clock: &counterClock{}}
+	return &Recorder{clock: &counterClock{}, shared: true}
 }
 
 // NewRecorderWithClock returns a recorder stamped by the given clock (used
-// by the virtual-time netsim).
+// by the virtual-time netsim). Such a clock is read without
+// synchronization, so the recorder belongs to one goroutine, the one that
+// advances the clock, and takes no lock: a simulator's event loop records
+// each delivery without a lock round trip. Use NewRecorder to record from
+// several goroutines.
 func NewRecorderWithClock(c Clock) *Recorder {
 	return &Recorder{clock: c}
 }
@@ -706,8 +716,10 @@ func NewRecorderWithClock(c Clock) *Recorder {
 // path never reallocates mid-run. An empty recorder takes the buffers of
 // a released history (History.Release) when they are large enough.
 func (r *Recorder) Reserve(ops int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if r.shared {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
 	if len(r.ops) == 0 && cap(r.ops) < ops {
 		// An empty recorder holds no response pointers either, so both
 		// buffers can be swapped for recycled ones.
@@ -732,21 +744,38 @@ func (r *Recorder) Reserve(ops int) {
 // Invoke records the invocation event of a new operation and returns its
 // OpID, to be passed to Respond.
 func (r *Recorder) Invoke(p ProcID, l Label) OpID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := OpID(len(r.ops))
+	if r.shared {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
 	seq := r.seq
 	r.seq++
-	now := r.clock.Now()
-	r.ops = append(r.ops, Op{ID: id, Proc: p, Label: l, InvTime: now, InvSeq: seq})
-	return id
+	return r.push(p, &l, seq, r.clock.Now()).ID
+}
+
+// push appends the next op's slot and fills it in place with its process,
+// invocation label, sequence number and time, as a pending op. Appending
+// an Op literal instead would build it in a temporary and copy the label
+// twice. Every field is written, because a recycled buffer (Reserve)
+// holds an old op in the slot.
+func (r *Recorder) push(p ProcID, l *Label, seq int, now int64) *Op {
+	id := len(r.ops)
+	r.ops = slices.Grow(r.ops, 1)[:id+1]
+	op := &r.ops[id]
+	op.Label = *l
+	op.ID, op.Proc, op.Response = OpID(id), p, nil
+	op.InvTime, op.InvSeq = now, seq
+	op.RspTime, op.RspSeq, op.Complete = 0, 0, false
+	return op
 }
 
 // Respond records the response event of operation id with the given result
 // label.
 func (r *Recorder) Respond(id OpID, result Label) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if r.shared {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
 	seq := r.seq
 	r.seq++
 	now := r.clock.Now()
@@ -763,31 +792,31 @@ func (r *Recorder) Respond(id OpID, result Label) {
 
 // Record records an instantaneous (invocation+response collapsed) event,
 // used for send/receive/update events which have no call/return structure.
-// It records a complete op under one lock acquisition — equivalent to
+// It records a complete op in one call (one lock acquisition on a shared
+// recorder, none on a clocked one) — equivalent to
 // Invoke+Respond with l as the result (including drawing two sequence
 // numbers and two clock values) but cheaper on the simulator's
 // per-delivery path, where Record is the dominant call. The op stores no
 // response label: Op.Result answers with its own Label.
 func (r *Recorder) Record(p ProcID, l Label) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := OpID(len(r.ops))
+	if r.shared {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
 	seq := r.seq
 	r.seq += 2
 	tInv := r.clock.Now()
 	tRsp := r.clock.Now()
-	r.ops = append(r.ops, Op{
-		ID: id, Proc: p, Label: l,
-		InvTime: tInv, RspTime: tRsp,
-		InvSeq: seq, RspSeq: seq + 1,
-		Complete: true,
-	})
+	op := r.push(p, &l, seq, tInv)
+	op.RspTime, op.RspSeq, op.Complete = tRsp, seq+1, true
 }
 
 // Snapshot returns an immutable copy of the history recorded so far.
 func (r *Recorder) Snapshot() *History {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if r.shared {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
 	h := &History{ops: make([]Op, len(r.ops))}
 	copy(h.ops, r.ops)
 	// One response slab for the whole snapshot instead of one heap object
@@ -819,8 +848,10 @@ func (r *Recorder) Snapshot() *History {
 // (one recorder per simulation run) call this instead of Snapshot to avoid
 // duplicating every op at the end of every run.
 func (r *Recorder) Finalize() *History {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if r.shared {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
 	h := &History{ops: r.ops, resp: r.respSlab}
 	r.seq = 0
 	r.ops = nil

@@ -1,8 +1,11 @@
 package netsim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
+	"blockadt/internal/blocktree"
 	"blockadt/internal/history"
 )
 
@@ -49,5 +52,39 @@ func TestTimerRearmAllocs(t *testing.T) {
 	}
 	if fired != 201 || s.Pending() != 1 || len(s.slab) != 2 {
 		t.Fatalf("fired %d timers with %d pending in a %d-slot slab, want 201 with 1 in 2", fired, s.Pending(), len(s.slab))
+	}
+}
+
+// TestReplicaDeliveryAllocs pins a replica's delivery path, receive_j then
+// update_j for each block: a 512-block chain delivered in order as
+// *blocktree.Block messages to a replica pre-sized for it, recording into
+// a reserved recorder, averages at most 0.05 allocations per delivery.
+// The block is copied once, into the tree's slab; a payload boxed per
+// delivery, a pending-buffer lookup that allocates, or a recorder that
+// outgrows its reservation fails the bound.
+func TestReplicaDeliveryAllocs(t *testing.T) {
+	const n = 512
+	s := New(Synchronous{Delta: 2}, 1)
+	s.Recorder().Reserve(2*n + 16)
+	rep := NewReplicaCap(0, blocktree.LongestChain{}, s.Recorder(), n+1)
+	s.Register(0, rep)
+	msgs := make([]Message, n)
+	parent := blocktree.GenesisID
+	for i := range msgs {
+		b := &blocktree.Block{ID: blocktree.BlockID(fmt.Sprintf("b%04d", i)), Parent: parent, Work: 1, Token: uint64(i + 1), Proposer: 1}
+		msgs[i] = Message{From: 1, To: 0, Kind: UpdateMsg, Parent: parent, Block: b.ID, Origin: 1, Payload: b}
+		parent = b.ID
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, m := range msgs {
+		rep.OnMessage(s, m)
+	}
+	runtime.ReadMemStats(&after)
+	if h := rep.Tree().Height(); h != n {
+		t.Fatalf("replica holds a %d-block chain after %d deliveries, want %d", h, n, n)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 0.05 {
+		t.Fatalf("a delivery averaged %.3f allocations (%d for %d), want ≤ 0.05", per, after.Mallocs-before.Mallocs, n)
 	}
 }

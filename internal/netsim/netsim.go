@@ -373,12 +373,12 @@ const ringWidth = 128
 // event is a queue entry's payload: either a delivery or a timer. Events
 // live in a slab the simulator recycles through a free list — scheduling
 // never heap-allocates once the slab has grown to the peak queue depth.
+// The process an event is for is msg.To; a timer carries its tag in
+// msg.Kind.
 type event struct {
 	msg   Message
 	timer bool
 	next  int32 // the next event in its ring bucket, as slab index+1; 0 ends it
-	tag   string
-	proc  history.ProcID
 }
 
 // bucket is one tick's FIFO in the calendar ring, as slab index+1 (0: empty).
@@ -621,7 +621,7 @@ func (s *Sim) Send(m Message) {
 	if delay < 1 {
 		delay = 1
 	}
-	s.push(s.now+delay, event{msg: m, proc: m.To})
+	s.push(s.now+delay, event{msg: m})
 }
 
 // TimerAt schedules Handler.OnTimer(tag) at process p at absolute virtual
@@ -630,7 +630,7 @@ func (s *Sim) TimerAt(p history.ProcID, at int64, tag string) {
 	if at <= s.now {
 		at = s.now + 1
 	}
-	s.push(at, event{timer: true, tag: tag, proc: p})
+	s.push(at, event{msg: Message{To: p, Kind: tag}, timer: true})
 }
 
 // Pending returns the number of queued (undelivered) events.
@@ -641,7 +641,7 @@ func (s *Sim) Pending() int { return s.ringLen + len(s.far) }
 // including ids outside the handler table — consume the event silently).
 func (s *Sim) dispatch(idx int32) bool {
 	ev := &s.slab[idx]
-	p := ev.proc
+	p := ev.msg.To
 	if uint(p) >= uint(len(s.handlers)) || s.Crashed(p) {
 		return false
 	}
@@ -650,7 +650,7 @@ func (s *Sim) dispatch(idx int32) bool {
 		return false
 	}
 	if ev.timer {
-		h.OnTimer(s, ev.tag)
+		h.OnTimer(s, ev.msg.Kind)
 	} else {
 		s.Delivered++
 		h.OnMessage(s, ev.msg)
@@ -720,7 +720,7 @@ func (s *Sim) Broadcast(from history.ProcID, m Message) {
 		cp.To = history.ProcID(p)
 		if cp.To == from {
 			// Self-delivery bypasses the wire: local, next instant.
-			s.push(s.now+1, event{msg: cp, proc: cp.To})
+			s.push(s.now+1, event{msg: cp})
 			continue
 		}
 		s.Send(cp)
@@ -753,7 +753,7 @@ func (s *Sim) broadcastBatched(from history.ProcID, m Message, bp BatchPlanner) 
 		cp.To = history.ProcID(p)
 		if cp.To == from {
 			// Self-delivery bypasses the wire: local, next instant.
-			s.push(s.now+1, event{msg: cp, proc: cp.To})
+			s.push(s.now+1, event{msg: cp})
 			continue
 		}
 		s.Bytes += ws
@@ -762,6 +762,6 @@ func (s *Sim) broadcastBatched(from history.ProcID, m Message, bp BatchPlanner) 
 		if d < 1 {
 			d = 1
 		}
-		s.push(s.now+d, event{msg: cp, proc: cp.To})
+		s.push(s.now+d, event{msg: cp})
 	}
 }

@@ -30,7 +30,7 @@ type Replica struct {
 }
 
 type pendingBlock struct {
-	block  blocktree.Block
+	block  *blocktree.Block
 	origin history.ProcID
 }
 
@@ -46,8 +46,9 @@ func NewReplica(id history.ProcID, f blocktree.Selector, rec *history.Recorder) 
 }
 
 // NewReplicaCap is NewReplica with a capacity hint: the local tree is
-// pre-sized for about n blocks, so simulators that know their target chain
-// length avoid incremental map growth on the hot insert path.
+// pre-sized for about n blocks (blocktree.NewCap, which reuses a released
+// tree's buffers), so simulators that know their target chain length
+// avoid incremental map growth on the hot insert path.
 func NewReplicaCap(id history.ProcID, f blocktree.Selector, rec *history.Recorder, n int) *Replica {
 	return &Replica{
 		id:      id,
@@ -67,11 +68,14 @@ func (r *Replica) Tree() *blocktree.Tree { return r.bt.Tree() }
 
 // CreateAndBroadcast applies update_i(parent, b) for a locally generated
 // block and sends it to all processes via the simulator's broadcast
-// (send_i(parent, b)). It records the update and send events.
+// (send_i(parent, b)). It records the update and send events. The block is
+// boxed once, as the *blocktree.Block every copy of the message carries;
+// no receiver writes it.
 func (r *Replica) CreateAndBroadcast(s *Sim, parent blocktree.BlockID, b blocktree.Block) {
-	r.applyUpdate(parent, b, r.id)
+	pb := &b
+	r.applyUpdate(parent, pb, r.id)
 	r.rec.Record(r.id, history.Label{Kind: history.KindSend, Parent: parent, Block: b.ID, Origin: r.id})
-	m := Message{Kind: UpdateMsg, Parent: parent, Block: b.ID, Origin: r.id, Payload: b}
+	m := Message{Kind: UpdateMsg, Parent: parent, Block: b.ID, Origin: r.id, Payload: pb}
 	if r.gossip != nil {
 		r.gossip.Publish(s, m)
 		return
@@ -89,7 +93,7 @@ func (r *Replica) CreateAndBroadcast(s *Sim, parent blocktree.BlockID, b blocktr
 // meant to change mid-run.
 func (r *Replica) EnableGossip(topo Topology) {
 	r.gossip = NewGossiper(r.id, func(s *Sim, m Message) {
-		b, ok := m.Payload.(blocktree.Block)
+		b, ok := m.Payload.(*blocktree.Block)
 		if !ok {
 			return
 		}
@@ -104,21 +108,23 @@ func (r *Replica) EnableGossip(topo Topology) {
 }
 
 // OnMessage handles an update delivery: records receive_j(bg, b) and applies
-// update_j(bg, b), deferring it if the predecessor is unknown. In gossip
-// mode the first copy is additionally relayed to the topology's peers;
-// duplicate copies are dropped without a receive record.
+// update_j(bg, b), deferring it if the predecessor is unknown. An update
+// carries its block as a *blocktree.Block payload; any other payload is
+// not an update and is ignored. In gossip mode the first copy is
+// additionally relayed to the topology's peers; duplicate copies are
+// dropped without a receive record.
 func (r *Replica) OnMessage(s *Sim, m Message) {
 	if m.Kind != UpdateMsg {
 		return
 	}
-	if _, ok := m.Payload.(blocktree.Block); !ok {
+	b, ok := m.Payload.(*blocktree.Block)
+	if !ok {
 		return
 	}
 	if r.gossip != nil {
 		r.gossip.OnMessage(s, m)
 		return
 	}
-	b := m.Payload.(blocktree.Block)
 	r.rec.Record(r.id, history.Label{Kind: history.KindReceive, Parent: m.Parent, Block: m.Block, Origin: m.Origin})
 	if m.Origin == r.id {
 		// Self-delivery: update already applied at creation.
@@ -128,13 +134,16 @@ func (r *Replica) OnMessage(s *Sim, m Message) {
 }
 
 // applyUpdate runs update_i(parent, b), buffering b when its parent has not
-// arrived yet; one locked tree call decides which.
-func (r *Replica) applyUpdate(parent blocktree.BlockID, b blocktree.Block, origin history.ProcID) {
+// arrived yet; one tree call decides which.
+func (r *Replica) applyUpdate(parent blocktree.BlockID, b *blocktree.Block, origin history.ProcID) {
 	switch err := r.bt.Update(parent, b); err {
 	case nil:
 		r.rec.Record(r.id, history.Label{Kind: history.KindUpdate, Parent: parent, Block: b.ID, Origin: origin})
 	case blocktree.ErrUnknownParent:
 		r.pending[parent] = append(r.pending[parent], pendingBlock{block: b, origin: origin})
+		return
+	}
+	if len(r.pending) == 0 {
 		return
 	}
 	// Drain blocks that were waiting for b.
@@ -174,7 +183,7 @@ func (r *Replica) ReadIDs() history.Chain {
 // recorded as an update event, and recorded as the proposer's send — the
 // dissemination Update Agreement's R1 requires of a locally generated
 // block (Definition 4.3). Used by the PBFT-committed chains.
-func (r *Replica) ApplyDecided(parent blocktree.BlockID, b blocktree.Block) {
+func (r *Replica) ApplyDecided(parent blocktree.BlockID, b *blocktree.Block) {
 	r.applyUpdate(parent, b, r.id)
 	r.rec.Record(r.id, history.Label{Kind: history.KindSend, Parent: parent, Block: b.ID, Origin: r.id})
 }
@@ -215,7 +224,7 @@ func (r *Replica) Resync(s *Sim) {
 				origin = history.ProcID(b.Proposer)
 			}
 			r.rec.Record(r.id, history.Label{Kind: history.KindSend, Parent: b.Parent, Block: b.ID, Origin: origin})
-			s.Broadcast(r.id, Message{Kind: UpdateMsg, Parent: b.Parent, Block: b.ID, Origin: origin, Payload: b})
+			s.Broadcast(r.id, Message{Kind: UpdateMsg, Parent: b.Parent, Block: b.ID, Origin: origin, Payload: &b})
 			queue = append(queue, child)
 		}
 	}

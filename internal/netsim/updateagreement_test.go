@@ -150,8 +150,8 @@ func TestReplicaOutOfOrderDelivery(t *testing.T) {
 	rep := NewReplica(5, blocktree.LongestChain{}, rec)
 	s.Register(5, rep)
 
-	child := blocktree.Block{ID: "child", Parent: "parent", Token: 2}
-	parent := blocktree.Block{ID: "parent", Parent: "b0", Token: 1}
+	child := &blocktree.Block{ID: "child", Parent: "parent", Token: 2}
+	parent := &blocktree.Block{ID: "parent", Parent: "b0", Token: 1}
 	rep.OnMessage(s, Message{Kind: UpdateMsg, Parent: "parent", Block: "child", Origin: 1, Payload: child})
 	if rep.Tree().Has("child") {
 		t.Fatal("orphan applied before its parent")
