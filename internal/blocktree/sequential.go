@@ -133,8 +133,10 @@ type SeqBlockTree struct {
 	f    Selector
 	p    Predicate
 	// ids is the append-only id buffer ReadIDs returns views of; its
-	// contents are the chain the previous ReadIDs returned.
-	ids history.Chain
+	// contents are the chain the previous ReadIDs returned. chainBuf,
+	// when set (SetChainBuf), hands out the fresh buffers it starts.
+	ids      history.Chain
+	chainBuf func(n int) history.Chain
 }
 
 // NewSeq returns a sequential BT-ADT with parameters f and P.
@@ -154,6 +156,12 @@ func NewSeqCap(f Selector, p Predicate, n int) *SeqBlockTree {
 func NewSeqFromTree(t *Tree, f Selector) *SeqBlockTree {
 	return &SeqBlockTree{tree: t, f: f, p: AcceptAll}
 }
+
+// SetChainBuf makes ReadIDs take each fresh id buffer from buf, which
+// returns an empty chain with room for n ids (history.Recorder.ChainBuf,
+// so read chains live in the arena of the history they are recorded in).
+// Without it ReadIDs allocates them.
+func (s *SeqBlockTree) SetChainBuf(buf func(n int) history.Chain) { s.chainBuf = buf }
 
 // Tip returns the tip block of the currently selected chain without
 // recording a read or materializing the chain — the protocol-internal
@@ -199,15 +207,20 @@ func (s *SeqBlockTree) Read() Chain { return s.f.Select(s.tree) }
 // history and discard the chain use it to skip the []Block materialization.
 //
 // The result is a capped view ids[:n:n] of an id buffer the SeqBlockTree
-// owns. A read that repeats or extends the previous one appends only the
-// new ids, so it costs the blocks added since the last read, not the
+// writes. A read that repeats or extends the previous one appends only
+// the new ids, so it costs the blocks added since the last read, not the
 // chain's height; consecutive reads then share their prefix in memory. A
-// reorg, or a read of an ancestor tip, starts a fresh buffer from a copy
-// of the common prefix. The buffer is never written below its length, so
-// every returned chain is immutable, and since cap == len an append by the
+// reorg, a read of an ancestor tip, or a chain that outgrows the buffer
+// starts a fresh buffer of n + max(64, n/4) ids from a copy of the kept
+// prefix. The buffer is never written below its length, so every
+// returned chain is immutable, and since cap == len an append by the
 // caller reallocates instead of writing into the buffer.
+//
+// With SetChainBuf the buffers are carved from a recorder's chain arena:
+// the returned chains are then views of the arena of the history they are
+// recorded in, and die with that history's Release.
 func (s *SeqBlockTree) ReadIDs() history.Chain {
-	s.ids = s.tree.appendSelectedIDs(s.ids, s.f)
+	s.ids = s.tree.appendSelectedIDs(s.ids, s.f, s.chainBuf)
 	return s.ids[:len(s.ids):len(s.ids)]
 }
 

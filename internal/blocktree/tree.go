@@ -411,18 +411,18 @@ func (t *Tree) chainToLocked(idx int32) Chain {
 
 // appendSelectedIDs returns buf extended to the ids of the root path of
 // sel's chosen chain, the id-only view read responses are recorded with
-// (appendRootPathIDsLocked). It takes no lock for a built-in selector,
-// which names its tip by slab index (ownedTip): the SeqBlockTree owns its
-// tree. Any other Selector goes through SelectTip, which locks, and the
-// id index.
-func (t *Tree) appendSelectedIDs(buf history.Chain, sel Selector) history.Chain {
+// (appendRootPathIDsLocked, which takes fresh buffers from chainBuf). It
+// takes no lock for a built-in selector, which names its tip by slab
+// index (ownedTip): the SeqBlockTree owns its tree. Any other Selector
+// goes through SelectTip, which locks, and the id index.
+func (t *Tree) appendSelectedIDs(buf history.Chain, sel Selector, chainBuf func(int) history.Chain) history.Chain {
 	tip, ok := ownedTip(sel, t)
 	if !ok {
 		if tip, ok = t.index[SelectTip(sel, t).ID]; !ok {
 			return history.Chain{GenesisID}
 		}
 	}
-	return t.appendRootPathIDsLocked(buf, tip)
+	return t.appendRootPathIDsLocked(buf, tip, chainBuf)
 }
 
 // appendRootPathIDsLocked returns buf extended to the ids of the root path
@@ -430,10 +430,12 @@ func (t *Tree) appendSelectedIDs(buf history.Chain, sel Selector) history.Chain 
 // already holds at its height — the tree is append-only, so a block's root
 // path never changes — and only the ids above it are written. Positions
 // below len(buf) are never written: when the path leaves buf before its
-// end (a reorg, or a tip that is an ancestor of buf's), the shared prefix
-// is copied into a fresh buffer instead. Views of buf taken earlier
-// therefore never change. Caller holds the lock or owns the tree.
-func (t *Tree) appendRootPathIDsLocked(buf history.Chain, tip int32) history.Chain {
+// end (a reorg, or a tip that is an ancestor of buf's), or outgrows buf's
+// capacity, the kept prefix is copied into a fresh buffer with room for
+// the n ids plus max(64, n/4), which chainBuf hands out (make when it is
+// nil). Views of buf taken earlier therefore never change. Caller holds
+// the lock or owns the tree.
+func (t *Tree) appendRootPathIDsLocked(buf history.Chain, tip int32, chainBuf func(int) history.Chain) history.Chain {
 	keep := 0
 	for i := tip; i >= 0; i = t.nodes[i].parent {
 		if h := t.nodes[i].block.Height; h < len(buf) && buf[h] == t.nodes[i].block.ID {
@@ -442,12 +444,16 @@ func (t *Tree) appendRootPathIDsLocked(buf history.Chain, tip int32) history.Cha
 		}
 	}
 	n := t.nodes[tip].block.Height + 1
-	if keep < len(buf) {
-		fresh := make(history.Chain, keep, max(cap(buf), n))
-		copy(fresh, buf)
-		buf = fresh
+	if keep < len(buf) || n > cap(buf) {
+		var fresh history.Chain
+		if room := n + max(64, n/4); chainBuf != nil {
+			fresh = chainBuf(room)
+		} else {
+			fresh = make(history.Chain, 0, room)
+		}
+		buf = append(fresh, buf[:keep]...)
 	}
-	buf = slices.Grow(buf, n-len(buf))[:n]
+	buf = buf[:n]
 	for i := tip; i >= 0 && t.nodes[i].block.Height >= keep; i = t.nodes[i].parent {
 		buf[t.nodes[i].block.Height] = t.nodes[i].block.ID
 	}

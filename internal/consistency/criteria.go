@@ -81,21 +81,23 @@ func BlockValidity(h *history.History, opts Options) Verdict {
 func LocalMonotonicRead(h *history.History, opts Options) Verdict {
 	sink := &violationSink{max: opts.maxViolations()}
 	score := opts.score()
-	last := map[history.ProcID]int{}
-	lastChain := map[history.ProcID]history.Chain{}
 	checked := 0
 	reads := h.Reads()
+	// The permutation groups each process's reads together, in process
+	// order, so a read's predecessor is the previous entry when the
+	// process matches.
+	var prev *history.ReadOp
+	prevScore := 0
 	for _, i := range readsByProcessOrder(h) {
 		r := &reads[i]
 		s := score(r.Chain)
-		if prev, ok := last[r.Op.Proc]; ok {
+		if prev != nil && prev.Op.Proc == r.Op.Proc {
 			checked++
-			if s < prev {
-				sink.addf("p%d read %s (score %d) after %s (score %d)", r.Op.Proc, r.Chain, s, lastChain[r.Op.Proc], prev)
+			if s < prevScore {
+				sink.addf("p%d read %s (score %d) after %s (score %d)", r.Op.Proc, r.Chain, s, prev.Chain, prevScore)
 			}
 		}
-		last[r.Op.Proc] = s
-		lastChain[r.Op.Proc] = r.Chain
+		prev, prevScore = r, s
 	}
 	return sink.verdict("LocalMonotonicRead", checked)
 }

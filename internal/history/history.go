@@ -37,8 +37,9 @@ type BlockRef string
 //
 // Chains are values that are shared, never written. The sequential
 // BT-ADT's ReadIDs hands out capped views (cap == len) of an id buffer it
-// owns and keeps appending to, so chains recorded by consecutive reads of
-// one process share their common prefix in memory. No code may write an
+// keeps appending to, carved from the recorder's chain arena
+// (Recorder.ChainBuf), so chains recorded by consecutive reads of one
+// process share their common prefix in memory. No code may write an
 // element of a Chain it did not allocate; appending is safe, since a
 // capped view always reallocates.
 type Chain []BlockRef
@@ -256,22 +257,26 @@ func (op *Op) Result() *Label {
 // write through the pointers (order a permutation instead, as
 // readsByProcessOrder in internal/consistency does).
 //
-// A history's ops live in buffers that Release may hand back to the
+// A history's ops, the read chains its recorder carved (Recorder.ChainBuf)
+// and its index live in buffers that Release may hand back to the
 // recorders for reuse; see Release for who may call it.
 type History struct {
 	ops []Op
 	// resp is the response-label chunk the recorder was filling when the
-	// history was taken; Release recycles it with ops.
-	resp []Label
+	// history was taken, and chains the chain arena chunk it was carving
+	// read chains from; Release recycles both with ops.
+	resp   []Label
+	chains Chain
 
 	mu        sync.Mutex
-	ix        *index
+	ix        index
 	kindCache map[Kind][]Op
 }
 
-// index is the analysis index of a history (see History): built by
-// buildIndex, dropped by Release.
+// index is the analysis index of a history (see History): built in bufs
+// by buildIndex, dropped by Release, which recycles bufs.
 type index struct {
+	built     bool
 	reads     []ReadOp
 	appends   []AppendOp
 	okAppends []AppendOp
@@ -280,6 +285,53 @@ type index struct {
 	earliest []int64
 	agree    bool
 	maxReorg int
+	bufs     indexBufs
+}
+
+// indexBufs is the storage an index is built in: the views, the earliest
+// times, and internReads's parent table, per-process state and id arena.
+// Each buffer is taken emptied (reuse) and handed back whole, grown to
+// what the history needed, so a recycled index of a same-shape history
+// allocates nothing but the interner's name map.
+type indexBufs struct {
+	reads    []ReadOp
+	appends  []AppendOp // the appends, then the successful ones
+	earliest []int64
+	pred     []int32
+	procs    []procIDs
+	ids      []int32
+}
+
+// procIDs is internReads's state for one process: its previous read's
+// chain and the id buffer whose prefix holds that chain's ids.
+type procIDs struct {
+	proc  ProcID
+	chain Chain
+	ids   []int32
+}
+
+// reuse returns buf emptied, with room for at least n elements.
+func reuse[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		return make(S, 0, n)
+	}
+	return buf[:0]
+}
+
+// carve returns an empty slice with room for exactly n elements, cut
+// from the free part of *arena, and advances the arena past it. An arena
+// without room is replaced by a fresh chunk of max(n, 2 × its capacity);
+// the slices carved from the old chunk keep it alive. The elements past
+// the arena's length are never read before they are written, so a
+// recycled arena is not cleared.
+func carve[S ~[]E, E any](arena *S, n int) S {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make(S, 0, max(n, 2*cap(a)))
+	}
+	l := len(a)
+	*arena = a[:l+n]
+	return a[l : l : l+n]
 }
 
 // NotInserted is Earliest's entry for a block id that no append or update
@@ -378,16 +430,17 @@ func (h *History) SuccessfulAppends() []AppendOp { return h.index().okAppends }
 func (h *History) index() *index {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.ix == nil {
-		h.ix = buildIndex(h.ops)
+	if !h.ix.built {
+		h.ix.build(h.ops)
 	}
-	return h.ix
+	return &h.ix
 }
 
-// buildIndex builds the analysis index of ops: one pass counts the views'
-// sizes, one fills the views and interns the blocks appends and updates
-// name, and the reads, once in response order, intern their chains.
-func buildIndex(ops []Op) *index {
+// build builds the analysis index of ops in ix.bufs: one pass counts the
+// views' sizes, one fills the views and interns the blocks appends and
+// updates name, and the reads, once in response order, intern their
+// chains. The views are capped (len == cap).
+func (ix *index) build(ops []Op) {
 	var reads, appends, ok int
 	for i := range ops {
 		switch op := &ops[i]; op.Label.Kind {
@@ -404,12 +457,13 @@ func buildIndex(ops []Op) *index {
 			}
 		}
 	}
-	ix := &index{
-		reads:     make([]ReadOp, 0, reads),
-		appends:   make([]AppendOp, 0, appends),
-		okAppends: make([]AppendOp, 0, ok),
-	}
-	in := interner{ids: make(map[BlockRef]int32, appends)}
+	b := &ix.bufs
+	b.reads = reuse(b.reads, reads)
+	b.appends = reuse(b.appends, appends+ok)
+	ix.reads = b.reads[:0:reads]
+	ix.appends = b.appends[:0:appends]
+	ix.okAppends = b.appends[appends : appends : appends+ok]
+	in := interner{ids: make(map[BlockRef]int32, appends), earliest: reuse(b.earliest, appends)}
 	sorted := true // the reads are already in response order
 	for i := range ops {
 		switch op := &ops[i]; op.Label.Kind {
@@ -435,8 +489,8 @@ func buildIndex(ops []Op) *index {
 		slices.SortFunc(ix.reads, func(a, b ReadOp) int { return cmp.Compare(a.Op.RspSeq, b.Op.RspSeq) })
 	}
 	ix.internReads(&in)
-	ix.earliest = in.earliest
-	return ix
+	ix.earliest, b.earliest = in.earliest, in.earliest
+	ix.built = true
 }
 
 // interner hands out dense block ids in first-seen order and keeps each
@@ -476,32 +530,26 @@ func (in *interner) insert(b BlockRef, t int64) int32 {
 // prefix with the previous one and interns only the blocks past it,
 // appended to the buffer; its IDs is a capped view of the buffer, so
 // views of one process share memory as ReadIDs's chains do. For chains
-// that share memory the common prefix costs O(1). A read that rolls back
-// caps the buffer at the common prefix first, so its new ids go to a
-// fresh buffer and never overwrite an earlier view. The rollback depth is
-// the previous length past the common prefix, and parent agreement is
-// checked on the positions past it: the earlier ones were checked with
-// the previous read.
+// that share memory the common prefix costs O(1). A read that rolls back,
+// or outgrows the buffer, carves a fresh buffer from the id arena and
+// copies the common prefix into it, so no earlier view is overwritten.
+// The rollback depth is the previous length past the common prefix, and
+// parent agreement is checked on the positions past it: the earlier ones
+// were checked with the previous read.
 func (ix *index) internReads(in *interner) {
-	type procIDs struct {
-		chain Chain
-		ids   []int32
-	}
-	procs := map[ProcID]*procIDs{}
-	var pred []int32 // pred[id]: the id before id in the reads, or -1
+	b := &ix.bufs
+	procs := reuse(b.procs, 0)
+	pred := reuse(b.pred, 0) // pred[id]: the id before id in the reads, or -1
+	arena := reuse(b.ids, 0)
 	ix.agree = true
 	for k := range ix.reads {
 		r := &ix.reads[k]
-		last := procs[r.Op.Proc]
-		if last == nil {
-			last = &procIDs{}
-			procs[r.Op.Proc] = last
-		}
+		last := lookupProc(&procs, r.Op.Proc)
 		c, ids := r.Chain, last.ids
 		cp := len(last.chain.CommonPrefix(c))
 		ix.maxReorg = max(ix.maxReorg, len(last.chain)-cp)
-		if cp < len(ids) {
-			ids = ids[:cp:cp]
+		if cp < len(ids) || len(c) > cap(ids) {
+			ids = append(carve(&arena, len(c)+max(64, len(c)/4)), ids[:cp]...)
 		}
 		for _, b := range c[cp:] {
 			ids = append(ids, in.id(b))
@@ -523,6 +571,20 @@ func (ix *index) internReads(in *interner) {
 			}
 		}
 	}
+	b.procs, b.pred, b.ids = procs, pred, arena
+}
+
+// lookupProc returns p's entry in *procs, adding an empty one for a
+// process not seen before. A history has a handful of processes, so a
+// scan beats a map.
+func lookupProc(procs *[]procIDs, p ProcID) *procIDs {
+	for i := range *procs {
+		if (*procs)[i].proc == p {
+			return &(*procs)[i]
+		}
+	}
+	*procs = append(*procs, procIDs{proc: p})
+	return &(*procs)[len(*procs)-1]
 }
 
 // OpsOfKind returns completed operations with the given kind, in invocation
@@ -548,11 +610,14 @@ func (h *History) OpsOfKind(k Kind) []Op {
 }
 
 // Release hands the history's buffers back for reuse by the next
-// Recorder.Reserve they fit, and empties the history: afterwards Ops is
-// nil, Len is 0 and every view is empty, so a stray reference to the
-// History sees an empty history, never another run's ops. An *Op,
-// ReadOp or AppendOp taken before Release points into the recycled
-// buffer and must not be used after it.
+// Recorder.Reserve they fit: its ops, its response labels, the chain
+// arena its read chains were carved from (Recorder.ChainBuf) and the
+// storage of its index. It empties the history: afterwards Ops is nil,
+// Len is 0 and every view is empty, so a stray reference to the History
+// sees an empty history, never another run's ops. An *Op, ReadOp or
+// AppendOp taken before Release, and every read chain the history
+// recorded (a view of the arena), points into the recycled buffers and
+// must not be used after it.
 //
 // Only the history's last consumer may call it, once nothing reads the
 // history any more: the sweep engine's scenario runner, after
@@ -564,11 +629,12 @@ func (h *History) Release() {
 	if h.ops == nil {
 		return
 	}
-	if old := spare.Swap(&buffers{ops: h.ops[:0], resp: h.resp[:0]}); old != nil {
+	b := &buffers{ops: h.ops[:0], resp: h.resp[:0], chains: h.chains[:0], ix: h.ix.bufs}
+	if old := spare.Swap(b); old != nil {
 		bufPool.Put(old)
 	}
-	h.ops, h.resp = nil, nil
-	h.ix, h.kindCache = nil, nil
+	h.ops, h.resp, h.chains = nil, nil, nil
+	h.ix, h.kindCache = index{}, nil
 }
 
 // countOps returns the number of completed operations of kind k, so
@@ -643,16 +709,25 @@ type Recorder struct {
 	// responses. Record takes no entry: an instantaneous op's response is
 	// its own label (Op.Result).
 	respSlab []Label
+	// chains is the chain arena ChainBuf carves read chains from, and ix
+	// the index storage Finalize hands to the history; both come from a
+	// released history when Reserve takes its buffers.
+	chains Chain
+	ix     indexBufs
 }
 
-// buffers is the storage of one history: its op buffer and the
-// response-label chunk it was filling. History.Release puts it in spare,
-// and the next Reserve it fits reuses it instead of faulting in fresh
-// memory. The recycled entries are not cleared: every op and label
-// appended later overwrites its slot whole.
+// buffers is the storage of one history: its op buffer, the
+// response-label chunk and the chain arena chunk it was filling, and its
+// index storage. History.Release puts it in spare, and the next Reserve
+// it fits reuses it instead of faulting in fresh memory. The recycled
+// entries are not cleared: every op, label and chain element written
+// later overwrites its slot whole, and the index takes each buffer
+// emptied.
 type buffers struct {
-	ops  []Op
-	resp []Label
+	ops    []Op
+	resp   []Label
+	chains Chain
+	ix     indexBufs
 }
 
 // spare holds the most recently released buffers, and bufPool those it
@@ -706,15 +781,21 @@ func NewRecorderWithClock(c Clock) *Recorder {
 }
 
 // Reserve grows the recorder's operation buffer to room for at least ops
-// operations, and its response-label slab to room for ops/2 responses:
-// only ops recorded by Invoke and Respond take a slab entry, and in the
+// operations, its response-label slab to room for ops/2 responses and
+// its chain arena (ChainBuf) to room for ops block references. Only ops
+// recorded by Invoke and Respond take a slab entry, and in the
 // simulators' histories those (reads, appends) are at most about a third
 // of the ops, the send/receive/update fan-out being recorded by Record.
-// There is no event buffer to size: events are derived from the ops.
-// Simulators that can bound the history size from their parameters
-// (TargetBlocks × replicas × ops-per-block) call this once so the append
-// path never reallocates mid-run. An empty recorder takes the buffers of
-// a released history (History.Release) when they are large enough.
+// The read chains of a 30-block run fill about ops references, those of
+// a 600-block proof-of-work run, with its reorg copies, about 3.4 × ops:
+// the arena grows geometrically past its reservation, and a recycled
+// arena keeps the size its last run grew it to. There is no event buffer
+// to size: events are derived from the ops. Simulators that can bound the
+// history size from their parameters (TargetBlocks × replicas ×
+// ops-per-block) call this once so the append path never reallocates
+// mid-run. An empty recorder takes the buffers of a released history
+// (History.Release) when they are large enough, chain arena and index
+// storage included.
 func (r *Recorder) Reserve(ops int) {
 	if r.shared {
 		r.mu.Lock()
@@ -728,7 +809,7 @@ func (r *Recorder) Reserve(ops int) {
 			b, _ = bufPool.Get().(*buffers)
 		}
 		if b != nil && cap(b.ops) >= ops {
-			r.ops, r.respSlab = b.ops, b.resp
+			r.ops, r.respSlab, r.chains, r.ix = b.ops, b.resp, b.chains, b.ix
 		}
 	}
 	if cap(r.ops) < ops {
@@ -739,6 +820,24 @@ func (r *Recorder) Reserve(ops int) {
 	if resp := ops / 2; cap(r.respSlab)-len(r.respSlab) < resp {
 		r.respSlab = make([]Label, 0, resp)
 	}
+	if cap(r.chains)-len(r.chains) < ops {
+		r.chains = make(Chain, 0, ops)
+	}
+}
+
+// ChainBuf returns an empty chain with room for n block references,
+// carved from the recorder's chain arena: the buffer a replica's read
+// path (blocktree.SeqBlockTree.ReadIDs) appends its chain ids to. The
+// chain may be appended to up to its capacity without reallocating, and
+// never overlaps another ChainBuf's. An arena without room is replaced by
+// one twice its size; Finalize hands the current one to the history,
+// whose Release recycles it, so read chains die with their history.
+func (r *Recorder) ChainBuf(n int) Chain {
+	if r.shared {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+	}
+	return carve(&r.chains, n)
 }
 
 // Invoke records the invocation event of a new operation and returns its
@@ -811,7 +910,11 @@ func (r *Recorder) Record(p ProcID, l Label) {
 	op.RspTime, op.RspSeq, op.Complete = tRsp, seq+1, true
 }
 
-// Snapshot returns an immutable copy of the history recorded so far.
+// Snapshot returns an immutable copy of the history recorded so far. The
+// copy's read chains are the recorded ones, which may alias the
+// recorder's chain arena (ChainBuf), so a snapshot must not outlive a
+// Release of the history this recorder later finalizes. Only the sweep
+// engine's scenario runner releases, and it never snapshots.
 func (r *Recorder) Snapshot() *History {
 	if r.shared {
 		r.mu.Lock()
@@ -841,8 +944,8 @@ func (r *Recorder) Snapshot() *History {
 }
 
 // Finalize returns the recorded history by transferring ownership of the
-// recorder's op buffer and current response chunk — no copy. The
-// recorder is reset to empty:
+// recorder's op buffer, current response chunk, chain arena and index
+// storage — no copy. The recorder is reset to empty:
 // recording after Finalize starts a new history at Seq 0 and OpID 0, in
 // fresh buffers the returned history does not see. Single-use harnesses
 // (one recorder per simulation run) call this instead of Snapshot to avoid
@@ -852,9 +955,9 @@ func (r *Recorder) Finalize() *History {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 	}
-	h := &History{ops: r.ops, resp: r.respSlab}
+	h := &History{ops: r.ops, resp: r.respSlab, chains: r.chains}
+	h.ix.bufs = r.ix
 	r.seq = 0
-	r.ops = nil
-	r.respSlab = nil
+	r.ops, r.respSlab, r.chains, r.ix = nil, nil, nil, indexBufs{}
 	return h
 }

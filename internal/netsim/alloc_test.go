@@ -88,3 +88,57 @@ func TestReplicaDeliveryAllocs(t *testing.T) {
 		t.Fatalf("a delivery averaged %.3f allocations (%d for %d), want ≤ 0.05", per, after.Mallocs-before.Mallocs, n)
 	}
 }
+
+// TestReplicaReadAllocs pins a replica's read path on a reserved
+// recorder: a 512-block chain delivered block by block, with a one-block
+// fork every 16 blocks that the next block reorganizes away, read after
+// every delivery. Each read starting a fresh chain buffer (the first, a
+// reorg, or a chain that outgrew its buffer) carves it from the
+// recorder's chain arena, so after the first read the reads average at
+// most 0.05 allocations. A read path that allocated its fresh buffers,
+// or one that copied the chain per read, fails the bound.
+func TestReplicaReadAllocs(t *testing.T) {
+	const n = 512
+	s := New(Synchronous{Delta: 2}, 1)
+	s.Recorder().Reserve(1 << 14)
+	rep := NewReplicaCap(0, blocktree.LongestChain{}, s.Recorder(), n+n/16+1)
+	s.Register(0, rep)
+	var msgs []Message
+	deliver := func(id, parent blocktree.BlockID) {
+		b := &blocktree.Block{ID: id, Parent: parent, Work: 1, Token: uint64(len(msgs) + 1), Proposer: 1}
+		msgs = append(msgs, Message{From: 1, To: 0, Kind: UpdateMsg, Parent: parent, Block: id, Origin: 1, Payload: b})
+	}
+	parent := blocktree.GenesisID
+	for i := 1; i <= n; i++ {
+		if i%16 == 0 && i < n {
+			// The fork's id sorts after the main chain's, so it wins the
+			// tie at its height until the main chain's next block.
+			deliver(blocktree.BlockID(fmt.Sprintf("f%04d", i)), parent)
+		}
+		id := blocktree.BlockID(fmt.Sprintf("b%04d", i))
+		deliver(id, parent)
+		parent = id
+	}
+	rep.OnMessage(s, msgs[0])
+	rep.ReadIDs()
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for _, m := range msgs[1:] {
+		rep.OnMessage(s, m)
+		runtime.ReadMemStats(&before)
+		rep.ReadIDs()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	h := s.Recorder().Finalize()
+	if got := h.MaxReorg(); got != 1 {
+		t.Fatalf("the reads saw a deepest rollback of %d blocks, want 1", got)
+	}
+	if c := h.Reads()[len(h.Reads())-1].Chain; len(c) != n+1 || c[n] != parent {
+		t.Fatalf("the last read returned %d blocks ending in %s, want %d ending in %s", len(c), c[len(c)-1], n+1, parent)
+	}
+	reads := len(msgs) - 1
+	if per := float64(mallocs) / float64(reads); per > 0.05 {
+		t.Fatalf("a read averaged %.3f allocations (%d for %d), want ≤ 0.05", per, mallocs, reads)
+	}
+}

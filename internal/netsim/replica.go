@@ -48,11 +48,14 @@ func NewReplica(id history.ProcID, f blocktree.Selector, rec *history.Recorder) 
 // NewReplicaCap is NewReplica with a capacity hint: the local tree is
 // pre-sized for about n blocks (blocktree.NewCap, which reuses a released
 // tree's buffers), so simulators that know their target chain length
-// avoid incremental map growth on the hot insert path.
+// avoid incremental map growth on the hot insert path. Read chains are
+// carved from rec's chain arena (Recorder.ChainBuf).
 func NewReplicaCap(id history.ProcID, f blocktree.Selector, rec *history.Recorder, n int) *Replica {
+	bt := blocktree.NewSeqCap(f, blocktree.AcceptAll, n)
+	bt.SetChainBuf(rec.ChainBuf)
 	return &Replica{
 		id:      id,
-		bt:      blocktree.NewSeqCap(f, blocktree.AcceptAll, n),
+		bt:      bt,
 		rec:     rec,
 		pending: map[blocktree.BlockID][]pendingBlock{},
 	}
@@ -169,7 +172,9 @@ func (r *Replica) Read() blocktree.Chain {
 // ReadIDs performs read() recording only the chain's block ids — the same
 // response label Read records, without materializing the []Block chain.
 // The simulation drivers call it on their periodic read timers, where the
-// returned chain is only ever recorded, never inspected.
+// returned chain is only ever recorded, never inspected. The chain is a
+// view of the recorder's chain arena (SeqBlockTree.ReadIDs), so it dies
+// with the Release of the history the recorder finalizes.
 func (r *Replica) ReadIDs() history.Chain {
 	op := r.rec.Invoke(r.id, history.Label{Kind: history.KindRead})
 	ids := r.bt.ReadIDs()

@@ -88,13 +88,14 @@ type Oracle struct {
 	// tapePos[i] is the number of cells popped from tape αᵢ.
 	tapePos []uint64
 	// consumed[h] is K[h]: the objects whose token on h was consumed.
+	// A set is only ever appended to, so a capped view of it (what
+	// ConsumeToken returns) never changes.
 	consumed map[ObjectID][]ObjectID
-	// granted tracks outstanding token ids → (object, consumed?).
-	granted map[uint64]*grant
-	nextID  uint64
+	// granted[id-1] is the grant of token id: token ids are dense from 1,
+	// so len(granted) is the number of grants.
+	granted []grant
 	// stats
 	getCalls     uint64
-	grants       uint64
 	consumeCalls uint64
 	consumeOK    uint64
 }
@@ -119,7 +120,6 @@ func New(cfg Config) *Oracle {
 		seed:     cfg.Seed,
 		tapePos:  make([]uint64, len(merits)),
 		consumed: map[ObjectID][]ObjectID{},
-		granted:  map[uint64]*grant{},
 	}
 }
 
@@ -171,11 +171,8 @@ func (o *Oracle) GetToken(merit int, h, l ObjectID) (Token, bool) {
 	if !prng.Bernoulli(cell, o.merits[merit]) {
 		return Token{}, false
 	}
-	o.nextID++
-	tok := Token{ID: o.nextID, Object: h, Merit: merit}
-	o.granted[tok.ID] = &grant{object: h, proposed: l}
-	o.grants++
-	return tok, true
+	o.granted = append(o.granted, grant{object: h, proposed: l})
+	return Token{ID: uint64(len(o.granted)), Object: h, Merit: merit}, true
 }
 
 // PopBottom pops the head cell of tape α_merit only when it contains ⊥,
@@ -207,25 +204,36 @@ func (o *Oracle) PopBottom(merit int) bool {
 // returns the contents of K[h] (the paper's get(K, h)). The boolean result
 // reports whether this call's object was inserted. Consuming a token twice
 // or consuming a token the oracle never granted returns an error.
+//
+// The returned set is a read-only view of K[h], capped at its length: it
+// does not change when later consumptions grow K[h], and the caller must
+// not write its elements (ConsumedSet returns a copy).
 func (o *Oracle) ConsumeToken(tok Token) ([]ObjectID, bool, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.consumeCalls++
-	g, ok := o.granted[tok.ID]
-	if !ok || g.object != tok.Object {
-		return o.setCopy(tok.Object), false, ErrInvalidToken
+	if tok.ID == 0 || tok.ID > uint64(len(o.granted)) || o.granted[tok.ID-1].object != tok.Object {
+		return o.set(tok.Object), false, ErrInvalidToken
 	}
+	g := &o.granted[tok.ID-1]
 	if g.consumed {
-		return o.setCopy(tok.Object), false, ErrTokenReused
+		return o.set(tok.Object), false, ErrTokenReused
 	}
 	g.consumed = true
 	set := o.consumed[tok.Object]
 	if o.k != Unbounded && len(set) >= o.k {
-		return o.setCopy(tok.Object), false, nil
+		return o.set(tok.Object), false, nil
 	}
 	o.consumed[tok.Object] = append(set, g.proposed)
 	o.consumeOK++
-	return o.setCopy(tok.Object), true, nil
+	return o.set(tok.Object), true, nil
+}
+
+// set returns K[h] capped at its length: a view later appends to K[h]
+// cannot change.
+func (o *Oracle) set(h ObjectID) []ObjectID {
+	set := o.consumed[h]
+	return set[:len(set):len(set)]
 }
 
 func (o *Oracle) setCopy(h ObjectID) []ObjectID {
@@ -266,7 +274,7 @@ type Stats struct {
 func (o *Oracle) Stats() Stats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return Stats{GetCalls: o.getCalls, Grants: o.grants, ConsumeCalls: o.consumeCalls, ConsumeOK: o.consumeOK}
+	return Stats{GetCalls: o.getCalls, Grants: uint64(len(o.granted)), ConsumeCalls: o.consumeCalls, ConsumeOK: o.consumeOK}
 }
 
 // KForkCoherent reports whether every consumed set respects the bound k

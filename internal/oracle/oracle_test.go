@@ -109,6 +109,44 @@ func TestConsumeProdigalUnbounded(t *testing.T) {
 	}
 }
 
+// TestConsumedViewIsStable: the set ConsumeToken returns is a view of
+// K[h] capped at its length, so later consumptions on the same h, which
+// append to K[h], leave it as it was; and a token id 0 (never granted)
+// is invalid. A view handed out uncapped would grow with K[h] once a
+// caller appended to it.
+func TestConsumedViewIsStable(t *testing.T) {
+	o := New(Config{K: Unbounded, Merits: []float64{1}, Seed: 1})
+	var views [][]ObjectID
+	for i := 0; i < 40; i++ {
+		tok, _ := o.GetToken(0, "b0", ObjectID(fmt.Sprint("x", i)))
+		set, ok, err := o.ConsumeToken(tok)
+		if err != nil || !ok {
+			t.Fatalf("consume %d: ok=%v err=%v", i, ok, err)
+		}
+		if len(set) != i+1 || cap(set) != len(set) {
+			t.Fatalf("consume %d returned len %d cap %d, want both %d", i, len(set), cap(set), i+1)
+		}
+		views = append(views, set)
+		if i%8 == 0 {
+			// A caller appending to its view must not reach K[h].
+			_ = append(set, "caller")
+		}
+	}
+	for i, v := range views {
+		for j, obj := range v {
+			if want := ObjectID(fmt.Sprint("x", j)); obj != want {
+				t.Fatalf("view %d changed at %d: %q, want %q", i, j, obj, want)
+			}
+		}
+		if len(v) != i+1 {
+			t.Fatalf("view %d has length %d, want %d", i, len(v), i+1)
+		}
+	}
+	if _, ok, err := o.ConsumeToken(Token{ID: 0, Object: "b0"}); !errors.Is(err, ErrInvalidToken) || ok {
+		t.Fatalf("token id 0: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestTokenReuseRejected(t *testing.T) {
 	o := grantingOracle(2)
 	tok, _ := o.GetToken(0, "b0", "x")

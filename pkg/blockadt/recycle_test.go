@@ -131,3 +131,71 @@ func TestRecycledHistoriesMatchFreshRuns(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycledHistoriesAreInvisible: a history's read chains and its
+// analysis index live in buffers the history owns, and runScenario's
+// Release recycles them into the next scenario's recorder and index.
+// 600-, 30- and 600-block matrices of Bitcoin, Ethereum and Algorand run
+// back to back through Run, so each scenario records and indexes into
+// the chain arena and index buffers of a longer or shorter history; every
+// Result (wall clock aside) must equal the reference computed before any
+// of them was released, on histories that are never recycled. Then the
+// CI matrix at parallelism 2, where the workers hand buffers to each
+// other through the spare slot and the pool, must report what it
+// reports at parallelism 1. A chain buffer carved twice, or an index
+// buffer handed out with a previous history's entries, changes a verdict,
+// a metric or a count.
+func TestRecycledHistoriesAreInvisible(t *testing.T) {
+	matrix := func(blocks int) Matrix {
+		return Matrix{Systems: []string{"Bitcoin", "Ethereum", "Algorand"}, TargetBlocks: blocks, RootSeed: 42, Metrics: MetricNames()}
+	}
+	want := map[string]Result{}
+	for _, blocks := range []int{600, 30} {
+		configs, err := matrix(blocks).Configs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range configs {
+			want[cfg.Key()] = referenceResult(t, cfg)
+		}
+	}
+	for i, blocks := range []int{600, 30, 600} {
+		rep, err := Run(matrix(blocks), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total != 3 {
+			t.Fatalf("run %d: the %d-block matrix ran %d scenarios, want 3", i, blocks, rep.Total)
+		}
+		for _, got := range rep.Results {
+			got.WallNS = 0
+			if w := want[got.Config.Key()]; !reflect.DeepEqual(got, w) {
+				t.Errorf("run %d, %s:\n got %+v\nwant %+v", i, got.Config.Key(), got, w)
+			}
+		}
+	}
+
+	var reports [2]*Report
+	for i := range reports {
+		rep, err := Run(ciMatrix(), i+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.WallNS, rep.Parallelism = 0, 0
+		for k := range rep.Results {
+			rep.Results[k].WallNS = 0
+		}
+		reports[i] = rep
+	}
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		if len(reports[0].Results) != len(reports[1].Results) {
+			t.Fatalf("the CI matrix ran %d scenarios at parallelism 2 and %d at 1", len(reports[1].Results), len(reports[0].Results))
+		}
+		for k := range reports[0].Results {
+			if a, b := reports[0].Results[k], reports[1].Results[k]; !reflect.DeepEqual(a, b) {
+				t.Fatalf("CI matrix, %s:\nparallel 2 %+v\nparallel 1 %+v", a.Config.Key(), b, a)
+			}
+		}
+		t.Fatal("the CI matrix's report at parallelism 2 differs from parallelism 1")
+	}
+}
